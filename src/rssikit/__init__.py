@@ -10,7 +10,6 @@ while ACKs are lost.
 from .trace import (
     DerivativeSeries,
     IngestError,
-    RssiSample,
     Trace,
     derivative_series,
     export_csv,
@@ -92,7 +91,6 @@ __all__ = [
     "Prediction",
     "PredictorModel",
     "RadioProfile",
-    "RssiSample",
     "SlidingWindowPredictor",
     "Trace",
     "analytic_mse",

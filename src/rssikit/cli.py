@@ -17,8 +17,8 @@ from pathlib import Path
 from . import linksim, predictor
 from .atpc import AtpcConfig, run_closed_loop
 from .evaluate import evaluate as evaluate_trace
-from .stats import moment_set, sample_acf
-from .trace import Trace, derivative_series, export_csv, ingest_csv
+from .stats import sample_acf
+from .trace import derivative_series, export_csv, ingest_csv
 
 
 class _CliError(ValueError):
@@ -124,26 +124,11 @@ def _cmd_simulate(opts: dict) -> int:
     return 0
 
 
-def _fit_model(tr: Trace, method: str, lag: int) -> predictor.PredictorModel:
-    deriv = derivative_series(tr)
-    tau = lag * tr.nominal_interval
-    if method == predictor.METHOD_SIMPLIFIED:
-        try:
-            m = moment_set(tr, deriv, tau)
-        except ValueError:
-            m = None
-        return predictor.fit_simplified(tau, moments=m)
-    m = moment_set(tr, deriv, tau)
-    if method == predictor.METHOD_ORTHONORMAL:
-        return predictor.fit_orthonormal(m)
-    return predictor.fit_normal_equations(m)
-
-
 def _cmd_fit(opts: dict) -> int:
     if opts["method"] not in predictor.METHODS:
         raise _CliError(f"unknown method {opts['method']!r}")
     tr = ingest_csv(opts["in_path"], opts["interval"])
-    model = _fit_model(tr, opts["method"], opts["lag"])
+    model = predictor.fit_at_lag(tr, derivative_series(tr), opts["method"], opts["lag"])
     text = predictor.model_to_json(model)
     if opts["out"]:
         Path(opts["out"]).write_text(text, encoding="utf-8")

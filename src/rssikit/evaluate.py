@@ -19,16 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .predictor import (
-    METHOD_NORMAL_EQ,
-    METHOD_ORTHONORMAL,
-    METHOD_SIMPLIFIED,
-    PredictorModel,
-    fit_normal_equations,
-    fit_orthonormal,
-    fit_simplified,
-)
-from .stats import DEFAULT_MIN_PAIRS, moment_set
+from .predictor import METHOD_SIMPLIFIED, fit_at_lag
+from .stats import DEFAULT_MIN_PAIRS
 from .trace import Trace, derivative_series
 
 
@@ -106,23 +98,6 @@ class EvalReport:
         Path(path).write_text(self.to_json_text(), encoding="utf-8")
 
 
-def _model_for_lag(trace: Trace, deriv, method: str, k: int,
-                   min_pairs: int) -> PredictorModel:
-    tau = k * trace.nominal_interval
-    if method == METHOD_SIMPLIFIED:
-        try:
-            m = moment_set(trace, deriv, tau, min_pairs=min_pairs)
-        except ValueError:
-            m = None
-        return fit_simplified(tau, moments=m)
-    m = moment_set(trace, deriv, tau, min_pairs=min_pairs)
-    if method == METHOD_ORTHONORMAL:
-        return fit_orthonormal(m)
-    if method == METHOD_NORMAL_EQ:
-        return fit_normal_equations(m)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...],
              min_pairs: int = DEFAULT_MIN_PAIRS) -> EvalReport:
     """Walk-forward error of the chosen fitting path at each lag.
@@ -155,7 +130,7 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...],
 
     rows = []
     for k in lag_list:
-        model = _model_for_lag(trace, deriv, method, k, min_pairs)
+        model = fit_at_lag(trace, deriv, method, k, min_pairs)
 
         offs = trace.seq - seq0
         ahead = offs + k

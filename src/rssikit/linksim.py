@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .trace import RssiSample, Trace
+from .trace import Trace, derive_times
 
 CHANNEL_KINDS = ("ar2", "swell", "ripple")
 LOSS_KINDS = ("bernoulli", "gilbert_elliott")
@@ -278,12 +278,7 @@ def generate_trace(channel: ChannelModel, radio: RadioProfile,
     fluct = channel.realize(n_packets, radio.rate_pps)
     rssi = np.round(tx_power_dbm - channel.base_path_loss_db + fluct, 2)
     step = radio.lag_unit_s
-    samples = tuple(
-        RssiSample(seq=k, t=round(k * step, 6), rssi=float(rssi[k]),
-                   tx_power=tx_power_dbm)
-        for k in range(n_packets)
-        if rssi[k] >= radio.sensitivity_dbm
-    )
+    seq = np.flatnonzero(rssi >= radio.sensitivity_dbm)
     meta = {
         "radio": radio.name,
         "channel": channel.kind,
@@ -291,7 +286,9 @@ def generate_trace(channel: ChannelModel, radio: RadioProfile,
         "tx_power_dbm": tx_power_dbm,
         "base_path_loss_db": channel.base_path_loss_db,
     }
-    return Trace(samples=samples, nominal_interval=step, meta=meta)
+    return Trace(seq=seq, t=derive_times(seq, step), rssi=rssi[seq],
+                 tx_power=np.full(seq.size, float(tx_power_dbm)),
+                 nominal_interval=step, meta=meta)
 
 
 def apply_loss(trace: Trace, loss: LossModel) -> Trace:
@@ -301,11 +298,12 @@ def apply_loss(trace: Trace, loss: LossModel) -> Trace:
     where packets were lost. May return an empty trace (total loss);
     downstream operations raise their own precondition errors then.
     """
-    if not trace.samples:
+    if not len(trace):
         raise ValueError("trace is empty")
     keep = loss.keep_mask(len(trace))
-    samples = tuple(s for s, k in zip(trace.samples, keep) if k)
     meta = dict(trace.meta)
     meta["loss"] = loss.kind
     meta["loss_seed"] = loss.seed
-    return Trace(samples=samples, nominal_interval=trace.nominal_interval, meta=meta)
+    return Trace(seq=trace.seq[keep], t=trace.t[keep], rssi=trace.rssi[keep],
+                 tx_power=trace.tx_power[keep],
+                 nominal_interval=trace.nominal_interval, meta=meta)

@@ -30,8 +30,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .stats import DEFAULT_MIN_PAIRS, MomentSet, moment_set
-from .trace import RssiSample, Trace, derivative_series
+from .trace import DerivativeSeries, Trace, derivative_series, derive_times
 
 METHOD_NORMAL_EQ = "normal_eq"
 METHOD_ORTHONORMAL = "orthonormal"
@@ -329,6 +331,29 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
     )
 
 
+def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str, k: int,
+               min_pairs: int = DEFAULT_MIN_PAIRS) -> PredictorModel:
+    """Fit ``method`` for a horizon of ``k`` nominal intervals of a trace.
+
+    The statistical methods fit the trace's moments at that lag and raise
+    when they are degenerate or under-supported. The simplified model needs
+    none; it carries an error estimate only when the moments exist.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    tau = k * trace.nominal_interval
+    if method == METHOD_SIMPLIFIED:
+        try:
+            m = moment_set(trace, deriv, tau, min_pairs=min_pairs)
+        except ValueError:
+            m = None
+        return fit_simplified(tau, moments=m)
+    m = moment_set(trace, deriv, tau, min_pairs=min_pairs)
+    if method == METHOD_ORTHONORMAL:
+        return fit_orthonormal(m)
+    return fit_normal_equations(m)
+
+
 def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
             n_steps: int = 1, anchor_t: float = 0.0) -> Prediction:
     """Predict received power n sampling steps ahead of an anchor sample.
@@ -485,22 +510,18 @@ class SlidingWindowPredictor:
         return self._models.get(int(n_steps))
 
     def _refit(self) -> None:
-        base = self._obs[0][0]
-        samples = tuple(
-            RssiSample(seq=s - base, t=round((s - base) * self.step_s, 6), rssi=v)
-            for s, v in self._obs
-        )
+        ticks, values = zip(*self._obs)
+        seq = np.array(ticks) - ticks[0]
+        win_trace = Trace(seq=seq, t=derive_times(seq, self.step_s), rssi=values,
+                          tx_power=np.full(seq.size, np.nan),
+                          nominal_interval=self.step_s)
         try:
-            win_trace = Trace(samples=samples, nominal_interval=self.step_s)
             deriv = derivative_series(win_trace)
         except ValueError:
             return
-        fit = fit_orthonormal if self.method == METHOD_ORTHONORMAL \
-            else fit_normal_equations
         for k in self.lags:
             try:
-                m = moment_set(win_trace, deriv, k * self.step_s,
-                               min_pairs=self.min_pairs)
-                self._models[k] = fit(m)
+                self._models[k] = fit_at_lag(win_trace, deriv, self.method, k,
+                                             self.min_pairs)
             except ValueError:
                 self._models.pop(k, None)

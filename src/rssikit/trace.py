@@ -1,4 +1,4 @@
-"""Received-power observation streams: the sample/trace data model plus
+"""Received-power observation streams: the columnar trace data model plus
 lossy CSV ingestion, export, and slope estimation.
 
 A trace is an ordered, gap-aware record of per-packet received power.
@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,106 +32,80 @@ class IngestError(ValueError):
     """A trace CSV file could not be parsed into a valid trace."""
 
 
-@dataclass(frozen=True)
-class RssiSample:
-    """One packet's received-power observation.
-
-    Attributes:
-        seq: Packet sequence number (non-negative, unique within a trace).
-        t: Observation time in seconds.
-        rssi: Received power in dBm.
-        tx_power: Transmit power in dBm that produced the packet, if known.
-    """
-
-    seq: int
-    t: float
-    rssi: float
-    tx_power: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.seq < 0:
-            raise ValueError(f"seq must be non-negative, got {self.seq}")
-        if not math.isfinite(self.t) or self.t < 0:
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
-        if not math.isfinite(self.rssi):
-            raise ValueError("rssi must be finite")
-        if self.tx_power is not None and not math.isfinite(self.tx_power):
-            raise ValueError("tx_power must be finite when present")
-
-
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ would compare array columns, which have no
+# single truth value.
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """An immutable, seq-ordered stream of received-power samples.
+    """An immutable, seq-ordered stream of received-power observations.
 
+    The trace is four equal-length columns, one entry per received packet.
     Missing sequence numbers mark lost packets; nothing is interpolated.
+    The constructor copies every column into a read-only 1-D array, so a
+    trace never shares memory with an array its caller can still write.
 
     Attributes:
-        samples: Samples sorted by strictly increasing seq.
+        seq: Packet sequence numbers (int64, non-negative, strictly
+            increasing).
+        t: Observation times in seconds (float64, finite, >= 0, strictly
+            increasing with seq).
+        rssi: Received power in dBm (float64, finite).
+        tx_power: Transmit power in dBm that produced each packet (float64);
+            NaN where unknown.
         nominal_interval: Seconds between consecutive sequence numbers.
         meta: Free-form labels (deployment, radio, ingestion counters).
     """
 
-    samples: tuple[RssiSample, ...]
+    seq: np.ndarray
+    t: np.ndarray
+    rssi: np.ndarray
+    tx_power: np.ndarray
     nominal_interval: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nominal_interval) and self.nominal_interval > 0):
             raise ValueError(f"nominal_interval must be > 0, got {self.nominal_interval}")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        prev = None
-        for s in self.samples:
-            if prev is not None:
-                if s.seq <= prev.seq:
-                    raise ValueError(f"samples not strictly ordered by seq at seq={s.seq}")
-                if s.t <= prev.t:
-                    raise ValueError(f"t must strictly increase with seq (seq={s.seq})")
-            prev = s
+        for name, dtype in (("seq", np.int64), ("t", np.float64),
+                            ("rssi", np.float64), ("tx_power", np.float64)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            if a.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D column")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        seq, t = self.seq, self.t
+        if not len(seq) == len(t) == len(self.rssi) == len(self.tx_power):
+            raise ValueError("seq, t, rssi and tx_power must have equal length")
+        bad = np.flatnonzero(seq < 0)
+        if bad.size:
+            raise ValueError(f"seq must be non-negative, got {seq[bad[0]]}")
+        bad = np.flatnonzero(~(np.isfinite(t) & (t >= 0)))
+        if bad.size:
+            raise ValueError(f"t must be finite and >= 0, got {t[bad[0]]}")
+        if not np.all(np.isfinite(self.rssi)):
+            raise ValueError("rssi must be finite")
+        if np.any(np.isinf(self.tx_power)):
+            raise ValueError("tx_power must be finite when present")
+        bad = np.flatnonzero(np.diff(seq) <= 0)
+        if bad.size:
+            raise ValueError(f"samples not strictly ordered by seq at seq={seq[bad[0] + 1]}")
+        bad = np.flatnonzero(np.diff(t) <= 0)
+        if bad.size:
+            raise ValueError(f"t must strictly increase with seq (seq={seq[bad[0] + 1]})")
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def seq(self) -> np.ndarray:
-        a = np.array([s.seq for s in self.samples], dtype=np.int64)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        a = np.array([s.t for s in self.samples], dtype=np.float64)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def rssi(self) -> np.ndarray:
-        a = np.array([s.rssi for s in self.samples], dtype=np.float64)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def tx_power(self) -> np.ndarray:
-        a = np.array(
-            [s.tx_power if s.tx_power is not None else np.nan for s in self.samples],
-            dtype=np.float64,
-        )
-        a.flags.writeable = False
-        return a
+        return len(self.seq)
 
     @property
     def loss_ratio(self) -> float:
         """Fraction of sequence numbers missing from [min_seq, max_seq]."""
-        if not self.samples:
+        if not len(self):
             return float("nan")
-        span = self.samples[-1].seq - self.samples[0].seq + 1
-        return 1.0 - len(self.samples) / span
+        span = int(self.seq[-1]) - int(self.seq[0]) + 1
+        return 1.0 - len(self) / span
 
     def shifted(self, offset_db: float) -> "Trace":
         """Copy of the trace with a constant added to every rssi value."""
-        moved = tuple(
-            RssiSample(s.seq, s.t, s.rssi + offset_db, s.tx_power) for s in self.samples
-        )
-        return Trace(moved, self.nominal_interval, dict(self.meta))
+        return replace(self, rssi=self.rssi + offset_db, meta=dict(self.meta))
 
 
 @dataclass(frozen=True)
@@ -180,10 +153,23 @@ def derivative_series(trace: Trace) -> DerivativeSeries:
     )
 
 
-def _derive_t(seq: int, nominal_interval: float) -> float:
-    # Quantized to the CSV schema's microsecond precision so that derived
-    # timestamps survive an export/ingest round trip bit-exactly.
-    return round(seq * nominal_interval, 6)
+def derive_times(seq: np.ndarray, nominal_interval: float) -> np.ndarray:
+    """Timestamps of packets that carry none: ``round(seq * interval, 6)``.
+
+    Quantized to the CSV schema's microsecond precision so that derived
+    timestamps survive an export/ingest round trip bit-exactly. The result
+    equals Python's ``round`` bit for bit: the scaled product is the double
+    nearest the exact one, so ``rint`` can disagree with correct rounding
+    only where that double is itself a half-integer (valid below 2**52 us),
+    and those ties are rounded by ``round`` itself.
+    """
+    x = np.asarray(seq, dtype=np.int64) * nominal_interval
+    scaled = x * 1e6
+    micros = np.rint(scaled)
+    t = micros / 1e6
+    ties = np.flatnonzero(np.abs(scaled - micros) == 0.5)
+    t[ties] = [round(v, 6) for v in x[ties].tolist()]
+    return t
 
 
 def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
@@ -202,12 +188,14 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise IngestError(f"{path}: empty file")
-        cols = {c.strip() for c in reader.fieldnames}
-        missing = {"seq", "rssi_dbm"} - cols
+        reader.fieldnames = [c.strip() for c in reader.fieldnames]
+        missing = {"seq", "rssi_dbm"} - set(reader.fieldnames)
         if missing:
             raise IngestError(f"{path}: missing required columns {sorted(missing)}")
 
-        rows: dict[int, RssiSample] = {}
+        # seq -> (t, rssi, tx_power); NaN t is derived below, NaN tx_power
+        # is unknown.
+        rows: dict[int, tuple[float, float, float]] = {}
         rejected = 0
         duplicates = 0
         for lineno, row in enumerate(reader, start=2):
@@ -225,14 +213,14 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
             if not (math.isfinite(rssi) and RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
                 rejected += 1
                 continue
-            if t is None:
-                t = _derive_t(seq, nominal_interval)
+            if t is not None and not (math.isfinite(t) and t >= 0):
+                raise IngestError(f"{path}:{lineno}: t must be finite and >= 0, got {t}")
+            if tx is not None and not math.isfinite(tx):
+                raise IngestError(f"{path}:{lineno}: tx_power must be finite when present")
             if seq in rows:
                 duplicates += 1
-            try:
-                rows[seq] = RssiSample(seq=seq, t=t, rssi=rssi, tx_power=tx)
-            except ValueError as exc:
-                raise IngestError(f"{path}:{lineno}: {exc}") from exc
+            rows[seq] = (math.nan if t is None else t, rssi,
+                         math.nan if tx is None else tx)
 
     if not rows:
         raise IngestError(f"{path}: no usable rows")
@@ -242,14 +230,18 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
     if duplicates:
         logger.warning("%s: %d duplicate seq rows, kept last occurrence", path, duplicates)
 
-    samples = tuple(rows[s] for s in sorted(rows))
+    seq = np.array(sorted(rows), dtype=np.int64)
+    t, rssi, tx = np.array([rows[s] for s in seq.tolist()]).T
+    derived = np.isnan(t)
+    t[derived] = derive_times(seq[derived], nominal_interval)
     meta = {
         "source": path.name,
         "rejected_rssi_rows": rejected,
         "duplicate_seq_rows": duplicates,
     }
     try:
-        return Trace(samples=samples, nominal_interval=nominal_interval, meta=meta)
+        return Trace(seq=seq, t=t, rssi=rssi, tx_power=tx,
+                     nominal_interval=nominal_interval, meta=meta)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc
 
@@ -257,13 +249,15 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
 def export_csv(trace: Trace, path: str | Path) -> None:
     """Write a trace in the standard CSV schema.
 
-    Fixed formatting: 6 decimals for t_s, 2 decimals for dBm fields, so the
-    output is byte-deterministic for a given trace.
+    Fixed formatting: 6 decimals for t_s, 2 decimals for dBm fields and an
+    empty field for an unknown tx_power, so the output is byte-deterministic
+    for a given trace.
     """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
-        for s in trace.samples:
-            tx = f"{s.tx_power:.2f}" if s.tx_power is not None else ""
-            writer.writerow([s.seq, f"{s.t:.6f}", f"{s.rssi:.2f}", tx])
+        for seq, t, rssi, tx in zip(trace.seq.tolist(), trace.t.tolist(),
+                                    trace.rssi.tolist(), trace.tx_power.tolist()):
+            writer.writerow([seq, f"{t:.6f}", f"{rssi:.2f}",
+                             "" if math.isnan(tx) else f"{tx:.2f}"])

@@ -5,18 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from rssikit import RssiSample, Trace
+from rssikit import Trace
 
 
 def make_trace(values, interval: float = 0.1, seqs=None, base: float = 0.0) -> Trace:
     """Build a trace from raw values (optionally with explicit seqs)."""
     if seqs is None:
         seqs = range(len(values))
-    samples = tuple(
-        RssiSample(seq=s, t=round(s * interval, 6), rssi=base + float(v))
-        for s, v in zip(seqs, values)
+    # Python ints, so the timestamps below use Python's round, not numpy's.
+    seqs = [int(s) for s in seqs]
+    return Trace(
+        seq=seqs,
+        t=[round(s * interval, 6) for s in seqs],
+        rssi=[base + float(v) for v in values],
+        tx_power=np.full(len(seqs), np.nan),
+        nominal_interval=interval,
     )
-    return Trace(samples=samples, nominal_interval=interval)
 
 
 def sinusoid_trace(n: int = 2000, freq_hz: float = 0.2, rate_pps: float = 10.0,

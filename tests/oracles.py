@@ -16,7 +16,7 @@ from rssikit import Trace
 
 def naive_autocovariance(trace: Trace, max_lag: int) -> list[tuple[float, int]]:
     """Direct-summation biased autocovariance: (value, n_pairs) per lag."""
-    by_seq = {s.seq: s.rssi for s in trace.samples}
+    by_seq = dict(zip(trace.seq.tolist(), trace.rssi.tolist()))
     n = len(by_seq)
     mean = sum(by_seq.values()) / n
     out = []
@@ -34,12 +34,10 @@ def naive_autocovariance(trace: Trace, max_lag: int) -> list[tuple[float, int]]:
 
 def naive_slopes(trace: Trace) -> dict[int, float]:
     """Backward-difference slopes keyed by seq, elapsed-time denominator."""
+    seq, t, r = trace.seq.tolist(), trace.t.tolist(), trace.rssi.tolist()
     slopes = {}
-    prev = None
-    for s in trace.samples:
-        if prev is not None:
-            slopes[s.seq] = (s.rssi - prev.rssi) / (s.t - prev.t)
-        prev = s
+    for i in range(1, len(seq)):
+        slopes[seq[i]] = (r[i] - r[i - 1]) / (t[i] - t[i - 1])
     return slopes
 
 
@@ -49,7 +47,7 @@ def naive_moments(trace: Trace, k_steps: int) -> dict:
     Means follow the library's convention: value mean over the full trace,
     slope mean over the full derivative series.
     """
-    by_seq = {s.seq: s.rssi for s in trace.samples}
+    by_seq = dict(zip(trace.seq.tolist(), trace.rssi.tolist()))
     slopes = naive_slopes(trace)
     mean_r = sum(by_seq.values()) / len(by_seq)
     mean_rp = sum(slopes.values()) / len(slopes)
@@ -78,7 +76,7 @@ def naive_moments(trace: Trace, k_steps: int) -> dict:
 
 def prediction_triples(trace: Trace, k_steps: int):
     """(anchor value, anchor slope, target value) triples, loop-built."""
-    by_seq = {s.seq: s.rssi for s in trace.samples}
+    by_seq = dict(zip(trace.seq.tolist(), trace.rssi.tolist()))
     slopes = naive_slopes(trace)
     triples = []
     for s in sorted(by_seq):

@@ -136,8 +136,10 @@ def test_criterion_03_orthogonality_principle(battery):
 def test_criterion_04_analytic_vs_empirical_mse():
     tr = rk.generate_trace(rk.ar2_channel(seed=42), RADIO10, 0.0, 10000)
     half = len(tr) // 2
-    fit_half = rk.Trace(samples=tr.samples[:half], nominal_interval=0.1)
-    hold_half = rk.Trace(samples=tr.samples[half:], nominal_interval=0.1)
+    fit_half = rk.Trace(seq=tr.seq[:half], t=tr.t[:half], rssi=tr.rssi[:half],
+                        tx_power=tr.tx_power[:half], nominal_interval=0.1)
+    hold_half = rk.Trace(seq=tr.seq[half:], t=tr.t[half:], rssi=tr.rssi[half:],
+                         tx_power=tr.tx_power[half:], nominal_interval=0.1)
     model = rk.fit_orthonormal(
         rk.moment_set(fit_half, rk.derivative_series(fit_half), 0.1)
     )

@@ -9,7 +9,6 @@ from rssikit import (
     DegenerateMomentsError,
     LagMismatchError,
     MomentSet,
-    RssiSample,
     Trace,
     analytic_mse,
     ar2_channel,
@@ -227,8 +226,10 @@ class TestAnalyticMse:
     def test_matches_held_out_empirical(self):
         tr = generate_trace(ar2_channel(seed=42), RADIO, 0.0, 10000)
         half = len(tr) // 2
-        fit_half = Trace(samples=tr.samples[:half], nominal_interval=0.1)
-        hold_half = Trace(samples=tr.samples[half:], nominal_interval=0.1)
+        fit_half = Trace(seq=tr.seq[:half], t=tr.t[:half], rssi=tr.rssi[:half],
+                         tx_power=tr.tx_power[:half], nominal_interval=0.1)
+        hold_half = Trace(seq=tr.seq[half:], t=tr.t[half:], rssi=tr.rssi[half:],
+                          tx_power=tr.tx_power[half:], nominal_interval=0.1)
         model = fit_orthonormal(fit_moments(fit_half))
         emp = empirical_mse(hold_half, 1, model.w_level, model.w_slope,
                             model.mean_r, model.mean_rp)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from rssikit import (
     IngestError,
-    RssiSample,
     Trace,
     derivative_series,
     export_csv,
     ingest_csv,
 )
+from rssikit.trace import derive_times
 
 from conftest import make_trace
 
@@ -23,6 +23,12 @@ def write_csv(tmp_path, text, name="trace.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def columns(seq, t, rssi, tx_power=None, interval=0.1) -> Trace:
+    if tx_power is None:
+        tx_power = [math.nan] * len(seq)
+    return Trace(seq=seq, t=t, rssi=rssi, tx_power=tx_power, nominal_interval=interval)
 
 
 class TestIngest:
@@ -83,8 +89,33 @@ class TestIngest:
     def test_tx_power_column(self, tmp_path):
         p = write_csv(tmp_path, "seq,rssi_dbm,tx_power_dbm\n0,-70,7\n1,-71,\n")
         tr = ingest_csv(p, nominal_interval=0.1)
-        assert tr.samples[0].tx_power == 7.0
-        assert tr.samples[1].tx_power is None
+        assert tr.tx_power[0] == 7.0
+        assert math.isnan(tr.tx_power[1])
+
+    def test_header_names_are_stripped(self, tmp_path):
+        p = write_csv(tmp_path, "seq, t_s , rssi_dbm\n0, 0.05,-70\n1,0.17,-71\n")
+        tr = ingest_csv(p, nominal_interval=0.1)
+        assert list(tr.seq) == [0, 1]
+        assert list(tr.t) == [0.05, 0.17]
+        assert list(tr.rssi) == [-70.0, -71.0]
+
+    @pytest.mark.parametrize("header,bad_row", [
+        ("seq,t_s,rssi_dbm", "1,-1,-71"),
+        ("seq,t_s,rssi_dbm", "1,nan,-71"),
+        ("seq,rssi_dbm,tx_power_dbm", "1,-71,nan"),
+        ("seq,rssi_dbm,tx_power_dbm", "1,-71,inf"),
+    ])
+    def test_invalid_time_or_tx_power_names_the_line(self, tmp_path, header, bad_row):
+        good_row = "0,0,-70" if header.endswith("t_s,rssi_dbm") else "0,-70,0"
+        p = write_csv(tmp_path, f"{header}\n{good_row}\n{bad_row}\n")
+        with pytest.raises(IngestError, match=r":3:"):
+            ingest_csv(p, nominal_interval=0.1)
+
+    def test_duplicate_that_breaks_time_order_rejected(self, tmp_path):
+        p = write_csv(tmp_path, "seq,t_s,rssi_dbm\n0,0.0,-70\n1,0.1,-71\n"
+                                "2,0.2,-72\n1,0.3,-73\n")
+        with pytest.raises(IngestError, match="strictly increase"):
+            ingest_csv(p, nominal_interval=0.1)
 
 
 class TestExportRoundTrip:
@@ -98,7 +129,7 @@ class TestExportRoundTrip:
         out = tmp_path / "out.csv"
         export_csv(tr, out)
         tr2 = ingest_csv(out, nominal_interval=0.1)
-        assert [s.seq for s in tr.samples] == [s.seq for s in tr2.samples]
+        assert list(tr.seq) == list(tr2.seq)
         assert list(tr.t) == list(tr2.t)
         assert list(tr.rssi) == list(tr2.rssi)
 
@@ -116,23 +147,59 @@ class TestExportRoundTrip:
         export_csv(tr, out)
         assert out.read_text() == "seq,t_s,rssi_dbm,tx_power_dbm\n0,0.000000,-70.25,\n"
 
+    @given(
+        gaps=st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=200),
+        first=st.integers(min_value=0, max_value=10**6),
+        interval=st.sampled_from([0.1, 0.5, 0.02]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_of_arbitrary_traces(self, tmp_path_factory, gaps, first,
+                                            interval, data):
+        seq = np.cumsum([first] + gaps)
+        n = len(seq)
+        centi = st.integers(min_value=-13000, max_value=2000)
+        rssi = [c / 100 for c in data.draw(st.lists(centi, min_size=n, max_size=n))]
+        tx = [math.nan if c is None else c / 100 for c in data.draw(
+            st.lists(st.one_of(st.none(), centi), min_size=n, max_size=n))]
+        tr = columns(seq, [round(s * interval, 6) for s in seq.tolist()], rssi, tx,
+                     interval=interval)
+        out = tmp_path_factory.mktemp("rt") / "t.csv"
+        export_csv(tr, out)
+        back = ingest_csv(out, nominal_interval=interval)
+        for col in ("seq", "t", "rssi", "tx_power"):
+            assert getattr(back, col).tobytes() == getattr(tr, col).tobytes(), col
+
 
 class TestTraceInvariants:
     def test_rejects_unsorted_seq(self):
-        s = [RssiSample(1, 0.1, -70.0), RssiSample(0, 0.0, -70.0)]
         with pytest.raises(ValueError, match="ordered"):
-            Trace(samples=tuple(s), nominal_interval=0.1)
+            columns([1, 0], [0.1, 0.0], [-70.0, -70.0])
 
     def test_rejects_non_increasing_t(self):
-        s = [RssiSample(0, 0.5, -70.0), RssiSample(1, 0.5, -70.0)]
         with pytest.raises(ValueError, match="strictly increase"):
-            Trace(samples=tuple(s), nominal_interval=0.1)
+            columns([0, 1], [0.5, 0.5], [-70.0, -70.0])
 
     def test_sample_validation(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            columns([-1], [0.0], [-70.0])
+        with pytest.raises(ValueError, match="t must be finite"):
+            columns([0], [math.inf], [-70.0])
+        with pytest.raises(ValueError, match="rssi must be finite"):
+            columns([0], [0.0], [math.nan])
+        with pytest.raises(ValueError, match="tx_power"):
+            columns([0], [0.0], [-70.0], tx_power=[-math.inf])
+        with pytest.raises(ValueError, match="equal length"):
+            columns([0, 1], [0.0], [-70.0, -70.0])
+
+    def test_columns_are_read_only_copies(self):
+        rssi = np.array([-70.0, -71.0])
+        tr = columns([0, 1], [0.0, 0.1], rssi)
+        rssi[0] = 0.0
+        assert tr.rssi[0] == -70.0
         with pytest.raises(ValueError):
-            RssiSample(seq=-1, t=0.0, rssi=-70.0)
-        with pytest.raises(ValueError):
-            RssiSample(seq=0, t=0.0, rssi=math.nan)
+            tr.rssi[0] = 0.0
+        assert tr.seq.dtype == np.int64 and tr.t.dtype == np.float64
 
     def test_loss_ratio_gapless_is_zero(self):
         assert make_trace([-70, -71, -72]).loss_ratio == 0.0
@@ -143,6 +210,17 @@ class TestTraceInvariants:
         kept = [k for k in range(100) if k not in removed]
         tr = make_trace([-70.0] * len(kept), seqs=kept)
         assert tr.loss_ratio == pytest.approx(len(removed) / 100.0)
+
+
+class TestDeriveTimes:
+    @pytest.mark.parametrize("rate_pps", [10.0, 2.0, 3.0, 4e5, 8e5, 2e6])
+    def test_equals_python_round(self, rate_pps):
+        # At the last three rates seq * step * 1e6 often lands on a half
+        # integer, where scaling and rint alone round the other way.
+        step = 1.0 / rate_pps
+        seq = np.arange(20000)
+        expected = np.array([round(k * step, 6) for k in seq.tolist()])
+        assert derive_times(seq, step).tobytes() == expected.tobytes()
 
 
 class TestDerivative:
