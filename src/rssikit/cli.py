@@ -52,8 +52,6 @@ def _merge_options(args: argparse.Namespace, defaults: dict, types: dict) -> dic
     config_path = provided.get("config")
     if config_path:
         for key, raw in _parse_config(config_path).items():
-            if key == "in":
-                key = "in_path"
             if key not in defaults:
                 raise _CliError(f"unknown config key {key!r}")
             conv = types.get(key, str)
@@ -94,7 +92,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_acf(opts: dict) -> int:
-    tr = ingest_csv(opts["in_path"], opts["interval"])
+    tr = ingest_csv(opts["in"], opts["interval"])
     est = sample_acf(tr, opts["max_lag"])
     lines = ["lag_s,acov,acf_norm,n_pairs,d1"]
     for i in range(len(est.lags)):
@@ -127,7 +125,7 @@ def _cmd_simulate(opts: dict) -> int:
 def _cmd_fit(opts: dict) -> int:
     if opts["method"] not in predictor.METHODS:
         raise _CliError(f"unknown method {opts['method']!r}")
-    tr = ingest_csv(opts["in_path"], opts["interval"])
+    tr = ingest_csv(opts["in"], opts["interval"])
     model = predictor.fit_at_lag(tr, derivative_series(tr), opts["method"], opts["lag"])
     text = predictor.model_to_json(model)
     if opts["out"]:
@@ -155,9 +153,8 @@ def _cmd_predict(opts: dict) -> int:
 def _cmd_evaluate(opts: dict) -> int:
     if opts["method"] not in predictor.METHODS:
         raise _CliError(f"unknown method {opts['method']!r}")
-    tr = ingest_csv(opts["in_path"], opts["interval"])
-    lags = _int_list(opts["lags"]) if isinstance(opts["lags"], str) else opts["lags"]
-    report = evaluate_trace(tr, opts["method"], lags)
+    tr = ingest_csv(opts["in"], opts["interval"])
+    report = evaluate_trace(tr, opts["method"], _int_list(opts["lags"]))
     base = Path(opts["out"])
     report.write_csv(base.with_suffix(".csv"))
     report.write_json(base.with_suffix(".json"))
@@ -195,8 +192,8 @@ def _cmd_atpc(opts: dict) -> int:
 _SUBCOMMANDS = {
     "acf": (
         _cmd_acf,
-        {"in_path": None, "interval": 0.1, "max_lag": 25, "out": None},
-        {"interval": float, "max_lag": int, "in_path": str, "out": str},
+        {"in": None, "interval": 0.1, "max_lag": 25, "out": None},
+        {"interval": float, "max_lag": int, "in": str, "out": str},
     ),
     "simulate": (
         _cmd_simulate,
@@ -207,9 +204,9 @@ _SUBCOMMANDS = {
     ),
     "fit": (
         _cmd_fit,
-        {"in_path": None, "interval": 0.1, "method": "orthonormal", "lag": 1,
+        {"in": None, "interval": 0.1, "method": "orthonormal", "lag": 1,
          "out": None},
-        {"in_path": str, "interval": float, "method": str, "lag": int, "out": str},
+        {"in": str, "interval": float, "method": str, "lag": int, "out": str},
     ),
     "predict": (
         _cmd_predict,
@@ -218,9 +215,9 @@ _SUBCOMMANDS = {
     ),
     "evaluate": (
         _cmd_evaluate,
-        {"in_path": None, "interval": 0.1, "method": "orthonormal",
+        {"in": None, "interval": 0.1, "method": "orthonormal",
          "lags": "1,2,3", "out": None},
-        {"in_path": str, "interval": float, "method": str, "lags": str, "out": str},
+        {"in": str, "interval": float, "method": str, "lags": str, "out": str},
     ),
     "atpc": (
         _cmd_atpc,
@@ -234,11 +231,11 @@ _SUBCOMMANDS = {
 }
 
 _REQUIRED = {
-    "acf": ("in_path",),
+    "acf": ("in",),
     "simulate": ("out",),
-    "fit": ("in_path",),
+    "fit": ("in",),
     "predict": ("model", "anchor_rssi"),
-    "evaluate": ("in_path", "out"),
+    "evaluate": ("in", "out"),
     "atpc": (),
 }
 
@@ -248,7 +245,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("acf", help="sample autocorrelation of a trace CSV")
-    p.add_argument("--in", dest="in_path")
+    p.add_argument("--in")
     p.add_argument("--interval", type=float, help="nominal packet interval, s")
     p.add_argument("--max-lag", dest="max_lag", type=int)
     p.add_argument("--out")
@@ -264,7 +261,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("fit", help="fit a predictor and dump it as JSON")
-    p.add_argument("--in", dest="in_path")
+    p.add_argument("--in")
     p.add_argument("--interval", type=float)
     p.add_argument("--method", choices=predictor.METHODS)
     p.add_argument("--lag", type=int)
@@ -277,7 +274,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int)
 
     p = sub.add_parser("evaluate", help="walk-forward RMSE over lags")
-    p.add_argument("--in", dest="in_path")
+    p.add_argument("--in")
     p.add_argument("--interval", type=float)
     p.add_argument("--method", choices=predictor.METHODS)
     p.add_argument("--lags", help="comma-separated lag steps, e.g. 1,2,3")
@@ -312,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         opts = _merge_options(args, defaults, types)
         for key in _REQUIRED[args.command]:
             if opts.get(key) is None:
-                flag = "--in" if key == "in_path" else "--" + key.replace("_", "-")
+                flag = "--" + key.replace("_", "-")
                 raise _CliError(f"{args.command}: {flag} is required")
         return handler(opts)
     except (_CliError, ValueError) as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .predictor import METHOD_SIMPLIFIED, fit_at_lag
-from .stats import DEFAULT_MIN_PAIRS
+from .stats import DEFAULT_MIN_PAIRS, _lag_pairs
 from .trace import Trace, derivative_series
 
 
@@ -121,31 +121,15 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...],
     r_max, r_min = float(r.max()), float(r.min())
     range_db = r_max - r_min
 
-    seq0 = int(trace.seq[0])
-    size = int(trace.seq[-1]) - seq0 + 1
-    pos = np.full(size, -1, dtype=np.int64)
-    pos[trace.seq - seq0] = np.arange(len(trace))
-    slope_grid = np.full(size, np.nan)
-    slope_grid[deriv.seq - seq0] = deriv.slope
-
     rows = []
-    for k in lag_list:
+    for k, (i, j) in zip(lag_list, _lag_pairs(trace.seq, lag_list, first=1)):
         model = fit_at_lag(trace, deriv, method, k, min_pairs)
-
-        offs = trace.seq - seq0
-        ahead = offs + k
-        ok = ahead < size
-        anchor_pos = np.arange(len(trace))[ok]
-        target_pos = pos[ahead[ok]]
-        slopes = slope_grid[offs[ok]]
-        valid = (target_pos >= 0) & np.isfinite(slopes)
-        anchor_pos, target_pos, slopes = anchor_pos[valid], target_pos[valid], slopes[valid]
-        if anchor_pos.size == 0:
+        if i.size == 0:
             raise ValueError(f"lag {k}: no valid prediction points")
 
         n_steps = 1 if method == METHOD_SIMPLIFIED else k
-        preds = model.apply(r[anchor_pos], slopes, n_steps=n_steps)
-        err = preds - r[target_pos]
+        preds = model.apply(r[i], deriv.slope[i - 1], n_steps=n_steps)
+        err = preds - r[j]
         rmse = float(np.sqrt(np.mean(err * err)))
         if range_db > 0:
             nrmse = 100.0 * rmse / range_db
@@ -154,7 +138,7 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...],
         rows.append(EvalRow(
             lag_steps=k,
             lag_s=k * trace.nominal_interval,
-            n_predictions=int(anchor_pos.size),
+            n_predictions=int(i.size),
             rmse_db=rmse,
             nrmse_pct=nrmse,
             accuracy_pct=100.0 - nrmse,

@@ -27,6 +27,7 @@ model and added back at prediction time.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,8 @@ import numpy as np
 
 from .stats import DEFAULT_MIN_PAIRS, MomentSet, moment_set
 from .trace import DerivativeSeries, Trace, derivative_series, derive_times
+
+logger = logging.getLogger(__name__)
 
 METHOD_NORMAL_EQ = "normal_eq"
 METHOD_ORTHONORMAL = "orthonormal"
@@ -517,11 +520,14 @@ class SlidingWindowPredictor:
                           nominal_interval=self.step_s)
         try:
             deriv = derivative_series(win_trace)
-        except ValueError:
+        except ValueError as exc:
+            logger.debug("refit at lags %s skipped: %s: %s", self.lags,
+                         type(exc).__name__, exc)
             return
         for k in self.lags:
             try:
                 self._models[k] = fit_at_lag(win_trace, deriv, self.method, k,
                                              self.min_pairs)
-            except ValueError:
+            except ValueError as exc:
+                logger.debug("refit at lag %d failed: %s: %s", k, type(exc).__name__, exc)
                 self._models.pop(k, None)

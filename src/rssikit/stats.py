@@ -12,6 +12,7 @@ yields bit-identical output.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,26 @@ class IdentityCheck:
     low_confidence: bool
 
 
-def _centered_grid(seq: np.ndarray, values: np.ndarray, mean: float,
-                   seq0: int, size: int) -> np.ndarray:
-    grid = np.full(size, np.nan)
-    grid[seq - seq0] = values - mean
-    return grid
+def _lag_pairs(seq: np.ndarray, lags: Sequence[int],
+               first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each k in ``lags``, yield the positions (i, j), i >= first, with
+    ``seq[j] == seq[i] + k``, in ascending i: the one rule for which samples
+    a lag joins across lost packets. ``first=1`` keeps the anchors that have
+    a slope (every sample but the first, at ``slope[i - 1]``).
+
+    Every gap wider than the largest lag is narrowed to max_lag + 1 slots of
+    the position grid. No requested lag spans it either way, so the pairs
+    stay exact while the grid holds at most (max_lag + 1) * len(seq) slots.
+    """
+    max_lag = max(lags)
+    slot = np.zeros(len(seq), dtype=np.int64)
+    np.cumsum(np.minimum(np.diff(seq), max_lag + 1), out=slot[1:])
+    pos = np.full(int(slot[-1]) + max_lag + 1, -1, dtype=np.int64)
+    pos[slot] = np.arange(len(seq))
+    for k in lags:
+        j = pos[slot[first:] + k]
+        i = np.flatnonzero(j >= 0)
+        yield i + first, j[i]
 
 
 def sample_acf(trace: Trace, max_lag: int,
@@ -194,22 +210,17 @@ def sample_acf(trace: Trace, max_lag: int,
         raise DegenerateProcessError("degenerate process: constant trace")
 
     mean_r = float(r.mean())
-    seq0 = int(trace.seq[0])
-    size = int(trace.seq[-1]) - seq0 + 1
-    grid = _centered_grid(trace.seq, r, mean_r, seq0, size)
+    rc = r - mean_r
 
     values = np.empty(max_lag + 1)
     pairs = np.empty(max_lag + 1, dtype=np.int64)
-    for k in range(max_lag + 1):
-        prod = grid[: size - k] * grid[k:] if k else grid * grid
-        valid = np.isfinite(prod)
-        m = int(valid.sum())
-        if m < min_pairs:
+    for k, (i, j) in enumerate(_lag_pairs(trace.seq, range(max_lag + 1))):
+        if i.size < min_pairs:
             raise InsufficientSupportError(
-                f"lag {k}: only {m} contributing pairs (need >= {min_pairs})"
+                f"lag {k}: only {i.size} contributing pairs (need >= {min_pairs})"
             )
-        pairs[k] = m
-        values[k] = float(prod[valid].sum()) / n
+        pairs[k] = i.size
+        values[k] = float((rc[i] * rc[j]).sum()) / n
 
     normalized = values / values[0]
     normalized[0] = 1.0
@@ -243,6 +254,10 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float,
     (values) and full derivative series (slopes), then every moment is the
     average of centered products over the joint index set where r(t), r'(t)
     and r(t+tau) all exist.
+
+    Raises:
+        ValueError: tau off the grid, or deriv not derivative_series(trace).
+        InsufficientSupportError: Fewer than min_pairs (or no) triples.
     """
     step = trace.nominal_interval
     k_f = tau / step
@@ -253,44 +268,39 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float,
         )
     if len(trace) < 2:
         raise InsufficientSupportError("trace too short for moment estimation")
+    if not np.array_equal(deriv.seq, trace.seq[1:]):
+        raise ValueError("deriv is not the derivative series of trace")
 
     mean_r = float(trace.rssi.mean())
     mean_rp = float(deriv.slope.mean())
+    rc = trace.rssi - mean_r
+    dc = deriv.slope - mean_rp
 
-    seq0 = int(trace.seq[0])
-    size = int(trace.seq[-1]) - seq0 + 1
-    r_grid = _centered_grid(trace.seq, trace.rssi, mean_r, seq0, size)
-    d_grid = _centered_grid(deriv.seq, deriv.slope, mean_rp, seq0, size)
-
-    if size <= k:
-        raise InsufficientSupportError(f"tau={tau}: trace shorter than one lag")
-    x1 = r_grid[: size - k]
-    x2 = d_grid[: size - k]
-    y = r_grid[k:]
-    mask = np.isfinite(x1) & np.isfinite(x2) & np.isfinite(y)
-    n = int(mask.sum())
-    if n < min_pairs:
+    i, j = next(_lag_pairs(trace.seq, (k,), first=1))
+    n = int(i.size)
+    if n < max(min_pairs, 1):
         raise InsufficientSupportError(
             f"tau={tau}: only {n} contributing triples (need >= {min_pairs})"
         )
-    x1, x2, y = x1[mask], x2[mask], y[mask]
+    x1, x2, y = rc[i], dc[i - 1], rc[j]
 
-    rr0 = float(np.mean(x1 * x1))
+    # sum() / n is bit-equal to np.mean and cheaper on window-sized arrays.
+    rr0 = float((x1 * x1).sum()) / n
     if rr0 <= 0:
         raise DegenerateProcessError("degenerate process: zero variance over fitting set")
 
     return MomentSet(
         rr0=rr0,
-        rpr0=float(np.mean(x1 * x2)),
-        rprp0=float(np.mean(x2 * x2)),
-        rr_tau=float(np.mean(y * x1)),
-        rrp_tau=float(np.mean(y * x2)),
+        rpr0=float((x1 * x2).sum()) / n,
+        rprp0=float((x2 * x2).sum()) / n,
+        rr_tau=float((y * x1).sum()) / n,
+        rrp_tau=float((y * x2).sum()) / n,
         tau=float(tau),
         n=n,
         mean_removed=True,
         mean_r=mean_r,
         mean_rp=mean_rp,
-        rr0_ahead=float(np.mean(y * y)),
+        rr0_ahead=float((y * y).sum()) / n,
         step_s=step,
     )
 

@@ -208,8 +208,8 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
                 tx = float(raw_tx) if raw_tx not in (None, "") else None
             except (TypeError, ValueError) as exc:
                 raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            if seq < 0:
-                raise IngestError(f"{path}:{lineno}: negative seq {seq}")
+            if not 0 <= seq < 2**63:
+                raise IngestError(f"{path}:{lineno}: seq {seq} outside [0, 2**63)")
             if not (math.isfinite(rssi) and RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
                 rejected += 1
                 continue

@@ -150,6 +150,13 @@ class TestConfigFile:
         assert rc == 0
         assert len(out.read_text().strip().split("\n")) == 201
 
+    def test_config_supplies_input_path(self, trace_csv, tmp_path):
+        cfg = tmp_path / "acf.cfg"
+        cfg.write_text(f"in = {trace_csv}\nmax_lag = 5\n")
+        out = tmp_path / "acf.csv"
+        assert run_cli("acf", "--config", str(cfg), "--out", str(out)) == 0
+        assert len(out.read_text().strip().split("\n")) == 7
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp_speed = 9\n")

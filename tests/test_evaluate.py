@@ -7,14 +7,17 @@ import pytest
 
 from rssikit import (
     ar2_channel,
+    derivative_series,
     evaluate,
     generate_trace,
     lag_sweep,
     profile_by_name,
     swell_channel,
 )
+from rssikit.predictor import METHODS, fit_at_lag
 
 from conftest import make_trace
+from oracles import prediction_triples
 
 RADIO10 = profile_by_name("cc2538")
 RADIO2 = profile_by_name("cc1200")
@@ -82,6 +85,22 @@ class TestEvaluate:
         report = evaluate(ar2_eval_trace, "orthonormal", [1])
         assert report.rows[0].analytic_mse_db2 is not None
         assert report.rows[0].analytic_mse_db2 >= 0
+
+    def test_predictions_are_the_fitting_triples(self):
+        rng = np.random.default_rng(12)
+        keep = rng.random(900) > 0.3
+        keep[300:340] = False
+        seqs = np.flatnonzero(keep)
+        tr = make_trace(np.cumsum(rng.normal(0, 0.3, size=seqs.size)) - 70, seqs=seqs)
+        deriv = derivative_series(tr)
+        for method in METHODS:
+            report = evaluate(tr, method, [1, 2, 3, 5])
+            for row in report.rows:
+                k = row.lag_steps
+                assert row.n_predictions == len(prediction_triples(tr, k))
+                if method != "simplified":
+                    model = fit_at_lag(tr, deriv, method, k)
+                    assert row.n_predictions == model.source_moments.n
 
     def test_no_valid_points_raises(self):
         tr = make_trace([-70.0, -71.0, -69.0])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -341,6 +342,18 @@ class TestSlidingWindow:
         for k in range(64):
             sw.observe(k, -70.0)
         assert sw.model_for(1) is None
+
+    def test_refit_failures_are_logged(self, caplog):
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1,
+                                    refit_every=8, min_samples=16)
+        with caplog.at_level(logging.DEBUG, logger="rssikit.predictor"):
+            for k in range(64):
+                sw.observe(k, -70.0)
+        assert sw.model_for(1) is None
+        failures = [r.getMessage() for r in caplog.records]
+        assert len(failures) == 7
+        assert all(m.startswith("refit at lag 1 failed: DegenerateProcessError: ")
+                   for m in failures)
 
     def test_rejects_out_of_order_observations(self):
         sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)

@@ -1,21 +1,39 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rssikit import (
     DegenerateProcessError,
     InsufficientSupportError,
     check_derivative_identities,
     derivative_series,
+    evaluate,
     moment_set,
     sample_acf,
 )
 
 from conftest import make_trace, sinusoid_trace
-from oracles import naive_autocovariance, naive_moments
+from oracles import naive_autocovariance, naive_moments, prediction_triples
+
+
+@st.composite
+def gapped_traces(draw):
+    """Traces of 12..250 samples whose seq gaps include gaps wider than the
+    lags under test and, optionally, one jump of up to 10**6 numbers."""
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=14), min_size=11, max_size=249))
+    jump = draw(st.one_of(st.none(), st.integers(min_value=15, max_value=10**6)))
+    if jump is not None:
+        gaps[draw(st.integers(min_value=0, max_value=len(gaps) - 1))] = jump
+    first = draw(st.integers(min_value=0, max_value=1000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    seqs = np.cumsum([first] + gaps)
+    return make_trace(rng.normal(-70, 3, size=len(seqs)), seqs=seqs)
 
 
 class TestSampleAcf:
@@ -33,12 +51,11 @@ class TestSampleAcf:
             assert acf.values[k] == pytest.approx(val, rel=1e-12)
             assert acf.n_pairs[k] == cnt
 
-    def test_matches_direct_summation_with_gaps(self):
-        rng = np.random.default_rng(5)
-        seqs = sorted(rng.choice(400, size=300, replace=False))
-        tr = make_trace(rng.normal(-70, 3, size=300), seqs=seqs)
-        acf = sample_acf(tr, max_lag=8)
-        oracle = naive_autocovariance(tr, 8)
+    @given(trace=gapped_traces(), max_lag=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_summation_with_gaps(self, trace, max_lag):
+        acf = sample_acf(trace, max_lag=max_lag, min_pairs=0)
+        oracle = naive_autocovariance(trace, max_lag)
         for k, (val, cnt) in enumerate(oracle):
             assert acf.values[k] == pytest.approx(val, rel=1e-12)
             assert acf.n_pairs[k] == cnt
@@ -93,15 +110,27 @@ class TestMomentSet:
         assert m.n == o["n"]
         assert m.mean_r == pytest.approx(o["mean_r"], rel=1e-12)
 
-    def test_matches_direct_summation_with_gaps(self):
-        rng = np.random.default_rng(9)
-        keep = rng.random(600) > 0.3
-        seqs = [k for k in range(600) if keep[k]]
-        tr = make_trace(np.cumsum(rng.normal(0, 0.2, size=len(seqs))) - 70, seqs=seqs)
-        m = moment_set(tr, derivative_series(tr), 0.2)
-        o = naive_moments(tr, 2)
-        for key in ("rr0", "rpr0", "rprp0", "rr_tau", "rrp_tau"):
+    @given(trace=gapped_traces(), k=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_direct_summation_with_gaps(self, trace, k):
+        d = derivative_series(trace)
+        if not prediction_triples(trace, k):
+            with pytest.raises(InsufficientSupportError):
+                moment_set(trace, d, k * 0.1, min_pairs=1)
+            return
+        m = moment_set(trace, d, k * 0.1, min_pairs=1)
+        o = naive_moments(trace, k)
+        for key in ("rr0", "rpr0", "rprp0", "rr_tau", "rrp_tau", "rr0_ahead"):
             assert getattr(m, key) == pytest.approx(o[key], rel=1e-12)
+        assert m.n == o["n"]
+
+    def test_rejects_a_foreign_derivative_series(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(-70, 3, size=100)
+        tr = make_trace(values, seqs=range(50, 150))
+        foreign = derivative_series(make_trace(values))
+        with pytest.raises(ValueError, match="derivative series"):
+            moment_set(tr, foreign, 0.1)
 
     def test_agrees_with_acf_estimator_on_identical_index_set(self, ar2_trace):
         # Same estimator formula, same mean, same index set: the lag-0 and
@@ -189,3 +218,21 @@ class TestDerivativeIdentities:
         m = moment_set(sine_trace, derivative_series(sine_trace), 0.5)
         with pytest.raises(ValueError, match="lag grid"):
             check_derivative_identities(acf, m)
+
+
+class TestMemory:
+    def test_wide_seq_span_costs_no_span_sized_grid(self):
+        # 250 samples, two dense blocks 10**6 sequence numbers apart.
+        seqs = np.concatenate([np.arange(125), 10**6 - 125 + np.arange(125)])
+        tr = make_trace(np.random.default_rng(6).normal(-70, 3, size=250), seqs=seqs)
+        d = derivative_series(tr)
+        for run in (lambda: sample_acf(tr, max_lag=25),
+                    lambda: moment_set(tr, d, 0.3),
+                    lambda: evaluate(tr, "orthonormal", [1, 2, 3])):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000

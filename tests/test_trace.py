@@ -104,6 +104,8 @@ class TestIngest:
         ("seq,t_s,rssi_dbm", "1,nan,-71"),
         ("seq,rssi_dbm,tx_power_dbm", "1,-71,nan"),
         ("seq,rssi_dbm,tx_power_dbm", "1,-71,inf"),
+        ("seq,rssi_dbm,tx_power_dbm", f"{2**63},-71,0"),
+        ("seq,rssi_dbm,tx_power_dbm", f"{10**20},-71,0"),
     ])
     def test_invalid_time_or_tx_power_names_the_line(self, tmp_path, header, bad_row):
         good_row = "0,0,-70" if header.endswith("t_s,rssi_dbm") else "0,-70,0"
