@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import linksim, predictor
 from .atpc import AtpcConfig, run_closed_loop
@@ -45,27 +47,6 @@ def _parse_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_options(args: argparse.Namespace, defaults: dict, types: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    opts = dict(defaults)
-    provided = vars(args)
-    config_path = provided.get("config")
-    if config_path:
-        for key, raw in _parse_config(config_path).items():
-            if key not in defaults:
-                raise _CliError(f"unknown config key {key!r}")
-            conv = types.get(key, str)
-            try:
-                opts[key] = conv(raw)
-            except ValueError as exc:
-                raise _CliError(f"config key {key!r}: {exc}") from exc
-    for key, val in provided.items():
-        if key in ("command", "config"):
-            continue
-        opts[key] = val
-    return opts
-
-
 def _parse_loss(spec: str | None, seed: int) -> linksim.LossModel | None:
     """Loss flag syntax: ``bernoulli:P`` or ``gilbert:PGB,PBG,LG,LB``."""
     if spec in (None, "", "none"):
@@ -91,6 +72,14 @@ def _int_list(text: str) -> list[int]:
         raise _CliError(f"bad lag list {text!r}") from exc
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is unset."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_acf(opts: dict) -> int:
     tr = ingest_csv(opts["in"], opts["interval"])
     est = sample_acf(tr, opts["max_lag"])
@@ -100,11 +89,7 @@ def _cmd_acf(opts: dict) -> int:
             f"{est.lag_seconds[i]:.6f},{est.values[i]:.9f},"
             f"{est.normalized[i]:.9f},{est.n_pairs[i]},{est.d1[i]:.9f}"
         )
-    text = "\n".join(lines) + "\n"
-    if opts["out"]:
-        Path(opts["out"]).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", opts["out"])
     return 0
 
 
@@ -123,15 +108,9 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _cmd_fit(opts: dict) -> int:
-    if opts["method"] not in predictor.METHODS:
-        raise _CliError(f"unknown method {opts['method']!r}")
     tr = ingest_csv(opts["in"], opts["interval"])
     model = predictor.fit_at_lag(tr, derivative_series(tr), opts["method"], opts["lag"])
-    text = predictor.model_to_json(model)
-    if opts["out"]:
-        Path(opts["out"]).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(predictor.model_to_json(model), opts["out"])
     return 0
 
 
@@ -151,8 +130,6 @@ def _cmd_predict(opts: dict) -> int:
 
 
 def _cmd_evaluate(opts: dict) -> int:
-    if opts["method"] not in predictor.METHODS:
-        raise _CliError(f"unknown method {opts['method']!r}")
     tr = ingest_csv(opts["in"], opts["interval"])
     report = evaluate_trace(tr, opts["method"], _int_list(opts["lags"]))
     base = Path(opts["out"])
@@ -181,137 +158,131 @@ def _cmd_atpc(opts: dict) -> int:
         lines.append(
             f"{r.seq},{r.tx_dbm:.2f},{r.rssi_dbm:.2f},{int(r.delivered)},{pred},{r.mode}"
         )
-    text = "\n".join(lines) + "\n"
-    if opts["out"]:
-        Path(opts["out"]).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", opts["out"])
     return 0
 
 
-_SUBCOMMANDS = {
-    "acf": (
-        _cmd_acf,
-        {"in": None, "interval": 0.1, "max_lag": 25, "out": None},
-        {"interval": float, "max_lag": int, "in": str, "out": str},
-    ),
-    "simulate": (
-        _cmd_simulate,
-        {"channel": "swell", "radio": "cc2538", "packets": 2000, "seed": 0,
-         "loss": None, "tx_power": None, "path_loss": 60.0, "out": None},
-        {"channel": str, "radio": str, "packets": int, "seed": int, "loss": str,
-         "tx_power": float, "path_loss": float, "out": str},
-    ),
-    "fit": (
-        _cmd_fit,
-        {"in": None, "interval": 0.1, "method": "orthonormal", "lag": 1,
-         "out": None},
-        {"in": str, "interval": float, "method": str, "lag": int, "out": str},
-    ),
-    "predict": (
-        _cmd_predict,
-        {"model": None, "anchor_rssi": None, "anchor_slope": 0.0, "steps": 1},
-        {"model": str, "anchor_rssi": float, "anchor_slope": float, "steps": int},
-    ),
-    "evaluate": (
-        _cmd_evaluate,
-        {"in": None, "interval": 0.1, "method": "orthonormal",
-         "lags": "1,2,3", "out": None},
-        {"in": str, "interval": float, "method": str, "lags": str, "out": str},
-    ),
-    "atpc": (
-        _cmd_atpc,
-        {"channel": "swell", "radio": "cc2538", "threshold": -90.0, "margin": 3.0,
-         "max_missed": 5, "method": "orthonormal", "packets": 2000, "seed": 0,
-         "loss": None, "path_loss": 60.0, "out": None},
-        {"channel": str, "radio": str, "threshold": float, "margin": float,
-         "max_missed": int, "method": str, "packets": int, "seed": int,
-         "loss": str, "path_loss": float, "out": str},
-    ),
+@dataclass(frozen=True)
+class _Opt:
+    """One option of a subcommand: flag ``--name`` (dashes for underscores)
+    and config key ``name``. A config value is converted and choice-checked
+    exactly as argparse treats the flag."""
+
+    name: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def convert(self, raw: str):
+        val = self.type(raw)
+        if self.choices is not None and val not in self.choices:
+            raise ValueError(
+                f"invalid choice {val!r} (choose from {', '.join(self.choices)})")
+        return val
+
+
+_IN = _Opt("in", required=True)
+_CHANNEL = _Opt("channel", str, "swell", linksim.CHANNEL_KINDS)
+_RADIO = _Opt("radio", str, "cc2538", tuple(p.name for p in linksim.builtin_profiles()))
+_PACKETS = _Opt("packets", int, 2000)
+_SEED = _Opt("seed", int, 0)
+_PATH_LOSS = _Opt("path_loss", float, 60.0)
+_METHOD = _Opt("method", str, predictor.METHOD_ORTHONORMAL, predictor.METHODS)
+
+# subcommand -> (handler, help, option rows in --help order)
+_COMMANDS = {
+    "acf": (_cmd_acf, "sample autocorrelation of a trace CSV", (
+        _IN,
+        _Opt("interval", float, 0.1, help="nominal packet interval, s"),
+        _Opt("max_lag", int, 25),
+        _Opt("out"),
+    )),
+    "simulate": (_cmd_simulate, "generate a synthetic trace CSV", (
+        _CHANNEL, _RADIO, _PACKETS, _SEED,
+        _Opt("loss", help="bernoulli:P or gilbert:PGB,PBG,LG,LB"),
+        _Opt("tx_power", float),
+        _PATH_LOSS,
+        _Opt("out", required=True),
+    )),
+    "fit": (_cmd_fit, "fit a predictor and dump it as JSON", (
+        _IN,
+        _Opt("interval", float, 0.1),
+        _METHOD,
+        _Opt("lag", int, 1),
+        _Opt("out"),
+    )),
+    "predict": (_cmd_predict, "apply a dumped model to an anchor", (
+        _Opt("model", required=True),
+        _Opt("anchor_rssi", float, required=True),
+        _Opt("anchor_slope", float, 0.0),
+        _Opt("steps", int, 1),
+    )),
+    "evaluate": (_cmd_evaluate, "walk-forward RMSE over lags", (
+        _IN,
+        _Opt("interval", float, 0.1),
+        _METHOD,
+        _Opt("lags", str, "1,2,3", help="comma-separated lag steps, e.g. 1,2,3"),
+        _Opt("out", required=True, help="report basename; writes .csv and .json"),
+    )),
+    "atpc": (_cmd_atpc, "run the closed power-control loop", (
+        _CHANNEL, _RADIO,
+        _Opt("threshold", float, -90.0),
+        _Opt("margin", float, 3.0),
+        _Opt("max_missed", int, 5),
+        _Opt("method", str, predictor.METHOD_ORTHONORMAL,
+             (predictor.METHOD_ORTHONORMAL, predictor.METHOD_SIMPLIFIED)),
+        _PACKETS, _SEED,
+        _Opt("loss"),
+        _PATH_LOSS,
+        _Opt("out"),
+    )),
 }
 
-_REQUIRED = {
-    "acf": ("in",),
-    "simulate": ("out",),
-    "fit": ("in",),
-    "predict": ("model", "anchor_rssi"),
-    "evaluate": ("in", "out"),
-    "atpc": (),
-}
+
+def _options(command: str, args: dict) -> dict:
+    """Merge defaults < config file < explicit flags, then check required
+    options."""
+    table = {o.name: o for o in _COMMANDS[command][2]}
+    opts = {name: o.default for name, o in table.items()}
+    if args["config"]:
+        for key, raw in _parse_config(args["config"]).items():
+            if key not in table:
+                raise _CliError(f"unknown config key {key!r}")
+            try:
+                opts[key] = table[key].convert(raw)
+            except ValueError as exc:
+                raise _CliError(f"config key {key!r}: {exc}") from exc
+    opts.update((k, v) for k, v in args.items() if k not in ("command", "config"))
+    for o in table.values():
+        if o.required and opts[o.name] is None:
+            raise _CliError(f"{command}: {o.flag} is required")
+    return opts
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rssikit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("acf", help="sample autocorrelation of a trace CSV")
-    p.add_argument("--in")
-    p.add_argument("--interval", type=float, help="nominal packet interval, s")
-    p.add_argument("--max-lag", dest="max_lag", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("simulate", help="generate a synthetic trace CSV")
-    p.add_argument("--channel", choices=linksim.CHANNEL_KINDS)
-    p.add_argument("--radio", choices=["cc2538", "cc1200"])
-    p.add_argument("--packets", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--loss", help="bernoulli:P or gilbert:PGB,PBG,LG,LB")
-    p.add_argument("--tx-power", dest="tx_power", type=float)
-    p.add_argument("--path-loss", dest="path_loss", type=float)
-    p.add_argument("--out")
-
-    p = sub.add_parser("fit", help="fit a predictor and dump it as JSON")
-    p.add_argument("--in")
-    p.add_argument("--interval", type=float)
-    p.add_argument("--method", choices=predictor.METHODS)
-    p.add_argument("--lag", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("predict", help="apply a dumped model to an anchor")
-    p.add_argument("--model")
-    p.add_argument("--anchor-rssi", dest="anchor_rssi", type=float)
-    p.add_argument("--anchor-slope", dest="anchor_slope", type=float)
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("evaluate", help="walk-forward RMSE over lags")
-    p.add_argument("--in")
-    p.add_argument("--interval", type=float)
-    p.add_argument("--method", choices=predictor.METHODS)
-    p.add_argument("--lags", help="comma-separated lag steps, e.g. 1,2,3")
-    p.add_argument("--out", help="report basename; writes .csv and .json")
-
-    p = sub.add_parser("atpc", help="run the closed power-control loop")
-    p.add_argument("--channel", choices=linksim.CHANNEL_KINDS)
-    p.add_argument("--radio", choices=["cc2538", "cc1200"])
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--max-missed", dest="max_missed", type=int)
-    p.add_argument("--method", choices=["orthonormal", "simplified"])
-    p.add_argument("--packets", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--loss")
-    p.add_argument("--path-loss", dest="path_loss", type=float)
-    p.add_argument("--out")
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config", help="flat key = value file; flags win")
-        for action in sp._actions:
-            if action.dest not in ("help", "config"):
-                action.default = argparse.SUPPRESS
+    for command, (_, help_text, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for o in table:
+            p.add_argument(o.flag, dest=o.name, type=o.type, choices=o.choices,
+                           default=argparse.SUPPRESS, help=o.help)
+        p.add_argument("--config", help="flat key = value file; flags win")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler, defaults, types = _SUBCOMMANDS[args.command]
-        opts = _merge_options(args, defaults, types)
-        for key in _REQUIRED[args.command]:
-            if opts.get(key) is None:
-                flag = "--" + key.replace("_", "-")
-                raise _CliError(f"{args.command}: {flag} is required")
-        return handler(opts)
+        args = vars(parser.parse_args(argv))
+        handler = _COMMANDS[args["command"]][0]
+        return handler(_options(args["command"], args))
     except (_CliError, ValueError) as exc:
         print(f"rssikit: error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,7 +208,22 @@ def analytic_mse(model: PredictorModel, m: MomentSet) -> float:
     method at larger lags) it is the same small-lag approximation the
     weights themselves rest on.
     """
-    return m.rr0 - model.w_level * m.rr_tau - model.w_slope * m.rrp_tau
+    return _orthogonality_mse(m, model.w_level, model.w_slope)
+
+
+def _orthogonality_mse(m: MomentSet, w_level: float, w_slope: float) -> float:
+    return m.rr0 - w_level * m.rr_tau - w_slope * m.rrp_tau
+
+
+def _statistical_model(method: str, m: MomentSet, w_level: float, w_slope: float,
+                       basis: OrthonormalBasis | None = None) -> PredictorModel:
+    """The model a statistical fit of ``m`` yields, with its analytic MSE."""
+    return PredictorModel(
+        method=method, tau=m.tau, w_level=w_level, w_slope=w_slope,
+        mean_r=m.mean_r, mean_rp=m.mean_rp,
+        analytic_mse=_orthogonality_mse(m, w_level, w_slope),
+        basis=basis, source_moments=m, step_s=m.step_s,
+    )
 
 
 def fit_normal_equations(m: MomentSet) -> PredictorModel:
@@ -228,17 +243,7 @@ def fit_normal_equations(m: MomentSet) -> PredictorModel:
     det = _check_identifiable(m)
     w_level = (m.rr_tau * m.rprp0 - m.rrp_tau * m.rpr0) / det
     w_slope = (m.rr0 * m.rrp_tau - m.rpr0 * m.rr_tau) / det
-    model = PredictorModel(
-        method=METHOD_NORMAL_EQ,
-        tau=m.tau,
-        w_level=w_level,
-        w_slope=w_slope,
-        mean_r=m.mean_r,
-        mean_rp=m.mean_rp,
-        source_moments=m,
-        step_s=m.step_s,
-    )
-    return replace(model, analytic_mse=analytic_mse(model, m))
+    return _statistical_model(METHOD_NORMAL_EQ, m, w_level, w_slope)
 
 
 def fit_orthonormal(m: MomentSet) -> PredictorModel:
@@ -284,18 +289,7 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
         t11=t11, t21=t21, t22=t22, proj1=proj1, proj2=proj2,
         unit_residuals=unit_residuals,
     )
-    model = PredictorModel(
-        method=METHOD_ORTHONORMAL,
-        tau=m.tau,
-        w_level=w_level,
-        w_slope=w_slope,
-        mean_r=m.mean_r,
-        mean_rp=m.mean_rp,
-        basis=basis,
-        source_moments=m,
-        step_s=m.step_s,
-    )
-    return replace(model, analytic_mse=analytic_mse(model, m))
+    return _statistical_model(METHOD_ORTHONORMAL, m, w_level, w_slope, basis)
 
 
 def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorModel:
@@ -319,9 +313,7 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
                 + (m.rr0 + 2.0 * tau * m.rpr0 + tau * tau * m.rprp0)
             )
         else:
-            probe = PredictorModel(method=METHOD_SIMPLIFIED, tau=tau,
-                                   w_level=1.0, w_slope=tau)
-            mse = analytic_mse(probe, moments)
+            mse = _orthogonality_mse(m, 1.0, tau)
     return PredictorModel(
         method=METHOD_SIMPLIFIED,
         tau=float(tau),
@@ -383,75 +375,72 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
     )
 
 
+# Model-file records: one field -> JSON key map each drives both
+# model_to_json and model_from_json. ``basis`` and ``moments`` nest inside
+# the model record and are present only when the model carries them.
+_MODEL_KEYS = {
+    "method": "method", "tau": "tau_s", "step_s": "step_s",
+    "w_level": "w_level", "w_slope": "w_slope", "mean_r": "mean_dbm",
+    "mean_rp": "mean_slope_db_s", "analytic_mse": "analytic_mse_db2",
+}
+_BASIS_KEYS = {
+    "t11": "t11", "t21": "t21", "t22": "t22", "proj1": "proj1", "proj2": "proj2",
+    "unit_residuals": "unit_residuals",
+}
+_MOMENT_KEYS = {
+    "rr0": "rr0", "rpr0": "rpr0", "rprp0": "rprp0", "rr_tau": "rr_tau",
+    "rrp_tau": "rrp_tau", "tau": "tau_s", "n": "n", "mean_r": "mean_r",
+    "mean_rp": "mean_rp", "rr0_ahead": "rr0_ahead", "step_s": "step_s",
+}
+
+
+def _to_record(obj, keys: dict[str, str]) -> dict:
+    return {key: getattr(obj, field) for field, key in keys.items()}
+
+
+def _from_record(record, keys: dict[str, str], what: str, **optional) -> dict:
+    """Field values of one JSON record; ``optional`` gives the defaults of
+    keys that may be absent."""
+    if not isinstance(record, dict):
+        raise ValueError(f"model file: {what} is not a JSON object")
+    record = {**optional, **record}
+    missing = [key for key in keys.values() if key not in record]
+    if missing:
+        raise ValueError(f"model file: {what} lacks key {missing[0]!r}")
+    return {field: record[key] for field, key in keys.items()}
+
+
 def model_to_json(model: PredictorModel) -> str:
     """Serialize a fitted model as a JSON text record.
 
     Floats keep full precision (repr round trip), so dump/load is exact.
     """
-    payload: dict = {
-        "method": model.method,
-        "tau_s": model.tau,
-        "step_s": model.step_s,
-        "w_level": model.w_level,
-        "w_slope": model.w_slope,
-        "mean_dbm": model.mean_r,
-        "mean_slope_db_s": model.mean_rp,
-        "analytic_mse_db2": model.analytic_mse,
-    }
+    payload = _to_record(model, _MODEL_KEYS)
     if model.basis is not None:
-        payload["basis"] = {
-            "t11": model.basis.t11,
-            "t21": model.basis.t21,
-            "t22": model.basis.t22,
-            "proj1": model.basis.proj1,
-            "proj2": model.basis.proj2,
-            "unit_residuals": list(model.basis.unit_residuals),
-        }
+        payload["basis"] = _to_record(model.basis, _BASIS_KEYS)
     if model.source_moments is not None:
-        m = model.source_moments
-        payload["moments"] = {
-            "rr0": m.rr0, "rpr0": m.rpr0, "rprp0": m.rprp0,
-            "rr_tau": m.rr_tau, "rrp_tau": m.rrp_tau,
-            "tau_s": m.tau, "n": m.n,
-            "mean_r": m.mean_r, "mean_rp": m.mean_rp,
-            "rr0_ahead": m.rr0_ahead, "step_s": m.step_s,
-        }
+        payload["moments"] = _to_record(model.source_moments, _MOMENT_KEYS)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def model_from_json(text: str) -> PredictorModel:
-    """Rebuild a model from its JSON text record."""
+    """Rebuild a model from its JSON text record.
+
+    Raises:
+        ValueError: The text is not JSON, a record is not an object, or a
+            record lacks a key. A model record without ``mean_slope_db_s``
+            loads with 0.0.
+    """
     payload = json.loads(text)
-    basis = None
+    fields = _from_record(payload, _MODEL_KEYS, "model record", mean_slope_db_s=0.0)
     if "basis" in payload:
-        b = payload["basis"]
-        basis = OrthonormalBasis(
-            t11=b["t11"], t21=b["t21"], t22=b["t22"],
-            proj1=b["proj1"], proj2=b["proj2"],
-            unit_residuals=tuple(b["unit_residuals"]),
-        )
-    moments = None
+        basis = _from_record(payload["basis"], _BASIS_KEYS, "basis")
+        basis["unit_residuals"] = tuple(basis["unit_residuals"])
+        fields["basis"] = OrthonormalBasis(**basis)
     if "moments" in payload:
-        mm = payload["moments"]
-        moments = MomentSet(
-            rr0=mm["rr0"], rpr0=mm["rpr0"], rprp0=mm["rprp0"],
-            rr_tau=mm["rr_tau"], rrp_tau=mm["rrp_tau"],
-            tau=mm["tau_s"], n=mm["n"],
-            mean_r=mm["mean_r"], mean_rp=mm["mean_rp"],
-            rr0_ahead=mm["rr0_ahead"], step_s=mm["step_s"],
-        )
-    return PredictorModel(
-        method=payload["method"],
-        tau=payload["tau_s"],
-        w_level=payload["w_level"],
-        w_slope=payload["w_slope"],
-        mean_r=payload["mean_dbm"],
-        mean_rp=payload.get("mean_slope_db_s", 0.0),
-        analytic_mse=payload["analytic_mse_db2"],
-        basis=basis,
-        source_moments=moments,
-        step_s=payload["step_s"],
-    )
+        fields["source_moments"] = MomentSet(
+            **_from_record(payload["moments"], _MOMENT_KEYS, "moments"))
+    return PredictorModel(**fields)
 
 
 class SlidingWindowPredictor:

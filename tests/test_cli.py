@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rssikit.cli import main
+from rssikit.cli import _build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv) -> int:
@@ -163,6 +167,24 @@ class TestConfigFile:
         assert run_cli("simulate", "--config", str(cfg), "--out",
                        str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "channel", "SWELL"),
+        ("simulate", "radio", "CC2538"),
+        ("atpc", "method", "normal_eq"),
+        ("fit", "method", "bogus"),
+        ("evaluate", "method", "bogus"),
+    ])
+    def test_config_value_checked_like_its_flag(self, trace_csv, tmp_path, capsys,
+                                                command, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [command, "--out", str(tmp_path / "x")]
+        argv += (["--in", str(trace_csv)] if command in ("fit", "evaluate")
+                 else ["--packets", "50"])
+        assert run_cli(*argv, "--" + key, value) == 1
+        assert run_cli(*argv, "--config", str(cfg)) == 1
+        assert "invalid choice" in capsys.readouterr().err.splitlines()[-1]
+
 
 class TestExitCodes:
     def test_missing_required_flag(self):
@@ -179,6 +201,13 @@ class TestExitCodes:
         assert run_cli("evaluate", "--in", str(trace_csv), "--method",
                        "orthonormal", "--lags", "0", "--out", "/tmp/x") == 1
 
+    @pytest.mark.parametrize("text", ['{"method": "simplified"}', "[1, 2]"])
+    def test_malformed_model_file(self, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert run_cli("predict", "--model", str(model), "--anchor-rssi", "-70") == 1
+        assert capsys.readouterr().err.startswith("rssikit: error: model file: ")
+
     def test_success_is_zero(self, trace_csv, tmp_path):
         assert run_cli("acf", "--in", str(trace_csv), "--max-lag", "5",
                        "--out", str(tmp_path / "a.csv")) == 0
@@ -194,3 +223,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        """Every command line in README's CLI block names only real flags."""
+        section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("rssikit ")]
+        assert {argv[0] for argv in commands} == {
+            "simulate", "acf", "fit", "predict", "evaluate", "atpc"}
+        for argv in commands:
+            _build_parser().parse_args(argv)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from rssikit import (
     DegenerateMomentsError,
     LagMismatchError,
     MomentSet,
+    PredictorModel,
     Trace,
     analytic_mse,
     ar2_channel,
@@ -26,7 +30,7 @@ from rssikit import (
     ripple_channel,
     swell_channel,
 )
-from rssikit.predictor import SlidingWindowPredictor
+from rssikit.predictor import METHODS, SlidingWindowPredictor, fit_at_lag
 
 from conftest import make_trace
 from oracles import (
@@ -37,6 +41,10 @@ from oracles import (
 )
 
 RADIO = profile_by_name("cc2538")
+
+
+def without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
 
 
 def fit_moments(trace, k_steps=1):
@@ -287,25 +295,54 @@ class TestModelProperties:
         assert diffs[0] <= 0.05
         assert diffs[0] <= diffs[1] <= diffs[2]
 
+    @staticmethod
+    def assert_round_trip(model):
+        text = model_to_json(model)
+        clone = model_from_json(text)
+        for f in dataclasses.fields(PredictorModel):
+            assert getattr(clone, f.name) == getattr(model, f.name), f.name
+        assert model_to_json(clone) == text
+        return clone
+
     def test_json_round_trip(self, ar2_trace):
-        for fit in (fit_normal_equations, fit_orthonormal):
-            model = fit(fit_moments(ar2_trace))
-            clone = model_from_json(model_to_json(model))
-            assert clone.method == model.method
-            assert clone.w_level == model.w_level
-            assert clone.w_slope == model.w_slope
-            assert clone.mean_r == model.mean_r
-            assert clone.analytic_mse == model.analytic_mse
-            assert clone.tau == model.tau
-            p1 = predict(model, -68.0, 0.5).value
-            p2 = predict(clone, -68.0, 0.5).value
+        deriv = derivative_series(ar2_trace)
+        for method in METHODS:
+            model = fit_at_lag(ar2_trace, deriv, method, 2)
+            assert model.source_moments is not None and model.step_s == 0.1
+            assert (model.basis is not None) == (method == "orthonormal")
+            clone = self.assert_round_trip(model)
+            p1 = predict(model, -68.0, 0.5, n_steps=2).value
+            p2 = predict(clone, -68.0, 0.5, n_steps=2).value
             assert p1 == p2
 
-    def test_simplified_json_round_trip(self):
-        model = fit_simplified(0.5)
-        clone = model_from_json(model_to_json(model))
-        assert clone.w_slope == 0.5
-        assert clone.method == "simplified"
+    def test_simplified_json_round_trip(self, ar2_trace):
+        m = fit_moments(ar2_trace)
+        hand_built = MomentSet(rr0=4.0, rpr0=0.1, rprp0=2.0, rr_tau=3.5,
+                               rrp_tau=0.2, tau=0.5, n=100, mean_r=-70.0,
+                               mean_rp=0.01)
+        for model in (fit_simplified(0.5), fit_simplified(0.1, moments=m),
+                      fit_simplified(0.5, moments=hand_built)):
+            self.assert_round_trip(model)
+
+    def test_json_without_slope_mean_loads_zero(self, ar2_trace):
+        payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
+        del payload["mean_slope_db_s"]
+        assert model_from_json(json.dumps(payload)).mean_rp == 0.0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: {"method": "simplified"}, "model record lacks key 'tau_s'"),
+        (lambda p: [1, 2], "model record is not a JSON object"),
+        (lambda p: {**p, "basis": [1, 2]}, "basis is not a JSON object"),
+        (lambda p: {**p, "basis": without(p["basis"], "t22")}, "basis lacks key 't22'"),
+        (lambda p: {**p, "moments": None}, "moments is not a JSON object"),
+        (lambda p: {**p, "moments": without(p["moments"], "rr0")},
+         "moments lacks key 'rr0'"),
+    ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
+            "moments-not-object", "moments-no-rr0"])
+    def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
+        payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_json(json.dumps(edit(payload)))
 
 
 class TestSlidingWindow:
