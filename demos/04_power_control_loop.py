@@ -36,12 +36,7 @@ print(f"\nenergy saved: {baseline.mean_tx_dbm - adaptive.mean_tx_dbm:.1f} dB "
       f"of transmit power at matched delivery quality")
 
 loop_path = OUT / "atpc_loop.csv"
-with loop_path.open("w") as fh:
-    fh.write("seq,tx_dbm,rssi_dbm,delivered,predicted,mode\n")
-    for r in adaptive.records:
-        pred = f"{r.predicted_dbm:.2f}" if r.predicted_dbm is not None else ""
-        fh.write(f"{r.seq},{r.tx_dbm:.2f},{r.rssi_dbm:.2f},"
-                 f"{int(r.delivered)},{pred},{r.mode}\n")
+loop_path.write_text(adaptive.to_csv_text())
 print(f"per-packet transcript written to {loop_path}")
 
 print()

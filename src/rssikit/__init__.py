@@ -64,7 +64,7 @@ from .atpc import (
     run_closed_loop,
     run_fixed_power,
 )
-from .evaluate import EvalReport, EvalRow, evaluate, lag_sweep
+from .evaluate import EvalReport, EvalRow, evaluate
 
 __version__ = "0.1.0"
 
@@ -109,7 +109,6 @@ __all__ = [
     "generate_trace",
     "gilbert_elliott_loss",
     "ingest_csv",
-    "lag_sweep",
     "model_from_json",
     "model_to_json",
     "moment_set",

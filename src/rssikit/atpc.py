@@ -32,6 +32,9 @@ from .predictor import (
 MODE_TRACKING = "tracking"
 MODE_FALLBACK = "fallback"
 
+# Predictor methods the controller can run.
+CONTROLLER_METHODS = (METHOD_ORTHONORMAL, METHOD_SIMPLIFIED)
+
 
 @dataclass(frozen=True)
 class AtpcConfig:
@@ -43,10 +46,10 @@ class AtpcConfig:
         margin_db: Headroom above the threshold the loop aims for.
         max_missed_acks: Consecutive losses tolerated before falling back
             to maximum power.
-        predictor_method: orthonormal (statistical, refit from a sliding
-            window) or simplified (pure slope extrapolation).
-        window / refit_every / min_fit_samples: Sliding-window refit cadence
-            for the statistical predictor.
+        predictor_method: orthonormal (statistical, refit every 64 ACKs
+            from a 512-observation sliding window once 64 have arrived) or
+            simplified (pure slope extrapolation). Either way the missed-ACK
+            run n is bridged by the model fitted for n steps.
     """
 
     radio: RadioProfile
@@ -54,9 +57,6 @@ class AtpcConfig:
     margin_db: float = 3.0
     max_missed_acks: int = 5
     predictor_method: str = METHOD_ORTHONORMAL
-    window: int = 512
-    refit_every: int = 64
-    min_fit_samples: int = 64
 
     def __post_init__(self) -> None:
         if self.threshold_dbm < self.radio.sensitivity_dbm:
@@ -65,7 +65,7 @@ class AtpcConfig:
             raise ValueError("margin_db must be >= 0")
         if self.max_missed_acks < 1:
             raise ValueError("max_missed_acks must be >= 1")
-        if self.predictor_method not in (METHOD_ORTHONORMAL, METHOD_SIMPLIFIED):
+        if self.predictor_method not in CONTROLLER_METHODS:
             raise ValueError(f"unsupported predictor method {self.predictor_method!r}")
 
 
@@ -94,14 +94,8 @@ class AtpcController:
         # Prediction horizons 1..max_missed-1; at max_missed the controller
         # stops predicting and falls back.
         lags = tuple(range(1, config.max_missed_acks)) or (1,)
-        self._window = SlidingWindowPredictor(
-            method=config.predictor_method,
-            lags=lags,
-            step_s=config.radio.lag_unit_s,
-            window=config.window,
-            refit_every=config.refit_every,
-            min_samples=config.min_fit_samples,
-        )
+        self._window = SlidingWindowPredictor(config.predictor_method, lags,
+                                              config.radio.lag_unit_s)
         self._tick = 0
         self.last_prediction_dbm: float | None = None
 
@@ -217,6 +211,16 @@ class LoopResult:
         if not got:
             return float("nan")
         return sum(1 for r in got if r.rssi_dbm >= self.threshold_dbm) / len(got)
+
+    def to_csv_text(self) -> str:
+        """The per-packet transcript as CSV, the ``rssikit atpc`` format."""
+        lines = ["seq,tx_dbm,rssi_dbm,delivered,predicted,mode"]
+        for r in self.records:
+            pred = f"{r.predicted_dbm:.2f}" if r.predicted_dbm is not None else ""
+            lines.append(
+                f"{r.seq},{r.tx_dbm:.2f},{r.rssi_dbm:.2f},{int(r.delivered)},{pred},{r.mode}"
+            )
+        return "\n".join(lines) + "\n"
 
 
 def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import linksim, predictor
-from .atpc import AtpcConfig, run_closed_loop
+from .atpc import CONTROLLER_METHODS, AtpcConfig, run_closed_loop
 from .evaluate import evaluate as evaluate_trace
 from .stats import sample_acf
 from .trace import derivative_series, export_csv, ingest_csv
@@ -152,13 +152,7 @@ def _cmd_atpc(opts: dict) -> int:
     )
     loss = _parse_loss(opts["loss"], seed=opts["seed"] + 1)
     result = run_closed_loop(channel, config, opts["packets"], loss=loss)
-    lines = ["seq,tx_dbm,rssi_dbm,delivered,predicted,mode"]
-    for r in result.records:
-        pred = f"{r.predicted_dbm:.2f}" if r.predicted_dbm is not None else ""
-        lines.append(
-            f"{r.seq},{r.tx_dbm:.2f},{r.rssi_dbm:.2f},{int(r.delivered)},{pred},{r.mode}"
-        )
-    _emit("\n".join(lines) + "\n", opts["out"])
+    _emit(result.to_csv_text(), opts["out"])
     return 0
 
 
@@ -235,8 +229,7 @@ _COMMANDS = {
         _Opt("threshold", float, -90.0),
         _Opt("margin", float, 3.0),
         _Opt("max_missed", int, 5),
-        _Opt("method", str, predictor.METHOD_ORTHONORMAL,
-             (predictor.METHOD_ORTHONORMAL, predictor.METHOD_SIMPLIFIED)),
+        _Opt("method", str, predictor.METHOD_ORTHONORMAL, CONTROLLER_METHODS),
         _PACKETS, _SEED,
         _Opt("loss"),
         _PATH_LOSS,

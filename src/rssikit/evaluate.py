@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .predictor import METHOD_SIMPLIFIED, fit_at_lag
-from .stats import DEFAULT_MIN_PAIRS, _lag_pairs
+from .predictor import fit_at_lag
+from .stats import _lag_pairs
 from .trace import Trace, derivative_series
 
 
@@ -98,13 +98,12 @@ class EvalReport:
         Path(path).write_text(self.to_json_text(), encoding="utf-8")
 
 
-def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...],
-             min_pairs: int = DEFAULT_MIN_PAIRS) -> EvalReport:
+def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> EvalReport:
     """Walk-forward error of the chosen fitting path at each lag.
 
     For every sample whose slope exists and whose lag-ahead target was
-    received, predict the target and accumulate squared error. Statistical
-    methods fit one model per lag from the trace's own moments.
+    received, predict the target and accumulate squared error. Each lag
+    gets its own model from ``fit_at_lag``.
 
     Raises:
         ValueError: No valid prediction points at some lag, bad lags, or
@@ -123,12 +122,11 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...],
 
     rows = []
     for k, (i, j) in zip(lag_list, _lag_pairs(trace.seq, lag_list, first=1)):
-        model = fit_at_lag(trace, deriv, method, k, min_pairs)
+        model = fit_at_lag(trace, deriv, method, k)
         if i.size == 0:
             raise ValueError(f"lag {k}: no valid prediction points")
 
-        n_steps = 1 if method == METHOD_SIMPLIFIED else k
-        preds = model.apply(r[i], deriv.slope[i - 1], n_steps=n_steps)
+        preds = model.apply(r[i], deriv.slope[i - 1])
         err = preds - r[j]
         rmse = float(np.sqrt(np.mean(err * err)))
         if range_db > 0:
@@ -154,11 +152,3 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...],
         nominal_interval=trace.nominal_interval,
         trace_meta=dict(trace.meta),
     )
-
-
-def lag_sweep(trace: Trace, method: str, max_lag: int,
-              min_pairs: int = DEFAULT_MIN_PAIRS) -> EvalReport:
-    """Convenience sweep over lags 1..max_lag."""
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    return evaluate(trace, method, list(range(1, max_lag + 1)), min_pairs=min_pairs)

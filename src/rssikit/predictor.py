@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .stats import DEFAULT_MIN_PAIRS, MomentSet, moment_set
+from .stats import MomentSet, moment_set
 from .trace import DerivativeSeries, Trace, derivative_series, derive_times
 
 logger = logging.getLogger(__name__)
@@ -102,12 +102,12 @@ class OrthonormalBasis:
 
 @dataclass(frozen=True)
 class PredictorModel:
-    """Fitted two-term predictor bound to one lag.
+    """Fitted two-term predictor bound to one lag, the only one it serves.
 
     Attributes:
         method: One of normal_eq, orthonormal, simplified.
-        tau: Lag in seconds the weights were fitted for. For the simplified
-            method this is the per-step lag; n-step prediction scales it.
+        tau: Lag in seconds the weights were fitted for, and the one
+            horizon the model predicts.
         w_level: Weight on the (mean-removed) current value, dimensionless.
         w_slope: Weight on the (mean-removed) current slope, seconds.
         mean_r: Removed process mean in dBm, added back at prediction time.
@@ -117,8 +117,8 @@ class PredictorModel:
             fitting moments; None when no moments were supplied.
         basis: Orthonormal construction record (orthonormal method only).
         source_moments: Fitting moments, for provenance.
-        step_s: Sample grid spacing; statistical models refuse to serve a
-            step count that does not reproduce tau.
+        step_s: Sample grid spacing; the model serves only the step count
+            that reproduces tau (a single step when step_s is None).
     """
 
     method: str
@@ -152,28 +152,9 @@ class PredictorModel:
             if self.analytic_mse > self.source_moments.rr0 * (1.0 + 1e-9):
                 raise ValueError("analytic_mse exceeds the lag-0 autocovariance")
 
-    def apply(self, anchor_r, anchor_rp, n_steps: int = 1):
-        """Vectorized prediction formula; scalars in, scalars out.
-
-        The statistical methods only serve the lag they were fitted at; the
-        simplified method substitutes tau = n_steps * per-step lag at call
-        time.
-        """
-        if n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        if self.method == METHOD_SIMPLIFIED:
-            tau_eff = n_steps * self.tau
-            return anchor_r + tau_eff * anchor_rp
-        if self.step_s is not None:
-            if abs(n_steps * self.step_s - self.tau) > 1e-9:
-                raise LagMismatchError(
-                    f"model fitted at tau={self.tau} s cannot serve "
-                    f"{n_steps} steps of {self.step_s} s"
-                )
-        elif n_steps != 1:
-            raise LagMismatchError(
-                "model carries no step size; only single-step prediction at its own lag"
-            )
+    def apply(self, anchor_r, anchor_rp):
+        """Vectorized prediction formula for the horizon ``tau``; scalars in,
+        scalars out. ``predict`` checks that a step count matches ``tau``."""
         return self.mean_r + self.w_level * (anchor_r - self.mean_r) \
             + self.w_slope * (anchor_rp - self.mean_rp)
 
@@ -295,6 +276,9 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
 def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorModel:
     """Small-lag model with weights exactly (1, tau); needs no statistics.
 
+    Like every model it serves only the horizon tau, and without moments
+    (which carry the step size) only as a single step.
+
     When a MomentSet is supplied an error estimate is attached. The
     orthogonality shortcut of ``analytic_mse`` is exact only at the MMSE
     optimum and can go negative for these fixed weights, so the full
@@ -326,24 +310,25 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
     )
 
 
-def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str, k: int,
-               min_pairs: int = DEFAULT_MIN_PAIRS) -> PredictorModel:
+def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str,
+               k: int) -> PredictorModel:
     """Fit ``method`` for a horizon of ``k`` nominal intervals of a trace.
 
     The statistical methods fit the trace's moments at that lag and raise
     when they are degenerate or under-supported. The simplified model needs
-    none; it carries an error estimate only when the moments exist.
+    none; it carries an error estimate only when the moments exist. Every
+    model carries the trace's step size and serves exactly ``k`` steps.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     tau = k * trace.nominal_interval
     if method == METHOD_SIMPLIFIED:
         try:
-            m = moment_set(trace, deriv, tau, min_pairs=min_pairs)
+            m = moment_set(trace, deriv, tau)
         except ValueError:
             m = None
-        return fit_simplified(tau, moments=m)
-    m = moment_set(trace, deriv, tau, min_pairs=min_pairs)
+        return replace(fit_simplified(tau, m), step_s=trace.nominal_interval)
+    m = moment_set(trace, deriv, tau)
     if method == METHOD_ORTHONORMAL:
         return fit_orthonormal(m)
     return fit_normal_equations(m)
@@ -354,21 +339,27 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
     """Predict received power n sampling steps ahead of an anchor sample.
 
     Args:
-        model: Fitted model. Statistical models must have been fitted at
-            tau = n_steps * step; the simplified model is lag-parametric.
+        model: Fitted model. It serves only its own horizon and raises
+            LagMismatchError unless n_steps steps of ``model.step_s`` make
+            up ``model.tau`` (a model without a step size serves one step).
         anchor_r: Anchor received power, dBm.
         anchor_rp: Anchor slope, dB/s.
         n_steps: Prediction horizon in sampling steps, >= 1.
         anchor_t: Anchor time in seconds (for the target timestamp).
     """
-    value = model.apply(anchor_r, anchor_rp, n_steps)
-    if model.method == METHOD_SIMPLIFIED:
-        horizon = n_steps * model.tau
-    else:
-        horizon = model.tau
+    if model.step_s is not None:
+        if abs(n_steps * model.step_s - model.tau) > 1e-9:
+            raise LagMismatchError(
+                f"model fitted at tau={model.tau} s cannot serve "
+                f"{n_steps} steps of {model.step_s} s"
+            )
+    elif n_steps != 1:
+        raise LagMismatchError(
+            "model carries no step size; only single-step prediction at its own lag"
+        )
     return Prediction(
-        t_target=anchor_t + horizon,
-        value=float(value),
+        t_target=anchor_t + model.tau,
+        value=float(model.apply(anchor_r, anchor_rp)),
         mse=model.analytic_mse,
         steps_ahead=n_steps,
         basis_sample=(anchor_t, anchor_r, anchor_rp),
@@ -394,19 +385,40 @@ _MOMENT_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Field annotation -> (check of a JSON value for that field, what it must be).
+_VALUE_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+    "tuple[float, float, float]": (
+        lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+        "a list of three numbers"),
+}
+
+
 def _to_record(obj, keys: dict[str, str]) -> dict:
     return {key: getattr(obj, field) for field, key in keys.items()}
 
 
-def _from_record(record, keys: dict[str, str], what: str, **optional) -> dict:
-    """Field values of one JSON record; ``optional`` gives the defaults of
-    keys that may be absent."""
+def _from_record(record, cls, keys: dict[str, str], what: str, **optional) -> dict:
+    """Field values of one JSON record for dataclass ``cls``, each checked
+    against its field's annotation; ``optional`` gives the defaults of keys
+    that may be absent."""
     if not isinstance(record, dict):
         raise ValueError(f"model file: {what} is not a JSON object")
     record = {**optional, **record}
-    missing = [key for key in keys.values() if key not in record]
-    if missing:
-        raise ValueError(f"model file: {what} lacks key {missing[0]!r}")
+    annotations = {f.name: f.type for f in fields(cls)}
+    for field, key in keys.items():
+        if key not in record:
+            raise ValueError(f"model file: {what} lacks key {key!r}")
+        is_valid, expected = _VALUE_TYPES[annotations[field]]
+        if not is_valid(record[key]):
+            raise ValueError(f"model file: {what} key {key!r} must be {expected}")
     return {field: record[key] for field, key in keys.items()}
 
 
@@ -428,19 +440,20 @@ def model_from_json(text: str) -> PredictorModel:
 
     Raises:
         ValueError: The text is not JSON, a record is not an object, or a
-            record lacks a key. A model record without ``mean_slope_db_s``
-            loads with 0.0.
+            record lacks a key or holds a value of the wrong type. A model
+            record without ``mean_slope_db_s`` loads with 0.0.
     """
     payload = json.loads(text)
-    fields = _from_record(payload, _MODEL_KEYS, "model record", mean_slope_db_s=0.0)
+    values = _from_record(payload, PredictorModel, _MODEL_KEYS, "model record",
+                          mean_slope_db_s=0.0)
     if "basis" in payload:
-        basis = _from_record(payload["basis"], _BASIS_KEYS, "basis")
+        basis = _from_record(payload["basis"], OrthonormalBasis, _BASIS_KEYS, "basis")
         basis["unit_residuals"] = tuple(basis["unit_residuals"])
-        fields["basis"] = OrthonormalBasis(**basis)
+        values["basis"] = OrthonormalBasis(**basis)
     if "moments" in payload:
-        fields["source_moments"] = MomentSet(
-            **_from_record(payload["moments"], _MOMENT_KEYS, "moments"))
-    return PredictorModel(**fields)
+        values["source_moments"] = MomentSet(
+            **_from_record(payload["moments"], MomentSet, _MOMENT_KEYS, "moments"))
+    return PredictorModel(**values)
 
 
 class SlidingWindowPredictor:
@@ -450,12 +463,13 @@ class SlidingWindowPredictor:
     models are immutable snapshots that readers may hold freely. Refits run
     every ``refit_every`` observations once ``min_samples`` have arrived.
     A lag whose statistics are degenerate or under-supported simply has no
-    model until a later refit succeeds.
+    model until a later refit succeeds. The simplified method never refits:
+    its fixed-weight models, one per lag, exist from the start. Each model
+    serves exactly its own lag.
     """
 
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float,
-                 window: int = 512, refit_every: int = 64,
-                 min_samples: int = 64, min_pairs: int = DEFAULT_MIN_PAIRS):
+                 window: int = 512, refit_every: int = 64, min_samples: int = 64):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         if step_s <= 0 or window < 2 or refit_every < 1:
@@ -468,10 +482,12 @@ class SlidingWindowPredictor:
         self.window = int(window)
         self.refit_every = int(refit_every)
         self.min_samples = int(min_samples)
-        self.min_pairs = int(min_pairs)
         self._obs: list[tuple[int, float]] = []
         self._since_refit = 0
         self._models: dict[int, PredictorModel] = {}
+        if method == METHOD_SIMPLIFIED:
+            self._models = {k: replace(fit_simplified(k * self.step_s), step_s=self.step_s)
+                            for k in self.lags}
 
     def observe(self, seq: int, value: float) -> None:
         """Record one observation; seq gaps mark missed feedback."""
@@ -497,8 +513,6 @@ class SlidingWindowPredictor:
 
     def model_for(self, n_steps: int) -> PredictorModel | None:
         """Model able to predict n_steps ahead, or None if unavailable."""
-        if self.method == METHOD_SIMPLIFIED:
-            return fit_simplified(self.step_s)
         return self._models.get(int(n_steps))
 
     def _refit(self) -> None:
@@ -515,8 +529,7 @@ class SlidingWindowPredictor:
             return
         for k in self.lags:
             try:
-                self._models[k] = fit_at_lag(win_trace, deriv, self.method, k,
-                                             self.min_pairs)
+                self._models[k] = fit_at_lag(win_trace, deriv, self.method, k)
             except ValueError as exc:
                 logger.debug("refit at lag %d failed: %s: %s", k, type(exc).__name__, exc)
                 self._models.pop(k, None)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +18,10 @@ from rssikit import (
     run_fixed_power,
     swell_channel,
 )
+from rssikit.atpc import CONTROLLER_METHODS
 
 RADIO = profile_by_name("cc2538")
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def make_config(**kwargs):
@@ -168,6 +174,20 @@ class TestClosedLoop:
         a = run_closed_loop(ch, make_config(), 800, loss=loss)
         b = run_closed_loop(ch, make_config(), 800, loss=loss)
         assert a.records == b.records
+
+    @pytest.mark.parametrize("method", CONTROLLER_METHODS)
+    def test_transcript_is_the_benchmark_transcript(self, method, monkeypatch):
+        # The benchmark hashes its own encoder's bytes as the CLI's loop CSV.
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up in sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        ch = swell_channel(seed=19, base_path_loss_db=80.0)
+        res = run_closed_loop(ch, make_config(predictor_method=method), 600,
+                              loss=bernoulli_loss(0.3, seed=20))
+        assert any(r.predicted_dbm is not None for r in res.records)
+        assert workloads.loop_transcript(res) == res.to_csv_text().encode()
 
     def test_summary_statistics(self):
         ch = swell_channel(seed=18, base_path_loss_db=80.0)

@@ -87,10 +87,16 @@ class TestFitPredict:
                      "--lag", "3", "--out", str(model_path))
         assert rc == 0
         rc = run_cli("predict", "--model", str(model_path),
-                     "--anchor-rssi", "-70", "--anchor-slope", "2", "--steps", "1")
+                     "--anchor-rssi", "-70", "--anchor-slope", "2", "--steps", "3")
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["value_dbm"] == pytest.approx(-69.4)
+        assert out["steps_ahead"] == 3
+        # The model serves only the horizon it was fitted at.
+        rc = run_cli("predict", "--model", str(model_path),
+                     "--anchor-rssi", "-70", "--anchor-slope", "2", "--steps", "1")
+        assert rc == 1
+        assert "cannot serve 1 steps" in capsys.readouterr().err
 
     def test_fit_determinism(self, trace_csv, tmp_path):
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -201,7 +207,11 @@ class TestExitCodes:
         assert run_cli("evaluate", "--in", str(trace_csv), "--method",
                        "orthonormal", "--lags", "0", "--out", "/tmp/x") == 1
 
-    @pytest.mark.parametrize("text", ['{"method": "simplified"}', "[1, 2]"])
+    @pytest.mark.parametrize("text", [
+        '{"method": "simplified"}', "[1, 2]",
+        '{"method": "simplified", "tau_s": "x", "step_s": null, "w_level": 1.0,'
+        ' "w_slope": "x", "mean_dbm": 0.0, "analytic_mse_db2": null}',
+    ])
     def test_malformed_model_file(self, tmp_path, capsys, text):
         model = tmp_path / "model.json"
         model.write_text(text)

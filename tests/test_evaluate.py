@@ -10,7 +10,6 @@ from rssikit import (
     derivative_series,
     evaluate,
     generate_trace,
-    lag_sweep,
     profile_by_name,
     swell_channel,
 )
@@ -49,11 +48,11 @@ class TestEvaluate:
 
     def test_slow_radio_lag_seconds(self):
         tr = generate_trace(swell_channel(seed=32), RADIO2, 0.0, 800)
-        report = lag_sweep(tr, "simplified", 3)
+        report = evaluate(tr, "simplified", [1, 2, 3])
         assert [r.lag_s for r in report.rows] == pytest.approx([0.5, 1.0, 1.5])
 
     def test_single_lag_sweep(self, ar2_eval_trace):
-        report = lag_sweep(ar2_eval_trace, "simplified", 1)
+        report = evaluate(ar2_eval_trace, "simplified", [1])
         assert len(report.rows) == 1
 
     def test_accuracy_complements_nrmse(self, ar2_eval_trace):
@@ -69,8 +68,8 @@ class TestEvaluate:
             assert ra.n_predictions == rb.n_predictions
 
     def test_paired_methods_comparable(self, ar2_eval_trace):
-        simp = lag_sweep(ar2_eval_trace, "simplified", 3)
-        orth = lag_sweep(ar2_eval_trace, "orthonormal", 3)
+        simp = evaluate(ar2_eval_trace, "simplified", [1, 2, 3])
+        orth = evaluate(ar2_eval_trace, "orthonormal", [1, 2, 3])
         assert [r.lag_steps for r in simp.rows] == [r.lag_steps for r in orth.rows]
         assert [r.n_predictions for r in simp.rows] == [r.n_predictions for r in orth.rows]
 

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rssikit import (
     DegenerateMomentsError,
@@ -16,7 +18,9 @@ from rssikit import (
     PredictorModel,
     Trace,
     analytic_mse,
+    apply_loss,
     ar2_channel,
+    bernoulli_loss,
     derivative_series,
     fit_normal_equations,
     fit_orthonormal,
@@ -198,12 +202,31 @@ class TestPredict:
         p2 = predict(fit_simplified(0.2), -81.5, 0.0)
         assert p2.value == pytest.approx(-81.5)
 
-    def test_simplified_scales_with_steps(self):
-        model = fit_simplified(0.1)
-        p = predict(model, -70.0, 2.0, n_steps=3)
-        assert p.value == pytest.approx(-70.0 + 0.3 * 2.0)
-        assert p.steps_ahead == 3
-        assert p.t_target == pytest.approx(0.3)
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           loss_p=st.floats(min_value=0.0, max_value=0.3),
+           method=st.sampled_from(METHODS),
+           k=st.integers(min_value=1, max_value=6),
+           other=st.integers(min_value=1, max_value=12),
+           anchor=st.tuples(st.floats(min_value=-100, max_value=-40),
+                            st.floats(min_value=-20, max_value=20),
+                            st.floats(min_value=0, max_value=1e4)))
+    @settings(max_examples=60, deadline=None)
+    def test_every_model_serves_exactly_its_fitted_lag(self, seed, loss_p, method, k,
+                                                       other, anchor):
+        # One serving rule for all three methods: a model fitted at k steps
+        # predicts k steps ahead with its own formula and refuses any other
+        # step count.
+        clean = generate_trace(ar2_channel(seed=seed), RADIO, 0.0, 400)
+        trace = apply_loss(clean, bernoulli_loss(loss_p, seed=seed + 1))
+        model = fit_at_lag(trace, derivative_series(trace), method, k)
+        r, s, t = anchor
+        p = predict(model, r, s, n_steps=k, anchor_t=t)
+        assert p.value == float(model.apply(r, s))
+        assert p.t_target == t + k * trace.nominal_interval
+        assert p.steps_ahead == k
+        if other != k:
+            with pytest.raises(LagMismatchError):
+                predict(model, r, s, n_steps=other, anchor_t=t)
 
     def test_statistical_model_refuses_other_lags(self, ar2_trace):
         model = fit_normal_equations(fit_moments(ar2_trace, k_steps=1))
@@ -289,8 +312,8 @@ class TestModelProperties:
             m = moment_set(tr, d, k * 0.1)
             full = fit_normal_equations(m)
             simp = fit_simplified(k * 0.1)
-            pf = full.apply(anchors, slopes, n_steps=k)
-            ps = simp.apply(anchors, slopes, n_steps=1)
+            pf = full.apply(anchors, slopes)
+            ps = simp.apply(anchors, slopes)
             diffs.append(float(np.sqrt(np.mean((pf - ps) ** 2)) / math.sqrt(m.rr0)))
         assert diffs[0] <= 0.05
         assert diffs[0] <= diffs[1] <= diffs[2]
@@ -337,8 +360,20 @@ class TestModelProperties:
         (lambda p: {**p, "moments": None}, "moments is not a JSON object"),
         (lambda p: {**p, "moments": without(p["moments"], "rr0")},
          "moments lacks key 'rr0'"),
+        (lambda p: {**p, "tau_s": "x", "w_slope": "x"},
+         "model record key 'tau_s' must be a number"),
+        (lambda p: {**p, "basis": {**p["basis"], "unit_residuals": 5}},
+         "basis key 'unit_residuals' must be a list of three numbers"),
+        (lambda p: {**p, "method": 1}, "model record key 'method' must be a string"),
+        (lambda p: {**p, "w_level": True}, "model record key 'w_level' must be a number"),
+        (lambda p: {**p, "step_s": "0.1"},
+         "model record key 'step_s' must be a number or null"),
+        (lambda p: {**p, "moments": {**p["moments"], "n": 100.0}},
+         "moments key 'n' must be an integer"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
-            "moments-not-object", "moments-no-rr0"])
+            "moments-not-object", "moments-no-rr0", "tau-not-number",
+            "unit-residuals-not-list", "method-not-string", "weight-is-bool",
+            "step-not-number-or-null", "moments-n-not-integer"])
     def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -368,10 +403,11 @@ class TestSlidingWindow:
         assert slope == pytest.approx(10.0)
 
     def test_simplified_needs_no_statistics(self):
-        sw = SlidingWindowPredictor("simplified", lags=(1,), step_s=0.1)
+        sw = SlidingWindowPredictor("simplified", lags=(1, 4), step_s=0.1)
         model = sw.model_for(4)
         p = predict(model, -70.0, -4.0, n_steps=4)
         assert p.value == pytest.approx(-70.0 - 4.0 * 0.4)
+        assert sw.model_for(2) is None
 
     def test_degenerate_window_yields_no_model(self):
         sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1,
