@@ -92,8 +92,8 @@ class AtpcController:
         tx0 = config.radio.max_tx_dbm if initial_tx_dbm is None else initial_tx_dbm
         self._state = AtpcState(last_tx_dbm=self._clamp(tx0))
         # Prediction horizons 1..max_missed-1; at max_missed the controller
-        # stops predicting and falls back.
-        lags = tuple(range(1, config.max_missed_acks)) or (1,)
+        # stops predicting and falls back. With max_missed 1 there are none.
+        lags = tuple(range(1, config.max_missed_acks))
         self._window = SlidingWindowPredictor(config.predictor_method, lags,
                                               config.radio.lag_unit_s)
         self._tick = 0

@@ -349,9 +349,14 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
     """
     if model.step_s is not None:
         if abs(n_steps * model.step_s - model.tau) > 1e-9:
+            lag = model.tau / model.step_s
+            whole = round(lag)
+            hint = (f"use --steps {whole}"
+                    if whole >= 1 and abs(whole * model.step_s - model.tau) <= 1e-9
+                    else "no whole number of steps serves it")
             raise LagMismatchError(
-                f"model fitted at tau={model.tau} s cannot serve "
-                f"{n_steps} steps of {model.step_s} s"
+                f"model fitted at lag {lag:.6g} ({model.tau:.6g} s) cannot serve "
+                f"{n_steps} step{'s' * (n_steps != 1)}; {hint}"
             )
     elif n_steps != 1:
         raise LagMismatchError(
@@ -463,8 +468,9 @@ class SlidingWindowPredictor:
     models are immutable snapshots that readers may hold freely. Refits run
     every ``refit_every`` observations once ``min_samples`` have arrived.
     A lag whose statistics are degenerate or under-supported simply has no
-    model until a later refit succeeds. The simplified method never refits:
-    its fixed-weight models, one per lag, exist from the start. Each model
+    model until a later refit succeeds. A window with no lags, or with the
+    simplified method, never refits; the simplified method's fixed-weight
+    models, one per lag, exist from the start. Each model
     serves exactly its own lag.
     """
 
@@ -497,7 +503,7 @@ class SlidingWindowPredictor:
         if len(self._obs) > self.window:
             del self._obs[: len(self._obs) - self.window]
         self._since_refit += 1
-        if self.method != METHOD_SIMPLIFIED and \
+        if self.lags and self.method != METHOD_SIMPLIFIED and \
                 len(self._obs) >= self.min_samples and \
                 self._since_refit >= self.refit_every:
             self._refit()

@@ -10,8 +10,10 @@ packet interval.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -180,58 +182,149 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
     window are dropped and counted; duplicate sequence numbers keep the last
     occurrence (retransmissions carry fresher channel state); a malformed row
     aborts ingestion with its line number.
+
+    The file's text is read once and parsed block by block in bulk. A file
+    the bulk parser cannot prove clean is parsed again line by line, which
+    gives the same result for every file the bulk parser accepts and is the
+    one source of row-level errors and counters.
     """
     path = Path(path)
     if not (math.isfinite(nominal_interval) and nominal_interval > 0):
         raise ValueError(f"nominal_interval must be > 0, got {nominal_interval}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestError(f"{path}: empty file")
-        reader.fieldnames = [c.strip() for c in reader.fieldnames]
-        missing = {"seq", "rssi_dbm"} - set(reader.fieldnames)
-        if missing:
-            raise IngestError(f"{path}: missing required columns {sorted(missing)}")
+        text = fh.read()
+    columns = _parse_blocks(text)
+    if columns is None:
+        columns = _parse_lines(text, path)
+    return _columns_to_trace(path, nominal_interval, *columns)
 
-        # seq -> (t, rssi, tx_power); NaN t is derived below, NaN tx_power
-        # is unknown.
-        rows: dict[int, tuple[float, float, float]] = {}
-        rejected = 0
-        duplicates = 0
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                seq = int(row["seq"])
-                rssi = float(row["rssi_dbm"])
-                raw_t = row.get("t_s")
-                t = float(raw_t) if raw_t not in (None, "") else None
-                raw_tx = row.get("tx_power_dbm")
-                tx = float(raw_tx) if raw_tx not in (None, "") else None
-            except (TypeError, ValueError) as exc:
-                raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            if not 0 <= seq < 2**63:
-                raise IngestError(f"{path}:{lineno}: seq {seq} outside [0, 2**63)")
-            if not (math.isfinite(rssi) and RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
-                rejected += 1
-                continue
-            if t is not None and not (math.isfinite(t) and t >= 0):
-                raise IngestError(f"{path}:{lineno}: t must be finite and >= 0, got {t}")
-            if tx is not None and not math.isfinite(tx):
-                raise IngestError(f"{path}:{lineno}: tx_power must be finite when present")
-            if seq in rows:
-                duplicates += 1
-            rows[seq] = (math.nan if t is None else t, rssi,
-                         math.nan if tx is None else tx)
 
-    if not rows:
+# Bulk CSV I/O works on blocks: ingest parses about this many characters at
+# a time, cut at a line end, and export formats this many rows per string.
+# Each bounds the transient memory beyond the file's own text.
+_INGEST_BLOCK_CHARS = 1 << 16
+_EXPORT_BLOCK_ROWS = 4096
+
+# A field the bulk parser accepts: no quote, no CR and no letter except an
+# exponent's, so no field spells nan or inf and only an empty t_s or
+# tx_power_dbm field becomes NaN.
+_PLAIN_FIELD = "[-+.0-9eE_ ]*"
+
+
+def _parse_blocks(text: str) -> tuple | None:
+    """Bulk parser for plain, clean trace CSV text.
+
+    Returns the same columns as ``_parse_lines``, or None when the text
+    holds anything the line-by-line parser might treat differently: a
+    quoted or unknown header, a row of the wrong width, a blank line, CR,
+    a non-numeric field, a literal or overflowing non-finite value, a
+    rejected rssi, or a seq that is negative, repeated or out of order.
+    """
+    body = text.find("\n") + 1
+    header = text[:body]
+    if not body or '"' in header or "\r" in header:
+        return None
+    names = [name.strip() for name in header.split(",")]
+    if (len(set(names)) != len(names)
+            or not {"seq", "rssi_dbm"} <= set(names) <= set(CSV_FIELDS)):
+        return None
+    width = len(names)
+    row = ",".join([_PLAIN_FIELD] * width)
+    plain_rows = re.compile(f"(?:{row}\n)*(?:{row})?")
+    blocks: dict[str, list[np.ndarray]] = {name: [] for name in names}
+    pos = body
+    try:
+        while pos < len(text):
+            end = text.find("\n", pos + _INGEST_BLOCK_CHARS) + 1 or len(text)
+            if not plain_rows.fullmatch(text, pos, end):
+                return None
+            fields = text[pos:end].replace("\n", ",").split(",")
+            n = len(fields) // width
+            for j, name in enumerate(names):
+                col = fields[j:n * width:width]
+                if name == "seq":
+                    blocks[name].append(np.fromiter(map(int, col), np.int64, n))
+                    continue
+                if name in ("t_s", "tx_power_dbm") and "" in col:
+                    col = [s or "nan" for s in col]
+                blocks[name].append(np.fromiter(map(float, col), np.float64, n))
+            pos = end
+    except (ValueError, OverflowError):
+        return None
+    if not blocks["seq"]:
+        return None
+
+    seq = np.concatenate(blocks["seq"])
+    t, rssi, tx = (np.concatenate(blocks[name]) if name in blocks
+                   else np.full(seq.size, np.nan) for name in CSV_FIELDS[1:])
+    if (seq[0] < 0 or np.any(np.diff(seq) <= 0)
+            or not np.all((rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM))
+            or np.any(np.isinf(t) | (t < 0)) or np.any(np.isinf(tx))):
+        return None
+    return seq, t, rssi, tx, 0, 0
+
+
+def _parse_lines(text: str, path: Path) -> tuple:
+    """Line-by-line parser for any trace CSV text.
+
+    Returns ``(seq, t, rssi, tx_power, rejected, duplicates)``: seq-sorted
+    columns (NaN t where the row gives none, NaN tx_power where unknown)
+    and the counts of rejected-rssi and duplicate-seq rows.
+    """
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise IngestError(f"{path}: empty file")
+    reader.fieldnames = [c.strip() for c in reader.fieldnames]
+    missing = {"seq", "rssi_dbm"} - set(reader.fieldnames)
+    if missing:
+        raise IngestError(f"{path}: missing required columns {sorted(missing)}")
+
+    # seq -> (t, rssi, tx_power); NaN t is derived later, NaN tx_power is
+    # unknown.
+    rows: dict[int, tuple[float, float, float]] = {}
+    rejected = 0
+    duplicates = 0
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            seq = int(row["seq"])
+            rssi = float(row["rssi_dbm"])
+            raw_t = row.get("t_s")
+            t = float(raw_t) if raw_t not in (None, "") else None
+            raw_tx = row.get("tx_power_dbm")
+            tx = float(raw_tx) if raw_tx not in (None, "") else None
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
+        if not 0 <= seq < 2**63:
+            raise IngestError(f"{path}:{lineno}: seq {seq} outside [0, 2**63)")
+        if not (math.isfinite(rssi) and RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
+            rejected += 1
+            continue
+        if t is not None and not (math.isfinite(t) and t >= 0):
+            raise IngestError(f"{path}:{lineno}: t must be finite and >= 0, got {t}")
+        if tx is not None and not math.isfinite(tx):
+            raise IngestError(f"{path}:{lineno}: tx_power must be finite when present")
+        if seq in rows:
+            duplicates += 1
+        rows[seq] = (math.nan if t is None else t, rssi,
+                     math.nan if tx is None else tx)
+
+    seq = np.array(sorted(rows), dtype=np.int64)
+    t, rssi, tx = np.array([rows[s] for s in seq.tolist()],
+                           dtype=np.float64).reshape(-1, 3).T
+    return seq, t, rssi, tx, rejected, duplicates
+
+
+def _columns_to_trace(path: Path, nominal_interval: float, seq: np.ndarray,
+                      t: np.ndarray, rssi: np.ndarray, tx: np.ndarray,
+                      rejected: int, duplicates: int) -> Trace:
+    """Finish either parser's columns: derive missing times, build the trace."""
+    if not len(seq):
         raise IngestError(f"{path}: no usable rows")
     if rejected:
         logger.warning("%s: rejected %d rows with rssi outside [%s, %s] dBm",
                        path, rejected, RSSI_MIN_DBM, RSSI_MAX_DBM)
     if duplicates:
         logger.warning("%s: %d duplicate seq rows, kept last occurrence", path, duplicates)
-
-    seq = np.array(sorted(rows), dtype=np.int64)
-    t, rssi, tx = np.array([rows[s] for s in seq.tolist()]).T
     derived = np.isnan(t)
     t[derived] = derive_times(seq[derived], nominal_interval)
     meta = {
@@ -251,13 +344,17 @@ def export_csv(trace: Trace, path: str | Path) -> None:
 
     Fixed formatting: 6 decimals for t_s, 2 decimals for dBm fields and an
     empty field for an unknown tx_power, so the output is byte-deterministic
-    for a given trace.
+    for a given trace. Rows are formatted a block at a time.
     """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for seq, t, rssi, tx in zip(trace.seq.tolist(), trace.t.tolist(),
-                                    trace.rssi.tolist(), trace.tx_power.tolist()):
-            writer.writerow([seq, f"{t:.6f}", f"{rssi:.2f}",
-                             "" if math.isnan(tx) else f"{tx:.2f}"])
+        fh.write(",".join(CSV_FIELDS) + "\n")
+        for lo in range(0, len(trace), _EXPORT_BLOCK_ROWS):
+            block = [col[lo:lo + _EXPORT_BLOCK_ROWS].tolist()
+                     for col in (trace.seq, trace.t, trace.rssi, trace.tx_power)]
+            values = [None] * (4 * len(block[0]))
+            for j, col in enumerate(block):
+                values[j::4] = col
+            text = "%d,%.6f,%.2f,%.2f\n" * len(block[0]) % tuple(values)
+            # t and rssi are finite, so every "nan" is an unknown tx_power.
+            fh.write(text.replace(",nan\n", ",\n"))

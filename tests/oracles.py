@@ -7,6 +7,8 @@ it verifies.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -157,3 +159,19 @@ def zero_order_hold_rmse(trace: Trace, k_steps: int) -> float:
     for r, _, target in triples:
         acc += (r - target) ** 2
     return math.sqrt(acc / len(triples))
+
+
+def csv_writer_export(trace: Trace) -> bytes:
+    """The trace CSV as one ``csv.writer`` row per sample.
+
+    The reference for the block export: same schema and number formats, an
+    empty field for an unknown tx_power.
+    """
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("seq", "t_s", "rssi_dbm", "tx_power_dbm"))
+    for seq, t, rssi, tx in zip(trace.seq.tolist(), trace.t.tolist(),
+                                trace.rssi.tolist(), trace.tx_power.tolist()):
+        writer.writerow([seq, f"{t:.6f}", f"{rssi:.2f}",
+                         "" if math.isnan(tx) else f"{tx:.2f}"])
+    return out.getvalue().encode("utf-8")

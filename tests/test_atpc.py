@@ -124,6 +124,28 @@ class TestOnMissedAck:
         ctrl.on_missed_ack()
         assert ctrl.state.mode == "fallback"
 
+    @pytest.mark.parametrize("max_missed,fits", [(1, 0), (2, None)])
+    def test_no_refits_without_a_horizon_to_serve(self, max_missed, fits, monkeypatch):
+        # max_missed_acks=1 falls back at the first loss, so no model is
+        # ever served and fitting one is wasted work.
+        from rssikit import predictor
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[3])
+            return fit_at_lag(*args, **kwargs)
+
+        fit_at_lag = predictor.fit_at_lag
+        monkeypatch.setattr(predictor, "fit_at_lag", counting_fit)
+        config = make_config(max_missed_acks=max_missed, predictor_method="orthonormal")
+        result = run_closed_loop(swell_channel(seed=3, base_path_loss_db=80.0), config,
+                                 3000, loss=bernoulli_loss(0.3, seed=4))
+        if fits is None:
+            assert calls and set(calls) == {1}
+        else:
+            assert len(calls) == fits
+            assert all(r.predicted_dbm is None for r in result.records)
+
 
 class TestSafety:
     @given(st.lists(

@@ -96,7 +96,8 @@ class TestFitPredict:
         rc = run_cli("predict", "--model", str(model_path),
                      "--anchor-rssi", "-70", "--anchor-slope", "2", "--steps", "1")
         assert rc == 1
-        assert "cannot serve 1 steps" in capsys.readouterr().err
+        assert ("model fitted at lag 3 (0.3 s) cannot serve 1 step; use --steps 3"
+                in capsys.readouterr().err)
 
     def test_fit_determinism(self, trace_csv, tmp_path):
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"

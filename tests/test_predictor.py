@@ -225,12 +225,21 @@ class TestPredict:
         assert p.t_target == t + k * trace.nominal_interval
         assert p.steps_ahead == k
         if other != k:
-            with pytest.raises(LagMismatchError):
+            with pytest.raises(LagMismatchError,
+                               match=rf"^model fitted at lag {k} \(.* s\) cannot serve "
+                                     rf"{other} steps?; use --steps {k}$"):
                 predict(model, r, s, n_steps=other, anchor_t=t)
 
     def test_statistical_model_refuses_other_lags(self, ar2_trace):
         model = fit_normal_equations(fit_moments(ar2_trace, k_steps=1))
         with pytest.raises(LagMismatchError):
+            predict(model, -70.0, 0.0, n_steps=2)
+
+    def test_mismatch_without_a_whole_lag_suggests_no_step_count(self):
+        model = dataclasses.replace(fit_simplified(0.25), step_s=0.1)
+        with pytest.raises(LagMismatchError, match=re.escape(
+                "model fitted at lag 2.5 (0.25 s) cannot serve 2 steps; "
+                "no whole number of steps serves it")):
             predict(model, -70.0, 0.0, n_steps=2)
 
     def test_beats_zero_order_hold_on_ar2(self, ar2_trace):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from rssikit import (
     export_csv,
     ingest_csv,
 )
-from rssikit.trace import derive_times
+from rssikit import trace as trace_module
+from rssikit.trace import CSV_FIELDS, derive_times
 
 from conftest import make_trace
+from oracles import csv_writer_export
 
 
 def write_csv(tmp_path, text, name="trace.csv"):
@@ -120,6 +124,161 @@ class TestIngest:
             ingest_csv(p, nominal_interval=0.1)
 
 
+def ingest_line_by_line(path, nominal_interval):
+    """``ingest_csv`` with the bulk parser skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    return trace_module._columns_to_trace(
+        path, nominal_interval, *trace_module._parse_lines(text, path))
+
+
+def outcome(ingest, path):
+    """The trace's columns and meta, or the ValueError raised instead."""
+    try:
+        tr = ingest(path, 0.1)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return [getattr(tr, c).tobytes() for c in ("seq", "t", "rssi", "tx_power")], tr.meta
+
+
+# (text, whether the bulk parser accepts it). Every case must end exactly as
+# the line-by-line parser ends it: the same trace, or the same error.
+TARGETED = [
+    # literal or overflowing non-finite values are errors, not "missing"
+    ("seq,t_s,rssi_dbm\n0,0,-70\n1,nan,-71\n", False),
+    ("seq,t_s,rssi_dbm\n0,0,-70\n1,inf,-71\n", False),
+    ("seq,t_s,rssi_dbm\n0,1e999,-70\n", False),
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70,nan\n1,-71,0\n", False),
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70,1\n1,-71,-inf\n", False),
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70,-1e999\n", False),
+    # empty t_s is derived, empty tx_power is unknown
+    ("seq,t_s,rssi_dbm,tx_power_dbm\n0,,-70,\n1,0.25,-71,3\n2,,-72,\n", True),
+    # blank lines, CRLF and quoted fields
+    ("seq,rssi_dbm\n0,-70\n\n1,-71\n", False),
+    ("seq,rssi_dbm\n\n0,-70\nx,-71\n", False),
+    ("seq,rssi_dbm\r\n0,-70\r\n1,-71\r\n", False),
+    ('seq,rssi_dbm\n"0","-70"\n1,"-71"\n', False),
+    ('"seq","rssi_dbm"\n0,-70\n', False),
+    ('seq,rssi_dbm\n"0,5",-70\n', False),
+    # short and long rows
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70\n1,-71,3\n", False),
+    ("seq,rssi_dbm\n0\n", False),
+    ("seq,rssi_dbm\n0,-70,5\n1,-71\n", False),
+    # number spellings int() and float() accept or refuse
+    ("seq,rssi_dbm\n1_000,-70\n", True),
+    ("seq,rssi_dbm\n+5,-7_0.5\n", True),
+    ("seq,rssi_dbm\n 7 , -70.5 \n008,-71e0\n", True),
+    ("seq,rssi_dbm\n0x1,-70\n", False),
+    ("seq,rssi_dbm\n1.0,-70\n", False),
+    # duplicate and out-of-order seq
+    ("seq,rssi_dbm\n0,-70\n1,-75\n1,-72\n", False),
+    ("seq,rssi_dbm\n2,-70\n0,-71\n1,-72\n", False),
+    ("seq,t_s,rssi_dbm\n0,0.0,-70\n1,0.1,-71\n2,0.2,-72\n1,0.3,-73\n", False),
+    # rssi outside, and on the edges of, the plausibility window
+    ("seq,rssi_dbm\n0,-70\n1,-200\n2,-71\n", False),
+    ("seq,rssi_dbm\n0,-70\n1,20.01\n", False),
+    ("seq,rssi_dbm\n0,-130\n1,20\n", True),
+    # seq range
+    (f"seq,rssi_dbm\n0,-70\n{2**63},-71\n", False),
+    (f"seq,rssi_dbm\n0,-70\n{2**63 - 1},-71\n", True),
+    ("seq,rssi_dbm\n-1,-70\n", False),
+    # empty required fields
+    ("seq,rssi_dbm\n,-70\n", False),
+    ("seq,rssi_dbm\n0,\n", False),
+    # headers: empty file, header only, BOM, missing, repeated or unknown
+    # names, reordered and padded names
+    ("", False),
+    ("seq,rssi_dbm\n", False),
+    ("seq,rssi_dbm", False),
+    ("\ufeffseq,rssi_dbm\n0,-70\n", False),
+    ("seq,t_s\n0,0\n", False),
+    ("seq,rssi_dbm,rssi_dbm\n0,-70,-71\n", False),
+    ("seq,rssi_dbm,lqi\n0,-70,100\n", False),
+    (" rssi_dbm , seq\n-70,0\n", True),
+    # no final newline; explicit times out of order
+    ("seq,rssi_dbm\n0,-70\n1,-71", True),
+    ("seq,t_s,rssi_dbm\n0,0.5,-70\n1,0.1,-71\n", True),
+]
+
+# Field spellings a corrupted row may carry.
+ODD_FIELDS = ["", " ", "nan", "inf", "-inf", "1e999", "x", '"1"', "1_0", "+3", "-0",
+              "2e0", "-1", "-200", str(2**63), "0x1", "\ufeff1"]
+
+
+@st.composite
+def trace_csv_texts(draw):
+    """Mostly clean trace CSV text, with up to two corruptions."""
+    names = [n for n in draw(st.permutations(CSV_FIELDS))
+             if n in ("seq", "rssi_dbm") or draw(st.booleans())]
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=5), max_size=40))
+    rows = []
+    for s in accumulate([draw(st.integers(min_value=0, max_value=10))] + gaps):
+        spell = {
+            "seq": draw(st.sampled_from(["{}", " {}", "+{}", "0{}", "{} "])).format(s),
+            "t_s": draw(st.sampled_from(["", f"{s * 0.1:.6f}", f"{s / 8:g}"])),
+            "rssi_dbm": f"{draw(st.integers(min_value=-13000, max_value=2000)) / 100:.2f}",
+            "tx_power_dbm": draw(st.sampled_from(["", "0", "-3.5", "7.00"])),
+        }
+        rows.append([spell[n] for n in names])
+    for op in draw(st.lists(st.sampled_from(
+            ["field", "short", "long", "swap", "repeat", "blank"]), max_size=2)):
+        if not rows:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if op == "field":
+            if rows[i]:
+                rows[i][draw(st.integers(min_value=0, max_value=len(rows[i]) - 1))] = \
+                    draw(st.sampled_from(ODD_FIELDS))
+        elif op == "short":
+            rows[i] = rows[i][:-1]
+        elif op == "long":
+            rows[i] = rows[i] + ["1"]
+        elif op == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "repeat":
+            rows.insert(i, list(rows[i]))
+        else:
+            rows.insert(i, [])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([",".join(names)] + [",".join(r) for r in rows])
+    return text + eol if draw(st.booleans()) else text
+
+
+class TestBulkIngest:
+    @pytest.mark.parametrize("text,bulk", TARGETED)
+    def test_targeted_inputs_end_as_line_by_line(self, tmp_path, text, bulk):
+        p = tmp_path / "trace.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert (trace_module._parse_blocks(text) is not None) == bulk
+        assert outcome(ingest_csv, p) == outcome(ingest_line_by_line, p)
+
+    @given(text=trace_csv_texts(), block=st.sampled_from([1, 7, 64, 1 << 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_parser_agrees_with_line_parser(self, tmp_path_factory, text, block):
+        p = tmp_path_factory.mktemp("agree") / "trace.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(trace_module, "_INGEST_BLOCK_CHARS", block):
+            bulk = trace_module._parse_blocks(text)
+            got = outcome(ingest_csv, p)
+        if bulk is not None:
+            lines = trace_module._parse_lines(text, p)
+            assert [c.tobytes() for c in bulk[:4]] == [c.tobytes() for c in lines[:4]]
+            assert bulk[4:] == lines[4:]
+        assert got == outcome(ingest_line_by_line, p)
+
+    @given(head=st.sampled_from(["", "seq,rssi_dbm\n", ",".join(CSV_FIELDS) + "\n"]),
+           body=st.text(st.one_of(st.sampled_from(list('0123456789,.-+eE_ \n\r"naif')),
+                                  st.characters(blacklist_categories=("Cs",))),
+                        max_size=120))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_value_errors(self, tmp_path_factory, head, body):
+        # outcome() lets anything but a ValueError (IngestError is one) escape.
+        p = tmp_path_factory.mktemp("fuzz") / "trace.csv"
+        p.write_bytes((head + body).encode("utf-8"))
+        assert outcome(ingest_csv, p) == outcome(ingest_line_by_line, p)
+
+
 class TestExportRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
         p = write_csv(
@@ -171,6 +330,55 @@ class TestExportRoundTrip:
         back = ingest_csv(out, nominal_interval=interval)
         for col in ("seq", "t", "rssi", "tx_power"):
             assert getattr(back, col).tobytes() == getattr(tr, col).tobytes(), col
+
+
+# dBm values whose 2-decimal rendering is easy to get wrong: -0.0 and values
+# that round to -0.00, exact binary ties such as -70.125, and near-ties.
+AWKWARD_DBM = st.one_of(
+    st.integers(min_value=-13000, max_value=2000).map(lambda c: c / 100),
+    st.integers(min_value=-1040, max_value=160).map(lambda k: k / 8),
+    st.sampled_from([-0.0, 0.0, -0.001, -0.004, -0.005, 0.005, 1.005, 2.675]),
+    st.floats(min_value=-130, max_value=20),
+)
+
+
+class TestBlockExport:
+    @given(
+        n=st.integers(min_value=0, max_value=12),
+        block=st.integers(min_value=1, max_value=5),
+        first_seq=st.one_of(st.integers(min_value=0, max_value=10),
+                            st.integers(min_value=2**62 - 10, max_value=2**62 + 10)),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_writes_the_csv_writer_bytes(self, tmp_path_factory, n, block, first_seq, data):
+        gaps = data.draw(st.lists(st.integers(min_value=1, max_value=1000),
+                                  min_size=n, max_size=n))
+        t0 = data.draw(st.one_of(st.sampled_from([-0.0, 0.0]),
+                                 st.floats(min_value=0, max_value=1e4)))
+        # k / 128 with odd k is a 6-decimal tie.
+        steps = data.draw(st.lists(st.one_of(
+            st.integers(min_value=1, max_value=10**4).map(lambda k: k / 128),
+            st.floats(min_value=1e-3, max_value=100)), min_size=n, max_size=n))
+        rssi = data.draw(st.lists(AWKWARD_DBM, min_size=n, max_size=n))
+        tx = data.draw(st.lists(st.one_of(st.just(math.nan), AWKWARD_DBM),
+                                min_size=n, max_size=n))
+        tr = columns(list(accumulate([first_seq] + gaps))[:n],
+                     list(accumulate([t0] + steps))[:n], rssi, tx)
+        out = tmp_path_factory.mktemp("export") / "t.csv"
+        with mock.patch.object(trace_module, "_EXPORT_BLOCK_ROWS", block):
+            export_csv(tr, out)
+        assert out.read_bytes() == csv_writer_export(tr)
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+    def test_lengths_around_the_block_size(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        rssi = np.where(rng.random(n) < 0.5, rng.uniform(-130, 20, n),
+                        rng.choice([-0.0, -0.004, -70.125, 2.675, -89.995], n))
+        tx = np.where(rng.random(n) < 0.3, np.nan, rng.uniform(-20, 10, n).round(3))
+        tr = columns(2**62 + np.arange(n) * 3, np.arange(n) / 128, rssi, tx)
+        export_csv(tr, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == csv_writer_export(tr)
 
 
 class TestTraceInvariants:
