@@ -100,7 +100,6 @@ class MomentSet:
         rrp_tau: E{r(t+tau).r'(t)}, dB^2/s.
         tau: Lag in seconds.
         n: Contributing triples.
-        mean_removed: Always True for estimates produced here.
         mean_r: Removed process mean, dBm.
         mean_rp: Removed slope mean, dB/s.
         rr0_ahead: E{r(t+tau)^2} over the same index set (for consistency
@@ -115,7 +114,6 @@ class MomentSet:
     rrp_tau: float
     tau: float
     n: int
-    mean_removed: bool = True
     mean_r: float = 0.0
     mean_rp: float = 0.0
     rr0_ahead: float | None = None
@@ -297,7 +295,6 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float,
         rrp_tau=float((y * x2).sum()) / n,
         tau=float(tau),
         n=n,
-        mean_removed=True,
         mean_r=mean_r,
         mean_rp=mean_rp,
         rr0_ahead=float((y * y).sum()) / n,

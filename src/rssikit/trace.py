@@ -183,20 +183,17 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
     occurrence (retransmissions carry fresher channel state); a malformed row
     aborts ingestion with its line number.
 
-    The file's text is read once and parsed block by block in bulk. A file
-    the bulk parser cannot prove clean is parsed again line by line, which
-    gives the same result for every file the bulk parser accepts and is the
-    one source of row-level errors and counters.
+    The text is read once and cut into rows in bulk, or line by line where
+    its structure needs it (see ``_parse_blocks``); the row rules are one
+    pass that both parsers share.
     """
     path = Path(path)
     if not (math.isfinite(nominal_interval) and nominal_interval > 0):
         raise ValueError(f"nominal_interval must be > 0, got {nominal_interval}")
     with path.open(newline="", encoding="utf-8") as fh:
         text = fh.read()
-    columns = _parse_blocks(text)
-    if columns is None:
-        columns = _parse_lines(text, path)
-    return _columns_to_trace(path, nominal_interval, *columns)
+    rows = _parse_blocks(text) or _parse_lines(text, path)
+    return _rows_to_trace(path, nominal_interval, rows)
 
 
 # Bulk CSV I/O works on blocks: ingest parses about this many characters at
@@ -212,17 +209,16 @@ _PLAIN_FIELD = "[-+.0-9eE_ ]*"
 
 
 def _parse_blocks(text: str) -> tuple | None:
-    """Bulk parser for plain, clean trace CSV text.
+    """Bulk parser for plain trace CSV text.
 
-    Returns the same columns as ``_parse_lines``, or None when the text
-    holds anything the line-by-line parser might treat differently: a
-    quoted or unknown header, a row of the wrong width, a blank line, CR,
-    a non-numeric field, a literal or overflowing non-finite value, a
-    rejected rssi, or a seq that is negative, repeated or out of order.
+    Returns the same rows as ``_parse_lines``, or None for text that must
+    be cut line by line: a quoted, unknown or repeated column name, no
+    rows, a row of the wrong width, a blank line, CR, a field that is not
+    a plain number, or a seq beyond int64.
     """
     body = text.find("\n") + 1
     header = text[:body]
-    if not body or '"' in header or "\r" in header:
+    if not 0 < body < len(text) or '"' in header or "\r" in header:
         return None
     names = [name.strip() for name in header.split(",")]
     if (len(set(names)) != len(names)
@@ -251,25 +247,20 @@ def _parse_blocks(text: str) -> tuple | None:
             pos = end
     except (ValueError, OverflowError):
         return None
-    if not blocks["seq"]:
-        return None
 
     seq = np.concatenate(blocks["seq"])
     t, rssi, tx = (np.concatenate(blocks[name]) if name in blocks
                    else np.full(seq.size, np.nan) for name in CSV_FIELDS[1:])
-    if (seq[0] < 0 or np.any(np.diff(seq) <= 0)
-            or not np.all((rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM))
-            or np.any(np.isinf(t) | (t < 0)) or np.any(np.isinf(tx))):
-        return None
-    return seq, t, rssi, tx, 0, 0
+    return seq, t, rssi, tx, ~np.isnan(t), ~np.isnan(tx), np.arange(2, seq.size + 2), None
 
 
 def _parse_lines(text: str, path: Path) -> tuple:
     """Line-by-line parser for any trace CSV text.
 
-    Returns ``(seq, t, rssi, tx_power, rejected, duplicates)``: seq-sorted
-    columns (NaN t where the row gives none, NaN tx_power where unknown)
-    and the counts of rejected-rssi and duplicate-seq rows.
+    Returns the rows as ``_rows_to_trace`` takes them, numbered by physical
+    line (a row whose quoted field spans lines by its last line). Reading
+    stops at the first row that does not convert to numbers and an int64
+    seq; its ``IngestError`` ends the tuple.
     """
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None:
@@ -279,52 +270,64 @@ def _parse_lines(text: str, path: Path) -> tuple:
     if missing:
         raise IngestError(f"{path}: missing required columns {sorted(missing)}")
 
-    # seq -> (t, rssi, tx_power); NaN t is derived later, NaN tx_power is
-    # unknown.
-    rows: dict[int, tuple[float, float, float]] = {}
-    rejected = 0
-    duplicates = 0
-    for lineno, row in enumerate(reader, start=2):
+    ints, floats, error = [], [], None
+    for row in reader:
+        raw_t, raw_tx = row.get("t_s"), row.get("tx_power_dbm")
         try:
             seq = int(row["seq"])
             rssi = float(row["rssi_dbm"])
-            raw_t = row.get("t_s")
-            t = float(raw_t) if raw_t not in (None, "") else None
-            raw_tx = row.get("tx_power_dbm")
-            tx = float(raw_tx) if raw_tx not in (None, "") else None
+            t = float(raw_t) if raw_t else math.nan
+            tx = float(raw_tx) if raw_tx else math.nan
         except (TypeError, ValueError) as exc:
-            raise IngestError(f"{path}:{lineno}: malformed row ({exc})") from exc
-        if not 0 <= seq < 2**63:
-            raise IngestError(f"{path}:{lineno}: seq {seq} outside [0, 2**63)")
-        if not (math.isfinite(rssi) and RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
-            rejected += 1
-            continue
-        if t is not None and not (math.isfinite(t) and t >= 0):
-            raise IngestError(f"{path}:{lineno}: t must be finite and >= 0, got {t}")
-        if tx is not None and not math.isfinite(tx):
-            raise IngestError(f"{path}:{lineno}: tx_power must be finite when present")
-        if seq in rows:
-            duplicates += 1
-        rows[seq] = (math.nan if t is None else t, rssi,
-                     math.nan if tx is None else tx)
+            error = IngestError(f"{path}:{reader.line_num}: malformed row ({exc})")
+            break
+        if not -2**63 <= seq < 2**63:
+            error = IngestError(f"{path}:{reader.line_num}: seq {seq} outside [0, 2**63)")
+            break
+        ints.append((seq, reader.line_num))
+        floats.append((t, rssi, tx, bool(raw_t), bool(raw_tx)))
 
-    seq = np.array(sorted(rows), dtype=np.int64)
-    t, rssi, tx = np.array([rows[s] for s in seq.tolist()],
-                           dtype=np.float64).reshape(-1, 3).T
-    return seq, t, rssi, tx, rejected, duplicates
+    seq, lines = np.array(ints, dtype=np.int64).reshape(-1, 2).T
+    t, rssi, tx, t_given, tx_given = np.array(floats, dtype=np.float64).reshape(-1, 5).T
+    return seq, t, rssi, tx, t_given == 1, tx_given == 1, lines, error
 
 
-def _columns_to_trace(path: Path, nominal_interval: float, seq: np.ndarray,
-                      t: np.ndarray, rssi: np.ndarray, tx: np.ndarray,
-                      rejected: int, duplicates: int) -> Trace:
-    """Finish either parser's columns: derive missing times, build the trace."""
-    if not len(seq):
+def _rows_to_trace(path: Path, nominal_interval: float, rows: tuple) -> Trace:
+    """The ingest row rules: one vectorised pass over either parser's rows.
+
+    The first row with a negative seq, or with a kept rssi and a bad given
+    t_s or tx_power_dbm, aborts ingestion before the parser's ``error``
+    does. Rows with rssi outside the window are dropped and counted, the
+    last row of a seq wins, and a t not given is derived from seq.
+    """
+    seq, t, rssi, tx, t_given, tx_given, lines, error = rows
+    kept = (rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM)
+    bad_t = kept & t_given & ~(np.isfinite(t) & (t >= 0))
+    bad_tx = kept & tx_given & ~np.isfinite(tx)
+    bad = np.flatnonzero((seq < 0) | bad_t | bad_tx)
+    if bad.size:
+        i = bad[0]
+        if seq[i] < 0:
+            raise IngestError(f"{path}:{lines[i]}: seq {seq[i]} outside [0, 2**63)")
+        if bad_t[i]:
+            raise IngestError(f"{path}:{lines[i]}: t must be finite and >= 0, got {float(t[i])}")
+        raise IngestError(f"{path}:{lines[i]}: tx_power must be finite when present")
+    if error is not None:
+        raise error
+    if not kept.any():
         raise IngestError(f"{path}: no usable rows")
+
+    rejected = int(np.count_nonzero(~kept))
+    keep = np.flatnonzero(kept)
+    keep = keep[np.argsort(seq[keep], kind="stable")]
+    keep = keep[np.append(seq[keep[1:]] != seq[keep[:-1]], True)]
+    duplicates = len(seq) - rejected - len(keep)
     if rejected:
         logger.warning("%s: rejected %d rows with rssi outside [%s, %s] dBm",
                        path, rejected, RSSI_MIN_DBM, RSSI_MAX_DBM)
     if duplicates:
         logger.warning("%s: %d duplicate seq rows, kept last occurrence", path, duplicates)
+    seq, t = seq[keep], t[keep]
     derived = np.isnan(t)
     t[derived] = derive_times(seq[derived], nominal_interval)
     meta = {
@@ -333,7 +336,7 @@ def _columns_to_trace(path: Path, nominal_interval: float, seq: np.ndarray,
         "duplicate_seq_rows": duplicates,
     }
     try:
-        return Trace(seq=seq, t=t, rssi=rssi, tx_power=tx,
+        return Trace(seq=seq, t=t, rssi=rssi[keep], tx_power=tx[keep],
                      nominal_interval=nominal_interval, meta=meta)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc

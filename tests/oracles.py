@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from rssikit import Trace
+from rssikit import IngestError, Trace
+from rssikit.trace import RSSI_MAX_DBM, RSSI_MIN_DBM
 
 
 def naive_autocovariance(trace: Trace, max_lag: int) -> list[tuple[float, int]]:
@@ -175,3 +176,57 @@ def csv_writer_export(trace: Trace) -> bytes:
         writer.writerow([seq, f"{t:.6f}", f"{rssi:.2f}",
                          "" if math.isnan(tx) else f"{tx:.2f}"])
     return out.getvalue().encode("utf-8")
+
+
+def dict_ingest(path, nominal_interval: float) -> Trace:
+    """Reference trace CSV ingest: every row rule applied row by row.
+
+    The rows go into a dict keyed by seq, so the last duplicate wins; each
+    error names the physical line the csv reader has reached, which for a
+    row whose quoted field spans lines is the row's last line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(io.StringIO(fh.read(), newline=""))
+    if reader.fieldnames is None:
+        raise IngestError(f"{path}: empty file")
+    reader.fieldnames = [c.strip() for c in reader.fieldnames]
+    missing = {"seq", "rssi_dbm"} - set(reader.fieldnames)
+    if missing:
+        raise IngestError(f"{path}: missing required columns {sorted(missing)}")
+
+    rows = {}
+    rejected = duplicates = 0
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        try:
+            seq = int(row["seq"])
+            rssi = float(row["rssi_dbm"])
+            raw_t, raw_tx = row.get("t_s"), row.get("tx_power_dbm")
+            t = float(raw_t) if raw_t not in (None, "") else None
+            tx = float(raw_tx) if raw_tx not in (None, "") else None
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"{where}: malformed row ({exc})") from exc
+        if not 0 <= seq < 2**63:
+            raise IngestError(f"{where}: seq {seq} outside [0, 2**63)")
+        if not (math.isfinite(rssi) and RSSI_MIN_DBM <= rssi <= RSSI_MAX_DBM):
+            rejected += 1
+            continue
+        if t is not None and not (math.isfinite(t) and t >= 0):
+            raise IngestError(f"{where}: t must be finite and >= 0, got {t}")
+        if tx is not None and not math.isfinite(tx):
+            raise IngestError(f"{where}: tx_power must be finite when present")
+        duplicates += seq in rows
+        rows[seq] = (round(seq * nominal_interval, 6) if t is None else t, rssi,
+                     math.nan if tx is None else tx)
+
+    if not rows:
+        raise IngestError(f"{path}: no usable rows")
+    seqs = sorted(rows)
+    meta = {"source": path.name, "rejected_rssi_rows": rejected,
+            "duplicate_seq_rows": duplicates}
+    try:
+        return Trace(seq=seqs, t=[rows[s][0] for s in seqs],
+                     rssi=[rows[s][1] for s in seqs], tx_power=[rows[s][2] for s in seqs],
+                     nominal_interval=nominal_interval, meta=meta)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from exc

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rssikit
 from rssikit.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -227,10 +229,14 @@ class TestExitCodes:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "m.csv"
+        # The child imports the rssikit these tests import, installed or not.
+        src = str(Path(rssikit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "rssikit", "simulate", "--channel", "ar2",
              "--packets", "50", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

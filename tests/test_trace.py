@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import accumulate
 from unittest import mock
 
@@ -20,7 +21,7 @@ from rssikit import trace as trace_module
 from rssikit.trace import CSV_FIELDS, derive_times
 
 from conftest import make_trace
-from oracles import csv_writer_export
+from oracles import csv_writer_export, dict_ingest
 
 
 def write_csv(tmp_path, text, name="trace.csv"):
@@ -128,8 +129,8 @@ def ingest_line_by_line(path, nominal_interval):
     """``ingest_csv`` with the bulk parser skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
-    return trace_module._columns_to_trace(
-        path, nominal_interval, *trace_module._parse_lines(text, path))
+    return trace_module._rows_to_trace(
+        path, nominal_interval, trace_module._parse_lines(text, path))
 
 
 def outcome(ingest, path):
@@ -141,63 +142,70 @@ def outcome(ingest, path):
     return [getattr(tr, c).tobytes() for c in ("seq", "t", "rssi", "tx_power")], tr.meta
 
 
-# (text, whether the bulk parser accepts it). Every case must end exactly as
-# the line-by-line parser ends it: the same trace, or the same error.
+# (text, whether the bulk parser accepts it, the line an IngestError names or
+# None). Every case must end exactly as the reference ingest and the
+# line-by-line parser end it: the same trace, or the same error.
 TARGETED = [
     # literal or overflowing non-finite values are errors, not "missing"
-    ("seq,t_s,rssi_dbm\n0,0,-70\n1,nan,-71\n", False),
-    ("seq,t_s,rssi_dbm\n0,0,-70\n1,inf,-71\n", False),
-    ("seq,t_s,rssi_dbm\n0,1e999,-70\n", False),
-    ("seq,rssi_dbm,tx_power_dbm\n0,-70,nan\n1,-71,0\n", False),
-    ("seq,rssi_dbm,tx_power_dbm\n0,-70,1\n1,-71,-inf\n", False),
-    ("seq,rssi_dbm,tx_power_dbm\n0,-70,-1e999\n", False),
+    ("seq,t_s,rssi_dbm\n0,0,-70\n1,nan,-71\n", False, 3),
+    ("seq,t_s,rssi_dbm\n0,0,-70\n1,inf,-71\n", False, 3),
+    ("seq,t_s,rssi_dbm\n0,1e999,-70\n", True, 2),
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70,nan\n1,-71,0\n", False, 2),
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70,1\n1,-71,-inf\n", False, 3),
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70,-1e999\n", True, 2),
     # empty t_s is derived, empty tx_power is unknown
-    ("seq,t_s,rssi_dbm,tx_power_dbm\n0,,-70,\n1,0.25,-71,3\n2,,-72,\n", True),
-    # blank lines, CRLF and quoted fields
-    ("seq,rssi_dbm\n0,-70\n\n1,-71\n", False),
-    ("seq,rssi_dbm\n\n0,-70\nx,-71\n", False),
-    ("seq,rssi_dbm\r\n0,-70\r\n1,-71\r\n", False),
-    ('seq,rssi_dbm\n"0","-70"\n1,"-71"\n', False),
-    ('"seq","rssi_dbm"\n0,-70\n', False),
-    ('seq,rssi_dbm\n"0,5",-70\n', False),
+    ("seq,t_s,rssi_dbm,tx_power_dbm\n0,,-70,\n1,0.25,-71,3\n2,,-72,\n", True, None),
+    # blank lines, CRLF and quoted fields; a row spanning lines names its last
+    ("seq,rssi_dbm\n0,-70\n\n1,-71\n", False, None),
+    ("seq,rssi_dbm\n\n0,-70\nx,-71\n", False, 4),
+    ('seq,rssi_dbm\n"0\n",-70\nx,-71\n', False, 4),
+    ('seq,rssi_dbm\n0,-70\n"1\n\n",x\n', False, 5),
+    ("seq,rssi_dbm\r\n0,-70\r\n1,-71\r\n", False, None),
+    ('seq,rssi_dbm\n"0","-70"\n1,"-71"\n', False, None),
+    ('"seq","rssi_dbm"\n0,-70\n', False, None),
+    ('seq,rssi_dbm\n"0,5",-70\n', False, 2),
     # short and long rows
-    ("seq,rssi_dbm,tx_power_dbm\n0,-70\n1,-71,3\n", False),
-    ("seq,rssi_dbm\n0\n", False),
-    ("seq,rssi_dbm\n0,-70,5\n1,-71\n", False),
+    ("seq,rssi_dbm,tx_power_dbm\n0,-70\n1,-71,3\n", False, None),
+    ("seq,rssi_dbm\n0\n", False, 2),
+    ("seq,rssi_dbm\n0,-70,5\n1,-71\n", False, None),
     # number spellings int() and float() accept or refuse
-    ("seq,rssi_dbm\n1_000,-70\n", True),
-    ("seq,rssi_dbm\n+5,-7_0.5\n", True),
-    ("seq,rssi_dbm\n 7 , -70.5 \n008,-71e0\n", True),
-    ("seq,rssi_dbm\n0x1,-70\n", False),
-    ("seq,rssi_dbm\n1.0,-70\n", False),
+    ("seq,rssi_dbm\n1_000,-70\n", True, None),
+    ("seq,rssi_dbm\n+5,-7_0.5\n", True, None),
+    ("seq,rssi_dbm\n 7 , -70.5 \n008,-71e0\n", True, None),
+    ("seq,rssi_dbm\n0x1,-70\n", False, 2),
+    ("seq,rssi_dbm\n1.0,-70\n", False, 2),
     # duplicate and out-of-order seq
-    ("seq,rssi_dbm\n0,-70\n1,-75\n1,-72\n", False),
-    ("seq,rssi_dbm\n2,-70\n0,-71\n1,-72\n", False),
-    ("seq,t_s,rssi_dbm\n0,0.0,-70\n1,0.1,-71\n2,0.2,-72\n1,0.3,-73\n", False),
+    ("seq,rssi_dbm\n0,-70\n1,-75\n1,-72\n", True, None),
+    ("seq,rssi_dbm\n2,-70\n0,-71\n1,-72\n", True, None),
+    ("seq,t_s,rssi_dbm\n0,0.0,-70\n1,0.1,-71\n2,0.2,-72\n1,0.3,-73\n", True, None),
     # rssi outside, and on the edges of, the plausibility window
-    ("seq,rssi_dbm\n0,-70\n1,-200\n2,-71\n", False),
-    ("seq,rssi_dbm\n0,-70\n1,20.01\n", False),
-    ("seq,rssi_dbm\n0,-130\n1,20\n", True),
+    ("seq,rssi_dbm\n0,-70\n1,-200\n2,-71\n", True, None),
+    ("seq,rssi_dbm\n0,-70\n1,20.01\n", True, None),
+    ("seq,rssi_dbm\n0,-130\n1,20\n", True, None),
+    ("seq,rssi_dbm\n0,-200\n1,-71\n", True, None),
+    # a rejected row's t_s and tx_power_dbm are not checked
+    ("seq,t_s,rssi_dbm\n0,0,-70\n1,nan,-200\n", False, None),
+    ("seq,t_s,rssi_dbm,tx_power_dbm\n0,0,-70,0\n1,-1,-200,1e999\n", True, None),
     # seq range
-    (f"seq,rssi_dbm\n0,-70\n{2**63},-71\n", False),
-    (f"seq,rssi_dbm\n0,-70\n{2**63 - 1},-71\n", True),
-    ("seq,rssi_dbm\n-1,-70\n", False),
+    (f"seq,rssi_dbm\n0,-70\n{2**63},-71\n", False, 3),
+    (f"seq,rssi_dbm\n0,-70\n{2**63 - 1},-71\n", True, None),
+    ("seq,rssi_dbm\n-1,-70\n", True, 2),
     # empty required fields
-    ("seq,rssi_dbm\n,-70\n", False),
-    ("seq,rssi_dbm\n0,\n", False),
+    ("seq,rssi_dbm\n,-70\n", False, 2),
+    ("seq,rssi_dbm\n0,\n", False, 2),
     # headers: empty file, header only, BOM, missing, repeated or unknown
     # names, reordered and padded names
-    ("", False),
-    ("seq,rssi_dbm\n", False),
-    ("seq,rssi_dbm", False),
-    ("\ufeffseq,rssi_dbm\n0,-70\n", False),
-    ("seq,t_s\n0,0\n", False),
-    ("seq,rssi_dbm,rssi_dbm\n0,-70,-71\n", False),
-    ("seq,rssi_dbm,lqi\n0,-70,100\n", False),
-    (" rssi_dbm , seq\n-70,0\n", True),
+    ("", False, None),
+    ("seq,rssi_dbm\n", False, None),
+    ("seq,rssi_dbm", False, None),
+    ("\ufeffseq,rssi_dbm\n0,-70\n", False, None),
+    ("seq,t_s\n0,0\n", False, None),
+    ("seq,rssi_dbm,rssi_dbm\n0,-70,-71\n", False, None),
+    ("seq,rssi_dbm,lqi\n0,-70,100\n", False, None),
+    (" rssi_dbm , seq\n-70,0\n", True, None),
     # no final newline; explicit times out of order
-    ("seq,rssi_dbm\n0,-70\n1,-71", True),
-    ("seq,t_s,rssi_dbm\n0,0.5,-70\n1,0.1,-71\n", True),
+    ("seq,rssi_dbm\n0,-70\n1,-71", True, None),
+    ("seq,t_s,rssi_dbm\n0,0.5,-70\n1,0.1,-71\n", True, None),
 ]
 
 # Field spellings a corrupted row may carry.
@@ -246,12 +254,16 @@ def trace_csv_texts(draw):
 
 
 class TestBulkIngest:
-    @pytest.mark.parametrize("text,bulk", TARGETED)
-    def test_targeted_inputs_end_as_line_by_line(self, tmp_path, text, bulk):
+    @pytest.mark.parametrize("text,bulk,line", TARGETED)
+    def test_targeted_inputs_end_as_the_reference(self, tmp_path, text, bulk, line):
         p = tmp_path / "trace.csv"
         p.write_bytes(text.encode("utf-8"))
         assert (trace_module._parse_blocks(text) is not None) == bulk
-        assert outcome(ingest_csv, p) == outcome(ingest_line_by_line, p)
+        got = outcome(ingest_csv, p)
+        assert got == outcome(dict_ingest, p)
+        assert got == outcome(ingest_line_by_line, p)
+        named = re.search(r"\.csv:(\d+):", got[1]) if got[0] == "IngestError" else None
+        assert (named and int(named[1])) == line
 
     @given(text=trace_csv_texts(), block=st.sampled_from([1, 7, 64, 1 << 16]))
     @settings(max_examples=300, deadline=None)
@@ -263,8 +275,9 @@ class TestBulkIngest:
             got = outcome(ingest_csv, p)
         if bulk is not None:
             lines = trace_module._parse_lines(text, p)
-            assert [c.tobytes() for c in bulk[:4]] == [c.tobytes() for c in lines[:4]]
-            assert bulk[4:] == lines[4:]
+            assert [c.tobytes() for c in bulk[:7]] == [c.tobytes() for c in lines[:7]]
+            assert bulk[7] is lines[7] is None
+        assert got == outcome(dict_ingest, p)
         assert got == outcome(ingest_line_by_line, p)
 
     @given(head=st.sampled_from(["", "seq,rssi_dbm\n", ",".join(CSV_FIELDS) + "\n"]),
@@ -276,7 +289,38 @@ class TestBulkIngest:
         # outcome() lets anything but a ValueError (IngestError is one) escape.
         p = tmp_path_factory.mktemp("fuzz") / "trace.csv"
         p.write_bytes((head + body).encode("utf-8"))
-        assert outcome(ingest_csv, p) == outcome(ingest_line_by_line, p)
+        got = outcome(ingest_csv, p)
+        assert got == outcome(dict_ingest, p)
+        assert got == outcome(ingest_line_by_line, p)
+
+    @pytest.mark.parametrize("dirt", ["last row repeated", "one rssi rejected",
+                                      "early seq resent late"])
+    def test_dirty_50k_row_file_stays_on_the_bulk_path(self, tmp_path, dirt):
+        rows = [f"{k},{k / 10:.6f},{-80 - k % 97 / 10:.2f},{k % 8}" for k in range(50_000)]
+        if dirt == "last row repeated":
+            rows.append(rows[-1])
+        elif dirt == "one rssi rejected":
+            rows[25_000] = "25000,2500.000000,-200.00,0"
+        else:
+            rows.insert(40_000, "1000,100.000000,-60.00,")
+        text = ",".join(CSV_FIELDS) + "\n" + "\n".join(rows) + "\n"
+        assert trace_module._parse_blocks(text) is not None
+        got = outcome(ingest_csv, write_csv(tmp_path, text))
+        assert got == outcome(dict_ingest, tmp_path / "trace.csv")
+        assert got[1]["duplicate_seq_rows"] + got[1]["rejected_rssi_rows"] == 1
+
+    def test_shuffled_resends_keep_the_file_order_last_row(self, tmp_path):
+        # Thousands of equal seqs in no order: only a stable sort keeps the
+        # last of each in file order.
+        rng = np.random.default_rng(3)
+        seq = rng.integers(0, 500, 3000)
+        rssi = rng.integers(-14000, 2500, 3000) / 100
+        text = "seq,rssi_dbm,tx_power_dbm\n" + "".join(
+            f"{s},{r:.2f},{k % 7}\n" for k, (s, r) in enumerate(zip(seq, rssi)))
+        assert trace_module._parse_blocks(text) is not None
+        got = outcome(ingest_csv, write_csv(tmp_path, text))
+        assert got == outcome(dict_ingest, tmp_path / "trace.csv")
+        assert got[1]["duplicate_seq_rows"] > 2000 and got[1]["rejected_rssi_rows"] > 100
 
 
 class TestExportRoundTrip:
