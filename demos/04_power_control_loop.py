@@ -7,6 +7,7 @@ a forced loss burst to show the predictor bridging consecutive misses.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import rssikit as rk
 
@@ -41,8 +42,10 @@ print(f"per-packet transcript written to {loop_path}")
 
 print()
 print("=== Bridging a forced burst of 4 lost ACKs ===")
-burst = set(range(1500, 1504))
-bridged = rk.run_closed_loop(channel, config, 2000, forced_ack_loss=burst)
+# Any object with keep_mask(n) can stand in for the loss process: this one
+# loses exactly the ACKs of seqs 1500..1503.
+burst = SimpleNamespace(keep_mask=lambda n: [not 1500 <= k < 1504 for k in range(n)])
+bridged = rk.run_closed_loop(channel, config, 2000, loss=burst)
 print(f"{'seq':>5} {'tx_dbm':>8} {'rssi_dbm':>9} {'ack':>4} {'predicted':>10} {'mode':>9}")
 for k in range(1498, 1506):
     r = bridged.records[k]

@@ -71,33 +71,37 @@ class AtpcConfig:
 
 @dataclass(frozen=True)
 class AtpcState:
-    """Immutable snapshot of the controller between events."""
+    """Immutable snapshot of the controller between events.
+
+    ``predicted_dbm`` is the received power predicted for the packet whose
+    ACK was just missed, or None when the last event made no prediction.
+    """
 
     last_tx_dbm: float
     consecutive_missed: int = 0
     path_gain_estimate_db: float | None = None
     mode: str = MODE_TRACKING
     headroom_insufficient: bool = False
+    predicted_dbm: float | None = None
 
 
 class AtpcController:
     """Single-owner state machine driven by ack / missed-ack events.
 
-    Each event returns the transmit power for the next packet; ``state``
-    exposes a snapshot that may be read concurrently.
+    The first packet goes out at maximum power. Each event returns the
+    transmit power for the next packet; ``state`` exposes a snapshot that
+    may be read concurrently.
     """
 
-    def __init__(self, config: AtpcConfig, initial_tx_dbm: float | None = None):
+    def __init__(self, config: AtpcConfig):
         self.config = config
-        tx0 = config.radio.max_tx_dbm if initial_tx_dbm is None else initial_tx_dbm
-        self._state = AtpcState(last_tx_dbm=self._clamp(tx0))
+        self._state = AtpcState(last_tx_dbm=config.radio.max_tx_dbm)
         # Prediction horizons 1..max_missed-1; at max_missed the controller
         # stops predicting and falls back. With max_missed 1 there are none.
         lags = tuple(range(1, config.max_missed_acks))
         self._window = SlidingWindowPredictor(config.predictor_method, lags,
                                               config.radio.lag_unit_s)
         self._tick = 0
-        self.last_prediction_dbm: float | None = None
 
     @property
     def state(self) -> AtpcState:
@@ -130,7 +134,6 @@ class AtpcController:
             mode=MODE_TRACKING,
             headroom_insufficient=insufficient,
         )
-        self.last_prediction_dbm = None
         return next_tx
 
     def on_missed_ack(self) -> float:
@@ -155,13 +158,10 @@ class AtpcController:
                 mode=MODE_FALLBACK,
                 headroom_insufficient=False,
             )
-            self.last_prediction_dbm = None
             return self.config.radio.max_tx_dbm
 
-        t_a, gain_a, slope_a = anchor
-        predicted_gain = predict(model, gain_a, slope_a, n_steps=n, anchor_t=t_a).value
-        # Receiver-side power the lost packet would have produced.
-        self.last_prediction_dbm = predicted_gain + prev.last_tx_dbm
+        gain_a, slope_a = anchor
+        predicted_gain = predict(model, gain_a, slope_a, n_steps=n).value
         next_tx, insufficient = self._decide(predicted_gain)
         self._state = AtpcState(
             last_tx_dbm=next_tx,
@@ -169,6 +169,8 @@ class AtpcController:
             path_gain_estimate_db=predicted_gain,
             mode=MODE_TRACKING,
             headroom_insufficient=insufficient,
+            # Receiver-side power the lost packet would have produced.
+            predicted_dbm=predicted_gain + prev.last_tx_dbm,
         )
         return next_tx
 
@@ -224,36 +226,29 @@ class LoopResult:
 
 
 def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,
-                    loss: LossModel | None = None,
-                    forced_ack_loss: frozenset[int] | set[int] = frozenset(),
-                    initial_tx_dbm: float | None = None) -> LoopResult:
+                    loss: LossModel | None = None) -> LoopResult:
     """Drive the controller against a synthetic channel.
 
     A packet is delivered when its received power clears the radio's
     sensitivity and the loss process keeps it; only delivered packets
-    produce ACKs. ``forced_ack_loss`` additionally suppresses the ACKs of
-    chosen sequence numbers (for deterministic burst experiments).
+    produce ACKs. ``loss`` may be any object whose ``keep_mask(n)`` gives
+    the n packets' survival, e.g. one that drops a chosen burst of seqs.
     """
     radio = config.radio
     gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db
     keep = loss.keep_mask(n_packets) if loss is not None else np.ones(n_packets, dtype=bool)
 
-    ctrl = AtpcController(config, initial_tx_dbm=initial_tx_dbm)
+    ctrl = AtpcController(config)
     tx = ctrl.current_tx_dbm
     records = []
     for k in range(n_packets):
         rssi = tx + gains[k]
-        delivered = rssi >= radio.sensitivity_dbm and bool(keep[k]) \
-            and k not in forced_ack_loss
-        if delivered:
-            next_tx = ctrl.on_ack(rssi)
-            predicted = None
-        else:
-            next_tx = ctrl.on_missed_ack()
-            predicted = ctrl.last_prediction_dbm
+        delivered = rssi >= radio.sensitivity_dbm and bool(keep[k])
+        next_tx = ctrl.on_ack(rssi) if delivered else ctrl.on_missed_ack()
+        state = ctrl.state
         records.append(LoopRecord(
             seq=k, tx_dbm=tx, rssi_dbm=float(rssi), delivered=delivered,
-            predicted_dbm=predicted, mode=ctrl.state.mode,
+            predicted_dbm=state.predicted_dbm, mode=state.mode,
         ))
         tx = next_tx
     return LoopResult(records=tuple(records), threshold_dbm=config.threshold_dbm)

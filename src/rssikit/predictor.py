@@ -47,6 +47,11 @@ METHODS = (METHOD_NORMAL_EQ, METHOD_ORTHONORMAL, METHOD_SIMPLIFIED)
 # as singular (collinear value/slope inputs).
 DET_RTOL = 1e-10
 
+# The sliding window keeps the latest _WINDOW observations and refits every
+# _REFIT_EVERY of them, so the first refit comes once that many arrived.
+_WINDOW = 512
+_REFIT_EVERY = 64
+
 
 class DegenerateMomentsError(ValueError):
     """The moment matrix is (near-)singular; no stable fit exists."""
@@ -161,13 +166,11 @@ class PredictorModel:
 
 @dataclass(frozen=True)
 class Prediction:
-    """One prediction: target time, value, and the model's error estimate."""
+    """One prediction: value, the model's error estimate and the horizon."""
 
-    t_target: float
     value: float
     mse: float | None
     steps_ahead: int
-    basis_sample: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -335,7 +338,7 @@ def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str,
 
 
 def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
-            n_steps: int = 1, anchor_t: float = 0.0) -> Prediction:
+            n_steps: int = 1) -> Prediction:
     """Predict received power n sampling steps ahead of an anchor sample.
 
     Args:
@@ -345,7 +348,6 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
         anchor_r: Anchor received power, dBm.
         anchor_rp: Anchor slope, dB/s.
         n_steps: Prediction horizon in sampling steps, >= 1.
-        anchor_t: Anchor time in seconds (for the target timestamp).
     """
     if model.step_s is not None:
         if abs(n_steps * model.step_s - model.tau) > 1e-9:
@@ -362,13 +364,8 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
         raise LagMismatchError(
             "model carries no step size; only single-step prediction at its own lag"
         )
-    return Prediction(
-        t_target=anchor_t + model.tau,
-        value=float(model.apply(anchor_r, anchor_rp)),
-        mse=model.analytic_mse,
-        steps_ahead=n_steps,
-        basis_sample=(anchor_t, anchor_r, anchor_rp),
-    )
+    return Prediction(value=float(model.apply(anchor_r, anchor_rp)),
+                      mse=model.analytic_mse, steps_ahead=n_steps)
 
 
 # Model-file records: one field -> JSON key map each drives both
@@ -465,8 +462,8 @@ class SlidingWindowPredictor:
     """Per-lag models refit over a sliding window of observations.
 
     Single-writer: one owner feeds observations via ``observe``; fitted
-    models are immutable snapshots that readers may hold freely. Refits run
-    every ``refit_every`` observations once ``min_samples`` have arrived.
+    models are immutable snapshots that readers may hold freely. The window
+    holds the latest 512 observations and refits every 64 of them.
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
     simplified method, never refits; the simplified method's fixed-weight
@@ -474,20 +471,16 @@ class SlidingWindowPredictor:
     serves exactly its own lag.
     """
 
-    def __init__(self, method: str, lags: tuple[int, ...], step_s: float,
-                 window: int = 512, refit_every: int = 64, min_samples: int = 64):
+    def __init__(self, method: str, lags: tuple[int, ...], step_s: float):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if step_s <= 0 or window < 2 or refit_every < 1:
-            raise ValueError("invalid window configuration")
+        if step_s <= 0:
+            raise ValueError(f"step_s must be > 0, got {step_s}")
         self.method = method
         self.lags = tuple(sorted(set(int(k) for k in lags)))
         if any(k < 1 for k in self.lags):
             raise ValueError("lags must be >= 1")
         self.step_s = float(step_s)
-        self.window = int(window)
-        self.refit_every = int(refit_every)
-        self.min_samples = int(min_samples)
         self._obs: list[tuple[int, float]] = []
         self._since_refit = 0
         self._models: dict[int, PredictorModel] = {}
@@ -500,22 +493,20 @@ class SlidingWindowPredictor:
         if self._obs and seq <= self._obs[-1][0]:
             raise ValueError("observations must arrive in increasing seq order")
         self._obs.append((int(seq), float(value)))
-        if len(self._obs) > self.window:
-            del self._obs[: len(self._obs) - self.window]
+        if len(self._obs) > _WINDOW:
+            del self._obs[: len(self._obs) - _WINDOW]
         self._since_refit += 1
-        if self.lags and self.method != METHOD_SIMPLIFIED and \
-                len(self._obs) >= self.min_samples and \
-                self._since_refit >= self.refit_every:
+        if self._since_refit >= _REFIT_EVERY and self.lags and \
+                self.method != METHOD_SIMPLIFIED:
             self._refit()
             self._since_refit = 0
 
-    def anchor(self) -> tuple[float, float, float] | None:
-        """Latest (t, value, slope) anchor, or None with < 2 observations."""
+    def anchor(self) -> tuple[float, float] | None:
+        """Latest (value, slope) anchor, or None with < 2 observations."""
         if len(self._obs) < 2:
             return None
         (s0, v0), (s1, v1) = self._obs[-2], self._obs[-1]
-        dt = (s1 - s0) * self.step_s
-        return (s1 * self.step_s, v1, (v1 - v0) / dt)
+        return v1, (v1 - v0) / ((s1 - s0) * self.step_s)
 
     def model_for(self, n_steps: int) -> PredictorModel | None:
         """Model able to predict n_steps ahead, or None if unavailable."""

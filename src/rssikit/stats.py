@@ -20,8 +20,8 @@ import numpy as np
 from .trace import DerivativeSeries, Trace
 
 # Below this many contributing sample pairs a second-order moment is too
-# noisy to fit from; configurable per call.
-DEFAULT_MIN_PAIRS = 8
+# noisy to fit from.
+_MIN_PAIRS = 8
 
 
 class DegenerateProcessError(ValueError):
@@ -176,8 +176,7 @@ def _lag_pairs(seq: np.ndarray, lags: Sequence[int],
         yield i + first, j[i]
 
 
-def sample_acf(trace: Trace, max_lag: int,
-               min_pairs: int = DEFAULT_MIN_PAIRS) -> AcfEstimate:
+def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
     """Mean-removed, biased sample autocovariance over lags 0..max_lag.
 
     A pair contributes at lag k only when both sequence numbers are present;
@@ -189,12 +188,11 @@ def sample_acf(trace: Trace, max_lag: int,
     Args:
         trace: Source trace; must not be constant.
         max_lag: Largest lag index, >= 1.
-        min_pairs: Minimum contributing pairs per lag.
 
     Raises:
         DegenerateProcessError: Constant trace.
         InsufficientSupportError: Any requested lag has fewer than
-            min_pairs contributing pairs.
+            ``_MIN_PAIRS`` contributing pairs.
     """
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
@@ -213,9 +211,9 @@ def sample_acf(trace: Trace, max_lag: int,
     values = np.empty(max_lag + 1)
     pairs = np.empty(max_lag + 1, dtype=np.int64)
     for k, (i, j) in enumerate(_lag_pairs(trace.seq, range(max_lag + 1))):
-        if i.size < min_pairs:
+        if i.size < _MIN_PAIRS:
             raise InsufficientSupportError(
-                f"lag {k}: only {i.size} contributing pairs (need >= {min_pairs})"
+                f"lag {k}: only {i.size} contributing pairs (need >= {_MIN_PAIRS})"
             )
         pairs[k] = i.size
         values[k] = float((rc[i] * rc[j]).sum()) / n
@@ -243,8 +241,7 @@ def sample_acf(trace: Trace, max_lag: int,
     )
 
 
-def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float,
-               min_pairs: int = DEFAULT_MIN_PAIRS) -> MomentSet:
+def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float) -> MomentSet:
     """Estimate the five fitting moments at one lag.
 
     tau must be a positive integer multiple of the trace's nominal interval;
@@ -255,7 +252,7 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float,
 
     Raises:
         ValueError: tau off the grid, or deriv not derivative_series(trace).
-        InsufficientSupportError: Fewer than min_pairs (or no) triples.
+        InsufficientSupportError: Fewer than ``_MIN_PAIRS`` triples.
     """
     step = trace.nominal_interval
     k_f = tau / step
@@ -276,9 +273,9 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float,
 
     i, j = next(_lag_pairs(trace.seq, (k,), first=1))
     n = int(i.size)
-    if n < max(min_pairs, 1):
+    if n < _MIN_PAIRS:
         raise InsufficientSupportError(
-            f"tau={tau}: only {n} contributing triples (need >= {min_pairs})"
+            f"tau={tau}: only {n} contributing triples (need >= {_MIN_PAIRS})"
         )
     x1, x2, y = rc[i], dc[i - 1], rc[j]
 

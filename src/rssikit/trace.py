@@ -119,15 +119,14 @@ class DerivativeSeries:
     """
 
     seq: np.ndarray
-    t: np.ndarray
     slope: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.seq) == len(self.t) == len(self.slope)):
-            raise ValueError("seq, t and slope must have equal length")
+        if len(self.seq) != len(self.slope):
+            raise ValueError("seq and slope must have equal length")
         if not np.all(np.isfinite(self.slope)):
             raise ValueError("slope values must be finite")
-        for a in (self.seq, self.t, self.slope):
+        for a in (self.seq, self.slope):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -150,9 +149,7 @@ def derivative_series(trace: Trace) -> DerivativeSeries:
         raise ValueError("derivative needs at least 2 samples")
     dt = np.diff(trace.t)
     dr = np.diff(trace.rssi)
-    return DerivativeSeries(
-        seq=trace.seq[1:].copy(), t=trace.t[1:].copy(), slope=dr / dt
-    )
+    return DerivativeSeries(seq=trace.seq[1:].copy(), slope=dr / dt)
 
 
 def derive_times(seq: np.ndarray, nominal_interval: float) -> np.ndarray:
@@ -180,8 +177,9 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
     The header must declare at least ``seq`` and ``rssi_dbm``; ``t_s`` and
     ``tx_power_dbm`` are optional. Rows with rssi outside the plausibility
     window are dropped and counted; duplicate sequence numbers keep the last
-    occurrence (retransmissions carry fresher channel state); a malformed row
-    aborts ingestion with its line number.
+    occurrence (retransmissions carry fresher channel state); a malformed row,
+    or one with more or fewer fields than the header, aborts ingestion with
+    its line number. A leading byte-order mark is skipped.
 
     The text is read once and cut into rows in bulk, or line by line where
     its structure needs it (see ``_parse_blocks``); the row rules are one
@@ -190,7 +188,7 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
     path = Path(path)
     if not (math.isfinite(nominal_interval) and nominal_interval > 0):
         raise ValueError(f"nominal_interval must be > 0, got {nominal_interval}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
     rows = _parse_blocks(text) or _parse_lines(text, path)
     return _rows_to_trace(path, nominal_interval, rows)
@@ -258,27 +256,37 @@ def _parse_lines(text: str, path: Path) -> tuple:
     """Line-by-line parser for any trace CSV text.
 
     Returns the rows as ``_rows_to_trace`` takes them, numbered by physical
-    line (a row whose quoted field spans lines by its last line). Reading
-    stops at the first row that does not convert to numbers and an int64
-    seq; its ``IngestError`` ends the tuple.
+    line (a row whose quoted field spans lines by its last line). Blank
+    lines are skipped, and a repeated column name reads its last column.
+    Reading stops at the first row that is not as wide as the header or
+    does not convert to numbers and an int64 seq; its ``IngestError`` ends
+    the tuple.
     """
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
         raise IngestError(f"{path}: empty file")
-    reader.fieldnames = [c.strip() for c in reader.fieldnames]
-    missing = {"seq", "rssi_dbm"} - set(reader.fieldnames)
+    names = [name.strip() for name in header]
+    missing = {"seq", "rssi_dbm"} - set(names)
     if missing:
         raise IngestError(f"{path}: missing required columns {sorted(missing)}")
 
     ints, floats, error = [], [], None
-    for row in reader:
+    for fields in reader:
+        if not fields:
+            continue
+        if len(fields) != len(names):
+            error = IngestError(f"{path}:{reader.line_num}: malformed row "
+                                f"({len(fields)} fields, header has {len(names)})")
+            break
+        row = dict(zip(names, fields))
         raw_t, raw_tx = row.get("t_s"), row.get("tx_power_dbm")
         try:
             seq = int(row["seq"])
             rssi = float(row["rssi_dbm"])
             t = float(raw_t) if raw_t else math.nan
             tx = float(raw_tx) if raw_tx else math.nan
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             error = IngestError(f"{path}:{reader.line_num}: malformed row ({exc})")
             break
         if not -2**63 <= seq < 2**63:

@@ -23,6 +23,17 @@ def make_trace(values, interval: float = 0.1, seqs=None, base: float = 0.0) -> T
     )
 
 
+class ForcedLoss:
+    """A loss process that drops exactly the packets with the given seqs, for
+    deterministic burst experiments through ``run_closed_loop(loss=...)``."""
+
+    def __init__(self, seqs):
+        self.seqs = sorted(seqs)
+
+    def keep_mask(self, n: int) -> np.ndarray:
+        return ~np.isin(np.arange(n), self.seqs)
+
+
 def sinusoid_trace(n: int = 2000, freq_hz: float = 0.2, rate_pps: float = 10.0,
                    amp: float = 1.0, base: float = -70.0) -> Trace:
     t = np.arange(n) / rate_pps

@@ -183,28 +183,37 @@ def dict_ingest(path, nominal_interval: float) -> Trace:
 
     The rows go into a dict keyed by seq, so the last duplicate wins; each
     error names the physical line the csv reader has reached, which for a
-    row whose quoted field spans lines is the row's last line.
+    row whose quoted field spans lines is the row's last line. Blank lines
+    are skipped, a row must be as wide as the header, and a repeated column
+    name reads its last column. A leading byte-order mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(io.StringIO(fh.read(), newline=""))
-    if reader.fieldnames is None:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(io.StringIO(fh.read(), newline=""))
+    header = next(reader, None)
+    if header is None:
         raise IngestError(f"{path}: empty file")
-    reader.fieldnames = [c.strip() for c in reader.fieldnames]
-    missing = {"seq", "rssi_dbm"} - set(reader.fieldnames)
+    names = [c.strip() for c in header]
+    missing = {"seq", "rssi_dbm"} - set(names)
     if missing:
         raise IngestError(f"{path}: missing required columns {sorted(missing)}")
 
     rows = {}
     rejected = duplicates = 0
-    for row in reader:
+    for fields in reader:
+        if fields == []:
+            continue
         where = f"{path}:{reader.line_num}"
+        if len(fields) != len(names):
+            raise IngestError(f"{where}: malformed row "
+                              f"({len(fields)} fields, header has {len(names)})")
+        row = dict(zip(names, fields))
         try:
             seq = int(row["seq"])
             rssi = float(row["rssi_dbm"])
             raw_t, raw_tx = row.get("t_s"), row.get("tx_power_dbm")
             t = float(raw_t) if raw_t not in (None, "") else None
             tx = float(raw_tx) if raw_tx not in (None, "") else None
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise IngestError(f"{where}: malformed row ({exc})") from exc
         if not 0 <= seq < 2**63:
             raise IngestError(f"{where}: seq {seq} outside [0, 2**63)")

@@ -17,6 +17,7 @@ import pytest
 import rssikit as rk
 from rssikit.cli import main as cli_main
 
+from conftest import ForcedLoss
 from oracles import (
     empirical_mse,
     grid_search_best,
@@ -243,7 +244,7 @@ def test_criterion_10_loss_bridging():
     mads = {}
     for burst_len in (1, 2, 3, 4, 5):
         forced = {s + j for s in starts for j in range(burst_len)}
-        res = rk.run_closed_loop(ch, cfg, n, forced_ack_loss=forced)
+        res = rk.run_closed_loop(ch, cfg, n, loss=ForcedLoss(forced))
         diffs = []
         for k in sorted(forced):
             # Decision made while bridging packet k applies to packet k+1;

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from rssikit import (
     AtpcConfig,
     AtpcController,
     bernoulli_loss,
+    gilbert_elliott_loss,
     profile_by_name,
     run_closed_loop,
     run_fixed_power,
@@ -20,8 +22,13 @@ from rssikit import (
 )
 from rssikit.atpc import CONTROLLER_METHODS
 
+from conftest import ForcedLoss
+
 RADIO = profile_by_name("cc2538")
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+# The controller starts at the radio's maximum power; on its first ACK the
+# path gain is that ACK's rssi minus MAX_TX.
+MAX_TX = RADIO.max_tx_dbm
 
 
 def make_config(**kwargs):
@@ -47,26 +54,27 @@ class TestConfig:
 
 class TestOnAck:
     def test_link_budget_arithmetic(self):
-        ctrl = AtpcController(make_config(), initial_tx_dbm=7.0)
+        assert MAX_TX == 7.0
+        ctrl = AtpcController(make_config())
         next_tx = ctrl.on_ack(-80.0)
         assert ctrl.state.path_gain_estimate_db == pytest.approx(-87.0)
         assert next_tx == pytest.approx(0.0)
         assert ctrl.state.consecutive_missed == 0
 
     def test_fixed_point_of_the_loop(self):
-        ctrl = AtpcController(make_config(), initial_tx_dbm=0.0)
+        ctrl = AtpcController(make_config())
         # Receiver already at threshold + margin: power stays put.
         next_tx = ctrl.on_ack(-87.0)
-        assert next_tx == pytest.approx(0.0)
+        assert next_tx == pytest.approx(MAX_TX)
 
     def test_clamp_and_headroom_flag(self):
-        ctrl = AtpcController(make_config(), initial_tx_dbm=7.0)
+        ctrl = AtpcController(make_config())
         next_tx = ctrl.on_ack(-105.0)  # required 25 dBm, radio tops out at 7
         assert next_tx == 7.0
         assert ctrl.state.headroom_insufficient
 
     def test_resets_missed_count_and_mode(self):
-        ctrl = AtpcController(make_config(max_missed_acks=2), initial_tx_dbm=0.0)
+        ctrl = AtpcController(make_config(max_missed_acks=2))
         ctrl.on_missed_ack()
         ctrl.on_missed_ack()
         assert ctrl.state.mode == "fallback"
@@ -79,34 +87,34 @@ class TestOnAck:
     @settings(max_examples=60, deadline=None)
     def test_monotone_response(self, ack_a, ack_b):
         lo, hi = sorted((ack_a, ack_b))
-        tx_lo = AtpcController(make_config(), initial_tx_dbm=0.0).on_ack(lo)
-        tx_hi = AtpcController(make_config(), initial_tx_dbm=0.0).on_ack(hi)
+        tx_lo = AtpcController(make_config()).on_ack(lo)
+        tx_hi = AtpcController(make_config()).on_ack(hi)
         assert tx_lo >= tx_hi
 
 
 class TestOnMissedAck:
     def test_single_miss_extrapolates_anchor(self):
-        ctrl = AtpcController(make_config(), initial_tx_dbm=0.0)
+        ctrl = AtpcController(make_config())
         # Two ACKs establish anchor gain -80 dB with slope -4 dB/s.
-        tx1 = ctrl.on_ack(-79.6)
+        tx1 = ctrl.on_ack(-79.6 + MAX_TX)
         ack2 = -80.0 + tx1
         tx2 = ctrl.on_ack(ack2)
         assert ctrl.state.path_gain_estimate_db == pytest.approx(-80.0)
         tx3 = ctrl.on_missed_ack()
         assert ctrl.state.path_gain_estimate_db == pytest.approx(-80.4)
         assert tx3 - tx2 == pytest.approx(0.4)
-        assert ctrl.last_prediction_dbm == pytest.approx(-80.4 + tx2)
+        assert ctrl.state.predicted_dbm == pytest.approx(-80.4 + tx2)
         assert ctrl.state.mode == "tracking"
 
     def test_no_observations_forces_fallback(self):
-        ctrl = AtpcController(make_config(), initial_tx_dbm=0.0)
+        ctrl = AtpcController(make_config())
         tx = ctrl.on_missed_ack()
         assert tx == RADIO.max_tx_dbm
         assert ctrl.state.mode == "fallback"
 
     def test_liveness_after_max_missed(self):
-        ctrl = AtpcController(make_config(max_missed_acks=3), initial_tx_dbm=0.0)
-        ctrl.on_ack(-80.0)
+        ctrl = AtpcController(make_config(max_missed_acks=3))
+        ctrl.on_ack(-80.0 + MAX_TX)
         ctrl.on_ack(-80.0)  # second anchor point
         txs = [ctrl.on_missed_ack() for _ in range(3)]
         assert txs[-1] == RADIO.max_tx_dbm
@@ -114,8 +122,8 @@ class TestOnMissedAck:
         assert ctrl.state.consecutive_missed == 3
 
     def test_tracking_while_bridging_short_bursts(self):
-        ctrl = AtpcController(make_config(max_missed_acks=5), initial_tx_dbm=0.0)
-        ctrl.on_ack(-80.0)
+        ctrl = AtpcController(make_config(max_missed_acks=5))
+        ctrl.on_ack(-80.0 + MAX_TX)
         ctrl.on_ack(-80.0)
         for expected_n in (1, 2, 3, 4):
             ctrl.on_missed_ack()
@@ -182,7 +190,7 @@ class TestClosedLoop:
         ch = swell_channel(seed=15, base_path_loss_db=80.0)
         cfg = make_config()
         forced = set(range(500, 503))
-        res = run_closed_loop(ch, cfg, 1000, forced_ack_loss=forced)
+        res = run_closed_loop(ch, cfg, 1000, loss=ForcedLoss(forced))
         for k in forced:
             rec = res.records[k]
             assert not rec.delivered
@@ -210,6 +218,19 @@ class TestClosedLoop:
                               loss=bernoulli_loss(0.3, seed=20))
         assert any(r.predicted_dbm is not None for r in res.records)
         assert workloads.loop_transcript(res) == res.to_csv_text().encode()
+
+    def test_benchmark_transcripts_are_pinned(self):
+        # The benchmark's closed-loop inputs at seed 1001: a change that
+        # moves a single tx, rssi, prediction or mode changes these digests.
+        ch = swell_channel(seed=1001, base_path_loss_db=80.0)
+        loss = gilbert_elliott_loss(0.05, 0.25, seed=1002)
+        loop = run_closed_loop(ch, make_config(predictor_method="orthonormal"), 20_000,
+                               loss=loss)
+        fixed = run_fixed_power(ch, RADIO, MAX_TX, 20_000, loss=loss, threshold_dbm=-90.0)
+        assert sha256(loop.to_csv_text().encode()).hexdigest() == \
+            "1349a79f54809199b69ebf6b7894a29d270b4470e70bb280f1157dad254a2be8"
+        assert sha256(fixed.to_csv_text().encode()).hexdigest() == \
+            "6929a83226976707bd7eb17f064736c18b7b171d15bb3246b629a671fc3f4fbf"
 
     def test_summary_statistics(self):
         ch = swell_channel(seed=18, base_path_loss_db=80.0)

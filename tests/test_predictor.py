@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from rssikit import (
     ripple_channel,
     swell_channel,
 )
+from rssikit import predictor
 from rssikit.predictor import METHODS, SlidingWindowPredictor, fit_at_lag
 
 from conftest import make_trace
@@ -208,8 +210,7 @@ class TestPredict:
            k=st.integers(min_value=1, max_value=6),
            other=st.integers(min_value=1, max_value=12),
            anchor=st.tuples(st.floats(min_value=-100, max_value=-40),
-                            st.floats(min_value=-20, max_value=20),
-                            st.floats(min_value=0, max_value=1e4)))
+                            st.floats(min_value=-20, max_value=20)))
     @settings(max_examples=60, deadline=None)
     def test_every_model_serves_exactly_its_fitted_lag(self, seed, loss_p, method, k,
                                                        other, anchor):
@@ -219,16 +220,16 @@ class TestPredict:
         clean = generate_trace(ar2_channel(seed=seed), RADIO, 0.0, 400)
         trace = apply_loss(clean, bernoulli_loss(loss_p, seed=seed + 1))
         model = fit_at_lag(trace, derivative_series(trace), method, k)
-        r, s, t = anchor
-        p = predict(model, r, s, n_steps=k, anchor_t=t)
+        r, s = anchor
+        p = predict(model, r, s, n_steps=k)
         assert p.value == float(model.apply(r, s))
-        assert p.t_target == t + k * trace.nominal_interval
+        assert model.tau == k * trace.nominal_interval
         assert p.steps_ahead == k
         if other != k:
             with pytest.raises(LagMismatchError,
                                match=rf"^model fitted at lag {k} \(.* s\) cannot serve "
                                      rf"{other} steps?; use --steps {k}$"):
-                predict(model, r, s, n_steps=other, anchor_t=t)
+                predict(model, r, s, n_steps=other)
 
     def test_statistical_model_refuses_other_lags(self, ar2_trace):
         model = fit_normal_equations(fit_moments(ar2_trace, k_steps=1))
@@ -250,10 +251,10 @@ class TestPredict:
 
     def test_prediction_metadata(self, ar2_trace):
         model = fit_orthonormal(fit_moments(ar2_trace))
-        p = predict(model, -65.0, 1.0, n_steps=1, anchor_t=12.0)
-        assert p.t_target == pytest.approx(12.1)
+        p = predict(model, -65.0, 1.0, n_steps=1)
+        assert model.tau == pytest.approx(0.1)
         assert p.mse == model.analytic_mse
-        assert p.basis_sample == (12.0, -65.0, 1.0)
+        assert p.value == float(model.apply(-65.0, 1.0))
 
 
 class TestAnalyticMse:
@@ -390,9 +391,9 @@ class TestModelProperties:
 
 
 class TestSlidingWindow:
+    @mock.patch.object(predictor, "_REFIT_EVERY", 32)
     def test_models_appear_after_min_samples(self):
-        sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=0.1,
-                                    window=128, refit_every=16, min_samples=32)
+        sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=0.1)
         rng = np.random.default_rng(2)
         x = 0.0
         assert sw.model_for(1) is None
@@ -407,7 +408,7 @@ class TestSlidingWindow:
         sw = SlidingWindowPredictor("simplified", lags=(1,), step_s=0.1)
         sw.observe(0, -70.0)
         sw.observe(3, -67.0)
-        t, v, slope = sw.anchor()
+        v, slope = sw.anchor()
         assert v == -67.0
         assert slope == pytest.approx(10.0)
 
@@ -418,18 +419,19 @@ class TestSlidingWindow:
         assert p.value == pytest.approx(-70.0 - 4.0 * 0.4)
         assert sw.model_for(2) is None
 
+    @mock.patch.object(predictor, "_REFIT_EVERY", 8)
     def test_degenerate_window_yields_no_model(self):
-        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1,
-                                    refit_every=8, min_samples=16)
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
         for k in range(64):
             sw.observe(k, -70.0)
         assert sw.model_for(1) is None
 
+    @mock.patch.object(predictor, "_REFIT_EVERY", 16)
     def test_refit_failures_are_logged(self, caplog):
-        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1,
-                                    refit_every=8, min_samples=16)
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
         with caplog.at_level(logging.DEBUG, logger="rssikit.predictor"):
-            for k in range(64):
+            # Refits at observations 16, 32, ..., 112.
+            for k in range(112):
                 sw.observe(k, -70.0)
         assert sw.model_for(1) is None
         failures = [r.getMessage() for r in caplog.records]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rssikit import (
     moment_set,
     sample_acf,
 )
+from rssikit import stats
 
 from conftest import make_trace, sinusoid_trace
 from oracles import naive_autocovariance, naive_moments, prediction_triples
@@ -53,8 +55,9 @@ class TestSampleAcf:
 
     @given(trace=gapped_traces(), max_lag=st.integers(min_value=1, max_value=10))
     @settings(max_examples=80, deadline=None)
+    @mock.patch.object(stats, "_MIN_PAIRS", 0)
     def test_matches_direct_summation_with_gaps(self, trace, max_lag):
-        acf = sample_acf(trace, max_lag=max_lag, min_pairs=0)
+        acf = sample_acf(trace, max_lag=max_lag)
         oracle = naive_autocovariance(trace, max_lag)
         for k, (val, cnt) in enumerate(oracle):
             assert acf.values[k] == pytest.approx(val, rel=1e-12)
@@ -112,13 +115,14 @@ class TestMomentSet:
 
     @given(trace=gapped_traces(), k=st.integers(min_value=1, max_value=10))
     @settings(max_examples=80, deadline=None)
+    @mock.patch.object(stats, "_MIN_PAIRS", 1)
     def test_matches_direct_summation_with_gaps(self, trace, k):
         d = derivative_series(trace)
         if not prediction_triples(trace, k):
             with pytest.raises(InsufficientSupportError):
-                moment_set(trace, d, k * 0.1, min_pairs=1)
+                moment_set(trace, d, k * 0.1)
             return
-        m = moment_set(trace, d, k * 0.1, min_pairs=1)
+        m = moment_set(trace, d, k * 0.1)
         o = naive_moments(trace, k)
         for key in ("rr0", "rpr0", "rprp0", "rr_tau", "rrp_tau", "rr0_ahead"):
             assert getattr(m, key) == pytest.approx(o[key], rel=1e-12)
