@@ -47,7 +47,7 @@ acf_clean = rk.sample_acf(clean, max_lag=25)
 m_clean = rk.moment_set(clean, rk.derivative_series(clean), tau=radio.lag_unit_s)
 chk = rk.check_derivative_identities(acf_clean, m_clean)
 print("on the gapless trace:")
-print(f"  cross-moment deviation  : {chk.cross_dev:.4f} (sign {chk.sign:+d})")
+print(f"  cross-moment deviation  : {chk.cross_dev:.4f}")
 print(f"  curvature deviation     : {chk.curvature_dev:.4f}")
 print(f"  low-confidence flag     : {chk.low_confidence}")
 

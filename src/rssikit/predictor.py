@@ -71,8 +71,7 @@ def _check_identifiable(m: MomentSet) -> float:
     together.
     """
     det = m.rr0 * m.rprp0 - m.rpr0**2
-    timescale = m.step_s if m.step_s is not None else (m.tau if m.tau > 0 else None)
-    if timescale is not None and m.rprp0 * timescale**2 <= DET_RTOL * m.rr0:
+    if m.rprp0 * m.step_s**2 <= DET_RTOL * m.rr0:
         raise DegenerateMomentsError(
             f"degenerate moments: slope variance {m.rprp0:.6e} is negligible"
         )
@@ -115,27 +114,27 @@ class PredictorModel:
             horizon the model predicts.
         w_level: Weight on the (mean-removed) current value, dimensionless.
         w_slope: Weight on the (mean-removed) current slope, seconds.
+        step_s: Sample grid spacing; the model serves only the step count
+            that reproduces tau.
         mean_r: Removed process mean in dBm, added back at prediction time.
         mean_rp: Removed slope mean in dB/s. Essentially zero for stationary
             data; kept so fitting and prediction use identical centering.
-        analytic_mse: Expected squared prediction error in dB^2 under the
-            fitting moments; None when no moments were supplied.
+        analytic_mse: Squared prediction error in dB^2 of these weights over
+            the fitting triples; None when no moments were supplied.
         basis: Orthonormal construction record (orthonormal method only).
         source_moments: Fitting moments, for provenance.
-        step_s: Sample grid spacing; the model serves only the step count
-            that reproduces tau (a single step when step_s is None).
     """
 
     method: str
     tau: float
     w_level: float
     w_slope: float
+    step_s: float
     mean_r: float = 0.0
     mean_rp: float = 0.0
     analytic_mse: float | None = None
     basis: OrthonormalBasis | None = None
     source_moments: MomentSet | None = None
-    step_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -154,8 +153,11 @@ class PredictorModel:
                 and self.method != METHOD_SIMPLIFIED:
             # Optimally fitted weights can never do worse than predicting
             # the mean; the simplified weights carry no such guarantee.
-            if self.analytic_mse > self.source_moments.rr0 * (1.0 + 1e-9):
-                raise ValueError("analytic_mse exceeds the lag-0 autocovariance")
+            # Model files from earlier releases store rr0 - w.c, which
+            # may exceed rr0_ahead, so the bound takes the larger variance.
+            m = self.source_moments
+            if self.analytic_mse > max(m.rr0, m.rr0_ahead) * (1.0 + 1e-9):
+                raise ValueError("analytic_mse exceeds the fitting-set variance")
 
     def apply(self, anchor_r, anchor_rp):
         """Vectorized prediction formula for the horizon ``tau``; scalars in,
@@ -180,23 +182,27 @@ class Prediction:
 
 
 def analytic_mse(model: PredictorModel, m: MomentSet) -> float:
-    """Expected squared prediction error under the fitting moments.
+    """Mean squared error of the model's weights over the fitting triples
+    of ``m``, with the moments' centering; see ``_fitting_mse``."""
+    return _fitting_mse(m, model.w_level, model.w_slope)
 
-    Orthogonality of the error to both inputs at the optimum reduces the
-    error power to
 
-        rr0 - w_level * rr_tau - w_slope * rrp_tau
+def _fitting_mse(m: MomentSet, w_level: float, w_slope: float) -> float:
+    """Mean of (y - w_level * x1 - w_slope * x2)^2 over the fitting triples
+    (centred anchor x1, slope x2 and target y), expanded in their moments:
 
-    which is non-negative for optimally fitted weights (positive
-    semidefinite moment matrix). For non-optimal weights (the simplified
-    method at larger lags) it is the same small-lag approximation the
-    weights themselves rest on.
+        rr0_ahead - 2 (w_level rr_tau + w_slope rrp_tau)
+            + w_level^2 rr0 + 2 w_level w_slope rpr0 + w_slope^2 rprp0
+
+    Exact for any weights, and non-negative up to rounding because the
+    moments of one index set form a positive semidefinite matrix.
     """
-    return _orthogonality_mse(m, model.w_level, model.w_slope)
-
-
-def _orthogonality_mse(m: MomentSet, w_level: float, w_slope: float) -> float:
-    return m.rr0 - w_level * m.rr_tau - w_slope * m.rrp_tau
+    return (
+        m.rr0_ahead
+        - 2.0 * (w_level * m.rr_tau + w_slope * m.rrp_tau)
+        + (w_level * w_level * m.rr0 + 2.0 * w_level * w_slope * m.rpr0
+           + w_slope * w_slope * m.rprp0)
+    )
 
 
 def _statistical_model(method: str, m: MomentSet, w_level: float, w_slope: float,
@@ -205,7 +211,7 @@ def _statistical_model(method: str, m: MomentSet, w_level: float, w_slope: float
     return PredictorModel(
         method=method, tau=m.tau, w_level=w_level, w_slope=w_slope,
         mean_r=m.mean_r, mean_rp=m.mean_rp,
-        analytic_mse=_orthogonality_mse(m, w_level, w_slope),
+        analytic_mse=_fitting_mse(m, w_level, w_slope),
         basis=basis, source_moments=m, step_s=m.step_s,
     )
 
@@ -279,37 +285,21 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
 def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorModel:
     """Small-lag model with weights exactly (1, tau); needs no statistics.
 
-    Like every model it serves only the horizon tau, and without moments
-    (which carry the step size) only as a single step.
-
-    When a MomentSet is supplied an error estimate is attached. The
-    orthogonality shortcut of ``analytic_mse`` is exact only at the MMSE
-    optimum and can go negative for these fixed weights, so the full
-    quadratic error is used here instead (falling back to the shortcut for
-    hand-built moment sets that lack the lead variance).
+    Like every model it serves only the horizon tau: as the moments' step
+    count when they are supplied, and as a single step without them.
+    Supplied moments also attach the weights' error over their fitting
+    triples, with the slope centred on the moments' slope mean.
     """
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    mse = None
-    if moments is not None:
-        m = moments
-        if m.rr0_ahead is not None:
-            mse = (
-                m.rr0_ahead
-                - 2.0 * (m.rr_tau + tau * m.rrp_tau)
-                + (m.rr0 + 2.0 * tau * m.rpr0 + tau * tau * m.rprp0)
-            )
-        else:
-            mse = _orthogonality_mse(m, 1.0, tau)
     return PredictorModel(
         method=METHOD_SIMPLIFIED,
         tau=float(tau),
         w_level=1.0,
         w_slope=float(tau),
-        mean_r=0.0,
-        analytic_mse=mse,
+        step_s=float(tau) if moments is None else moments.step_s,
+        analytic_mse=None if moments is None else _fitting_mse(moments, 1.0, tau),
         source_moments=moments,
-        step_s=moments.step_s if moments is not None else None,
     )
 
 
@@ -344,25 +334,20 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
     Args:
         model: Fitted model. It serves only its own horizon and raises
             LagMismatchError unless n_steps steps of ``model.step_s`` make
-            up ``model.tau`` (a model without a step size serves one step).
+            up ``model.tau``.
         anchor_r: Anchor received power, dBm.
         anchor_rp: Anchor slope, dB/s.
         n_steps: Prediction horizon in sampling steps, >= 1.
     """
-    if model.step_s is not None:
-        if abs(n_steps * model.step_s - model.tau) > 1e-9:
-            lag = model.tau / model.step_s
-            whole = round(lag)
-            hint = (f"use --steps {whole}"
-                    if whole >= 1 and abs(whole * model.step_s - model.tau) <= 1e-9
-                    else "no whole number of steps serves it")
-            raise LagMismatchError(
-                f"model fitted at lag {lag:.6g} ({model.tau:.6g} s) cannot serve "
-                f"{n_steps} step{'s' * (n_steps != 1)}; {hint}"
-            )
-    elif n_steps != 1:
+    if abs(n_steps * model.step_s - model.tau) > 1e-9:
+        lag = model.tau / model.step_s
+        whole = round(lag)
+        hint = (f"use --steps {whole}"
+                if whole >= 1 and abs(whole * model.step_s - model.tau) <= 1e-9
+                else "no whole number of steps serves it")
         raise LagMismatchError(
-            "model carries no step size; only single-step prediction at its own lag"
+            f"model fitted at lag {lag:.6g} ({model.tau:.6g} s) cannot serve "
+            f"{n_steps} step{'s' * (n_steps != 1)}; {hint}"
         )
     return Prediction(value=float(model.apply(anchor_r, anchor_rp)),
                       mse=model.analytic_mse, steps_ahead=n_steps)

@@ -98,13 +98,12 @@ class MomentSet:
         rprp0: E{r'.r'} at lag 0, dB^2/s^2.
         rr_tau: E{r(t+tau).r(t)}, dB^2.
         rrp_tau: E{r(t+tau).r'(t)}, dB^2/s.
+        rr0_ahead: E{r(t+tau)^2} over the same index set, dB^2.
         tau: Lag in seconds.
+        step_s: Sample grid spacing the lag lives on, seconds.
         n: Contributing triples.
         mean_r: Removed process mean, dBm.
         mean_rp: Removed slope mean, dB/s.
-        rr0_ahead: E{r(t+tau)^2} over the same index set (for consistency
-            checks); None for hand-built sets.
-        step_s: Sample grid spacing the lag lives on; None for hand-built sets.
     """
 
     rr0: float
@@ -112,12 +111,12 @@ class MomentSet:
     rprp0: float
     rr_tau: float
     rrp_tau: float
+    rr0_ahead: float
     tau: float
+    step_s: float
     n: int
     mean_r: float = 0.0
     mean_rp: float = 0.0
-    rr0_ahead: float | None = None
-    step_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.rr0 <= 0:
@@ -128,10 +127,9 @@ class MomentSet:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.rr0_ahead is not None:
-            # Cauchy-Schwarz with a small slack for float accumulation.
-            if self.rr_tau**2 > self.rr0 * self.rr0_ahead * (1.0 + 1e-9):
-                raise ValueError("moments violate the Cauchy-Schwarz bound")
+        # Cauchy-Schwarz with a small slack for float accumulation.
+        if self.rr_tau**2 > self.rr0 * self.rr0_ahead * (1.0 + 1e-9):
+            raise ValueError("moments violate the Cauchy-Schwarz bound")
 
 
 @dataclass(frozen=True)
@@ -139,16 +137,13 @@ class IdentityCheck:
     """Diagnostic comparison of directly estimated derivative moments with
     finite differences of the autocovariance.
 
-    Purely informational; fitting never depends on it. ``sign`` records the
-    empirically selected orientation of the cross-moment comparison, which
-    depends on which time argument of the autocovariance one differentiates.
-    ``low_confidence`` flags traces whose correlation has already collapsed
-    at one lag, where the second-difference curvature estimate is dominated
-    by discretization rather than process behaviour.
+    Purely informational; fitting never depends on it. ``low_confidence``
+    flags traces whose correlation has already collapsed at one lag, where
+    the second-difference curvature estimate is dominated by discretization
+    rather than process behaviour.
     """
 
     tau: float
-    sign: int
     cross_dev: float
     curvature_dev: float
     low_confidence: bool
@@ -290,12 +285,12 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float) -> MomentSet:
         rprp0=float((x2 * x2).sum()) / n,
         rr_tau=float((y * x1).sum()) / n,
         rrp_tau=float((y * x2).sum()) / n,
+        rr0_ahead=float((y * y).sum()) / n,
         tau=float(tau),
+        step_s=step,
         n=n,
         mean_r=mean_r,
         mean_rp=mean_rp,
-        rr0_ahead=float((y * y).sum()) / n,
-        step_s=step,
     )
 
 
@@ -303,28 +298,16 @@ def check_derivative_identities(acf: AcfEstimate, m: MomentSet) -> IdentityCheck
     """Compare directly estimated derivative moments against autocovariance
     finite differences.
 
-    Reports |rrp_tau - s * d1(tau)| / values[0] with the sign s chosen
-    empirically, and |rprp0 - (-d2_at_0)| / values[0]. Diagnostic only; the
-    fitting paths always use directly estimated moments.
+    With backward-difference slopes on a gapless grid, E{r(t + k step) r'(t)}
+    is (R(k) - R(k + 1)) / step, which approximates -R'(tau). Reports
+    |rrp_tau + d1(tau)| / values[0] and |rprp0 - (-d2_at_0)| / values[0].
+    Diagnostic only; the fitting paths always use directly estimated moments.
     """
     k = acf.lag_index(m.tau)
     scale = float(acf.values[0])
-    d1k = float(acf.d1[k])
-
-    dev_plus = abs(m.rrp_tau - d1k) / scale
-    dev_minus = abs(m.rrp_tau + d1k) / scale
-    if dev_plus <= dev_minus:
-        sign, cross_dev = 1, dev_plus
-    else:
-        sign, cross_dev = -1, dev_minus
-
-    curvature_dev = abs(m.rprp0 - (-acf.d2_at_0)) / scale
-    low_confidence = bool(acf.normalized[1] < 0.5)
-
     return IdentityCheck(
         tau=m.tau,
-        sign=sign,
-        cross_dev=float(cross_dev),
-        curvature_dev=float(curvature_dev),
-        low_confidence=low_confidence,
+        cross_dev=abs(m.rrp_tau + float(acf.d1[k])) / scale,
+        curvature_dev=abs(m.rprp0 - (-acf.d2_at_0)) / scale,
+        low_confidence=bool(acf.normalized[1] < 0.5),
     )

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,18 @@ def make_trace(values, interval: float = 0.1, seqs=None, base: float = 0.0) -> T
         tx_power=np.full(len(seqs), np.nan),
         nominal_interval=interval,
     )
+
+
+def load_bench(name: str, monkeypatch):
+    """Import ``bench/<name>.py`` for one test; the benchmark directory is
+    not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 class ForcedLoss:

@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import importlib.util
-import sys
 from hashlib import sha256
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +19,9 @@ from rssikit import (
 )
 from rssikit.atpc import CONTROLLER_METHODS
 
-from conftest import ForcedLoss
+from conftest import ForcedLoss, load_bench
 
 RADIO = profile_by_name("cc2538")
-BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 # The controller starts at the radio's maximum power; on its first ACK the
 # path gain is that ACK's rssi minus MAX_TX.
 MAX_TX = RADIO.max_tx_dbm
@@ -208,11 +204,7 @@ class TestClosedLoop:
     @pytest.mark.parametrize("method", CONTROLLER_METHODS)
     def test_transcript_is_the_benchmark_transcript(self, method, monkeypatch):
         # The benchmark hashes its own encoder's bytes as the CLI's loop CSV.
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        # Its dataclasses look their module up in sys.modules.
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
+        workloads = load_bench("workloads", monkeypatch)
         ch = swell_channel(seed=19, base_path_loss_db=80.0)
         res = run_closed_loop(ch, make_config(predictor_method=method), 600,
                               loss=bernoulli_loss(0.3, seed=20))

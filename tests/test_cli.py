@@ -221,6 +221,17 @@ class TestExitCodes:
         assert run_cli("predict", "--model", str(model), "--anchor-rssi", "-70") == 1
         assert capsys.readouterr().err.startswith("rssikit: error: model file: ")
 
+    @pytest.mark.parametrize("record, key", [(None, "step_s"), ("moments", "rr0_ahead")])
+    def test_model_file_with_null_field_names_it(self, trace_csv, tmp_path, capsys,
+                                                 record, key):
+        model = tmp_path / "model.json"
+        assert run_cli("fit", "--in", str(trace_csv), "--out", str(model)) == 0
+        payload = json.loads(model.read_text())
+        (payload[record] if record else payload)[key] = None
+        model.write_text(json.dumps(payload))
+        assert run_cli("predict", "--model", str(model), "--anchor-rssi", "-70") == 1
+        assert f"key '{key}' must be a number\n" in capsys.readouterr().err
+
     def test_success_is_zero(self, trace_csv, tmp_path):
         assert run_cli("acf", "--in", str(trace_csv), "--max-lag", "5",
                        "--out", str(tmp_path / "a.csv")) == 0

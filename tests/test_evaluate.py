@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from rssikit import (
+    apply_loss,
     ar2_channel,
     derivative_series,
     evaluate,
     generate_trace,
+    gilbert_elliott_loss,
     profile_by_name,
     swell_channel,
 )
@@ -84,6 +86,15 @@ class TestEvaluate:
         report = evaluate(ar2_eval_trace, "orthonormal", [1])
         assert report.rows[0].analytic_mse_db2 is not None
         assert report.rows[0].analytic_mse_db2 >= 0
+
+    @pytest.mark.parametrize("method", ["normal_eq", "orthonormal"])
+    def test_statistical_analytic_mse_is_squared_rmse(self, method):
+        # A statistical fit evaluates on its own fitting triples, so its
+        # analytic error is the error the report measures.
+        trace = apply_loss(generate_trace(swell_channel(seed=5), RADIO10, 0.0, 3000),
+                           gilbert_elliott_loss(0.05, 0.25, seed=6))
+        for row in evaluate(trace, method, [1, 2, 3, 4]).rows:
+            assert row.analytic_mse_db2 == pytest.approx(row.rmse_db**2, rel=1e-9)
 
     def test_predictions_are_the_fitting_triples(self):
         rng = np.random.default_rng(12)

@@ -9,10 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rssikit import (
+    AtpcConfig,
     DegenerateMomentsError,
     LagMismatchError,
     MomentSet,
@@ -27,12 +28,14 @@ from rssikit import (
     fit_orthonormal,
     fit_simplified,
     generate_trace,
+    gilbert_elliott_loss,
     model_from_json,
     model_to_json,
     moment_set,
     predict,
     profile_by_name,
     ripple_channel,
+    run_closed_loop,
     swell_channel,
 )
 from rssikit import predictor
@@ -43,6 +46,7 @@ from oracles import (
     empirical_mse,
     grid_search_best,
     mse_quadratic,
+    prediction_triples,
     zero_order_hold_rmse,
 )
 
@@ -59,9 +63,10 @@ def fit_moments(trace, k_steps=1):
 
 class TestNormalEquations:
     def test_zero_lag_identity(self):
-        # At tau = 0 the system is solved by (1, 0) with zero error.
+        # A target that matches the anchor in every moment (as at tau = 0)
+        # is solved by (1, 0) with zero error.
         m = MomentSet(rr0=4.0, rpr0=0.5, rprp0=2.0, rr_tau=4.0, rrp_tau=0.5,
-                      tau=0.0, n=100)
+                      rr0_ahead=4.0, tau=0.1, step_s=0.1, n=100)
         model = fit_normal_equations(m)
         assert model.w_level == pytest.approx(1.0, abs=1e-15)
         assert model.w_slope == pytest.approx(0.0, abs=1e-15)
@@ -143,7 +148,7 @@ class TestOrthonormal:
 
     def test_uncorrelated_case_degenerates_to_diagonal(self):
         m = MomentSet(rr0=2.0, rpr0=0.0, rprp0=3.0, rr_tau=1.0, rrp_tau=0.6,
-                      tau=0.1, n=100)
+                      rr0_ahead=2.0, tau=0.1, step_s=0.1, n=100)
         model = fit_orthonormal(m)
         assert model.basis.t21 == 0.0
         assert model.w_level == pytest.approx(m.rr_tau / m.rr0, rel=1e-12)
@@ -159,7 +164,7 @@ class TestOrthonormal:
 
     def test_non_positive_definite_rejected(self):
         m = MomentSet(rr0=1.0, rpr0=2.0, rprp0=1.0, rr_tau=0.5, rrp_tau=0.5,
-                      tau=0.1, n=100)
+                      rr0_ahead=1.0, tau=0.1, step_s=0.1, n=100)
         with pytest.raises(DegenerateMomentsError, match="positive-definite"):
             fit_orthonormal(m)
 
@@ -170,6 +175,8 @@ class TestSimplified:
         model = fit_simplified(tau)
         assert model.w_level == 1.0
         assert model.w_slope == tau
+        # Without moments the model serves its lag as one step.
+        assert model.step_s == tau
 
     def test_vanishing_lag_returns_anchor(self):
         model = fit_simplified(1e-9)
@@ -197,7 +204,7 @@ class TestPredict:
 
     def test_zero_slope_identity_weights_return_anchor(self):
         m = MomentSet(rr0=4.0, rpr0=0.5, rprp0=2.0, rr_tau=4.0, rrp_tau=0.5,
-                      tau=0.0, n=100)
+                      rr0_ahead=4.0, tau=0.1, step_s=0.1, n=100)
         model = fit_normal_equations(m)
         p = predict(model, -81.5, 0.0, n_steps=1)
         assert p.value == pytest.approx(-81.5, abs=1e-12)
@@ -293,9 +300,65 @@ class TestAnalyticMse:
     def test_explicit_evaluation(self, ar2_trace):
         m = fit_moments(ar2_trace)
         model = fit_normal_equations(m)
+        w1, w2 = model.w_level, model.w_slope
         assert analytic_mse(model, m) == pytest.approx(
-            m.rr0 - model.w_level * m.rr_tau - model.w_slope * m.rrp_tau
+            m.rr0_ahead - 2 * (w1 * m.rr_tau + w2 * m.rrp_tau)
+            + w1**2 * m.rr0 + 2 * w1 * w2 * m.rpr0 + w2**2 * m.rprp0
         )
+
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           n=st.integers(min_value=64, max_value=2000),
+           loss=st.one_of(
+               st.builds(bernoulli_loss, st.floats(min_value=0.0, max_value=0.4),
+                         seed=st.integers(min_value=0, max_value=2**16)),
+               st.builds(gilbert_elliott_loss, st.floats(min_value=0.01, max_value=0.2),
+                         st.floats(min_value=0.3, max_value=0.9),
+                         seed=st.integers(min_value=0, max_value=2**16))),
+           offset=st.one_of(st.just(0.0), st.floats(min_value=-20.0, max_value=20.0)),
+           method=st.sampled_from(METHODS),
+           k=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_error_over_the_fitting_triples(self, seed, n, loss, offset,
+                                                   method, k):
+        # Over any gap pattern the analytic MSE is the literal mean squared
+        # error of the fitted weights on the triples they were fitted on.
+        clean = generate_trace(ar2_channel(seed=seed), RADIO, 0.0, n).shifted(offset)
+        trace = apply_loss(clean, loss)
+        try:
+            model = fit_at_lag(trace, derivative_series(trace), method, k)
+        except ValueError:
+            assume(False)
+        m = model.source_moments
+        assume(m is not None)
+        if method == "simplified":
+            # The simplified error centres the slope on the moments' mean,
+            # which its serving formula does not remove.
+            expected = empirical_mse(trace, k, 1.0, m.tau, m.mean_r, m.mean_rp)
+        else:
+            triples = prediction_triples(trace, k)
+            expected = sum((float(model.apply(r, rp)) - y) ** 2
+                           for r, rp, y in triples) / len(triples)
+        assert model.analytic_mse == pytest.approx(expected, rel=1e-9)
+        assert model.analytic_mse >= 0.0
+        assert analytic_mse(model, m) == model.analytic_mse
+
+    def test_no_window_fit_of_the_benchmark_loop_is_negative(self):
+        # The benchmark's closed loop at seed 1001 refits orthonormal models
+        # on sliding windows; an error estimate below zero is a wrong one.
+        errors = []
+        fit = predictor.fit_orthonormal
+
+        def recording_fit(m):
+            model = fit(m)
+            errors.append(model.analytic_mse)
+            return model
+
+        with mock.patch.object(predictor, "fit_orthonormal", recording_fit):
+            run_closed_loop(swell_channel(seed=1001, base_path_loss_db=80.0),
+                            AtpcConfig(radio=RADIO, threshold_dbm=-90.0), 20_000,
+                            loss=gilbert_elliott_loss(0.05, 0.25, seed=1002))
+        assert len(errors) == 1048
+        assert sum(mse < 0.0 for mse in errors) == 0
 
 
 class TestModelProperties:
@@ -351,8 +414,8 @@ class TestModelProperties:
     def test_simplified_json_round_trip(self, ar2_trace):
         m = fit_moments(ar2_trace)
         hand_built = MomentSet(rr0=4.0, rpr0=0.1, rprp0=2.0, rr_tau=3.5,
-                               rrp_tau=0.2, tau=0.5, n=100, mean_r=-70.0,
-                               mean_rp=0.01)
+                               rrp_tau=0.2, rr0_ahead=4.0, tau=0.5, step_s=0.1,
+                               n=100, mean_r=-70.0, mean_rp=0.01)
         for model in (fit_simplified(0.5), fit_simplified(0.1, moments=m),
                       fit_simplified(0.5, moments=hand_built)):
             self.assert_round_trip(model)
@@ -377,13 +440,17 @@ class TestModelProperties:
         (lambda p: {**p, "method": 1}, "model record key 'method' must be a string"),
         (lambda p: {**p, "w_level": True}, "model record key 'w_level' must be a number"),
         (lambda p: {**p, "step_s": "0.1"},
-         "model record key 'step_s' must be a number or null"),
+         "model record key 'step_s' must be a number"),
+        (lambda p: {**p, "step_s": None}, "model record key 'step_s' must be a number"),
+        (lambda p: {**p, "moments": {**p["moments"], "rr0_ahead": None}},
+         "moments key 'rr0_ahead' must be a number"),
         (lambda p: {**p, "moments": {**p["moments"], "n": 100.0}},
          "moments key 'n' must be an integer"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
             "moments-not-object", "moments-no-rr0", "tau-not-number",
             "unit-residuals-not-list", "method-not-string", "weight-is-bool",
-            "step-not-number-or-null", "moments-n-not-integer"])
+            "step-not-number", "step-null", "moments-rr0-ahead-null",
+            "moments-n-not-integer"])
     def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         with pytest.raises(ValueError, match=re.escape(message)):
