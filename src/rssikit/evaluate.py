@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .predictor import fit_at_lag
-from .stats import _lag_pairs
+from .predictor import _fit_moments
+from .stats import lag_moments
 from .trace import Trace, derivative_series
 
 
@@ -103,7 +103,8 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
 
     For every sample whose slope exists and whose lag-ahead target was
     received, predict the target and accumulate squared error. Each lag
-    gets its own model from ``fit_at_lag``.
+    gets its own model, fitted as ``fit_at_lag`` fits it, from the
+    triples and moments of one ``lag_moments`` call for every lag.
 
     Raises:
         ValueError: No valid prediction points at some lag, bad lags, or
@@ -114,19 +115,21 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
         raise ValueError("lags must be integers >= 1")
     if len(trace) < 2:
         raise ValueError("trace too short to evaluate")
-    deriv = derivative_series(trace)
+    slope = derivative_series(trace).slope
 
     r = trace.rssi
     r_max, r_min = float(r.max()), float(r.min())
     range_db = r_max - r_min
+    step = trace.nominal_interval
 
     rows = []
-    for k, (i, j) in zip(lag_list, _lag_pairs(trace.seq, lag_list, first=1)):
-        model = fit_at_lag(trace, deriv, method, k)
+    per_lag = lag_moments(trace.seq, r, slope, step, lag_list)
+    for k, (i, j, m) in zip(lag_list, per_lag):
+        model = _fit_moments(method, k * step, step, m)
         if i.size == 0:
             raise ValueError(f"lag {k}: no valid prediction points")
 
-        preds = model.apply(r[i], deriv.slope[i - 1])
+        preds = model.apply(r[i], slope[i - 1])
         err = preds - r[j]
         rmse = float(np.sqrt(np.mean(err * err)))
         if range_db > 0:
@@ -135,7 +138,7 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
             nrmse = 0.0 if rmse == 0.0 else float("inf")
         rows.append(EvalRow(
             lag_steps=k,
-            lag_s=k * trace.nominal_interval,
+            lag_s=k * step,
             n_predictions=int(i.size),
             rmse_db=rmse,
             nrmse_pct=nrmse,

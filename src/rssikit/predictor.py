@@ -33,7 +33,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .stats import MomentSet, moment_set
+from .stats import MomentSet, lag_moments, moment_set
+# The benchmark's traced run wraps Trace, derivative_series and moment_set here.
 from .trace import DerivativeSeries, Trace, derivative_series, derive_times
 
 logger = logging.getLogger(__name__)
@@ -303,6 +304,26 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
     )
 
 
+def _fit_moments(method: str, tau: float, step_s: float,
+                 m: MomentSet | ValueError) -> PredictorModel:
+    """The ``method`` model for horizon tau on a grid of step_s, from the
+    lag's moments or the error that took their place.
+
+    A statistical method raises that error. The simplified model needs no
+    moments; it carries an error estimate only when they exist.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == METHOD_SIMPLIFIED:
+        moments = m if isinstance(m, MomentSet) else None
+        return replace(fit_simplified(tau, moments), step_s=step_s)
+    if not isinstance(m, MomentSet):
+        raise m
+    if method == METHOD_ORTHONORMAL:
+        return fit_orthonormal(m)
+    return fit_normal_equations(m)
+
+
 def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str,
                k: int) -> PredictorModel:
     """Fit ``method`` for a horizon of ``k`` nominal intervals of a trace.
@@ -312,19 +333,12 @@ def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str,
     none; it carries an error estimate only when the moments exist. Every
     model carries the trace's step size and serves exactly ``k`` steps.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    tau = k * trace.nominal_interval
-    if method == METHOD_SIMPLIFIED:
-        try:
-            m = moment_set(trace, deriv, tau)
-        except ValueError:
-            m = None
-        return replace(fit_simplified(tau, m), step_s=trace.nominal_interval)
-    m = moment_set(trace, deriv, tau)
-    if method == METHOD_ORTHONORMAL:
-        return fit_orthonormal(m)
-    return fit_normal_equations(m)
+    step = trace.nominal_interval
+    try:
+        m = moment_set(trace, deriv, k * step)
+    except ValueError as exc:
+        m = exc
+    return _fit_moments(method, k * step, step, m)
 
 
 def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
@@ -425,6 +439,12 @@ def model_to_json(model: PredictorModel) -> str:
 def model_from_json(text: str) -> PredictorModel:
     """Rebuild a model from its JSON text record.
 
+    A record with moments loads with the error its weights make over them
+    (``_fitting_mse``), as every fit computes it, in place of the stored
+    ``analytic_mse_db2``: files from earlier releases stored ``rr0 - w.c``,
+    which can be negative. For a file the current fits wrote, the two are
+    the same number.
+
     Raises:
         ValueError: The text is not JSON, a record is not an object, or a
             record lacks a key or holds a value of the wrong type. A model
@@ -438,8 +458,10 @@ def model_from_json(text: str) -> PredictorModel:
         basis["unit_residuals"] = tuple(basis["unit_residuals"])
         values["basis"] = OrthonormalBasis(**basis)
     if "moments" in payload:
-        values["source_moments"] = MomentSet(
+        m = MomentSet(
             **_from_record(payload["moments"], MomentSet, _MOMENT_KEYS, "moments"))
+        values["source_moments"] = m
+        values["analytic_mse"] = _fitting_mse(m, values["w_level"], values["w_slope"])
     return PredictorModel(**values)
 
 
@@ -448,12 +470,19 @@ class SlidingWindowPredictor:
 
     Single-writer: one owner feeds observations via ``observe``; fitted
     models are immutable snapshots that readers may hold freely. The window
-    holds the latest 512 observations and refits every 64 of them.
+    holds the latest 512 observations in a ring buffer, two preallocated
+    arrays (seq and value) that each observation overwrites at the oldest
+    slot, and refits every 64 of them. A refit reads the window in seq
+    order, derives its timestamps and slopes as ``derive_times`` and
+    ``derivative_series`` do, and takes every lag's moments from one
+    ``lag_moments`` call. The latest two observations are also kept as
+    Python numbers, for the order check and ``anchor``.
+
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
     simplified method, never refits; the simplified method's fixed-weight
-    models, one per lag, exist from the start. Each model
-    serves exactly its own lag.
+    models, one per lag, exist from the start. Each model serves exactly
+    its own lag.
     """
 
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float):
@@ -466,31 +495,44 @@ class SlidingWindowPredictor:
         if any(k < 1 for k in self.lags):
             raise ValueError("lags must be >= 1")
         self.step_s = float(step_s)
-        self._obs: list[tuple[int, float]] = []
-        self._since_refit = 0
+        self._seq = np.zeros(_WINDOW, dtype=np.int64)
+        self._value = np.zeros(_WINDOW)
+        # Observations so far; the next one goes to slot _count % _WINDOW.
+        self._count = 0
+        self._last: tuple[int, float] | None = None
+        self._before_last: tuple[int, float] | None = None
         self._models: dict[int, PredictorModel] = {}
         if method == METHOD_SIMPLIFIED:
             self._models = {k: replace(fit_simplified(k * self.step_s), step_s=self.step_s)
                             for k in self.lags}
 
     def observe(self, seq: int, value: float) -> None:
-        """Record one observation; seq gaps mark missed feedback."""
-        if self._obs and seq <= self._obs[-1][0]:
+        """Record one observation; seq gaps mark missed feedback.
+
+        Raises:
+            ValueError: value is not finite, or seq does not exceed the
+                previous observation's.
+        """
+        seq, value = int(seq), float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"observation value must be finite, got {value}")
+        last = self._last
+        if last is not None and seq <= last[0]:
             raise ValueError("observations must arrive in increasing seq order")
-        self._obs.append((int(seq), float(value)))
-        if len(self._obs) > _WINDOW:
-            del self._obs[: len(self._obs) - _WINDOW]
-        self._since_refit += 1
-        if self._since_refit >= _REFIT_EVERY and self.lags and \
-                self.method != METHOD_SIMPLIFIED:
+        count = self._count
+        slot = count % _WINDOW
+        self._seq[slot] = seq
+        self._value[slot] = value
+        self._before_last, self._last = last, (seq, value)
+        self._count = count = count + 1
+        if count % _REFIT_EVERY == 0 and self.lags and self.method != METHOD_SIMPLIFIED:
             self._refit()
-            self._since_refit = 0
 
     def anchor(self) -> tuple[float, float] | None:
         """Latest (value, slope) anchor, or None with < 2 observations."""
-        if len(self._obs) < 2:
+        if self._before_last is None:
             return None
-        (s0, v0), (s1, v1) = self._obs[-2], self._obs[-1]
+        (s0, v0), (s1, v1) = self._before_last, self._last
         return v1, (v1 - v0) / ((s1 - s0) * self.step_s)
 
     def model_for(self, n_steps: int) -> PredictorModel | None:
@@ -498,20 +540,21 @@ class SlidingWindowPredictor:
         return self._models.get(int(n_steps))
 
     def _refit(self) -> None:
-        ticks, values = zip(*self._obs)
-        seq = np.array(ticks) - ticks[0]
-        win_trace = Trace(seq=seq, t=derive_times(seq, self.step_s), rssi=values,
-                          tx_power=np.full(seq.size, np.nan),
-                          nominal_interval=self.step_s)
-        try:
-            deriv = derivative_series(win_trace)
-        except ValueError as exc:
-            logger.debug("refit at lags %s skipped: %s: %s", self.lags,
-                         type(exc).__name__, exc)
+        # Oldest first: the slots from the next write to the end of those
+        # filled, then the slots before it.
+        first, held = self._count % _WINDOW, min(self._count, _WINDOW)
+        seq = np.concatenate((self._seq[first:held], self._seq[:first]))
+        r = np.concatenate((self._value[first:held], self._value[:first]))
+        seq -= seq[0]
+        with np.errstate(all="ignore"):
+            slope = np.diff(r) / np.diff(derive_times(seq, self.step_s))
+        if not np.isfinite(slope).all():
+            logger.debug("refit at lags %s skipped: non-finite slope in window", self.lags)
             return
-        for k in self.lags:
+        per_lag = lag_moments(seq, r, slope, self.step_s, self.lags)
+        for k, (_, _, m) in zip(self.lags, per_lag):
             try:
-                self._models[k] = fit_at_lag(win_trace, deriv, self.method, k)
+                self._models[k] = _fit_moments(self.method, k * self.step_s, self.step_s, m)
             except ValueError as exc:
                 logger.debug("refit at lag %d failed: %s: %s", k, type(exc).__name__, exc)
                 self._models.pop(k, None)

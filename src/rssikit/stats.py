@@ -12,8 +12,8 @@ yields bit-identical output.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,26 +149,40 @@ class IdentityCheck:
     low_confidence: bool
 
 
-def _lag_pairs(seq: np.ndarray, lags: Sequence[int],
-               first: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each k in ``lags``, yield the positions (i, j), i >= first, with
-    ``seq[j] == seq[i] + k``, in ascending i: the one rule for which samples
-    a lag joins across lost packets. ``first=1`` keeps the anchors that have
-    a slope (every sample but the first, at ``slope[i - 1]``).
-
-    Every gap wider than the largest lag is narrowed to max_lag + 1 slots of
-    the position grid. No requested lag spans it either way, so the pairs
-    stay exact while the grid holds at most (max_lag + 1) * len(seq) slots.
+def _slots(seq: np.ndarray, max_lag: int) -> np.ndarray:
+    """Each sample's slot on the pairing grid: the one rule for which samples
+    a lag joins across lost packets. Slots advance with seq, except that
+    every gap wider than ``max_lag`` is narrowed to max_lag + 1 slots. No lag
+    up to max_lag spans such a gap either way, so two samples sit k slots
+    apart exactly when their seqs do, and the grid holds at most
+    (max_lag + 1) * len(seq) slots.
     """
-    max_lag = max(lags)
     slot = np.zeros(len(seq), dtype=np.int64)
     np.cumsum(np.minimum(np.diff(seq), max_lag + 1), out=slot[1:])
+    return slot
+
+
+def _lag_pairs(seq: np.ndarray, lags: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each k in ``lags``, the positions (i, j), i >= 1, with
+    ``seq[j] == seq[i] + k``, in ascending i, from one grid of ``_slots``.
+    Every anchor i has a slope (at ``slope[i - 1]``); only the first sample
+    has none.
+
+    All lags are paired before any is used, so the grid is freed before
+    the callers' per-lag arrays are allocated; on traces of tens of
+    thousands of samples that keeps the one-lag case as fast as a
+    dedicated pairing.
+    """
+    max_lag = max(lags)
+    slot = _slots(seq, max_lag)
     pos = np.full(int(slot[-1]) + max_lag + 1, -1, dtype=np.int64)
     pos[slot] = np.arange(len(seq))
+    pairs = []
     for k in lags:
-        j = pos[slot[first:] + k]
+        j = pos[slot[1:] + k]
         i = np.flatnonzero(j >= 0)
-        yield i + first, j[i]
+        pairs.append((i + 1, j[i]))
+    return pairs
 
 
 def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
@@ -203,15 +217,27 @@ def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
     mean_r = float(r.mean())
     rc = r - mean_r
 
+    # The centred values on the pairing grid, 0 on empty slots: lag k pairs
+    # the occupied slots k apart, and their products, compressed, are the
+    # pair products in ascending anchor order.
+    slot = _slots(trace.seq, max_lag)
+    size = int(slot[-1]) + 1
+    grid = np.zeros(size + max_lag)
+    grid[slot] = rc
+    occupied = np.zeros(size + max_lag, dtype=bool)
+    occupied[slot] = True
+    anchors, anchor_occupied = grid[:size], occupied[:size]
+
     values = np.empty(max_lag + 1)
     pairs = np.empty(max_lag + 1, dtype=np.int64)
-    for k, (i, j) in enumerate(_lag_pairs(trace.seq, range(max_lag + 1))):
-        if i.size < _MIN_PAIRS:
+    for k in range(max_lag + 1):
+        products = (anchors * grid[k:size + k])[anchor_occupied & occupied[k:size + k]]
+        if products.size < _MIN_PAIRS:
             raise InsufficientSupportError(
-                f"lag {k}: only {i.size} contributing pairs (need >= {_MIN_PAIRS})"
+                f"lag {k}: only {products.size} contributing pairs (need >= {_MIN_PAIRS})"
             )
-        pairs[k] = i.size
-        values[k] = float((rc[i] * rc[j]).sum()) / n
+        pairs[k] = products.size
+        values[k] = float(products.sum()) / n
 
     normalized = values / values[0]
     normalized[0] = 1.0
@@ -236,8 +262,66 @@ def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
     )
 
 
+def lag_moments(
+    seq: np.ndarray, r: np.ndarray, slope: np.ndarray, step_s: float, lags: Sequence[int],
+) -> list[tuple[np.ndarray, np.ndarray, MomentSet | ValueError]]:
+    """Every lag's fitting triples and five moments, from one pairing grid.
+
+    ``slope[i - 1]`` is the backward-difference slope at sample i (see
+    ``derivative_series``); lag k spans k * step_s seconds. The means of all
+    values and of all slopes are removed once, then each lag's moments
+    average centred products over its triples: the anchors i whose value,
+    slope and value k ahead all exist.
+
+    Returns:
+        One ``(i, j, moments)`` per lag, in the order of ``lags``: the
+        anchor positions i and target positions j, with
+        ``seq[j] == seq[i] + k``, and the lag's ``MomentSet`` or the
+        ``ValueError`` that takes its place: ``InsufficientSupportError``
+        for fewer than ``_MIN_PAIRS`` triples, ``DegenerateProcessError``
+        for zero variance over them.
+    """
+    mean_r = float(r.mean())
+    mean_rp = float(slope.mean())
+    rc = r - mean_r
+    dc = slope - mean_rp
+    out = []
+    for k, (i, j) in zip(lags, _lag_pairs(seq, lags)):
+        tau = float(k * step_s)
+        n = int(i.size)
+        try:
+            if n < _MIN_PAIRS:
+                raise InsufficientSupportError(
+                    f"tau={tau}: only {n} contributing triples (need >= {_MIN_PAIRS})"
+                )
+            x1, x2, y = rc[i], dc[i - 1], rc[j]
+            # sum() / n is bit-equal to np.mean and cheaper on window-sized arrays.
+            rr0 = float((x1 * x1).sum()) / n
+            if rr0 <= 0:
+                raise DegenerateProcessError(
+                    "degenerate process: zero variance over fitting set")
+            moments = MomentSet(
+                rr0=rr0,
+                rpr0=float((x1 * x2).sum()) / n,
+                rprp0=float((x2 * x2).sum()) / n,
+                rr_tau=float((y * x1).sum()) / n,
+                rrp_tau=float((y * x2).sum()) / n,
+                rr0_ahead=float((y * y).sum()) / n,
+                tau=tau,
+                step_s=step_s,
+                n=n,
+                mean_r=mean_r,
+                mean_rp=mean_rp,
+            )
+        except ValueError as exc:
+            moments = exc
+        out.append((i, j, moments))
+    return out
+
+
 def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float) -> MomentSet:
-    """Estimate the five fitting moments at one lag.
+    """Estimate the five fitting moments at one lag: the one-lag case of
+    ``lag_moments``.
 
     tau must be a positive integer multiple of the trace's nominal interval;
     there is no interpolation. Means are estimated once from the full trace
@@ -248,6 +332,7 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float) -> MomentSet:
     Raises:
         ValueError: tau off the grid, or deriv not derivative_series(trace).
         InsufficientSupportError: Fewer than ``_MIN_PAIRS`` triples.
+        DegenerateProcessError: Zero variance over the triples.
     """
     step = trace.nominal_interval
     k_f = tau / step
@@ -260,38 +345,11 @@ def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float) -> MomentSet:
         raise InsufficientSupportError("trace too short for moment estimation")
     if not np.array_equal(deriv.seq, trace.seq[1:]):
         raise ValueError("deriv is not the derivative series of trace")
-
-    mean_r = float(trace.rssi.mean())
-    mean_rp = float(deriv.slope.mean())
-    rc = trace.rssi - mean_r
-    dc = deriv.slope - mean_rp
-
-    i, j = next(_lag_pairs(trace.seq, (k,), first=1))
-    n = int(i.size)
-    if n < _MIN_PAIRS:
-        raise InsufficientSupportError(
-            f"tau={tau}: only {n} contributing triples (need >= {_MIN_PAIRS})"
-        )
-    x1, x2, y = rc[i], dc[i - 1], rc[j]
-
-    # sum() / n is bit-equal to np.mean and cheaper on window-sized arrays.
-    rr0 = float((x1 * x1).sum()) / n
-    if rr0 <= 0:
-        raise DegenerateProcessError("degenerate process: zero variance over fitting set")
-
-    return MomentSet(
-        rr0=rr0,
-        rpr0=float((x1 * x2).sum()) / n,
-        rprp0=float((x2 * x2).sum()) / n,
-        rr_tau=float((y * x1).sum()) / n,
-        rrp_tau=float((y * x2).sum()) / n,
-        rr0_ahead=float((y * y).sum()) / n,
-        tau=float(tau),
-        step_s=step,
-        n=n,
-        mean_r=mean_r,
-        mean_rp=mean_rp,
-    )
+    [(_, _, m)] = lag_moments(trace.seq, trace.rssi, deriv.slope, step, (k,))
+    if not isinstance(m, MomentSet):
+        raise m
+    # The lag's tau is k * step; keep the caller's own value for it.
+    return m if m.tau == tau else replace(m, tau=float(tau))
 
 
 def check_derivative_identities(acf: AcfEstimate, m: MomentSet) -> IdentityCheck:

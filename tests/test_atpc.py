@@ -131,16 +131,17 @@ class TestOnMissedAck:
     @pytest.mark.parametrize("max_missed,fits", [(1, 0), (2, None)])
     def test_no_refits_without_a_horizon_to_serve(self, max_missed, fits, monkeypatch):
         # max_missed_acks=1 falls back at the first loss, so no model is
-        # ever served and fitting one is wasted work.
+        # ever served and fitting one is wasted work. Every window fit goes
+        # through the one dispatch from a lag's moments to a model.
         from rssikit import predictor
         calls = []
 
-        def counting_fit(*args, **kwargs):
-            calls.append(args[3])
-            return fit_at_lag(*args, **kwargs)
+        def counting_fit(method, tau, step_s, m):
+            calls.append(round(tau / step_s))
+            return fit_moments(method, tau, step_s, m)
 
-        fit_at_lag = predictor.fit_at_lag
-        monkeypatch.setattr(predictor, "fit_at_lag", counting_fit)
+        fit_moments = predictor._fit_moments
+        monkeypatch.setattr(predictor, "_fit_moments", counting_fit)
         config = make_config(max_missed_acks=max_missed, predictor_method="orthonormal")
         result = run_closed_loop(swell_channel(seed=3, base_path_loss_db=80.0), config,
                                  3000, loss=bernoulli_loss(0.3, seed=4))

@@ -101,6 +101,17 @@ class TestFitPredict:
         assert ("model fitted at lag 3 (0.3 s) cannot serve 1 step; use --steps 3"
                 in capsys.readouterr().err)
 
+    def test_predict_serves_the_error_recomputed_from_the_moments(self, tmp_path, capsys):
+        from test_predictor import HAND_BUILT_MODEL_FILE, hand_built_exact_error
+
+        model_path = tmp_path / "old_model.json"
+        model_path.write_text(json.dumps(HAND_BUILT_MODEL_FILE))
+        rc = run_cli("predict", "--model", str(model_path), "--anchor-rssi", "-70")
+        assert rc == 0
+        # predict prints the error rounded to 6 decimals.
+        printed = json.loads(capsys.readouterr().out)["mse_db2"]
+        assert printed == round(hand_built_exact_error(), 6)
+
     def test_fit_determinism(self, trace_csv, tmp_path):
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         for p in (p1, p2):

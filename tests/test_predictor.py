@@ -40,6 +40,7 @@ from rssikit import (
 )
 from rssikit import predictor
 from rssikit.predictor import METHODS, SlidingWindowPredictor, fit_at_lag
+from rssikit.trace import derive_times
 
 from conftest import make_trace
 from oracles import (
@@ -59,6 +60,26 @@ def without(record: dict, key: str) -> dict:
 
 def fit_moments(trace, k_steps=1):
     return moment_set(trace, derivative_series(trace), k_steps * trace.nominal_interval)
+
+
+# A normal-equations model file with a negative stored error, as files
+# written before the exact error (which stored rr0 - w.c) can hold.
+HAND_BUILT_MODEL_FILE = {
+    "method": "normal_eq", "tau_s": 0.1, "step_s": 0.1, "w_level": 0.95,
+    "w_slope": 0.02, "mean_dbm": -70.0, "mean_slope_db_s": 0.0,
+    "analytic_mse_db2": -0.06079,
+    "moments": {"rr0": 4.0, "rpr0": 0.1, "rprp0": 2.0, "rr_tau": 3.9,
+                "rrp_tau": 0.12, "rr0_ahead": 4.1, "tau_s": 0.1, "n": 100,
+                "mean_r": -70.0, "mean_rp": 0.0, "step_s": 0.1},
+}
+
+
+def hand_built_exact_error() -> float:
+    """The error of HAND_BUILT_MODEL_FILE's weights over its moments."""
+    m, wl, ws = (HAND_BUILT_MODEL_FILE["moments"], HAND_BUILT_MODEL_FILE["w_level"],
+                 HAND_BUILT_MODEL_FILE["w_slope"])
+    return (m["rr0_ahead"] - 2.0 * (wl * m["rr_tau"] + ws * m["rrp_tau"])
+            + (wl * wl * m["rr0"] + 2.0 * wl * ws * m["rpr0"] + ws * ws * m["rprp0"]))
 
 
 class TestNormalEquations:
@@ -420,6 +441,19 @@ class TestModelProperties:
                       fit_simplified(0.5, moments=hand_built)):
             self.assert_round_trip(model)
 
+    def test_loading_recomputes_the_error_from_the_moments(self):
+        # The stored -0.06079 is ignored: loading serves the error of the
+        # file's weights over its moments.
+        loaded = model_from_json(json.dumps(HAND_BUILT_MODEL_FILE))
+        assert loaded.analytic_mse == hand_built_exact_error() > 0.0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_written_file_loads_its_error_bit_for_bit(self, ar2_trace, method):
+        deriv = derivative_series(ar2_trace)
+        for k in (1, 2, 3, 4):
+            model = fit_at_lag(ar2_trace, deriv, method, k)
+            assert model_from_json(model_to_json(model)).analytic_mse == model.analytic_mse
+
     def test_json_without_slope_mean_loads_zero(self, ar2_trace):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         del payload["mean_slope_db_s"]
@@ -511,3 +545,95 @@ class TestSlidingWindow:
         sw.observe(5, -70.0)
         with pytest.raises(ValueError, match="increasing"):
             sw.observe(5, -70.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_value_when_observed(self, value):
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
+        sw.observe(0, -70.0)
+        with pytest.raises(ValueError, match="finite"):
+            sw.observe(1, value)
+        # Nothing of the rejected observation is kept.
+        assert sw.anchor() is None
+        sw.observe(1, -71.0)
+        assert sw.anchor() == (-71.0, pytest.approx(-10.0))
+
+    @mock.patch.object(predictor, "_REFIT_EVERY", 16)
+    def test_refit_with_non_finite_slopes_is_skipped(self, caplog):
+        # At 1e-7 s per step, neighbouring seqs share a microsecond
+        # timestamp, so every slope divides by zero.
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=1e-7)
+        rng = np.random.default_rng(4)
+        with caplog.at_level(logging.DEBUG, logger="rssikit.predictor"):
+            for k in range(32):
+                sw.observe(k, -70.0 + rng.normal())
+        assert sw.model_for(1) is None
+        assert [r.getMessage() for r in caplog.records] == [
+            "refit at lags (1,) skipped: non-finite slope in window"] * 2
+
+
+@st.composite
+def observation_streams(draw):
+    """More than 1,024 observations, so the 512-slot window wraps at least
+    twice: random losses, occasional long outages, and values that are
+    smooth, coarsely quantized, or in the last 512 one level (no fit) or
+    two levels (one slope, which leaves no fit at some lags)."""
+    n = 64 * draw(st.integers(min_value=17, max_value=24))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    loss = draw(st.sampled_from([0.0, 0.05, 0.3, 0.6]))
+    gaps = 1 + (rng.random(n) < loss) * rng.integers(1, 12, n)
+    gaps[rng.random(n) < draw(st.sampled_from([0.0, 0.01]))] += 100
+    seqs = np.cumsum(gaps) + draw(st.integers(min_value=0, max_value=10**6))
+    x = np.zeros(n)
+    for k in range(1, n):
+        x[k] = 0.95 * x[k - 1] + rng.normal()
+    shape = draw(st.sampled_from(["smooth", "quantized", "stuck", "step"]))
+    if shape == "quantized":
+        x = np.round(x / 4.0)
+    elif shape == "stuck":
+        x[-512:] = 0.0
+    elif shape == "step":
+        x[-512:] = 0.0
+        x[-draw(st.integers(min_value=1, max_value=511)):] = 1.0
+    return seqs.tolist(), (-70.0 + x).tolist()
+
+
+def assert_close(a: float, b: float) -> None:
+    assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (a, b)
+
+
+class TestWindowMatchesBatchFits:
+    @given(stream=observation_streams(),
+           method=st.sampled_from(["normal_eq", "orthonormal"]),
+           lags=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_every_lag_equals_fit_at_lag_on_the_same_observations(self, stream, method,
+                                                                   lags):
+        seqs, values = stream
+        sw = SlidingWindowPredictor(method, lags=tuple(lags), step_s=0.1)
+        for s, v in zip(seqs, values):
+            sw.observe(s, v)
+        # The last refit came at the last observation and saw the latest 512,
+        # with seqs counted from the first of them.
+        seq = np.array(seqs[-512:]) - seqs[-512]
+        trace = Trace(seq=seq, t=derive_times(seq, 0.1), rssi=values[-512:],
+                      tx_power=np.full(512, np.nan), nominal_interval=0.1)
+        deriv = derivative_series(trace)
+        for k in sorted(lags):
+            try:
+                batch = fit_at_lag(trace, deriv, method, k)
+            except ValueError:
+                batch = None
+            window = sw.model_for(k)
+            assert (window is None) == (batch is None), k
+            if batch is None:
+                continue
+            assert (window.method, window.tau, window.step_s) == \
+                (batch.method, batch.tau, batch.step_s)
+            for name in ("w_level", "w_slope", "analytic_mse"):
+                assert_close(getattr(window, name), getattr(batch, name))
+            wm, bm = window.source_moments, batch.source_moments
+            assert wm.n == bm.n
+            for f in dataclasses.fields(wm):
+                assert_close(getattr(wm, f.name), getattr(bm, f.name))
+        (s0, v0), (s1, v1) = zip(seqs[-2:], values[-2:])
+        assert sw.anchor() == (v1, (v1 - v0) / ((s1 - s0) * 0.1))

@@ -38,6 +38,15 @@ def gapped_traces(draw):
     return make_trace(rng.normal(-70, 3, size=len(seqs)), seqs=seqs)
 
 
+def pairs_by_seq(trace, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i >= first, with seq[j] == seq[i] + k, looked up in
+    a dict in ascending i."""
+    at = {s: p for p, s in enumerate(trace.seq.tolist())}
+    found = [(p, at[s + k]) for s, p in at.items() if p >= first and s + k in at]
+    return (np.array([p for p, _ in found], dtype=np.int64),
+            np.array([q for _, q in found], dtype=np.int64))
+
+
 class TestSampleAcf:
     def test_sinusoid_matches_closed_form(self, sine_trace):
         # ACF of a unit sinusoid: 0.5 * cos(2 pi f k dt), normalized to cos.
@@ -62,6 +71,18 @@ class TestSampleAcf:
         for k, (val, cnt) in enumerate(oracle):
             assert acf.values[k] == pytest.approx(val, rel=1e-12)
             assert acf.n_pairs[k] == cnt
+
+    @given(trace=gapped_traces(), max_lag=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    @mock.patch.object(stats, "_MIN_PAIRS", 0)
+    def test_values_are_pair_products_summed_in_anchor_order(self, trace, max_lag):
+        # Bit for bit: each lag's pair products, gathered in ascending anchor
+        # order, summed by numpy and divided by the sample count.
+        acf = sample_acf(trace, max_lag=max_lag)
+        rc = trace.rssi - float(trace.rssi.mean())
+        for k in range(max_lag + 1):
+            i, j = pairs_by_seq(trace, k)
+            assert acf.values[k] == float((rc[i] * rc[j]).sum()) / len(trace)
 
     def test_white_noise_decorrelates(self):
         rng = np.random.default_rng(42)
@@ -187,6 +208,29 @@ class TestMomentSet:
         tr = make_trace(np.sin(np.arange(9)) - 70)
         with pytest.raises(InsufficientSupportError):
             moment_set(tr, derivative_series(tr), 0.5)
+
+
+class TestLagMoments:
+    @given(trace=gapped_traces(),
+           lags=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5,
+                         unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_each_lag_is_its_own_one_lag_case(self, trace, lags):
+        # One grid for every lag finds the same triples and moments as a
+        # grid per lag; the pairs are the seq lookups, the moments those of
+        # moment_set (or the same error).
+        deriv = derivative_series(trace)
+        fits = stats.lag_moments(trace.seq, trace.rssi, deriv.slope, 0.1, lags)
+        assert len(fits) == len(lags)
+        for k, (i, j, m) in zip(lags, fits):
+            want_i, want_j = pairs_by_seq(trace, k, first=1)
+            assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+            try:
+                one = moment_set(trace, deriv, k * 0.1)
+            except ValueError as exc:
+                assert type(m) is type(exc) and str(m) == str(exc)
+            else:
+                assert m == one
 
 
 class TestDerivativeIdentities:
