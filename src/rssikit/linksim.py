@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .trace import Trace, derive_times
 
@@ -22,6 +21,24 @@ CHANNEL_KINDS = ("ar2", "swell", "ripple")
 LOSS_KINDS = ("bernoulli", "gilbert_elliott")
 
 _BURN_IN = 512
+
+
+def _ar2_filter(w: np.ndarray, a1: float, a2: float) -> np.ndarray:
+    """The AR(2) recursion ``y[n] = w[n] + (a2 y[n-2] + a1 y[n-1])`` from
+    rest; ``a2 = 0`` gives AR(1).
+
+    The sum is taken in the operation order of a transposed direct form II
+    IIR filter, so the output is bit-identical to
+    ``scipy.signal.lfilter([1], [1, -a1, -a2], w)`` except for the sign of
+    a zero, which ``realize`` loses when it adds the output to its sum.
+    """
+    def run():
+        y1 = y2 = 0.0
+        for x in w.tolist():
+            y1, y2 = x + (a2 * y2 + a1 * y1), y1
+            yield y1
+
+    return np.fromiter(run(), dtype=np.float64, count=w.size)
 
 
 @dataclass(frozen=True)
@@ -85,8 +102,9 @@ class ChannelModel:
     """Wide-sense stationary fluctuation process for the received power.
 
     Kinds:
-        ar2: pure autoregressive recursion with per-step coefficients
-            ``ar_coeffs`` and innovation std ``noise_std_db``.
+        ar2: pure second-order autoregressive recursion with the two
+            per-step coefficients ``ar_coeffs = (a1, a2)`` and innovation
+            std ``noise_std_db``.
         swell / ripple: fixed-amplitude sinusoids with seeded random phases
             plus first-order colored noise whose process std is
             ``noise_std_db`` and whose correlation time is
@@ -116,8 +134,9 @@ class ChannelModel:
         if self.noise_std_db < 0 or self.noise_corr_time_s < 0:
             raise ValueError("noise parameters must be non-negative")
         if self.kind == "ar2":
-            if not self.ar_coeffs:
-                raise ValueError("ar2 channel requires ar_coeffs")
+            if len(self.ar_coeffs) != 2:
+                raise ValueError(
+                    f"ar2 channel takes exactly two ar_coeffs, got {len(self.ar_coeffs)}")
             roots = np.roots(np.concatenate(([1.0], -np.asarray(self.ar_coeffs))))
             if np.any(np.abs(roots) >= 1.0):
                 raise ValueError(f"unstable AR parameters {self.ar_coeffs}")
@@ -138,14 +157,13 @@ class ChannelModel:
 
         if self.kind == "ar2":
             w = rng.standard_normal(n_samples + _BURN_IN) * self.noise_std_db
-            den = np.concatenate(([1.0], -np.asarray(self.ar_coeffs)))
-            x += lfilter([1.0], den, w)[_BURN_IN:]
+            x += _ar2_filter(w, *self.ar_coeffs)[_BURN_IN:]
         elif self.noise_std_db > 0:
             dt = 1.0 / rate_pps
             phi = math.exp(-dt / self.noise_corr_time_s) if self.noise_corr_time_s > 0 else 0.0
             innov = self.noise_std_db * math.sqrt(1.0 - phi * phi)
             w = rng.standard_normal(n_samples + _BURN_IN) * innov
-            x += lfilter([1.0], [1.0, -phi], w)[_BURN_IN:]
+            x += _ar2_filter(w, phi, 0.0)[_BURN_IN:]
 
         return x
 
@@ -235,15 +253,21 @@ class LossModel:
         if self.kind == "bernoulli":
             return u >= self.p
         v = rng.random(n)
-        keep = np.empty(n, dtype=bool)
-        bad = False
-        for i in range(n):
-            keep[i] = u[i] >= (self.loss_bad if bad else self.loss_good)
-            if bad:
-                bad = v[i] >= self.p_bad_to_good
-            else:
-                bad = v[i] < self.p_good_to_bad
-        return keep
+        # Draw i moves a good state to bad when g[i], and keeps a bad one bad
+        # when b[i]. Where the two agree the next state is g[i] whatever the
+        # current one (a reset); elsewhere the state flips exactly when g[i].
+        # So each state is the last reset's value XOR the parity of the flips
+        # since, and the chain starts good, as after a reset to good.
+        g = v < self.p_good_to_bad
+        b = v >= self.p_bad_to_good
+        reset = g == b
+        parity = np.logical_xor.accumulate(g & ~b)
+        last_reset = np.maximum.accumulate(np.where(reset, np.arange(n), -1))
+        at_reset = np.where(last_reset >= 0, (g ^ parity)[last_reset], False)
+        bad = np.empty(n, dtype=bool)
+        bad[0] = False
+        bad[1:] = (at_reset ^ parity)[:-1]
+        return u >= np.where(bad, self.loss_bad, self.loss_good)
 
 
 def bernoulli_loss(p: float, seed: int = 0) -> LossModel:

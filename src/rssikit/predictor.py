@@ -154,10 +154,7 @@ class PredictorModel:
                 and self.method != METHOD_SIMPLIFIED:
             # Optimally fitted weights can never do worse than predicting
             # the mean; the simplified weights carry no such guarantee.
-            # Model files from earlier releases store rr0 - w.c, which
-            # may exceed rr0_ahead, so the bound takes the larger variance.
-            m = self.source_moments
-            if self.analytic_mse > max(m.rr0, m.rr0_ahead) * (1.0 + 1e-9):
+            if self.analytic_mse > self.source_moments.rr0_ahead * (1.0 + 1e-9):
                 raise ValueError("analytic_mse exceeds the fitting-set variance")
 
     def apply(self, anchor_r, anchor_rp):
@@ -253,14 +250,10 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
     performed anywhere on this path.
 
     Raises:
-        DegenerateMomentsError: Non-positive-definite moments.
+        DegenerateMomentsError: Near-singular or non-positive-definite
+            moments.
     """
-    radicand = m.rr0 * m.rprp0 - m.rpr0**2
-    if m.rr0 <= 0 or radicand <= 0:
-        raise DegenerateMomentsError(
-            f"non-positive-definite moments: rr0={m.rr0:.6e}, radicand={radicand:.6e}"
-        )
-    _check_identifiable(m)
+    radicand = _check_identifiable(m)
     t11 = 1.0 / math.sqrt(m.rr0)
     t22 = math.sqrt(m.rr0 / radicand)
     t21 = -(m.rpr0 / m.rr0) * t22
@@ -288,8 +281,8 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
 
     Like every model it serves only the horizon tau: as the moments' step
     count when they are supplied, and as a single step without them.
-    Supplied moments also attach the weights' error over their fitting
-    triples, with the slope centred on the moments' slope mean.
+    Supplied moments also centre the slope on their slope mean and attach
+    the error of the model's own predictions over their fitting triples.
     """
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -299,6 +292,7 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
         w_level=1.0,
         w_slope=float(tau),
         step_s=float(tau) if moments is None else moments.step_s,
+        mean_rp=0.0 if moments is None else moments.mean_rp,
         analytic_mse=None if moments is None else _fitting_mse(moments, 1.0, tau),
         source_moments=moments,
     )

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from rssikit import IngestError, Trace
+from rssikit import IngestError, LossModel, Trace
 from rssikit.trace import RSSI_MAX_DBM, RSSI_MIN_DBM
 
 
@@ -239,3 +239,23 @@ def dict_ingest(path, nominal_interval: float) -> Trace:
                      nominal_interval=nominal_interval, meta=meta)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc
+
+
+def chain_keep_mask(loss: LossModel, n: int) -> np.ndarray:
+    """Reference Gilbert–Elliott survival mask: the two-state chain stepped
+    one packet at a time, from the good state, on the same two uniform draws
+    per packet (loss first, transition second) that ``keep_mask`` takes."""
+    rng = np.random.default_rng(loss.seed)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    u = rng.random(n)
+    v = rng.random(n)
+    keep = np.empty(n, dtype=bool)
+    bad = False
+    for i in range(n):
+        keep[i] = u[i] >= (loss.loss_bad if bad else loss.loss_good)
+        if bad:
+            bad = v[i] >= loss.p_bad_to_good
+        else:
+            bad = v[i] < loss.p_good_to_bad
+    return keep

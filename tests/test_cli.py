@@ -92,7 +92,10 @@ class TestFitPredict:
                      "--anchor-rssi", "-70", "--anchor-slope", "2", "--steps", "3")
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["value_dbm"] == pytest.approx(-69.4)
+        # Weights (1, 0.3 s) on the slope centred on the trace's slope mean.
+        mean_rp = json.loads(model_path.read_text())["mean_slope_db_s"]
+        assert mean_rp != 0.0
+        assert out["value_dbm"] == pytest.approx(-70 + 0.3 * (2 - mean_rp))
         assert out["steps_ahead"] == 3
         # The model serves only the horizon it was fitted at.
         rc = run_cli("predict", "--model", str(model_path),

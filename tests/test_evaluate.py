@@ -87,10 +87,10 @@ class TestEvaluate:
         assert report.rows[0].analytic_mse_db2 is not None
         assert report.rows[0].analytic_mse_db2 >= 0
 
-    @pytest.mark.parametrize("method", ["normal_eq", "orthonormal"])
+    @pytest.mark.parametrize("method", ["normal_eq", "orthonormal", "simplified"])
     def test_statistical_analytic_mse_is_squared_rmse(self, method):
-        # A statistical fit evaluates on its own fitting triples, so its
-        # analytic error is the error the report measures.
+        # Every fit evaluates on its own fitting triples, so its analytic
+        # error is the error the report measures.
         trace = apply_loss(generate_trace(swell_channel(seed=5), RADIO10, 0.0, 3000),
                            gilbert_elliott_loss(0.05, 0.25, seed=6))
         for row in evaluate(trace, method, [1, 2, 3, 4]).rows:

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from rssikit import (
     ar2_channel,
     bernoulli_loss,
     builtin_profiles,
+    channel_by_name,
     export_csv,
     generate_trace,
     gilbert_elliott_loss,
@@ -20,6 +27,48 @@ from rssikit import (
     ripple_channel,
     swell_channel,
 )
+from rssikit.linksim import _ar2_filter
+
+from oracles import chain_keep_mask
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# sha256 of realize(4000, rate_pps) at seed 31 for each built-in channel, as
+# ``scipy.signal.lfilter`` computed them; noise_std_db 0.0 where given.
+REALIZE_SHA256 = {
+    ("swell", 10.0, None): "0d0a08d78bdf1e3b6314563375b3e57c0d8f33713eccaa1f13f5b4f7ca6162aa",
+    ("swell", 10.0, 0.0): "c931b7747e989627171974833f6a90c9e21def7cb7d6c02da43f28b34d26dc6a",
+    ("swell", 2.0, None): "7e924db18714d16c1754a383bedec722888c024e88cfdf6dc87a4e29e44f2a1a",
+    ("swell", 2.0, 0.0): "06672ca5cd5b7b0322cf83fb692d2f9cb33151c41ab5dda62c33d2004848d482",
+    ("ripple", 10.0, None): "4e0c19c2d07ea2ebda4d1b5383f6221ba324cfb4d2256d4efe910ddc4d482740",
+    ("ripple", 10.0, 0.0): "b06442fd7364c075341c7e8c51a4bb87090c2b9525a08689de8e170b78fd2cc5",
+    ("ripple", 2.0, None): "3a4c151466570b1c91ebea12d1096a4f3cbd4c6561233ca3dad4746564c4ba38",
+    ("ripple", 2.0, 0.0): "eddd6bb1abf058cb6c850644d5463f1758cf3c693899d8f80335b4182bd13f5a",
+    ("ar2", 10.0, None): "2f7835be29f379be89bdead06099e38f260ec98fdb7317748f01cce071d5ba59",
+    ("ar2", 10.0, 0.0): "0c92bddb4e96f3ea9ec9f0f64a668255a6c15527ac09f6f119cafde60c7c4a39",
+    ("ar2", 2.0, None): "2f7835be29f379be89bdead06099e38f260ec98fdb7317748f01cce071d5ba59",
+    ("ar2", 2.0, 0.0): "0c92bddb4e96f3ea9ec9f0f64a668255a6c15527ac09f6f119cafde60c7c4a39",
+}
+
+# Stable AR(2) coefficients (a1, a2): a complex pole pair r exp(+-j theta),
+# two real poles, or one real pole (a2 = 0, the coloured noise's AR(1)).
+_POLE = st.floats(min_value=-0.999, max_value=0.999)
+STABLE_AR = st.one_of(
+    st.builds(lambda r, th: (2 * r * math.cos(th), -r * r),
+              st.floats(min_value=0.0, max_value=0.999),
+              st.floats(min_value=0.0, max_value=math.pi)),
+    st.builds(lambda p1, p2: (p1 + p2, -p1 * p2), _POLE, _POLE),
+    st.builds(lambda phi: (phi, 0.0), st.floats(min_value=0.0, max_value=0.999)),
+)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, rssikit, rssikit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 class TestRadioProfiles:
@@ -83,6 +132,31 @@ class TestChannelModel:
     def test_unstable_ar_rejected(self):
         with pytest.raises(ValueError, match="unstable"):
             ar2_channel(seed=0, a1=2.0, a2=0.5)
+
+    @pytest.mark.parametrize("coeffs", [(), (0.5,), (0.5, -0.2, 0.1)])
+    def test_ar2_takes_exactly_two_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="exactly two"):
+            ChannelModel(kind="ar2", base_path_loss_db=60.0, seed=0, ar_coeffs=coeffs)
+
+    @pytest.mark.parametrize(("kind", "rate_pps", "noise_std_db"), list(REALIZE_SHA256))
+    def test_realize_is_pinned(self, kind, rate_pps, noise_std_db):
+        ch = channel_by_name(kind, seed=31)
+        if noise_std_db is not None:
+            ch = replace(ch, noise_std_db=noise_std_db)
+        digest = hashlib.sha256(ch.realize(4000, rate_pps).tobytes()).hexdigest()
+        assert digest == REALIZE_SHA256[kind, rate_pps, noise_std_db]
+
+    @given(coeffs=STABLE_AR, seed=st.integers(min_value=0, max_value=2**16),
+           n=st.integers(min_value=1, max_value=3000),
+           scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    @settings(max_examples=80, deadline=None)
+    def test_ar2_filter_is_lfilter_bit_for_bit(self, coeffs, seed, n, scale):
+        signal = pytest.importorskip("scipy.signal")
+        a1, a2 = coeffs
+        w = np.random.default_rng(seed).standard_normal(n) * scale
+        expected = signal.lfilter([1.0], [1.0, -a1, -a2], w)
+        # Adding +0.0 makes every zero positive, as realize's sum does.
+        assert (_ar2_filter(w, a1, a2) + 0.0).tobytes() == (expected + 0.0).tobytes()
 
     def test_stationarity_across_halves(self):
         for factory in (swell_channel, ripple_channel, ar2_channel):
@@ -174,6 +248,17 @@ class TestLossModels:
             return best
 
         assert longest_run(mask) > longest_run(be)
+
+    @given(probs=st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]),
+                                       st.floats(min_value=0.0, max_value=1.0))] * 4),
+           seed=st.integers(min_value=0, max_value=2**16),
+           n=st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=100, deadline=None)
+    def test_gilbert_elliott_mask_is_the_chain_stepped_per_packet(self, probs, seed, n):
+        loss = gilbert_elliott_loss(*probs, seed=seed)
+        mask = loss.keep_mask(n)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, chain_keep_mask(loss, n))
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
