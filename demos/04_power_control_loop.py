@@ -6,6 +6,7 @@ on the same channel realization and the same 30% ACK loss, then zooms into
 a forced loss burst to show the predictor bridging consecutive misses.
 """
 
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,8 +30,8 @@ print("=== Adaptive loop vs always-max baseline ===")
 print(f"{'':<22} {'adaptive':>10} {'always-max':>11}")
 print(f"{'mean tx power (dBm)':<22} {adaptive.mean_tx_dbm:>10.2f} "
       f"{baseline.mean_tx_dbm:>11.2f}")
-print(f"{'delivered packets':<22} {adaptive.delivered_count:>10d} "
-      f"{baseline.delivered_count:>11d}")
+print(f"{'delivered packets':<22} {adaptive.delivered.sum():>10d} "
+      f"{baseline.delivered.sum():>11d}")
 print(f"{'above threshold (%)':<22} {100 * adaptive.delivered_above_threshold:>10.1f} "
       f"{100 * baseline.delivered_above_threshold:>11.1f}")
 print(f"\nenergy saved: {baseline.mean_tx_dbm - adaptive.mean_tx_dbm:.1f} dB "
@@ -48,9 +49,9 @@ burst = SimpleNamespace(keep_mask=lambda n: [not 1500 <= k < 1504 for k in range
 bridged = rk.run_closed_loop(channel, config, 2000, loss=burst)
 print(f"{'seq':>5} {'tx_dbm':>8} {'rssi_dbm':>9} {'ack':>4} {'predicted':>10} {'mode':>9}")
 for k in range(1498, 1506):
-    r = bridged.records[k]
-    pred = f"{r.predicted_dbm:9.2f}" if r.predicted_dbm is not None else "         "
-    print(f"{r.seq:>5} {r.tx_dbm:>8.2f} {r.rssi_dbm:>9.2f} "
-          f"{'yes' if r.delivered else 'no':>4} {pred} {r.mode:>9}")
+    p = bridged.predicted_dbm[k]
+    pred = "         " if math.isnan(p) else f"{p:9.2f}"
+    print(f"{k:>5} {bridged.tx_dbm[k]:>8.2f} {bridged.rssi_dbm[k]:>9.2f} "
+          f"{'yes' if bridged.delivered[k] else 'no':>4} {pred} {bridged.mode[k]:>9}")
 print("\nduring the burst the controller predicts the path gain forward from")
 print("the last anchor instead of freezing; power decisions stay on track")

@@ -59,6 +59,8 @@ class AtpcConfig:
     predictor_method: str = METHOD_ORTHONORMAL
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.threshold_dbm) and math.isfinite(self.margin_db)):
+            raise ValueError("threshold_dbm and margin_db must be finite")
         if self.threshold_dbm < self.radio.sensitivity_dbm:
             raise ValueError("threshold below radio sensitivity is unreachable")
         if self.margin_db < 0:
@@ -175,9 +177,9 @@ class AtpcController:
         return next_tx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopRecord:
-    """Per-packet outcome of a simulated control loop."""
+    """One packet of a loop transcript, as ``LoopResult.records`` builds it."""
 
     seq: int
     tx_dbm: float
@@ -187,42 +189,73 @@ class LoopRecord:
     mode: str
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ would compare array columns.
+@dataclass(frozen=True, eq=False)
 class LoopResult:
-    """Transcript of one closed-loop run plus summary statistics."""
+    """Transcript of one closed-loop run, as read-only columns whose entry k
+    is the k-th packet sent (``predicted_dbm`` is NaN where no prediction
+    was made), plus summary statistics."""
 
-    records: tuple[LoopRecord, ...]
+    tx_dbm: np.ndarray
+    rssi_dbm: np.ndarray
+    delivered: np.ndarray
+    predicted_dbm: np.ndarray
+    mode: np.ndarray
     threshold_dbm: float
 
     @property
-    def n_packets(self) -> int:
-        return len(self.records)
-
-    @property
-    def delivered_count(self) -> int:
-        return sum(1 for r in self.records if r.delivered)
+    def records(self) -> tuple[LoopRecord, ...]:
+        """Per-packet view rebuilt from the columns; kept for the benchmark."""
+        predicted = [None if math.isnan(p) else p for p in self.predicted_dbm.tolist()]
+        return tuple(map(LoopRecord, range(len(predicted)), self.tx_dbm.tolist(),
+                         self.rssi_dbm.tolist(), self.delivered.tolist(), predicted,
+                         self.mode.tolist()))
 
     @property
     def mean_tx_dbm(self) -> float:
-        return float(np.mean([r.tx_dbm for r in self.records]))
+        return float(np.mean(self.tx_dbm))
 
     @property
     def delivered_above_threshold(self) -> float:
         """Fraction of delivered packets received at or above threshold."""
-        got = [r for r in self.records if r.delivered]
-        if not got:
+        got = self.rssi_dbm[self.delivered]
+        if not got.size:
             return float("nan")
-        return sum(1 for r in got if r.rssi_dbm >= self.threshold_dbm) / len(got)
+        return np.count_nonzero(got >= self.threshold_dbm) / got.size
 
     def to_csv_text(self) -> str:
         """The per-packet transcript as CSV, the ``rssikit atpc`` format."""
         lines = ["seq,tx_dbm,rssi_dbm,delivered,predicted,mode"]
-        for r in self.records:
-            pred = f"{r.predicted_dbm:.2f}" if r.predicted_dbm is not None else ""
-            lines.append(
-                f"{r.seq},{r.tx_dbm:.2f},{r.rssi_dbm:.2f},{int(r.delivered)},{pred},{r.mode}"
-            )
+        for k, (tx, rssi, delivered, p, mode) in enumerate(zip(
+                self.tx_dbm.tolist(), self.rssi_dbm.tolist(), self.delivered.tolist(),
+                self.predicted_dbm.tolist(), self.mode.tolist())):
+            pred = "" if math.isnan(p) else f"{p:.2f}"
+            lines.append(f"{k},{tx:.2f},{rssi:.2f},{int(delivered)},{pred},{mode}")
         return "\n".join(lines) + "\n"
+
+
+def _link(channel: ChannelModel, radio: RadioProfile, n_packets: int,
+          loss: LossModel | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each packet's path gain, and whether the loss process keeps it."""
+    gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db
+    if loss is None:
+        return gains, np.ones(n_packets, dtype=bool)
+    keep = np.asarray(loss.keep_mask(n_packets), dtype=bool)
+    if keep.shape != (n_packets,):
+        raise ValueError(f"loss keep_mask gave {keep.size} entries for {n_packets} packets")
+    return gains, keep
+
+
+def _transcript(radio: RadioProfile, tx: np.ndarray, gains: np.ndarray, keep: np.ndarray,
+                predicted: np.ndarray, mode: list[str], threshold_dbm: float) -> LoopResult:
+    """The run that sent packet k at tx[k] over path gain gains[k]."""
+    rssi = tx + gains
+    # Object dtype: references to the few mode strings, not a string per packet.
+    columns = (tx, rssi, (rssi >= radio.sensitivity_dbm) & keep, predicted,
+               np.array(mode, dtype=object))
+    for c in columns:
+        c.flags.writeable = False
+    return LoopResult(*columns, threshold_dbm=threshold_dbm)
 
 
 def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,
@@ -235,41 +268,28 @@ def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,
     the n packets' survival, e.g. one that drops a chosen burst of seqs.
     """
     radio = config.radio
-    gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db
-    keep = loss.keep_mask(n_packets) if loss is not None else np.ones(n_packets, dtype=bool)
+    gains, keep = _link(channel, radio, n_packets, loss)
 
     ctrl = AtpcController(config)
     tx = ctrl.current_tx_dbm
-    records = []
-    for k in range(n_packets):
-        rssi = tx + gains[k]
-        delivered = rssi >= radio.sensitivity_dbm and bool(keep[k])
-        next_tx = ctrl.on_ack(rssi) if delivered else ctrl.on_missed_ack()
+    txs, predicted, modes = [], [], []
+    for gain, kept in zip(gains.tolist(), keep.tolist()):
+        txs.append(tx)
+        rssi = tx + gain
+        tx = ctrl.on_ack(rssi) if rssi >= radio.sensitivity_dbm and kept else ctrl.on_missed_ack()
         state = ctrl.state
-        records.append(LoopRecord(
-            seq=k, tx_dbm=tx, rssi_dbm=float(rssi), delivered=delivered,
-            predicted_dbm=state.predicted_dbm, mode=state.mode,
-        ))
-        tx = next_tx
-    return LoopResult(records=tuple(records), threshold_dbm=config.threshold_dbm)
+        predicted.append(state.predicted_dbm)
+        modes.append(state.mode)
+    # The float column holds None, no prediction, as NaN.
+    return _transcript(radio, np.array(txs), gains, keep, np.array(predicted, dtype=float),
+                       modes, config.threshold_dbm)
 
 
 def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
                     n_packets: int, loss: LossModel | None = None,
                     threshold_dbm: float | None = None) -> LoopResult:
     """Baseline: transmit every packet at a fixed power (e.g. always-max)."""
-    gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db
-    keep = loss.keep_mask(n_packets) if loss is not None else np.ones(n_packets, dtype=bool)
-    records = tuple(
-        LoopRecord(
-            seq=k,
-            tx_dbm=tx_dbm,
-            rssi_dbm=float(tx_dbm + gains[k]),
-            delivered=bool(tx_dbm + gains[k] >= radio.sensitivity_dbm and keep[k]),
-            predicted_dbm=None,
-            mode="fixed",
-        )
-        for k in range(n_packets)
-    )
+    gains, keep = _link(channel, radio, n_packets, loss)
     thr = radio.sensitivity_dbm if threshold_dbm is None else threshold_dbm
-    return LoopResult(records=records, threshold_dbm=thr)
+    return _transcript(radio, np.full(n_packets, tx_dbm, dtype=float), gains, keep,
+                       np.full(n_packets, np.nan), ["fixed"] * n_packets, thr)

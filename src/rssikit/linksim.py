@@ -127,6 +127,10 @@ class ChannelModel:
     def __post_init__(self) -> None:
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        for name in ("base_path_loss_db", "osc_freqs_hz", "osc_amps_db", "ar_coeffs",
+                     "noise_std_db", "noise_corr_time_s"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if len(self.osc_freqs_hz) != len(self.osc_amps_db):
             raise ValueError("oscillation frequencies and amplitudes must pair up")
         if any(f < 0 for f in self.osc_freqs_hz) or any(a < 0 for a in self.osc_amps_db):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from rssikit import IngestError, LossModel, Trace
+from rssikit import ChannelModel, IngestError, LossModel, RadioProfile, Trace
 from rssikit.trace import RSSI_MAX_DBM, RSSI_MIN_DBM
 
 
@@ -259,3 +259,18 @@ def chain_keep_mask(loss: LossModel, n: int) -> np.ndarray:
         else:
             bad = v[i] < loss.p_good_to_bad
     return keep
+
+
+def per_packet_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
+                           n_packets: int, loss: LossModel | None = None,
+                           ) -> list[tuple[float, float, bool]]:
+    """Reference fixed-power transcript: (tx, rssi, delivered) of each packet,
+    computed one packet at a time as ``run_fixed_power`` did before it was
+    vectorised."""
+    gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db
+    keep = loss.keep_mask(n_packets) if loss is not None else np.ones(n_packets, dtype=bool)
+    return [
+        (tx_dbm, float(tx_dbm + gains[k]),
+         bool(tx_dbm + gains[k] >= radio.sensitivity_dbm and keep[k]))
+        for k in range(n_packets)
+    ]

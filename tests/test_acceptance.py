@@ -251,7 +251,7 @@ def test_criterion_10_loss_bridging():
             # the oracle knows the true path gain at k.
             oracle_tx = min(max(cfg.threshold_dbm + cfg.margin_db - gains[k],
                                 RADIO10.min_tx_dbm), RADIO10.max_tx_dbm)
-            diffs.append(abs(res.records[k + 1].tx_dbm - oracle_tx))
+            diffs.append(abs(res.tx_dbm[k + 1] - oracle_tx))
         mads[burst_len] = float(np.mean(diffs))
     ok = (
         mads[1] <= 2.0 and mads[2] <= 2.0 and mads[3] <= 2.0

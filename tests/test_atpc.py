@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 from hashlib import sha256
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from rssikit import (
     AtpcConfig,
     AtpcController,
     bernoulli_loss,
+    channel_by_name,
     gilbert_elliott_loss,
     profile_by_name,
     run_closed_loop,
@@ -20,11 +23,13 @@ from rssikit import (
 from rssikit.atpc import CONTROLLER_METHODS
 
 from conftest import ForcedLoss, load_bench
+from oracles import per_packet_fixed_power
 
 RADIO = profile_by_name("cc2538")
 # The controller starts at the radio's maximum power; on its first ACK the
 # path gain is that ACK's rssi minus MAX_TX.
 MAX_TX = RADIO.max_tx_dbm
+COLUMNS = ("tx_dbm", "rssi_dbm", "delivered", "predicted_dbm", "mode")
 
 
 def make_config(**kwargs):
@@ -46,6 +51,12 @@ class TestConfig:
             make_config(max_missed_acks=0)
         with pytest.raises(ValueError):
             make_config(predictor_method="normal_eq")
+
+    @pytest.mark.parametrize("field", ["threshold_dbm", "margin_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_config(**{field: value})
 
 
 class TestOnAck:
@@ -149,7 +160,7 @@ class TestOnMissedAck:
             assert calls and set(calls) == {1}
         else:
             assert len(calls) == fits
-            assert all(r.predicted_dbm is None for r in result.records)
+            assert np.isnan(result.predicted_dbm).all()
 
 
 class TestSafety:
@@ -189,18 +200,18 @@ class TestClosedLoop:
         forced = set(range(500, 503))
         res = run_closed_loop(ch, cfg, 1000, loss=ForcedLoss(forced))
         for k in forced:
-            rec = res.records[k]
-            assert not rec.delivered
-            assert rec.predicted_dbm is not None
-            assert rec.mode == "tracking"
-        assert res.records[503].delivered
+            assert not res.delivered[k]
+            assert np.isfinite(res.predicted_dbm[k])
+            assert res.mode[k] == "tracking"
+        assert res.delivered[503]
 
     def test_records_are_deterministic(self):
         ch = swell_channel(seed=16, base_path_loss_db=80.0)
         loss = bernoulli_loss(0.2, seed=17)
         a = run_closed_loop(ch, make_config(), 800, loss=loss)
         b = run_closed_loop(ch, make_config(), 800, loss=loss)
-        assert a.records == b.records
+        for name in COLUMNS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("method", CONTROLLER_METHODS)
     def test_transcript_is_the_benchmark_transcript(self, method, monkeypatch):
@@ -209,8 +220,16 @@ class TestClosedLoop:
         ch = swell_channel(seed=19, base_path_loss_db=80.0)
         res = run_closed_loop(ch, make_config(predictor_method=method), 600,
                               loss=bernoulli_loss(0.3, seed=20))
-        assert any(r.predicted_dbm is not None for r in res.records)
+        assert np.isfinite(res.predicted_dbm).any()
         assert workloads.loop_transcript(res) == res.to_csv_text().encode()
+        # The per-packet view the benchmark reads is the columns, value for value.
+        records = res.records
+        assert [r.seq for r in records] == list(range(600))
+        assert [(r.tx_dbm, r.rssi_dbm, r.delivered, r.mode) for r in records] == list(zip(
+            res.tx_dbm.tolist(), res.rssi_dbm.tolist(), res.delivered.tolist(),
+            res.mode.tolist()))
+        assert [r.predicted_dbm for r in records] == [
+            None if math.isnan(p) else p for p in res.predicted_dbm.tolist()]
 
     def test_benchmark_transcripts_are_pinned(self):
         # The benchmark's closed-loop inputs at seed 1001: a change that
@@ -219,15 +238,63 @@ class TestClosedLoop:
         loss = gilbert_elliott_loss(0.05, 0.25, seed=1002)
         loop = run_closed_loop(ch, make_config(predictor_method="orthonormal"), 20_000,
                                loss=loss)
+        simplified = run_closed_loop(ch, make_config(), 20_000, loss=loss)
         fixed = run_fixed_power(ch, RADIO, MAX_TX, 20_000, loss=loss, threshold_dbm=-90.0)
         assert sha256(loop.to_csv_text().encode()).hexdigest() == \
             "1349a79f54809199b69ebf6b7894a29d270b4470e70bb280f1157dad254a2be8"
+        assert sha256(simplified.to_csv_text().encode()).hexdigest() == \
+            "2c0bf6fbf06b1dfcb28ececc794ce4e39f4ffeb4aa187ea54429a9d2eb71c69f"
         assert sha256(fixed.to_csv_text().encode()).hexdigest() == \
             "6929a83226976707bd7eb17f064736c18b7b171d15bb3246b629a671fc3f4fbf"
 
     def test_summary_statistics(self):
         ch = swell_channel(seed=18, base_path_loss_db=80.0)
         res = run_closed_loop(ch, make_config(), 400)
-        assert res.n_packets == 400
-        assert 0 < res.delivered_count <= 400
+        assert all(getattr(res, name).shape == (400,) for name in COLUMNS)
+        assert 0 < np.count_nonzero(res.delivered) <= 400
         assert RADIO.min_tx_dbm <= res.mean_tx_dbm <= RADIO.max_tx_dbm
+
+
+# Both runners with one signature: (channel, n_packets, loss) -> LoopResult.
+RUNNERS = {
+    "closed_loop": lambda ch, n, loss: run_closed_loop(ch, make_config(), n, loss=loss),
+    "fixed_power": lambda ch, n, loss: run_fixed_power(ch, RADIO, MAX_TX, n, loss=loss),
+}
+
+
+class TestTranscript:
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("mask_len", [49, 51, 1])
+    def test_loss_mask_must_cover_every_packet(self, runner, mask_len):
+        loss = SimpleNamespace(keep_mask=lambda n: [True] * mask_len)
+        with pytest.raises(ValueError, match=f"{mask_len} entries for 50 packets"):
+            RUNNERS[runner](swell_channel(seed=23, base_path_loss_db=80.0), 50, loss)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_columns_are_read_only(self, runner):
+        res = RUNNERS[runner](swell_channel(seed=23, base_path_loss_db=80.0), 300,
+                              bernoulli_loss(0.3, seed=24))
+        for name in COLUMNS:
+            column = getattr(res, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
+    @given(kind=st.sampled_from(["swell", "ripple", "ar2"]),
+           loss_kind=st.sampled_from(["none", "bernoulli", "gilbert"]),
+           tx=st.floats(min_value=RADIO.min_tx_dbm, max_value=RADIO.max_tx_dbm),
+           n=st.integers(min_value=1, max_value=1500),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_power_is_the_per_packet_reference(self, kind, loss_kind, tx, n, seed):
+        ch = channel_by_name(kind, seed=seed, base_path_loss_db=95.0)
+        loss = {"none": None, "bernoulli": bernoulli_loss(0.3, seed=seed + 1),
+                "gilbert": gilbert_elliott_loss(0.05, 0.25, seed=seed + 1)}[loss_kind]
+        res = run_fixed_power(ch, RADIO, tx, n, loss=loss)
+        ref = per_packet_fixed_power(ch, RADIO, tx, n, loss=loss)
+        assert res.tx_dbm.tolist() == [r[0] for r in ref]
+        assert res.rssi_dbm.tolist() == [r[1] for r in ref]
+        assert res.delivered.tolist() == [r[2] for r in ref]
+        assert np.isnan(res.predicted_dbm).all()
+        assert res.mode.tolist() == ["fixed"] * n
+        assert res.threshold_dbm == RADIO.sensitivity_dbm

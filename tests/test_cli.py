@@ -246,6 +246,18 @@ class TestExitCodes:
         assert run_cli("predict", "--model", str(model), "--anchor-rssi", "-70") == 1
         assert f"key '{key}' must be a number\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("atpc", "--threshold", "nan"),
+        ("atpc", "--margin", "nan"),
+        ("atpc", "--path-loss", "nan"),
+        ("simulate", "--path-loss", "nan"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--packets", "5", "--out", str(out)) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success_is_zero(self, trace_csv, tmp_path):
         assert run_cli("acf", "--in", str(trace_csv), "--max-lag", "5",
                        "--out", str(tmp_path / "a.csv")) == 0

@@ -138,6 +138,21 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="exactly two"):
             ChannelModel(kind="ar2", base_path_loss_db=60.0, seed=0, ar_coeffs=coeffs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("base_path_loss_db", math.nan), ("base_path_loss_db", -math.inf),
+        ("noise_std_db", math.nan), ("noise_corr_time_s", math.inf),
+        ("osc_freqs_hz", (0.1, math.nan)), ("osc_amps_db", (math.inf, 1.0)),
+        ("ar_coeffs", (math.nan, -0.5)),
+    ])
+    def test_non_finite_parameter_rejected(self, field, value):
+        kind = "ar2" if field == "ar_coeffs" else "swell"
+        params = dict(kind=kind, base_path_loss_db=60.0, seed=0, osc_freqs_hz=(0.1, 0.2),
+                      osc_amps_db=(1.0, 1.0), ar_coeffs=(0.5, -0.2),
+                      noise_std_db=0.3, noise_corr_time_s=3.0)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChannelModel(**params)
+
     @pytest.mark.parametrize(("kind", "rate_pps", "noise_std_db"), list(REALIZE_SHA256))
     def test_realize_is_pinned(self, kind, rate_pps, noise_std_db):
         ch = channel_by_name(kind, seed=31)
