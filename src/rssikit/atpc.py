@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linksim import ChannelModel, LossModel, RadioProfile
+from .linksim import ChannelModel, LossModel, RadioProfile, _check_tx_power
 from .predictor import (
     METHOD_ORTHONORMAL,
     METHOD_SIMPLIFIED,
@@ -71,10 +72,11 @@ class AtpcConfig:
             raise ValueError(f"unsupported predictor method {self.predictor_method!r}")
 
 
-@dataclass(frozen=True)
-class AtpcState:
+class AtpcState(NamedTuple):
     """Immutable snapshot of the controller between events.
 
+    Each event builds one whole snapshot and publishes it with a single
+    assignment, so a concurrent reader never sees a half-updated state.
     ``predicted_dbm`` is the received power predicted for the packet whose
     ACK was just missed, or None when the last event made no prediction.
     """
@@ -91,18 +93,26 @@ class AtpcController:
     """Single-owner state machine driven by ack / missed-ack events.
 
     The first packet goes out at maximum power. Each event returns the
-    transmit power for the next packet; ``state`` exposes a snapshot that
-    may be read concurrently.
+    transmit power for the next packet and publishes one immutable
+    ``AtpcState`` snapshot, which ``state`` returns and which may be read
+    concurrently.
     """
 
     def __init__(self, config: AtpcConfig):
         self.config = config
-        self._state = AtpcState(last_tx_dbm=config.radio.max_tx_dbm)
+        radio = config.radio
+        self._min_tx = radio.min_tx_dbm
+        self._max_tx = radio.max_tx_dbm
+        self._max_missed = config.max_missed_acks
+        # thr + margin - gain evaluates as (thr + margin) - gain, so the
+        # sum is resolved once without changing a bit.
+        self._target = config.threshold_dbm + config.margin_db
+        self._state = AtpcState(self._max_tx)
         # Prediction horizons 1..max_missed-1; at max_missed the controller
         # stops predicting and falls back. With max_missed 1 there are none.
         lags = tuple(range(1, config.max_missed_acks))
         self._window = SlidingWindowPredictor(config.predictor_method, lags,
-                                              config.radio.lag_unit_s)
+                                              radio.lag_unit_s)
         self._tick = 0
 
     @property
@@ -113,14 +123,6 @@ class AtpcController:
     def current_tx_dbm(self) -> float:
         return self._state.last_tx_dbm
 
-    def _clamp(self, tx: float) -> float:
-        r = self.config.radio
-        return min(max(tx, r.min_tx_dbm), r.max_tx_dbm)
-
-    def _decide(self, gain_db: float) -> tuple[float, bool]:
-        required = self.config.threshold_dbm + self.config.margin_db - gain_db
-        return self._clamp(required), required > self.config.radio.max_tx_dbm
-
     def on_ack(self, ack_rssi_dbm: float) -> float:
         """Process a received ACK; returns the next transmit power."""
         if not math.isfinite(ack_rssi_dbm):
@@ -128,14 +130,9 @@ class AtpcController:
         gain = ack_rssi_dbm - self._state.last_tx_dbm
         self._window.observe(self._tick, gain)
         self._tick += 1
-        next_tx, insufficient = self._decide(gain)
-        self._state = AtpcState(
-            last_tx_dbm=next_tx,
-            consecutive_missed=0,
-            path_gain_estimate_db=gain,
-            mode=MODE_TRACKING,
-            headroom_insufficient=insufficient,
-        )
+        required = self._target - gain
+        next_tx = min(max(required, self._min_tx), self._max_tx)
+        self._state = AtpcState(next_tx, 0, gain, MODE_TRACKING, required > self._max_tx)
         return next_tx
 
     def on_missed_ack(self) -> float:
@@ -147,34 +144,24 @@ class AtpcController:
         missing anchor all force the safe extreme: maximum power.
         """
         self._tick += 1
-        n = self._state.consecutive_missed + 1
         prev = self._state
-
-        anchor = self._window.anchor()
-        model = self._window.model_for(n) if anchor is not None else None
-        if n >= self.config.max_missed_acks or anchor is None or model is None:
-            self._state = AtpcState(
-                last_tx_dbm=self.config.radio.max_tx_dbm,
-                consecutive_missed=n,
-                path_gain_estimate_db=prev.path_gain_estimate_db,
-                mode=MODE_FALLBACK,
-                headroom_insufficient=False,
-            )
-            return self.config.radio.max_tx_dbm
-
-        gain_a, slope_a = anchor
-        predicted_gain = predict(model, gain_a, slope_a, n_steps=n).value
-        next_tx, insufficient = self._decide(predicted_gain)
-        self._state = AtpcState(
-            last_tx_dbm=next_tx,
-            consecutive_missed=n,
-            path_gain_estimate_db=predicted_gain,
-            mode=MODE_TRACKING,
-            headroom_insufficient=insufficient,
-            # Receiver-side power the lost packet would have produced.
-            predicted_dbm=predicted_gain + prev.last_tx_dbm,
-        )
-        return next_tx
+        n = prev.consecutive_missed + 1
+        if n < self._max_missed:
+            anchor = self._window.anchor()
+            model = self._window.model_for(n) if anchor is not None else None
+            if model is not None:
+                gain_a, slope_a = anchor
+                predicted_gain = predict(model, gain_a, slope_a, n_steps=n).value
+                required = self._target - predicted_gain
+                next_tx = min(max(required, self._min_tx), self._max_tx)
+                # The last field is the receiver-side power the lost packet
+                # would have produced.
+                self._state = AtpcState(next_tx, n, predicted_gain, MODE_TRACKING,
+                                        required > self._max_tx,
+                                        predicted_gain + prev.last_tx_dbm)
+                return next_tx
+        self._state = AtpcState(self._max_tx, n, prev.path_gain_estimate_db, MODE_FALLBACK)
+        return self._max_tx
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,13 +258,15 @@ def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,
     gains, keep = _link(channel, radio, n_packets, loss)
 
     ctrl = AtpcController(config)
+    on_ack, on_missed_ack = ctrl.on_ack, ctrl.on_missed_ack
+    sensitivity = radio.sensitivity_dbm
     tx = ctrl.current_tx_dbm
     txs, predicted, modes = [], [], []
     for gain, kept in zip(gains.tolist(), keep.tolist()):
         txs.append(tx)
         rssi = tx + gain
-        tx = ctrl.on_ack(rssi) if rssi >= radio.sensitivity_dbm and kept else ctrl.on_missed_ack()
-        state = ctrl.state
+        tx = on_ack(rssi) if rssi >= sensitivity and kept else on_missed_ack()
+        state = ctrl._state
         predicted.append(state.predicted_dbm)
         modes.append(state.mode)
     # The float column holds None, no prediction, as NaN.
@@ -289,6 +278,7 @@ def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
                     n_packets: int, loss: LossModel | None = None,
                     threshold_dbm: float | None = None) -> LoopResult:
     """Baseline: transmit every packet at a fixed power (e.g. always-max)."""
+    _check_tx_power(radio, tx_dbm)
     gains, keep = _link(channel, radio, n_packets, loss)
     thr = radio.sensitivity_dbm if threshold_dbm is None else threshold_dbm
     return _transcript(radio, np.full(n_packets, tx_dbm, dtype=float), gains, keep,

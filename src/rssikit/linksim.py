@@ -286,6 +286,15 @@ def gilbert_elliott_loss(p_good_to_bad: float, p_bad_to_good: float,
                      loss_good=loss_good, loss_bad=loss_bad)
 
 
+def _check_tx_power(radio: RadioProfile, tx_power_dbm: float) -> None:
+    """Reject a transmit power the radio cannot emit (NaN included)."""
+    if not radio.min_tx_dbm <= tx_power_dbm <= radio.max_tx_dbm:
+        raise ValueError(
+            f"tx_power {tx_power_dbm} dBm outside [{radio.min_tx_dbm}, "
+            f"{radio.max_tx_dbm}] for {radio.name}"
+        )
+
+
 def generate_trace(channel: ChannelModel, radio: RadioProfile,
                    tx_power_dbm: float, n_packets: int) -> Trace:
     """Synthesize the receiver-side record of a fixed-power transmission.
@@ -298,11 +307,7 @@ def generate_trace(channel: ChannelModel, radio: RadioProfile,
     """
     if n_packets < 1:
         raise ValueError("n_packets must be >= 1")
-    if not radio.min_tx_dbm <= tx_power_dbm <= radio.max_tx_dbm:
-        raise ValueError(
-            f"tx_power {tx_power_dbm} dBm outside [{radio.min_tx_dbm}, "
-            f"{radio.max_tx_dbm}] for {radio.name}"
-        )
+    _check_tx_power(radio, tx_power_dbm)
     fluct = channel.realize(n_packets, radio.rate_pps)
     rssi = np.round(tx_power_dbm - channel.base_path_loss_db + fluct, 2)
     step = radio.lag_unit_s

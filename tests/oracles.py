@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with plain Python loops and dicts,
 not numpy vectorization, so it shares no code path with the implementations
-it verifies.
+it verifies. The reference controller is the exception: it shares the
+sliding window and ``predict``, and checks only the controller's event logic.
 """
 
 from __future__ import annotations
@@ -10,10 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from rssikit import ChannelModel, IngestError, LossModel, RadioProfile, Trace
+from rssikit import AtpcConfig, ChannelModel, IngestError, LossModel, RadioProfile, Trace
+from rssikit.atpc import MODE_FALLBACK, MODE_TRACKING
+from rssikit.predictor import SlidingWindowPredictor, predict
 from rssikit.trace import RSSI_MAX_DBM, RSSI_MIN_DBM
 
 
@@ -274,3 +278,83 @@ def per_packet_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: f
          bool(tx_dbm + gains[k] >= radio.sensitivity_dbm and keep[k]))
         for k in range(n_packets)
     ]
+
+
+@dataclass(frozen=True)
+class ReferenceAtpcState:
+    """``AtpcState`` as a frozen dataclass: same fields, order and defaults."""
+
+    last_tx_dbm: float
+    consecutive_missed: int = 0
+    path_gain_estimate_db: float | None = None
+    mode: str = MODE_TRACKING
+    headroom_insufficient: bool = False
+    predicted_dbm: float | None = None
+
+
+class ReferenceAtpcController:
+    """Reference controller: the per-event logic as first written, reading
+    the config on every event through ``_decide`` and ``_clamp`` and
+    rebuilding the snapshot by keyword. It shares the sliding window and
+    ``predict`` with ``AtpcController``; only the event logic is under test.
+    """
+
+    def __init__(self, config: AtpcConfig):
+        self.config = config
+        self.state = ReferenceAtpcState(last_tx_dbm=config.radio.max_tx_dbm)
+        lags = tuple(range(1, config.max_missed_acks))
+        self._window = SlidingWindowPredictor(config.predictor_method, lags,
+                                              config.radio.lag_unit_s)
+        self._tick = 0
+
+    def _clamp(self, tx: float) -> float:
+        r = self.config.radio
+        return min(max(tx, r.min_tx_dbm), r.max_tx_dbm)
+
+    def _decide(self, gain_db: float) -> tuple[float, bool]:
+        required = self.config.threshold_dbm + self.config.margin_db - gain_db
+        return self._clamp(required), required > self.config.radio.max_tx_dbm
+
+    def on_ack(self, ack_rssi_dbm: float) -> float:
+        if not math.isfinite(ack_rssi_dbm):
+            raise ValueError("ack_rssi must be finite")
+        gain = ack_rssi_dbm - self.state.last_tx_dbm
+        self._window.observe(self._tick, gain)
+        self._tick += 1
+        next_tx, insufficient = self._decide(gain)
+        self.state = ReferenceAtpcState(
+            last_tx_dbm=next_tx,
+            consecutive_missed=0,
+            path_gain_estimate_db=gain,
+            mode=MODE_TRACKING,
+            headroom_insufficient=insufficient,
+        )
+        return next_tx
+
+    def on_missed_ack(self) -> float:
+        self._tick += 1
+        n = self.state.consecutive_missed + 1
+        prev = self.state
+        anchor = self._window.anchor()
+        model = self._window.model_for(n) if anchor is not None else None
+        if n >= self.config.max_missed_acks or anchor is None or model is None:
+            self.state = ReferenceAtpcState(
+                last_tx_dbm=self.config.radio.max_tx_dbm,
+                consecutive_missed=n,
+                path_gain_estimate_db=prev.path_gain_estimate_db,
+                mode=MODE_FALLBACK,
+                headroom_insufficient=False,
+            )
+            return self.config.radio.max_tx_dbm
+        gain_a, slope_a = anchor
+        predicted_gain = predict(model, gain_a, slope_a, n_steps=n).value
+        next_tx, insufficient = self._decide(predicted_gain)
+        self.state = ReferenceAtpcState(
+            last_tx_dbm=next_tx,
+            consecutive_missed=n,
+            path_gain_estimate_db=predicted_gain,
+            mode=MODE_TRACKING,
+            headroom_insufficient=insufficient,
+            predicted_dbm=predicted_gain + prev.last_tx_dbm,
+        )
+        return next_tx

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from hashlib import sha256
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssikit import (
     AtpcConfig,
     AtpcController,
+    AtpcState,
     bernoulli_loss,
     channel_by_name,
+    generate_trace,
     gilbert_elliott_loss,
     profile_by_name,
     run_closed_loop,
@@ -23,7 +26,7 @@ from rssikit import (
 from rssikit.atpc import CONTROLLER_METHODS
 
 from conftest import ForcedLoss, load_bench
-from oracles import per_packet_fixed_power
+from oracles import ReferenceAtpcController, ReferenceAtpcState, per_packet_fixed_power
 
 RADIO = profile_by_name("cc2538")
 # The controller starts at the radio's maximum power; on its first ACK the
@@ -163,6 +166,129 @@ class TestOnMissedAck:
             assert np.isnan(result.predicted_dbm).all()
 
 
+class TestSnapshot:
+    def test_state_is_immutable(self):
+        ctrl = AtpcController(make_config())
+        ctrl.on_ack(-80.0)
+        with pytest.raises(AttributeError):
+            ctrl.state.last_tx_dbm = 0.0
+        with pytest.raises(TypeError):
+            ctrl.state[0] = 0.0
+
+    def test_a_held_snapshot_survives_later_events(self):
+        ctrl = AtpcController(make_config())
+        ctrl.on_ack(-80.0)
+        held = ctrl.state
+        before = tuple(held)
+        ctrl.on_ack(-70.0)
+        ctrl.on_missed_ack()
+        assert ctrl.state is not held
+        assert tuple(held) == before
+
+    def test_reads_between_events_return_one_object(self):
+        ctrl = AtpcController(make_config())
+        assert ctrl.state is ctrl.state
+        ctrl.on_missed_ack()
+        assert ctrl.state is ctrl.state
+
+    def test_same_fields_as_the_reference_snapshot(self):
+        assert AtpcState._fields == tuple(
+            f.name for f in dataclasses.fields(ReferenceAtpcState))
+        assert tuple(AtpcState(MAX_TX)) == dataclasses.astuple(ReferenceAtpcState(MAX_TX))
+
+    def test_unpacks_and_replaces_like_a_tuple(self):
+        state = AtpcController(make_config()).state
+        assert state == (MAX_TX, 0, None, "tracking", False, None)
+        tx, missed, *_ = state
+        assert (tx, missed) == (MAX_TX, 0)
+        assert state._replace(mode="fallback").mode == "fallback"
+        assert state.mode == "tracking"
+
+
+def bits(value):
+    """A float's exact bits, anything else as itself; tagged by type."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def gain_walk(seed: int, n: int) -> list:
+    """n events around a slowly wandering path gain of about -80 dB: the
+    gain of an ACKed packet (a float) or a run of missed ACKs (an int)."""
+    rng = np.random.default_rng(seed)
+    gains = -80.0 + np.cumsum(rng.normal(0.0, 0.3, n))
+    runs = np.where(rng.random(n) < 0.15, rng.integers(1, 9, n), 0)
+    return [int(r) if r else float(g) for g, r in zip(gains, runs)]
+
+
+@st.composite
+def event_sequences(draw):
+    """A seeded walk long enough for several orthonormal refits (one per 64
+    ACKs), then drawn events: path gains from -110 to -40 dB, which clamp the
+    next power at the radio's maximum (below -94 dB) and minimum (above
+    -63 dB), and missed runs of 1-8, shorter than, equal to and longer than
+    every max_missed_acks from 1 to 6."""
+    walk = gain_walk(draw(st.integers(min_value=0, max_value=2**32 - 1)),
+                     draw(st.integers(min_value=0, max_value=300)))
+    tail = draw(st.lists(st.one_of(st.floats(min_value=-110.0, max_value=-40.0),
+                                   st.integers(min_value=1, max_value=8)),
+                         max_size=80))
+    return walk + tail
+
+
+# Every branch at once: a first gain that needs exactly the maximum power
+# (no headroom flag), refits, predictions at each horizon, exhausted runs,
+# and both clamps.
+COVERING_EVENTS = [-94.0] + gain_walk(7, 200) + [1, 2, 3, 4, -110.0, 3, -40.0, -40.0, 6,
+                                                 -80.0]
+
+
+def drive(config, events):
+    """Run the controller and the reference side by side over ``events``
+    (gains of ACKed packets and missed runs); assert every returned power
+    and every snapshot field bit-equal; return the states seen."""
+    ctrl, ref = AtpcController(config), ReferenceAtpcController(config)
+    seen = []
+
+    def step(method, *args):
+        got, want = getattr(ctrl, method)(*args), getattr(ref, method)(*args)
+        assert bits(got) == bits(want), (method, args)
+        assert [bits(v) for v in ctrl.state] == \
+            [bits(getattr(ref.state, f)) for f in AtpcState._fields], (method, args)
+        seen.append(ctrl.state)
+        return got
+
+    tx = ctrl.current_tx_dbm
+    for event in events:
+        if isinstance(event, int):
+            for _ in range(event):
+                tx = step("on_missed_ack")
+        else:
+            tx = step("on_ack", tx + event)
+    return seen
+
+
+class TestMatchesReference:
+    @given(events=event_sequences(), max_missed=st.integers(min_value=1, max_value=6),
+           method=st.sampled_from(CONTROLLER_METHODS),
+           threshold=st.floats(min_value=RADIO.sensitivity_dbm, max_value=-60.0),
+           margin=st.floats(min_value=0.0, max_value=10.0))
+    @example(events=COVERING_EVENTS, max_missed=3, method="orthonormal",
+             threshold=-90.0, margin=3.0)
+    @settings(max_examples=120, deadline=None)
+    def test_every_event_is_bit_equal(self, events, max_missed, method, threshold, margin):
+        drive(make_config(threshold_dbm=threshold, margin_db=margin,
+                          max_missed_acks=max_missed, predictor_method=method), events)
+
+    @pytest.mark.parametrize("method", CONTROLLER_METHODS)
+    def test_covering_events_reach_every_branch(self, method):
+        seen = drive(make_config(max_missed_acks=3, predictor_method=method),
+                     COVERING_EVENTS)
+        predicted = {s.consecutive_missed for s in seen if s.predicted_dbm is not None}
+        assert predicted == {1, 2}
+        assert any(s.mode == "fallback" and s.consecutive_missed == 3 for s in seen)
+        assert any(s.last_tx_dbm == RADIO.min_tx_dbm for s in seen)
+        assert any(s.headroom_insufficient for s in seen)
+
+
 class TestSafety:
     @given(st.lists(
         st.one_of(st.none(), st.floats(min_value=-130, max_value=10)),
@@ -298,3 +424,28 @@ class TestTranscript:
         assert np.isnan(res.predicted_dbm).all()
         assert res.mode.tolist() == ["fixed"] * n
         assert res.threshold_dbm == RADIO.sensitivity_dbm
+
+
+# Both functions that transmit at one caller-given power, each giving the
+# powers it sent.
+FIXED_POWER = {
+    "generate_trace": lambda tx: generate_trace(
+        swell_channel(seed=25, base_path_loss_db=60.0), RADIO, tx, 50).tx_power,
+    "run_fixed_power": lambda tx: run_fixed_power(
+        swell_channel(seed=25, base_path_loss_db=60.0), RADIO, tx, 50).tx_dbm,
+}
+
+
+class TestFixedTxPower:
+    @pytest.mark.parametrize("fn", FIXED_POWER)
+    @pytest.mark.parametrize("tx", [100.0, math.nan, -math.inf])
+    def test_power_the_radio_cannot_emit_is_rejected(self, fn, tx):
+        with pytest.raises(ValueError,
+                           match=r"tx_power .* dBm outside \[-24\.0, 7\.0\] for cc2538"):
+            FIXED_POWER[fn](tx)
+
+    @pytest.mark.parametrize("fn", FIXED_POWER)
+    @pytest.mark.parametrize("tx", [RADIO.min_tx_dbm, RADIO.max_tx_dbm])
+    def test_radio_limits_are_accepted(self, fn, tx):
+        sent = FIXED_POWER[fn](tx)
+        assert sent.tolist() == [tx] * 50

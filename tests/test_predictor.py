@@ -389,6 +389,26 @@ class TestModelProperties:
         pb = predict(b, -65.0 + 17.25, 1.0).value
         assert pb - pa == pytest.approx(17.25, abs=1e-9)
 
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           offset=st.sampled_from([-23.5, 0.37, 41.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_offset_keeps_weights_and_shifts_every_prediction(self, seed, offset):
+        # A constant dB offset moves the means, not the covariances: every
+        # method keeps its weights at every lag and predicts offset higher.
+        trace = apply_loss(generate_trace(ar2_channel(seed=seed), RADIO, 0.0, 2000),
+                           gilbert_elliott_loss(0.05, 0.25, seed=seed + 1))
+        shifted = trace.shifted(offset)
+        deriv, shifted_deriv = derivative_series(trace), derivative_series(shifted)
+        anchors, slopes = trace.rssi[1:], deriv.slope
+        for method in METHODS:
+            for k in (1, 2, 3, 4):
+                a = fit_at_lag(trace, deriv, method, k)
+                b = fit_at_lag(shifted, shifted_deriv, method, k)
+                assert b.w_level == pytest.approx(a.w_level, rel=1e-9), (method, k)
+                assert b.w_slope == pytest.approx(a.w_slope, rel=1e-9), (method, k)
+                moved = b.apply(shifted.rssi[1:], shifted_deriv.slope) - a.apply(anchors, slopes)
+                np.testing.assert_allclose(moved, offset, rtol=0, atol=1e-9)
+
     def test_simplified_converges_to_full_at_small_lag(self):
         # Near-unit lag-1 correlation: poles 0.97 exp(+-0.1j).
         a1 = 2 * 0.97 * math.cos(0.1)
