@@ -27,6 +27,7 @@ from .predictor import (
     METHOD_ORTHONORMAL,
     METHOD_SIMPLIFIED,
     SlidingWindowPredictor,
+    _as_int,
     predict,
 )
 
@@ -66,7 +67,7 @@ class AtpcConfig:
             raise ValueError("threshold below radio sensitivity is unreachable")
         if self.margin_db < 0:
             raise ValueError("margin_db must be >= 0")
-        if self.max_missed_acks < 1:
+        if _as_int(self.max_missed_acks, "max_missed_acks") < 1:
             raise ValueError("max_missed_acks must be >= 1")
         if self.predictor_method not in CONTROLLER_METHODS:
             raise ValueError(f"unsupported predictor method {self.predictor_method!r}")

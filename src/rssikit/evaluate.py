@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .predictor import _fit_moments
+from .predictor import _as_int, _fit_moments
 from .stats import lag_moments
 from .trace import Trace, derivative_series
 
@@ -110,7 +110,7 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
         ValueError: No valid prediction points at some lag, bad lags, or
             degenerate statistics for the statistical methods.
     """
-    lag_list = sorted(set(int(k) for k in lags))
+    lag_list = sorted(set(_as_int(k, "lag") for k in lags))
     if not lag_list or lag_list[0] < 1:
         raise ValueError("lags must be integers >= 1")
     if len(trace) < 2:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -52,6 +53,15 @@ DET_RTOL = 1e-10
 # _REFIT_EVERY of them, so the first refit comes once that many arrived.
 _WINDOW = 512
 _REFIT_EVERY = 64
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as the int ``operator.index`` gives for it; anything that
+    would have to be truncated to become one raises ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class DegenerateMomentsError(ValueError):
@@ -485,7 +495,7 @@ class SlidingWindowPredictor:
         if step_s <= 0:
             raise ValueError(f"step_s must be > 0, got {step_s}")
         self.method = method
-        self.lags = tuple(sorted(set(int(k) for k in lags)))
+        self.lags = tuple(sorted(set(_as_int(k, "lag") for k in lags)))
         if any(k < 1 for k in self.lags):
             raise ValueError("lags must be >= 1")
         self.step_s = float(step_s)
@@ -504,10 +514,10 @@ class SlidingWindowPredictor:
         """Record one observation; seq gaps mark missed feedback.
 
         Raises:
-            ValueError: value is not finite, or seq does not exceed the
-                previous observation's.
+            ValueError: seq is not an integer, value is not finite, or seq
+                does not exceed the previous observation's.
         """
-        seq, value = int(seq), float(value)
+        seq, value = _as_int(seq, "observation seq"), float(value)
         if not math.isfinite(value):
             raise ValueError(f"observation value must be finite, got {value}")
         last = self._last
@@ -530,10 +540,27 @@ class SlidingWindowPredictor:
         return v1, (v1 - v0) / ((s1 - s0) * self.step_s)
 
     def model_for(self, n_steps: int) -> PredictorModel | None:
-        """Model able to predict n_steps ahead, or None if unavailable."""
-        return self._models.get(int(n_steps))
+        """Model able to predict n_steps ahead, or None if unavailable.
+
+        Raises:
+            ValueError: n_steps is not an integer.
+        """
+        return self._models.get(_as_int(n_steps, "n_steps"))
 
     def _refit(self) -> None:
+        """Refit every lag from the window, as ``fit_at_lag`` would fit it on
+        a trace of the same observations, bit for bit.
+
+        The window is read oldest first with its seqs counted from the
+        first. Its timestamps are ``derive_times`` of those seqs, and each
+        slope is the backward difference ``derivative_series`` takes,
+        written as ufunc calls: ``np.diff`` is a Python-level wrapper that
+        costs more than its arithmetic on 512 samples. A window whose
+        timestamps repeat (a step below the microsecond) has non-finite
+        slopes and is skipped. Then one ``lag_moments`` call serves every
+        lag, and each lag's model replaces the last or, where its fit
+        fails, is dropped.
+        """
         # Oldest first: the slots from the next write to the end of those
         # filled, then the slots before it.
         first, held = self._count % _WINDOW, min(self._count, _WINDOW)
@@ -541,7 +568,8 @@ class SlidingWindowPredictor:
         r = np.concatenate((self._value[first:held], self._value[:first]))
         seq -= seq[0]
         with np.errstate(all="ignore"):
-            slope = np.diff(r) / np.diff(derive_times(seq, self.step_s))
+            t = derive_times(seq, self.step_s)
+            slope = np.subtract(r[1:], r[:-1]) / np.subtract(t[1:], t[:-1])
         if not np.isfinite(slope).all():
             logger.debug("refit at lags %s skipped: non-finite slope in window", self.lags)
             return

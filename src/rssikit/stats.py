@@ -158,7 +158,9 @@ def _slots(seq: np.ndarray, max_lag: int) -> np.ndarray:
     (max_lag + 1) * len(seq) slots.
     """
     slot = np.zeros(len(seq), dtype=np.int64)
-    np.cumsum(np.minimum(np.diff(seq), max_lag + 1), out=slot[1:])
+    gaps = np.subtract(seq[1:], seq[:-1])
+    np.minimum(gaps, max_lag + 1, out=gaps)
+    np.add.accumulate(gaps, out=slot[1:])
     return slot
 
 
@@ -177,10 +179,12 @@ def _lag_pairs(seq: np.ndarray, lags: Sequence[int]) -> list[tuple[np.ndarray, n
     slot = _slots(seq, max_lag)
     pos = np.full(int(slot[-1]) + max_lag + 1, -1, dtype=np.int64)
     pos[slot] = np.arange(len(seq))
+    anchor_slots = slot[1:]
     pairs = []
     for k in lags:
-        j = pos[slot[1:] + k]
-        i = np.flatnonzero(j >= 0)
+        # pos[k:][s] is pos[s + k]: the sample k slots after each anchor.
+        j = pos[k:].take(anchor_slots)
+        i = (j >= 0).nonzero()[0]
         pairs.append((i + 1, j[i]))
     return pairs
 
@@ -273,6 +277,15 @@ def lag_moments(
     average centred products over its triples: the anchors i whose value,
     slope and value k ahead all exist.
 
+    Each lag gathers its centred anchor values, anchor slopes and targets
+    into one (6, n) product buffer, squares them and forms their three
+    cross products in place, and takes all six sums with one row-wise
+    reduce. Each row sums as the 1-D ``sum()`` of the same products would,
+    so every moment is that sum divided by n, as ``np.mean`` computes it.
+    The buffer is allocated once, for the lag with the most triples, and
+    every lag uses a C-ordered prefix of it: ``take`` gathers straight
+    into a C-ordered ``out``, but into any other view through a copy.
+
     Returns:
         One ``(i, j, moments)`` per lag, in the order of ``lags``: the
         anchor positions i and target positions j, with
@@ -281,12 +294,20 @@ def lag_moments(
         for fewer than ``_MIN_PAIRS`` triples, ``DegenerateProcessError``
         for zero variance over them.
     """
-    mean_r = float(r.mean())
-    mean_rp = float(slope.mean())
-    rc = r - mean_r
-    dc = slope - mean_rp
+    # np.mean's own arithmetic, without its Python-level wrapper.
+    mean_r = float(np.add.reduce(r)) / r.size
+    mean_rp = float(np.add.reduce(slope)) / slope.size
+    # Row 0 holds the centred values, row 1 the centred slope that ends at
+    # each sample, so one gather at the anchors fetches both.
+    centred = np.empty((2, r.size))
+    np.subtract(r, mean_r, out=centred[0])
+    np.subtract(slope, mean_rp, out=centred[1, 1:])
+    centred[1, 0] = 0.0  # the first sample is never an anchor
+    values = centred[0]
+    pairs = _lag_pairs(seq, lags)
+    store = np.empty(6 * max(i.size for i, _ in pairs))
     out = []
-    for k, (i, j) in zip(lags, _lag_pairs(seq, lags)):
+    for k, (i, j) in zip(lags, pairs):
         tau = float(k * step_s)
         n = int(i.size)
         try:
@@ -294,19 +315,30 @@ def lag_moments(
                 raise InsufficientSupportError(
                     f"tau={tau}: only {n} contributing triples (need >= {_MIN_PAIRS})"
                 )
-            x1, x2, y = rc[i], dc[i - 1], rc[j]
-            # sum() / n is bit-equal to np.mean and cheaper on window-sized arrays.
-            rr0 = float((x1 * x1).sum()) / n
+            # Rows 0-2 gather the target y, anchor value x1 and anchor slope
+            # x2. Rows 3-5 take the cross products y x1, x1 x2 and y x2, then
+            # rows 0-2 are squared in place (one view, so numpy sees no
+            # overlap to resolve). Same-shape operands: a broadcast would
+            # cost more than the arithmetic.
+            buf = store[:6 * n].reshape(6, n)
+            values.take(j, 0, buf[0], "clip")
+            centred.take(i, 1, buf[1:3], "clip")
+            np.multiply(buf[0:2], buf[1:3], out=buf[3:5])
+            np.multiply(buf[0], buf[2], out=buf[5])
+            gathered = buf[:3]
+            np.multiply(gathered, gathered, out=gathered)
+            yy, xx, dd, yx, xd, yd = np.add.reduce(buf, axis=1).tolist()
+            rr0 = xx / n
             if rr0 <= 0:
                 raise DegenerateProcessError(
                     "degenerate process: zero variance over fitting set")
             moments = MomentSet(
                 rr0=rr0,
-                rpr0=float((x1 * x2).sum()) / n,
-                rprp0=float((x2 * x2).sum()) / n,
-                rr_tau=float((y * x1).sum()) / n,
-                rrp_tau=float((y * x2).sum()) / n,
-                rr0_ahead=float((y * y).sum()) / n,
+                rpr0=xd / n,
+                rprp0=dd / n,
+                rr_tau=yx / n,
+                rrp_tau=yd / n,
+                rr0_ahead=yy / n,
                 tau=tau,
                 step_s=step_s,
                 n=n,

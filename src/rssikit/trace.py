@@ -166,8 +166,9 @@ def derive_times(seq: np.ndarray, nominal_interval: float) -> np.ndarray:
     scaled = x * 1e6
     micros = np.rint(scaled)
     t = micros / 1e6
-    ties = np.flatnonzero(np.abs(scaled - micros) == 0.5)
-    t[ties] = [round(v, 6) for v in x[ties].tolist()]
+    ties = (np.abs(scaled - micros) == 0.5).nonzero()[0]
+    if ties.size:
+        t[ties] = [round(v, 6) for v in x[ties].tolist()]
     return t
 
 

@@ -2,8 +2,11 @@
 
 Everything here is deliberately written with plain Python loops and dicts,
 not numpy vectorization, so it shares no code path with the implementations
-it verifies. The reference controller is the exception: it shares the
-sliding window and ``predict``, and checks only the controller's event logic.
+it verifies. Two references are exceptions. The reference controller shares
+the sliding window and ``predict``, and checks only the controller's event
+logic. ``reference_lag_moments`` is the moment kernel as first vectorised,
+one gather and one sum per moment, which the fused kernel must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ import numpy as np
 from rssikit import AtpcConfig, ChannelModel, IngestError, LossModel, RadioProfile, Trace
 from rssikit.atpc import MODE_FALLBACK, MODE_TRACKING
 from rssikit.predictor import SlidingWindowPredictor, predict
+from rssikit.stats import (
+    _MIN_PAIRS,
+    DegenerateProcessError,
+    InsufficientSupportError,
+    MomentSet,
+)
 from rssikit.trace import RSSI_MAX_DBM, RSSI_MIN_DBM
 
 
@@ -78,6 +87,59 @@ def naive_moments(trace: Trace, k_steps: int) -> dict:
     out["n"] = n
     out["mean_r"] = mean_r
     out["mean_rp"] = mean_rp
+    return out
+
+
+def reference_lag_moments(seq: np.ndarray, r: np.ndarray, slope: np.ndarray,
+                          step_s: float, lags) -> list:
+    """``stats.lag_moments`` as first vectorised: ``np.diff``/``np.cumsum``
+    slots, a ``flatnonzero`` pairing per lag, then per moment one product
+    and one ``sum()``. The same ``(i, j, MomentSet or error)`` per lag."""
+    max_lag = max(lags)
+    slot = np.zeros(len(seq), dtype=np.int64)
+    np.cumsum(np.minimum(np.diff(seq), max_lag + 1), out=slot[1:])
+    pos = np.full(int(slot[-1]) + max_lag + 1, -1, dtype=np.int64)
+    pos[slot] = np.arange(len(seq))
+    pairs = []
+    for k in lags:
+        j = pos[slot[1:] + k]
+        i = np.flatnonzero(j >= 0)
+        pairs.append((i + 1, j[i]))
+
+    mean_r = float(r.mean())
+    mean_rp = float(slope.mean())
+    rc = r - mean_r
+    dc = slope - mean_rp
+    out = []
+    for k, (i, j) in zip(lags, pairs):
+        tau = float(k * step_s)
+        n = int(i.size)
+        try:
+            if n < _MIN_PAIRS:
+                raise InsufficientSupportError(
+                    f"tau={tau}: only {n} contributing triples (need >= {_MIN_PAIRS})"
+                )
+            x1, x2, y = rc[i], dc[i - 1], rc[j]
+            rr0 = float((x1 * x1).sum()) / n
+            if rr0 <= 0:
+                raise DegenerateProcessError(
+                    "degenerate process: zero variance over fitting set")
+            moments = MomentSet(
+                rr0=rr0,
+                rpr0=float((x1 * x2).sum()) / n,
+                rprp0=float((x2 * x2).sum()) / n,
+                rr_tau=float((y * x1).sum()) / n,
+                rrp_tau=float((y * x2).sum()) / n,
+                rr0_ahead=float((y * y).sum()) / n,
+                tau=tau,
+                step_s=step_s,
+                n=n,
+                mean_r=mean_r,
+                mean_rp=mean_rp,
+            )
+        except ValueError as exc:
+            moments = exc
+        out.append((i, j, moments))
     return out
 
 

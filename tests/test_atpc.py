@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(predictor_method="normal_eq")
 
+    @pytest.mark.parametrize("value", [2.5, 5.0, np.float64(5.0), "5", None])
+    def test_max_missed_acks_must_be_an_integer(self, value):
+        # A float used to pass these checks and fail as a TypeError inside
+        # the controller; 5.0 would have run as 5.
+        with pytest.raises(ValueError, match="max_missed_acks must be an integer"):
+            make_config(max_missed_acks=value)
+
+    def test_max_missed_acks_accepts_a_numpy_integer(self):
+        ctrl = AtpcController(make_config(max_missed_acks=np.int64(3)))
+        assert ctrl._window.lags == (1, 2)
+
     @pytest.mark.parametrize("field", ["threshold_dbm", "margin_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_rejected(self, field, value):

@@ -122,6 +122,9 @@ class TestEvaluate:
             evaluate(ar2_eval_trace, "simplified", [0])
         with pytest.raises(ValueError):
             evaluate(ar2_eval_trace, "simplified", [])
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            evaluate(ar2_eval_trace, "simplified", [1.5])
+        assert evaluate(ar2_eval_trace, "simplified", [np.int64(2)]).rows[0].lag_steps == 2
 
 
 class TestReportOutput:

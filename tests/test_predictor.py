@@ -573,6 +573,35 @@ class TestSlidingWindow:
         sw.observe(1, -71.0)
         assert sw.anchor() == (-71.0, pytest.approx(-10.0))
 
+    @pytest.mark.parametrize("seq", [1.9, 2.0, np.float64(1.0), "1", None])
+    def test_rejects_a_seq_that_is_not_an_integer(self, seq):
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
+        sw.observe(0, -70.0)
+        with pytest.raises(ValueError, match="observation seq must be an integer"):
+            sw.observe(seq, -71.0)
+        # Nothing of the rejected observation is kept.
+        assert sw.anchor() is None
+
+    def test_accepts_what_operator_index_accepts(self):
+        sw = SlidingWindowPredictor("orthonormal", lags=(np.int64(2), 1), step_s=0.1)
+        assert sw.lags == (1, 2) and all(type(k) is int for k in sw.lags)
+        sw.observe(np.int64(0), -70.0)
+        sw.observe(np.uint8(3), -67.0)
+        assert sw.anchor() == (-67.0, pytest.approx(10.0))
+        assert sw.model_for(np.int32(1)) is None
+
+    @pytest.mark.parametrize("lags", [(1.5, 2), (1, 2.0), ("1",)])
+    def test_rejects_lags_that_are_not_integers(self, lags):
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            SlidingWindowPredictor("orthonormal", lags=lags, step_s=0.1)
+
+    @pytest.mark.parametrize("n_steps", [1.5, 1.0, np.float64(1.0)])
+    def test_model_for_rejects_a_step_count_that_is_not_an_integer(self, n_steps):
+        sw = SlidingWindowPredictor("simplified", lags=(1,), step_s=0.1)
+        assert sw.model_for(1) is not None
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            sw.model_for(n_steps)
+
     @mock.patch.object(predictor, "_REFIT_EVERY", 16)
     def test_refit_with_non_finite_slopes_is_skipped(self, caplog):
         # At 1e-7 s per step, neighbouring seqs share a microsecond
@@ -653,3 +682,42 @@ class TestWindowMatchesBatchFits:
                 assert_close(getattr(wm, f.name), getattr(bm, f.name))
         (s0, v0), (s1, v1) = zip(seqs[-2:], values[-2:])
         assert sw.anchor() == (v1, (v1 - v0) / ((s1 - s0) * 0.1))
+
+
+class TestWindowIsBatchBitForBit:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("loss", ["ge", "bernoulli"])
+    @pytest.mark.parametrize("channel", ["swell", "ripple"])
+    def test_every_refit_model_is_fit_at_lag_on_the_window(self, channel, loss, seed):
+        make_channel = swell_channel if channel == "swell" else ripple_channel
+        loss_model = (gilbert_elliott_loss(0.05, 0.25, seed=seed + 1) if loss == "ge"
+                      else bernoulli_loss(0.3, seed=seed + 1))
+        stream = apply_loss(generate_trace(make_channel(seed=seed, base_path_loss_db=80.0),
+                                           RADIO, tx_power_dbm=0.0, n_packets=1600),
+                            loss_model)
+        seq, rssi, step = stream.seq, stream.rssi, stream.nominal_interval
+        lags = (1, 2, 3, 4)
+        sw = SlidingWindowPredictor("orthonormal", lags=lags, step_s=step)
+        refits = 0
+        for count, (s, v) in enumerate(zip(seq.tolist(), rssi.tolist()), start=1):
+            sw.observe(s, v)
+            if count % 64 or count < 512:
+                continue
+            # This observation refit the window from the latest 512, with
+            # seqs counted from the first of them.
+            window_seq = seq[count - 512:count] - seq[count - 512]
+            trace = Trace(seq=window_seq, t=derive_times(window_seq, step),
+                          rssi=rssi[count - 512:count], tx_power=np.full(512, np.nan),
+                          nominal_interval=step)
+            deriv = derivative_series(trace)
+            for k in lags:
+                batch = fit_at_lag(trace, deriv, "orthonormal", k)
+                window = sw.model_for(k)
+                for name in ("w_level", "w_slope", "mean_r", "analytic_mse", "basis",
+                             "source_moments"):
+                    # repr is exact for floats, and tells -0.0 from 0.0.
+                    assert repr(getattr(window, name)) == repr(getattr(batch, name)), \
+                        (count, k, name)
+                assert window == batch
+            refits += 1
+        assert refits >= 4

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -12,16 +13,28 @@ from hypothesis import strategies as st
 from rssikit import (
     DegenerateProcessError,
     InsufficientSupportError,
+    MomentSet,
+    apply_loss,
     check_derivative_identities,
     derivative_series,
     evaluate,
+    generate_trace,
+    gilbert_elliott_loss,
     moment_set,
+    profile_by_name,
     sample_acf,
+    swell_channel,
 )
 from rssikit import stats
+from rssikit.trace import derive_times
 
 from conftest import make_trace, sinusoid_trace
-from oracles import naive_autocovariance, naive_moments, prediction_triples
+from oracles import (
+    naive_autocovariance,
+    naive_moments,
+    prediction_triples,
+    reference_lag_moments,
+)
 
 
 @st.composite
@@ -231,6 +244,63 @@ class TestLagMoments:
                 assert type(m) is type(exc) and str(m) == str(exc)
             else:
                 assert m == one
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(seq, values, slopes) of 9..600 samples, slopes as ``derivative_series``
+    takes them: seq gaps of 1..14, so some are wider than the largest lag
+    under test, optionally one jump of 10**6; values that are noise, whole
+    dB, or constant (no variance to fit)."""
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=14), min_size=8, max_size=599))
+    if draw(st.booleans()):
+        gaps[draw(st.integers(min_value=0, max_value=len(gaps) - 1))] = 10**6
+    seq = np.cumsum([draw(st.integers(min_value=0, max_value=1000))] + gaps)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    r = rng.normal(-70, 3, size=len(seq))
+    shape = draw(st.sampled_from(["noise", "whole_db", "constant"]))
+    if shape == "whole_db":
+        r = np.round(r)
+    elif shape == "constant":
+        r = np.full(len(seq), -70.0)
+    return seq, r, np.diff(r) / np.diff(derive_times(seq, 0.1))
+
+
+def assert_matches_reference_kernel(seq, r, slope, step_s, lags) -> None:
+    """Same pairs, the same MomentSet bit for bit, or the same error."""
+    got = stats.lag_moments(seq, r, slope, step_s, lags)
+    want = reference_lag_moments(seq, r, slope, step_s, lags)
+    assert len(got) == len(want) == len(lags)
+    for k, (i, j, m), (want_i, want_j, want_m) in zip(lags, got, want):
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j), k
+        if isinstance(want_m, MomentSet):
+            assert isinstance(m, MomentSet), (k, m)
+            for f in dataclasses.fields(MomentSet):
+                a, b = getattr(m, f.name), getattr(want_m, f.name)
+                # repr tells -0.0 from 0.0, which == does not.
+                assert a == b and repr(a) == repr(b), (k, f.name, a, b)
+        else:
+            assert type(m) is type(want_m) and str(m) == str(want_m), (k, m, want_m)
+
+
+class TestKernelMatchesReference:
+    @given(data=kernel_inputs(),
+           lags=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12,
+                         unique=True))
+    @settings(max_examples=150, deadline=None)
+    def test_random_gap_patterns(self, data, lags):
+        assert_matches_reference_kernel(*data, 0.1, lags)
+
+    def test_fifty_thousand_packets_under_burst_loss(self):
+        radio = profile_by_name("cc2538")
+        trace = apply_loss(
+            generate_trace(swell_channel(seed=1001, base_path_loss_db=80.0), radio,
+                           tx_power_dbm=radio.max_tx_dbm, n_packets=50_000),
+            gilbert_elliott_loss(0.05, 0.25, seed=1002))
+        assert len(trace) > 40_000
+        assert_matches_reference_kernel(trace.seq, trace.rssi,
+                                        derivative_series(trace).slope,
+                                        trace.nominal_interval, tuple(range(1, 13)))
 
 
 class TestDerivativeIdentities:
