@@ -27,9 +27,9 @@ from .predictor import (
     METHOD_ORTHONORMAL,
     METHOD_SIMPLIFIED,
     SlidingWindowPredictor,
-    _as_int,
     predict,
 )
+from .stats import _as_int
 
 MODE_TRACKING = "tracking"
 MODE_FALLBACK = "fallback"
@@ -225,6 +225,8 @@ class LoopResult:
 def _link(channel: ChannelModel, radio: RadioProfile, n_packets: int,
           loss: LossModel | None) -> tuple[np.ndarray, np.ndarray]:
     """Each packet's path gain, and whether the loss process keeps it."""
+    if n_packets < 1:
+        raise ValueError("n_packets must be >= 1")
     gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db
     if loss is None:
         return gains, np.ones(n_packets, dtype=bool)

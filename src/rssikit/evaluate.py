@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .predictor import _as_int, _fit_moments
-from .stats import lag_moments
+from .predictor import _fit_moments
+from .stats import _as_int, lag_moments
 from .trace import Trace, derivative_series
 
 

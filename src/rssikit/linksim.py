@@ -62,6 +62,9 @@ class RadioProfile:
     packet_bytes: int
 
     def __post_init__(self) -> None:
+        for name in ("rate_pps", "sensitivity_dbm", "max_tx_dbm", "min_tx_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.rate_pps <= 0:
             raise ValueError("rate_pps must be > 0")
         if self.min_tx_dbm >= self.max_tx_dbm:

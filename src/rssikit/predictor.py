@@ -29,12 +29,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .stats import MomentSet, lag_moments, moment_set
+from .stats import MomentSet, _as_int, lag_moments, moment_set
 # The benchmark's traced run wraps Trace, derivative_series and moment_set here.
 from .trace import DerivativeSeries, Trace, derivative_series, derive_times
 
@@ -53,15 +52,6 @@ DET_RTOL = 1e-10
 # _REFIT_EVERY of them, so the first refit comes once that many arrived.
 _WINDOW = 512
 _REFIT_EVERY = 64
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` as the int ``operator.index`` gives for it; anything that
-    would have to be truncated to become one raises ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class DegenerateMomentsError(ValueError):
@@ -294,8 +284,8 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
     Supplied moments also centre the slope on their slope mean and attach
     the error of the model's own predictions over their fitting triples.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
     return PredictorModel(
         method=METHOD_SIMPLIFIED,
         tau=float(tau),
@@ -492,8 +482,8 @@ class SlidingWindowPredictor:
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if step_s <= 0:
-            raise ValueError(f"step_s must be > 0, got {step_s}")
+        if not (math.isfinite(step_s) and step_s > 0):
+            raise ValueError(f"step_s must be finite and > 0, got {step_s}")
         self.method = method
         self.lags = tuple(sorted(set(_as_int(k, "lag") for k in lags)))
         if any(k < 1 for k in self.lags):

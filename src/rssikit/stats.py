@@ -12,6 +12,7 @@ yields bit-identical output.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -22,6 +23,15 @@ from .trace import DerivativeSeries, Trace
 # Below this many contributing sample pairs a second-order moment is too
 # noisy to fit from.
 _MIN_PAIRS = 8
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as the int ``operator.index`` gives for it; anything that
+    would have to be truncated to become one raises ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class DegenerateProcessError(ValueError):
@@ -207,6 +217,7 @@ def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
         InsufficientSupportError: Any requested lag has fewer than
             ``_MIN_PAIRS`` contributing pairs.
     """
+    max_lag = _as_int(max_lag, "max_lag")
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     n = len(trace)

@@ -201,10 +201,14 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
 _INGEST_BLOCK_CHARS = 1 << 16
 _EXPORT_BLOCK_ROWS = 4096
 
-# A field the bulk parser accepts: no quote, no CR and no letter except an
-# exponent's, so no field spells nan or inf and only an empty t_s or
-# tx_power_dbm field becomes NaN.
-_PLAIN_FIELD = "[-+.0-9eE_ ]*"
+# The characters of plain trace CSV text: number fields, commas and LF line
+# ends. No quote, no CR and no letter except an exponent's, so no field
+# spells nan or inf and only an empty field becomes NaN.
+_PLAIN_CHARS = b"-+.0123456789eE_ ,\n"
+
+# An underscore that int() and float() refuse: one without a digit on each
+# side.
+_LOOSE_UNDERSCORE = re.compile(r"(?<![0-9])_|_(?![0-9])")
 
 
 def _parse_blocks(text: str) -> tuple | None:
@@ -212,8 +216,14 @@ def _parse_blocks(text: str) -> tuple | None:
 
     Returns the same rows as ``_parse_lines``, or None for text that must
     be cut line by line: a quoted, unknown or repeated column name, no
-    rows, a row of the wrong width, a blank line, CR, a field that is not
-    a plain number, or a seq beyond int64.
+    rows, a row of the wrong width, a blank line, CR, an empty seq or
+    rssi_dbm field, a field that is not a plain number, or a seq beyond
+    int64.
+
+    Each block of rows is read by one call of numpy's C text reader
+    (``np.loadtxt``), whose int64 and float64 conversions accept and round
+    plain number spellings exactly as ``int()`` and ``float()`` do. What
+    the two differ on is settled before the call (see ``_plain_block``).
     """
     body = text.find("\n") + 1
     header = text[:body]
@@ -223,34 +233,66 @@ def _parse_blocks(text: str) -> tuple | None:
     if (len(set(names)) != len(names)
             or not {"seq", "rssi_dbm"} <= set(names) <= set(CSV_FIELDS)):
         return None
-    width = len(names)
-    row = ",".join([_PLAIN_FIELD] * width)
-    plain_rows = re.compile(f"(?:{row}\n)*(?:{row})?")
+    dtype = np.dtype([(name, np.int64 if name == "seq" else np.float64) for name in names])
     blocks: dict[str, list[np.ndarray]] = {name: [] for name in names}
     pos = body
     try:
         while pos < len(text):
             end = text.find("\n", pos + _INGEST_BLOCK_CHARS) + 1 or len(text)
-            if not plain_rows.fullmatch(text, pos, end):
+            block = _plain_block(text[pos:end])
+            if block is None:
                 return None
-            fields = text[pos:end].replace("\n", ",").split(",")
-            n = len(fields) // width
-            for j, name in enumerate(names):
-                col = fields[j:n * width:width]
-                if name == "seq":
-                    blocks[name].append(np.fromiter(map(int, col), np.int64, n))
-                    continue
-                if name in ("t_s", "tx_power_dbm") and "" in col:
-                    col = [s or "nan" for s in col]
-                blocks[name].append(np.fromiter(map(float, col), np.float64, n))
+            rows = np.loadtxt(io.StringIO(block), dtype=dtype, delimiter=",",
+                              comments=None, quotechar=None, ndmin=1)
+            for name in names:
+                blocks[name].append(rows[name])
             pos = end
-    except (ValueError, OverflowError):
+    except ValueError:
+        # A character beyond ASCII, a row of the wrong width, or a field
+        # that does not convert.
         return None
 
     seq = np.concatenate(blocks["seq"])
     t, rssi, tx = (np.concatenate(blocks[name]) if name in blocks
                    else np.full(seq.size, np.nan) for name in CSV_FIELDS[1:])
+    if np.isnan(rssi).any():
+        return None
     return seq, t, rssi, tx, ~np.isnan(t), ~np.isnan(tx), np.arange(2, seq.size + 2), None
+
+
+def _plain_block(block: str) -> str | None:
+    """Rows of plain CSV text as ``np.loadtxt`` must see them to read each
+    field as ``int()`` or ``float()`` would, or None where it cannot.
+
+    Only plain characters pass. A blank line returns None, because loadtxt
+    skips it and the line numbers would shift. Underscores are dropped
+    where ``int()`` and ``float()`` allow them, between two digits. An
+    empty field is spelled nan: it is the only field that can become NaN,
+    so ``_parse_blocks`` marks a t_s or tx_power_dbm as not given, and
+    rejects an rssi_dbm, by that NaN alone.
+    """
+    raw = block.encode("ascii")
+    if raw.translate(None, _PLAIN_CHARS):
+        return None
+    codes = np.frombuffer(raw, np.uint8)
+    sep = (codes == ord(",")) | (codes == ord("\n"))
+    # Most blocks have neither a blank line nor an empty field, and these
+    # vector checks pass them faster than any substring search.
+    if sep[0] or block[-1] == "," or (sep[1:] & sep[:-1]).any():
+        if block[0] == "\n" or "\n\n" in block:
+            return None
+        block = block.replace(",\n", ",nan\n").replace("\n,", "\nnan,")
+        # The first pass leaves at most two commas in a row, the second none.
+        block = block.replace(",,", ",nan,").replace(",,", ",nan,")
+        if block[0] == ",":
+            block = "nan" + block
+        if block[-1] == ",":
+            block += "nan"
+    if "_" in block:
+        if _LOOSE_UNDERSCORE.search(block):
+            return None
+        block = block.replace("_", "")
+    return block
 
 
 def _parse_lines(text: str, path: Path) -> tuple:

@@ -408,6 +408,12 @@ class TestTranscript:
             RUNNERS[runner](swell_channel(seed=23, base_path_loss_db=80.0), 50, loss)
 
     @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_packet_count_must_be_positive(self, runner, n):
+        with pytest.raises(ValueError, match="n_packets must be >= 1"):
+            RUNNERS[runner](swell_channel(seed=23, base_path_loss_db=80.0), n, None)
+
+    @pytest.mark.parametrize("runner", RUNNERS)
     def test_columns_are_read_only(self, runner):
         res = RUNNERS[runner](swell_channel(seed=23, base_path_loss_db=80.0), 300,
                               bernoulli_loss(0.3, seed=24))

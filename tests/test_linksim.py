@@ -94,6 +94,13 @@ class TestRadioProfiles:
         with pytest.raises(ValueError):
             profile_by_name("cc9999")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rate_pps", "sensitivity_dbm", "max_tx_dbm",
+                                       "min_tx_dbm"])
+    def test_non_finite_limit_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(profile_by_name("cc2538"), **{field: value})
+
 
 class TestChannelModel:
     def test_pure_sinusoid_bounds(self):

@@ -208,6 +208,11 @@ class TestSimplified:
         with pytest.raises(ValueError):
             fit_simplified(0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_requires_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            fit_simplified(tau)
+
     def test_attaches_exact_quadratic_mse_from_moments(self, ar2_trace):
         m = fit_moments(ar2_trace)
         model = fit_simplified(0.1, moments=m)
@@ -589,6 +594,12 @@ class TestSlidingWindow:
         sw.observe(np.uint8(3), -67.0)
         assert sw.anchor() == (-67.0, pytest.approx(10.0))
         assert sw.model_for(np.int32(1)) is None
+
+    @pytest.mark.parametrize("method", ["orthonormal", "simplified"])
+    @pytest.mark.parametrize("step_s", [0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, method, step_s):
+        with pytest.raises(ValueError, match="step_s must be finite and > 0"):
+            SlidingWindowPredictor(method, lags=(1, 2), step_s=step_s)
 
     @pytest.mark.parametrize("lags", [(1.5, 2), (1, 2.0), ("1",)])
     def test_rejects_lags_that_are_not_integers(self, lags):

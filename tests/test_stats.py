@@ -137,6 +137,15 @@ class TestSampleAcf:
         with pytest.raises(ValueError, match="max_lag"):
             sample_acf(sine_trace, max_lag=0)
 
+    @pytest.mark.parametrize("max_lag", [2.5, 3.0, np.float64(3.0), "3"])
+    def test_max_lag_must_be_an_integer(self, sine_trace, max_lag):
+        with pytest.raises(ValueError, match="max_lag must be an integer"):
+            sample_acf(sine_trace, max_lag=max_lag)
+
+    def test_max_lag_accepts_a_numpy_integer(self, sine_trace):
+        acf = sample_acf(sine_trace, max_lag=np.int64(5))
+        assert acf.values.tobytes() == sample_acf(sine_trace, max_lag=5).values.tobytes()
+
 
 class TestMomentSet:
     def test_matches_direct_summation(self, ar2_trace):

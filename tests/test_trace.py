@@ -166,6 +166,7 @@ TARGETED = [
     ("seq,rssi_dbm,tx_power_dbm\n0,-70,-1e999\n", True, 2),
     # empty t_s is derived, empty tx_power is unknown
     ("seq,t_s,rssi_dbm,tx_power_dbm\n0,,-70,\n1,0.25,-71,3\n2,,-72,\n", True, None),
+    ("seq,t_s,tx_power_dbm,rssi_dbm\n0,,,-70\n1,0.5,,-71\n", True, None),
     # blank lines, CRLF and quoted fields; a row spanning lines names its last
     ("seq,rssi_dbm\n0,-70\n\n1,-71\n", False, None),
     ("seq,rssi_dbm\n\n0,-70\nx,-71\n", False, 4),
@@ -181,6 +182,9 @@ TARGETED = [
     ("seq,rssi_dbm\n0,-70,5\n1,-71\n", False, 2),
     ("seq,rssi_dbm\n0,-70\n\n1,-71,\n", False, 4),
     ("seq,rssi_dbm,rssi_dbm\n0,-70,-71\n1,-72\n", False, 3),
+    # a line of spaces is a one-field row; a trailing blank line is skipped
+    ("seq,rssi_dbm\n0,-70\n  \n1,-71\n", False, 3),
+    ("seq,rssi_dbm\n0,-70\n1,-71\n\n", False, None),
     # number spellings int() and float() accept or refuse
     ("seq,rssi_dbm\n1_000,-70\n", True, None),
     ("seq,rssi_dbm\n+5,-7_0.5\n", True, None),
@@ -267,6 +271,76 @@ def trace_csv_texts(draw):
     return text + eol if draw(st.booleans()) else text
 
 
+def digit_run(draw, min_size, max_size, clean):
+    """Decimal digits, maybe with underscores: between two digits when
+    ``clean``, anywhere (leading, trailing, doubled) otherwise."""
+    digits = draw(st.text("0123456789", min_size=min_size, max_size=max_size))
+    if not draw(st.booleans()):
+        return digits
+    cuts = range(1, len(digits)) if clean else range(len(digits) + 1)
+    if not cuts:
+        return digits
+    at = draw(st.lists(st.sampled_from(cuts), max_size=4, unique=clean))
+    for i in sorted(at, reverse=True):
+        digits = digits[:i] + "_" + digits[i:]
+    return digits
+
+
+@st.composite
+def number_spellings(draw, integer, clean):
+    """A number field as a trace CSV may spell it: long digit strings,
+    exponents up to +-330, signs, leading zeros, padding spaces and
+    underscores. ``clean`` spellings are ones ``int()`` (``integer``) or
+    ``float()`` accepts; the others may be anything of those parts."""
+    if integer and clean:
+        value = draw(st.one_of(st.integers(min_value=-2**63, max_value=2**63 - 1),
+                               st.integers(min_value=0, max_value=1000)))
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        core = "0" * draw(st.integers(min_value=0, max_value=3)) + str(abs(value))
+        if draw(st.booleans()) and len(core) > 1:
+            i = draw(st.integers(min_value=1, max_value=len(core) - 1))
+            core = core[:i] + "_" + core[i:]
+    elif integer:
+        sign = draw(st.sampled_from(["", "+", "-", "+-", "--"]))
+        core = digit_run(draw, 0, 21, clean) + draw(st.sampled_from(["", "", ".0", "e3", "."]))
+    else:
+        sign = draw(st.sampled_from(["", "+", "-"] if clean else ["", "+", "-", "+-", "--"]))
+        core = digit_run(draw, 0, 40, clean)
+        if draw(st.booleans()):
+            core += "." + digit_run(draw, 0, 40, clean)
+        if clean and not any(c.isdigit() for c in core):
+            core = "0" + core
+        if draw(st.booleans()):
+            exponent = draw(st.integers(min_value=-330, max_value=330))
+            spelled = "0" * draw(st.integers(min_value=0, max_value=2)) + str(abs(exponent))
+            exp_sign = "-" if exponent < 0 else draw(st.sampled_from(["", "+"]))
+            if not clean:
+                spelled = draw(st.sampled_from([spelled, "", "_" + spelled, spelled + "_"]))
+            core += draw(st.sampled_from("eE")) + exp_sign + spelled
+    pad = st.sampled_from(["", "", " ", "  "])
+    return draw(pad) + sign + core + draw(pad)
+
+
+@st.composite
+def spelled_csv_texts(draw):
+    """Trace CSV text of plain characters whose fields vary in spelling;
+    either every field is one ``int()``/``float()`` accepts or any may not be."""
+    clean = draw(st.booleans())
+    names = [n for n in draw(st.permutations(CSV_FIELDS))
+             if n in ("seq", "rssi_dbm") or draw(st.booleans())]
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        row = []
+        for name in names:
+            if name in ("t_s", "tx_power_dbm") and draw(st.booleans()):
+                row.append("")
+            else:
+                row.append(draw(number_spellings(name == "seq", clean)))
+        rows.append(",".join(row))
+    text = "\n".join([",".join(names)] + rows)
+    return text + "\n" if draw(st.booleans()) else text
+
+
 class TestBulkIngest:
     @pytest.mark.parametrize("text,bulk,line", TARGETED)
     def test_targeted_inputs_end_as_the_reference(self, tmp_path, text, bulk, line):
@@ -292,6 +366,24 @@ class TestBulkIngest:
             lines = trace_module._parse_lines(text, p)
             assert [c.tobytes() for c in bulk[:7]] == [c.tobytes() for c in lines[:7]]
             assert bulk[7] is lines[7] is None
+        assert got == outcome(dict_ingest, p)
+        assert got == outcome(ingest_line_by_line, p)
+
+    @given(text=spelled_csv_texts(), block=st.sampled_from([1, 7, 1 << 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_number_spellings_convert_as_int_and_float_do(self, tmp_path_factory, text,
+                                                          block):
+        # Plain text with no blank line and rows of the header's width: the
+        # bulk parser declines it only where the line parser stops.
+        p = tmp_path_factory.mktemp("spell") / "trace.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(trace_module, "_INGEST_BLOCK_CHARS", block):
+            bulk = trace_module._parse_blocks(text)
+            got = outcome(ingest_csv, p)
+        lines = trace_module._parse_lines(text, p)
+        assert (bulk is None) == (lines[7] is not None)
+        if bulk is not None:
+            assert [c.tobytes() for c in bulk[:7]] == [c.tobytes() for c in lines[:7]]
         assert got == outcome(dict_ingest, p)
         assert got == outcome(ingest_line_by_line, p)
 
@@ -323,6 +415,26 @@ class TestBulkIngest:
         got = outcome(ingest_csv, write_csv(tmp_path, text))
         assert got == outcome(dict_ingest, tmp_path / "trace.csv")
         assert got[1]["duplicate_seq_rows"] + got[1]["rejected_rssi_rows"] == 1
+
+    @pytest.mark.parametrize("tx_known", [False, True])
+    @pytest.mark.parametrize("with_t", [True, False])
+    def test_exported_traces_stay_on_the_bulk_path(self, tmp_path, tx_known, with_t):
+        # An unknown tx_power is exported as an empty last field on every row.
+        rng = np.random.default_rng(11)
+        seq = np.cumsum(rng.integers(1, 4, 6000))
+        tx = rng.integers(-24, 8, seq.size) if tx_known else np.full(seq.size, np.nan)
+        tr = columns(seq, derive_times(seq, 0.1), rng.integers(-9000, -4000, seq.size) / 100,
+                     tx)
+        export_csv(tr, tmp_path / "out.csv")
+        text = (tmp_path / "out.csv").read_text()
+        if not with_t:
+            text = "".join(f"{a},{c}\n" for a, _, c in
+                           (line.split(",", 2) for line in text.splitlines()))
+        assert trace_module._parse_blocks(text) is not None
+        got = outcome(ingest_csv, write_csv(tmp_path, text))
+        assert got == outcome(dict_ingest, tmp_path / "trace.csv")
+        assert got == outcome(ingest_line_by_line, tmp_path / "trace.csv")
+        assert got[0] == [getattr(tr, c).tobytes() for c in ("seq", "t", "rssi", "tx_power")]
 
     def test_shuffled_resends_keep_the_file_order_last_row(self, tmp_path):
         # Thousands of equal seqs in no order: only a stable sort keeps the
