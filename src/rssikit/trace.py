@@ -14,6 +14,7 @@ import io
 import logging
 import math
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -223,7 +224,9 @@ def _parse_blocks(text: str) -> tuple | None:
     Each block of rows is read by one call of numpy's C text reader
     (``np.loadtxt``), whose int64 and float64 conversions accept and round
     plain number spellings exactly as ``int()`` and ``float()`` do. What
-    the two differ on is settled before the call (see ``_plain_block``).
+    the two differ on is settled before the call (see ``_plain_block``),
+    and an int64 field that older numpy reads through float, warning that
+    this is deprecated, refuses the block.
     """
     body = text.find("\n") + 1
     header = text[:body]
@@ -237,19 +240,23 @@ def _parse_blocks(text: str) -> tuple | None:
     blocks: dict[str, list[np.ndarray]] = {name: [] for name in names}
     pos = body
     try:
-        while pos < len(text):
-            end = text.find("\n", pos + _INGEST_BLOCK_CHARS) + 1 or len(text)
-            block = _plain_block(text[pos:end])
-            if block is None:
-                return None
-            rows = np.loadtxt(io.StringIO(block), dtype=dtype, delimiter=",",
-                              comments=None, quotechar=None, ndmin=1)
-            for name in names:
-                blocks[name].append(rows[name])
-            pos = end
-    except ValueError:
+        with warnings.catch_warnings():
+            # Older numpy's loadtxt reads an int64 field that int() refuses
+            # (1.0, 1e3, 2**63) through float, with only this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            while pos < len(text):
+                end = text.find("\n", pos + _INGEST_BLOCK_CHARS) + 1 or len(text)
+                block = _plain_block(text[pos:end])
+                if block is None:
+                    return None
+                rows = np.loadtxt(io.StringIO(block), dtype=dtype, delimiter=",",
+                                  comments=None, quotechar=None, ndmin=1)
+                for name in names:
+                    blocks[name].append(rows[name])
+                pos = end
+    except (ValueError, DeprecationWarning):
         # A character beyond ASCII, a row of the wrong width, or a field
-        # that does not convert.
+        # that does not convert as int() or float() would.
         return None
 
     seq = np.concatenate(blocks["seq"])

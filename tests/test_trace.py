@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import math
 import re
+import warnings
 from itertools import accumulate
 from unittest import mock
 
@@ -435,6 +437,31 @@ class TestBulkIngest:
         assert got == outcome(dict_ingest, tmp_path / "trace.csv")
         assert got == outcome(ingest_line_by_line, tmp_path / "trace.csv")
         assert got[0] == [getattr(tr, c).tobytes() for c in ("seq", "t", "rssi", "tx_power")]
+
+    @pytest.mark.parametrize("seq", ["1.0", "1e3", "1.5", str(2**63)])
+    def test_an_int_read_through_float_is_refused(self, tmp_path, seq):
+        # Older numpy's loadtxt reads an int64 field that int() refuses
+        # through float and casts it, with only a DeprecationWarning.
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_via_float(fname, dtype, **kwargs):
+            text = fname.getvalue()
+            try:
+                return real_loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
+            except ValueError:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+                as_float = np.dtype([(name, np.float64) for name in dtype.names])
+                return real_loadtxt(io.StringIO(text), dtype=as_float,
+                                    **kwargs).astype(dtype)
+
+        text = f"seq,rssi_dbm\n0,-70\n{seq},-71\n"
+        p = write_csv(tmp_path, text)
+        with mock.patch.object(trace_module.np, "loadtxt", loadtxt_via_float):
+            assert trace_module._parse_blocks(text) is None
+            got = outcome(ingest_csv, p)
+        assert got == outcome(dict_ingest, p)
+        assert got[0] == "IngestError" and got[1].startswith(f"{p}:3:")
 
     def test_shuffled_resends_keep_the_file_order_last_row(self, tmp_path):
         # Thousands of equal seqs in no order: only a stable sort keeps the
