@@ -16,8 +16,8 @@ OUT.mkdir(exist_ok=True)
 
 radio = rk.profile_by_name("cc2538")
 trace = rk.generate_trace(rk.swell_channel(seed=201), radio, 0.0, 4000)
-deriv = rk.derivative_series(trace)
-moments = rk.moment_set(trace, deriv, tau=radio.lag_unit_s)
+slope = rk.derivative_series(trace)
+moments = rk.moment_set(trace, slope, tau=radio.lag_unit_s)
 
 print("=== Fitting moments (mean-removed) ===")
 print(f"rr0={moments.rr0:.4f}  rpr0={moments.rpr0:.4f}  rprp0={moments.rprp0:.4f}")
@@ -39,7 +39,7 @@ print(f"whitening residuals (unit variance, zero cross): "
 
 print()
 print("=== Predicting across a gap ===")
-anchor_r, anchor_rp = float(trace.rssi[1000]), float(deriv.slope[999])
+anchor_r, anchor_rp = float(trace.rssi[1000]), float(slope[999])
 target = float(trace.rssi[1001])
 for model in (on, simp):
     p = rk.predict(model, anchor_r, anchor_rp, n_steps=1)

@@ -8,7 +8,6 @@ while ACKs are lost.
 """
 
 from .trace import (
-    DerivativeSeries,
     IngestError,
     Trace,
     derivative_series,
@@ -76,7 +75,6 @@ __all__ = [
     "ChannelModel",
     "DegenerateMomentsError",
     "DegenerateProcessError",
-    "DerivativeSeries",
     "EvalReport",
     "EvalRow",
     "IdentityCheck",

@@ -225,6 +225,7 @@ class LoopResult:
 def _link(channel: ChannelModel, radio: RadioProfile, n_packets: int,
           loss: LossModel | None) -> tuple[np.ndarray, np.ndarray]:
     """Each packet's path gain, and whether the loss process keeps it."""
+    n_packets = _as_int(n_packets, "n_packets")
     if n_packets < 1:
         raise ValueError("n_packets must be >= 1")
     gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db

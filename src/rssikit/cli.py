@@ -20,7 +20,7 @@ from . import linksim, predictor
 from .atpc import CONTROLLER_METHODS, AtpcConfig, run_closed_loop
 from .evaluate import evaluate as evaluate_trace
 from .stats import sample_acf
-from .trace import derivative_series, export_csv, ingest_csv
+from .trace import export_csv, ingest_csv
 
 
 class _CliError(ValueError):
@@ -109,7 +109,7 @@ def _cmd_simulate(opts: dict) -> int:
 
 def _cmd_fit(opts: dict) -> int:
     tr = ingest_csv(opts["in"], opts["interval"])
-    model = predictor.fit_at_lag(tr, derivative_series(tr), opts["method"], opts["lag"])
+    model = predictor.fit_at_lag(tr, opts["method"], opts["lag"])
     _emit(predictor.model_to_json(model), opts["out"])
     return 0
 

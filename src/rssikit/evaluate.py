@@ -115,7 +115,7 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
         raise ValueError("lags must be integers >= 1")
     if len(trace) < 2:
         raise ValueError("trace too short to evaluate")
-    slope = derivative_series(trace).slope
+    slope = derivative_series(trace)
 
     r = trace.rssi
     r_max, r_min = float(r.max()), float(r.min())

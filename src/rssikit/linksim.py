@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stats import _as_int
 from .trace import Trace, derive_times
 
 CHANNEL_KINDS = ("ar2", "swell", "ripple")
@@ -308,6 +309,7 @@ def generate_trace(channel: ChannelModel, radio: RadioProfile,
     sensitivity are dropped deterministically (they were never received),
     which layers under any stochastic LossModel applied afterwards.
     """
+    n_packets = _as_int(n_packets, "n_packets")
     if n_packets < 1:
         raise ValueError("n_packets must be >= 1")
     _check_tx_power(radio, tx_power_dbm)

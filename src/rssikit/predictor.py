@@ -35,7 +35,7 @@ import numpy as np
 
 from .stats import MomentSet, _as_int, lag_moments, moment_set
 # The benchmark's traced run wraps Trace, derivative_series and moment_set here.
-from .trace import DerivativeSeries, Trace, derivative_series, derive_times
+from .trace import Trace, _slopes, derivative_series, derive_times
 
 logger = logging.getLogger(__name__)
 
@@ -112,11 +112,11 @@ class PredictorModel:
     Attributes:
         method: One of normal_eq, orthonormal, simplified.
         tau: Lag in seconds the weights were fitted for, and the one
-            horizon the model predicts.
+            horizon the model predicts; finite and > 0.
         w_level: Weight on the (mean-removed) current value, dimensionless.
         w_slope: Weight on the (mean-removed) current slope, seconds.
-        step_s: Sample grid spacing; the model serves only the step count
-            that reproduces tau.
+        step_s: Sample grid spacing, finite and > 0; the model serves only
+            the step count that reproduces tau.
         mean_r: Removed process mean in dBm, added back at prediction time.
         mean_rp: Removed slope mean in dB/s. Essentially zero for stationary
             data; kept so fitting and prediction use identical centering.
@@ -138,6 +138,10 @@ class PredictorModel:
     source_moments: MomentSet | None = None
 
     def __post_init__(self) -> None:
+        for name in ("tau", "step_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == METHOD_SIMPLIFIED:
@@ -284,8 +288,6 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
     Supplied moments also centre the slope on their slope mean and attach
     the error of the model's own predictions over their fitting triples.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and > 0, got {tau}")
     return PredictorModel(
         method=METHOD_SIMPLIFIED,
         tau=float(tau),
@@ -318,8 +320,7 @@ def _fit_moments(method: str, tau: float, step_s: float,
     return fit_normal_equations(m)
 
 
-def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str,
-               k: int) -> PredictorModel:
+def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
     """Fit ``method`` for a horizon of ``k`` nominal intervals of a trace.
 
     The statistical methods fit the trace's moments at that lag and raise
@@ -328,8 +329,9 @@ def fit_at_lag(trace: Trace, deriv: DerivativeSeries, method: str,
     model carries the trace's step size and serves exactly ``k`` steps.
     """
     step = trace.nominal_interval
+    slope = derivative_series(trace)
     try:
-        m = moment_set(trace, deriv, k * step)
+        m = moment_set(trace, slope, k * step)
     except ValueError as exc:
         m = exc
     return _fit_moments(method, k * step, step, m)
@@ -441,8 +443,9 @@ def model_from_json(text: str) -> PredictorModel:
 
     Raises:
         ValueError: The text is not JSON, a record is not an object, or a
-            record lacks a key or holds a value of the wrong type. A model
-            record without ``mean_slope_db_s`` loads with 0.0.
+            record lacks a key or holds a value of the wrong type or one
+            the model refuses, such as a step_s of 0. A model record
+            without ``mean_slope_db_s`` loads with 0.0.
     """
     payload = json.loads(text)
     values = _from_record(payload, PredictorModel, _MODEL_KEYS, "model record",
@@ -456,7 +459,10 @@ def model_from_json(text: str) -> PredictorModel:
             **_from_record(payload["moments"], MomentSet, _MOMENT_KEYS, "moments"))
         values["source_moments"] = m
         values["analytic_mse"] = _fitting_mse(m, values["w_level"], values["w_slope"])
-    return PredictorModel(**values)
+    try:
+        return PredictorModel(**values)
+    except ValueError as exc:
+        raise ValueError(f"model file: {exc}") from None
 
 
 class SlidingWindowPredictor:
@@ -467,8 +473,8 @@ class SlidingWindowPredictor:
     holds the latest 512 observations in a ring buffer, two preallocated
     arrays (seq and value) that each observation overwrites at the oldest
     slot, and refits every 64 of them. A refit reads the window in seq
-    order, derives its timestamps and slopes as ``derive_times`` and
-    ``derivative_series`` do, and takes every lag's moments from one
+    order, derives its timestamps as ``derive_times`` and its slopes as
+    ``derivative_series`` does, and takes every lag's moments from one
     ``lag_moments`` call. The latest two observations are also kept as
     Python numbers, for the order check and ``anchor``.
 
@@ -542,14 +548,12 @@ class SlidingWindowPredictor:
         a trace of the same observations, bit for bit.
 
         The window is read oldest first with its seqs counted from the
-        first. Its timestamps are ``derive_times`` of those seqs, and each
-        slope is the backward difference ``derivative_series`` takes,
-        written as ufunc calls: ``np.diff`` is a Python-level wrapper that
-        costs more than its arithmetic on 512 samples. A window whose
-        timestamps repeat (a step below the microsecond) has non-finite
-        slopes and is skipped. Then one ``lag_moments`` call serves every
-        lag, and each lag's model replaces the last or, where its fit
-        fails, is dropped.
+        first. Its timestamps are ``derive_times`` of those seqs, and its
+        slopes follow ``derivative_series``'s one rule, ``trace._slopes``.
+        A window whose timestamps repeat (a step below the microsecond) has
+        non-finite slopes and is skipped. Then one ``lag_moments`` call
+        serves every lag, and each lag's model replaces the last or, where
+        its fit fails, is dropped.
         """
         # Oldest first: the slots from the next write to the end of those
         # filled, then the slots before it.
@@ -559,7 +563,7 @@ class SlidingWindowPredictor:
         seq -= seq[0]
         with np.errstate(all="ignore"):
             t = derive_times(seq, self.step_s)
-            slope = np.subtract(r[1:], r[:-1]) / np.subtract(t[1:], t[:-1])
+        slope = _slopes(t, r)
         if not np.isfinite(slope).all():
             logger.debug("refit at lags %s skipped: non-finite slope in window", self.lags)
             return

@@ -12,13 +12,14 @@ yields bit-identical output.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .trace import DerivativeSeries, Trace
+from .trace import Trace
 
 # Below this many contributing sample pairs a second-order moment is too
 # noisy to fit from.
@@ -362,33 +363,33 @@ def lag_moments(
     return out
 
 
-def moment_set(trace: Trace, deriv: DerivativeSeries, tau: float) -> MomentSet:
+def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
     """Estimate the five fitting moments at one lag: the one-lag case of
     ``lag_moments``.
 
-    tau must be a positive integer multiple of the trace's nominal interval;
-    there is no interpolation. Means are estimated once from the full trace
-    (values) and full derivative series (slopes), then every moment is the
-    average of centered products over the joint index set where r(t), r'(t)
-    and r(t+tau) all exist.
+    ``slope`` is ``derivative_series(trace)``. tau must be a positive integer
+    multiple of the trace's nominal interval; there is no interpolation.
+    Means are estimated once from all values and all slopes, then every
+    moment is the average of centered products over the joint index set
+    where r(t), r'(t) and r(t+tau) all exist.
 
     Raises:
-        ValueError: tau off the grid, or deriv not derivative_series(trace).
+        ValueError: tau off the grid, or a slope column of the wrong length.
         InsufficientSupportError: Fewer than ``_MIN_PAIRS`` triples.
         DegenerateProcessError: Zero variance over the triples.
     """
     step = trace.nominal_interval
     k_f = tau / step
-    k = round(k_f)
+    k = round(k_f) if math.isfinite(k_f) else 0
     if k < 1 or abs(k_f - k) > 1e-9:
         raise ValueError(
             f"tau={tau} s is not a positive integer multiple of the {step} s sample grid"
         )
     if len(trace) < 2:
         raise InsufficientSupportError("trace too short for moment estimation")
-    if not np.array_equal(deriv.seq, trace.seq[1:]):
-        raise ValueError("deriv is not the derivative series of trace")
-    [(_, _, m)] = lag_moments(trace.seq, trace.rssi, deriv.slope, step, (k,))
+    if np.shape(slope) != (len(trace) - 1,):
+        raise ValueError(f"slope must hold {len(trace) - 1} values, got shape {np.shape(slope)}")
+    [(_, _, m)] = lag_moments(trace.seq, trace.rssi, slope, step, (k,))
     if not isinstance(m, MomentSet):
         raise m
     # The lag's tau is k * step; keep the caller's own value for it.

@@ -111,30 +111,15 @@ class Trace:
         return replace(self, rssi=self.rssi + offset_db, meta=dict(self.meta))
 
 
-@dataclass(frozen=True)
-class DerivativeSeries:
-    """Backward-difference slope estimates r'(t) in dB/s.
-
-    Defined at every sample that has a predecessor; across a gap the actual
-    elapsed time is the denominator, so the slope stays unbiased under loss.
-    """
-
-    seq: np.ndarray
-    slope: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.seq) != len(self.slope):
-            raise ValueError("seq and slope must have equal length")
-        if not np.all(np.isfinite(self.slope)):
-            raise ValueError("slope values must be finite")
-        for a in (self.seq, self.slope):
-            a.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.slope)
+def _slopes(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The one slope rule: backward differences of r over t, one per sample
+    but the first, so a gap's elapsed time is its denominator. A quotient
+    that overflows, or a repeated time, is non-finite, without a warning."""
+    with np.errstate(all="ignore"):
+        return np.subtract(r[1:], r[:-1]) / np.subtract(t[1:], t[:-1])
 
 
-def derivative_series(trace: Trace) -> DerivativeSeries:
+def derivative_series(trace: Trace) -> np.ndarray:
     """Estimate the instantaneous rate of change of received power.
 
     Uses the backward first difference: only past samples are available to
@@ -144,13 +129,16 @@ def derivative_series(trace: Trace) -> DerivativeSeries:
         trace: Source trace with at least 2 samples.
 
     Returns:
-        Slopes aligned to every sample except the first.
+        The slope column in dB/s, read-only float64: entry i - 1 is the
+        slope at ``trace.seq[i]``. A slope that is not finite raises.
     """
     if len(trace) < 2:
         raise ValueError("derivative needs at least 2 samples")
-    dt = np.diff(trace.t)
-    dr = np.diff(trace.rssi)
-    return DerivativeSeries(seq=trace.seq[1:].copy(), slope=dr / dt)
+    slope = _slopes(trace.t, trace.rssi)
+    if not np.isfinite(slope).all():
+        raise ValueError("slope values must be finite")
+    slope.flags.writeable = False
+    return slope
 
 
 def derive_times(seq: np.ndarray, nominal_interval: float) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rssikit import Trace
 
@@ -24,6 +25,20 @@ def make_trace(values, interval: float = 0.1, seqs=None, base: float = 0.0) -> T
         tx_power=np.full(len(seqs), np.nan),
         nominal_interval=interval,
     )
+
+
+@st.composite
+def gapped_traces(draw):
+    """Traces of 12..250 samples whose seq gaps include gaps wider than the
+    lags under test and, optionally, one jump of up to 10**6 numbers."""
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=14), min_size=11, max_size=249))
+    jump = draw(st.one_of(st.none(), st.integers(min_value=15, max_value=10**6)))
+    if jump is not None:
+        gaps[draw(st.integers(min_value=0, max_value=len(gaps) - 1))] = jump
+    first = draw(st.integers(min_value=0, max_value=1000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    seqs = np.cumsum([first] + gaps)
+    return make_trace(rng.normal(-70, 3, size=len(seqs)), seqs=seqs)
 
 
 def load_bench(name: str, monkeypatch):

@@ -413,6 +413,18 @@ class TestTranscript:
         with pytest.raises(ValueError, match="n_packets must be >= 1"):
             RUNNERS[runner](swell_channel(seed=23, base_path_loss_db=80.0), n, None)
 
+    @pytest.mark.parametrize("runner", ["generate_trace", *RUNNERS])
+    def test_packet_count_must_be_an_integer(self, runner):
+        def run(n):
+            channel = swell_channel(seed=23, base_path_loss_db=80.0)
+            if runner == "generate_trace":
+                return generate_trace(channel, RADIO, MAX_TX, n).rssi
+            return RUNNERS[runner](channel, n, None).rssi_dbm
+
+        with pytest.raises(ValueError, match=r"n_packets must be an integer, got 100\.5"):
+            run(100.5)
+        assert run(np.int64(100)).tobytes() == run(100).tobytes()
+
     @pytest.mark.parametrize("runner", RUNNERS)
     def test_columns_are_read_only(self, runner):
         res = RUNNERS[runner](swell_channel(seed=23, base_path_loss_db=80.0), 300,

@@ -228,6 +228,12 @@ class TestExitCodes:
         '{"method": "simplified"}', "[1, 2]",
         '{"method": "simplified", "tau_s": "x", "step_s": null, "w_level": 1.0,'
         ' "w_slope": "x", "mean_dbm": 0.0, "analytic_mse_db2": null}',
+        '{"method": "simplified", "tau_s": 0.1, "step_s": 0, "w_level": 1.0,'
+        ' "w_slope": 0.1, "mean_dbm": 0.0, "analytic_mse_db2": null}',
+        '{"method": "simplified", "tau_s": 0.1, "step_s": -0.1, "w_level": 1.0,'
+        ' "w_slope": 0.1, "mean_dbm": 0.0, "analytic_mse_db2": null}',
+        '{"method": "simplified", "tau_s": -0.2, "step_s": 0.1, "w_level": 1.0,'
+        ' "w_slope": -0.2, "mean_dbm": 0.0, "analytic_mse_db2": null}',
     ])
     def test_malformed_model_file(self, tmp_path, capsys, text):
         model = tmp_path / "model.json"

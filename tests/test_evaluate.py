@@ -8,7 +8,6 @@ import pytest
 from rssikit import (
     apply_loss,
     ar2_channel,
-    derivative_series,
     evaluate,
     generate_trace,
     gilbert_elliott_loss,
@@ -102,14 +101,13 @@ class TestEvaluate:
         keep[300:340] = False
         seqs = np.flatnonzero(keep)
         tr = make_trace(np.cumsum(rng.normal(0, 0.3, size=seqs.size)) - 70, seqs=seqs)
-        deriv = derivative_series(tr)
         for method in METHODS:
             report = evaluate(tr, method, [1, 2, 3, 5])
             for row in report.rows:
                 k = row.lag_steps
                 assert row.n_predictions == len(prediction_triples(tr, k))
                 if method != "simplified":
-                    model = fit_at_lag(tr, deriv, method, k)
+                    model = fit_at_lag(tr, method, k)
                     assert row.n_predictions == model.source_moments.n
 
     def test_no_valid_points_raises(self):

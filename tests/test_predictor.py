@@ -140,7 +140,7 @@ class TestNormalEquations:
         r = ar2_trace.rssi
         d = derivative_series(ar2_trace)
         x1 = r[1:-1] - m.mean_r
-        x2 = d.slope[:-1] - m.mean_rp
+        x2 = d[:-1] - m.mean_rp
         y = r[2:] - m.mean_r
         e = y - model.w_level * x1 - model.w_slope * x2
         for x in (x1, x2):
@@ -253,7 +253,7 @@ class TestPredict:
         # step count.
         clean = generate_trace(ar2_channel(seed=seed), RADIO, 0.0, 400)
         trace = apply_loss(clean, bernoulli_loss(loss_p, seed=seed + 1))
-        model = fit_at_lag(trace, derivative_series(trace), method, k)
+        model = fit_at_lag(trace, method, k)
         r, s = anchor
         p = predict(model, r, s, n_steps=k)
         assert p.value == float(model.apply(r, s))
@@ -352,7 +352,7 @@ class TestAnalyticMse:
         clean = generate_trace(ar2_channel(seed=seed), RADIO, 0.0, n).shifted(offset)
         trace = apply_loss(clean, loss)
         try:
-            model = fit_at_lag(trace, derivative_series(trace), method, k)
+            model = fit_at_lag(trace, method, k)
         except ValueError:
             assume(False)
         m = model.source_moments
@@ -403,15 +403,15 @@ class TestModelProperties:
         trace = apply_loss(generate_trace(ar2_channel(seed=seed), RADIO, 0.0, 2000),
                            gilbert_elliott_loss(0.05, 0.25, seed=seed + 1))
         shifted = trace.shifted(offset)
-        deriv, shifted_deriv = derivative_series(trace), derivative_series(shifted)
-        anchors, slopes = trace.rssi[1:], deriv.slope
+        anchors, slopes = trace.rssi[1:], derivative_series(trace)
+        shifted_slopes = derivative_series(shifted)
         for method in METHODS:
             for k in (1, 2, 3, 4):
-                a = fit_at_lag(trace, deriv, method, k)
-                b = fit_at_lag(shifted, shifted_deriv, method, k)
+                a = fit_at_lag(trace, method, k)
+                b = fit_at_lag(shifted, method, k)
                 assert b.w_level == pytest.approx(a.w_level, rel=1e-9), (method, k)
                 assert b.w_slope == pytest.approx(a.w_slope, rel=1e-9), (method, k)
-                moved = b.apply(shifted.rssi[1:], shifted_deriv.slope) - a.apply(anchors, slopes)
+                moved = b.apply(shifted.rssi[1:], shifted_slopes) - a.apply(anchors, slopes)
                 np.testing.assert_allclose(moved, offset, rtol=0, atol=1e-9)
 
     def test_simplified_converges_to_full_at_small_lag(self):
@@ -421,7 +421,7 @@ class TestModelProperties:
         tr = generate_trace(ar2_channel(seed=5, a1=a1, a2=a2), RADIO, 0.0, 6000)
         d = derivative_series(tr)
         r = tr.rssi
-        anchors, slopes = r[1:-3], d.slope[:-3]
+        anchors, slopes = r[1:-3], d[:-3]
         diffs = []
         for k in (1, 2, 3):
             m = moment_set(tr, d, k * 0.1)
@@ -443,9 +443,8 @@ class TestModelProperties:
         return clone
 
     def test_json_round_trip(self, ar2_trace):
-        deriv = derivative_series(ar2_trace)
         for method in METHODS:
-            model = fit_at_lag(ar2_trace, deriv, method, 2)
+            model = fit_at_lag(ar2_trace, method, 2)
             assert model.source_moments is not None and model.step_s == 0.1
             assert (model.basis is not None) == (method == "orthonormal")
             clone = self.assert_round_trip(model)
@@ -470,9 +469,8 @@ class TestModelProperties:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_a_written_file_loads_its_error_bit_for_bit(self, ar2_trace, method):
-        deriv = derivative_series(ar2_trace)
         for k in (1, 2, 3, 4):
-            model = fit_at_lag(ar2_trace, deriv, method, k)
+            model = fit_at_lag(ar2_trace, method, k)
             assert model_from_json(model_to_json(model)).analytic_mse == model.analytic_mse
 
     def test_json_without_slope_mean_loads_zero(self, ar2_trace):
@@ -501,11 +499,18 @@ class TestModelProperties:
          "moments key 'rr0_ahead' must be a number"),
         (lambda p: {**p, "moments": {**p["moments"], "n": 100.0}},
          "moments key 'n' must be an integer"),
+        (lambda p: {**p, "step_s": 0}, "model file: step_s must be finite and > 0, got 0"),
+        (lambda p: {**p, "step_s": -0.1},
+         "model file: step_s must be finite and > 0, got -0.1"),
+        (lambda p: {**p, "tau_s": -0.2}, "model file: tau must be finite and > 0, got -0.2"),
+        (lambda p: {**p, "step_s": math.inf},
+         "model file: step_s must be finite and > 0, got inf"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
             "moments-not-object", "moments-no-rr0", "tau-not-number",
             "unit-residuals-not-list", "method-not-string", "weight-is-bool",
             "step-not-number", "step-null", "moments-rr0-ahead-null",
-            "moments-n-not-integer"])
+            "moments-n-not-integer", "step-zero", "step-negative", "tau-negative",
+            "step-infinite"])
     def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -673,10 +678,9 @@ class TestWindowMatchesBatchFits:
         seq = np.array(seqs[-512:]) - seqs[-512]
         trace = Trace(seq=seq, t=derive_times(seq, 0.1), rssi=values[-512:],
                       tx_power=np.full(512, np.nan), nominal_interval=0.1)
-        deriv = derivative_series(trace)
         for k in sorted(lags):
             try:
-                batch = fit_at_lag(trace, deriv, method, k)
+                batch = fit_at_lag(trace, method, k)
             except ValueError:
                 batch = None
             window = sw.model_for(k)
@@ -720,9 +724,8 @@ class TestWindowIsBatchBitForBit:
             trace = Trace(seq=window_seq, t=derive_times(window_seq, step),
                           rssi=rssi[count - 512:count], tx_power=np.full(512, np.nan),
                           nominal_interval=step)
-            deriv = derivative_series(trace)
             for k in lags:
-                batch = fit_at_lag(trace, deriv, "orthonormal", k)
+                batch = fit_at_lag(trace, "orthonormal", k)
                 window = sw.model_for(k)
                 for name in ("w_level", "w_slope", "mean_r", "analytic_mse", "basis",
                              "source_moments"):

@@ -28,27 +28,13 @@ from rssikit import (
 from rssikit import stats
 from rssikit.trace import derive_times
 
-from conftest import make_trace, sinusoid_trace
+from conftest import gapped_traces, make_trace, sinusoid_trace
 from oracles import (
     naive_autocovariance,
     naive_moments,
     prediction_triples,
     reference_lag_moments,
 )
-
-
-@st.composite
-def gapped_traces(draw):
-    """Traces of 12..250 samples whose seq gaps include gaps wider than the
-    lags under test and, optionally, one jump of up to 10**6 numbers."""
-    gaps = draw(st.lists(st.integers(min_value=1, max_value=14), min_size=11, max_size=249))
-    jump = draw(st.one_of(st.none(), st.integers(min_value=15, max_value=10**6)))
-    if jump is not None:
-        gaps[draw(st.integers(min_value=0, max_value=len(gaps) - 1))] = jump
-    first = draw(st.integers(min_value=0, max_value=1000))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    seqs = np.cumsum([first] + gaps)
-    return make_trace(rng.normal(-70, 3, size=len(seqs)), seqs=seqs)
 
 
 def pairs_by_seq(trace, k: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -171,14 +157,6 @@ class TestMomentSet:
             assert getattr(m, key) == pytest.approx(o[key], rel=1e-12)
         assert m.n == o["n"]
 
-    def test_rejects_a_foreign_derivative_series(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(-70, 3, size=100)
-        tr = make_trace(values, seqs=range(50, 150))
-        foreign = derivative_series(make_trace(values))
-        with pytest.raises(ValueError, match="derivative series"):
-            moment_set(tr, foreign, 0.1)
-
     def test_agrees_with_acf_estimator_on_identical_index_set(self, ar2_trace):
         # Same estimator formula, same mean, same index set: the lag-0 and
         # lag-k moments must coincide with the restricted autocovariance.
@@ -221,10 +199,15 @@ class TestMomentSet:
 
     def test_off_grid_tau_rejected(self, ar2_trace):
         d = derivative_series(ar2_trace)
-        with pytest.raises(ValueError, match="sample grid"):
-            moment_set(ar2_trace, d, 0.15)
-        with pytest.raises(ValueError, match="sample grid"):
-            moment_set(ar2_trace, d, 0.0)
+        for tau in (0.15, 0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="sample grid"):
+                moment_set(ar2_trace, d, tau)
+
+    def test_slope_must_hold_one_value_per_sample_but_the_first(self, ar2_trace):
+        d = derivative_series(ar2_trace)
+        for wrong in (d[1:], np.append(d, 0.0), d.reshape(1, -1)):
+            with pytest.raises(ValueError, match=f"slope must hold {len(d)} values"):
+                moment_set(ar2_trace, wrong, 0.1)
 
     def test_min_support_enforced(self):
         tr = make_trace(np.sin(np.arange(9)) - 70)
@@ -241,14 +224,14 @@ class TestLagMoments:
         # One grid for every lag finds the same triples and moments as a
         # grid per lag; the pairs are the seq lookups, the moments those of
         # moment_set (or the same error).
-        deriv = derivative_series(trace)
-        fits = stats.lag_moments(trace.seq, trace.rssi, deriv.slope, 0.1, lags)
+        slope = derivative_series(trace)
+        fits = stats.lag_moments(trace.seq, trace.rssi, slope, 0.1, lags)
         assert len(fits) == len(lags)
         for k, (i, j, m) in zip(lags, fits):
             want_i, want_j = pairs_by_seq(trace, k, first=1)
             assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
             try:
-                one = moment_set(trace, deriv, k * 0.1)
+                one = moment_set(trace, slope, k * 0.1)
             except ValueError as exc:
                 assert type(m) is type(exc) and str(m) == str(exc)
             else:
@@ -308,7 +291,7 @@ class TestKernelMatchesReference:
             gilbert_elliott_loss(0.05, 0.25, seed=1002))
         assert len(trace) > 40_000
         assert_matches_reference_kernel(trace.seq, trace.rssi,
-                                        derivative_series(trace).slope,
+                                        derivative_series(trace),
                                         trace.nominal_interval, tuple(range(1, 13)))
 
 

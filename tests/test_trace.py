@@ -22,8 +22,8 @@ from rssikit import (
 from rssikit import trace as trace_module
 from rssikit.trace import CSV_FIELDS, derive_times
 
-from conftest import make_trace
-from oracles import csv_writer_export, dict_ingest
+from conftest import gapped_traces, make_trace
+from oracles import csv_writer_export, dict_ingest, naive_slopes
 
 
 def write_csv(tmp_path, text, name="trace.csv"):
@@ -636,25 +636,40 @@ class TestDerivative:
         tr = make_trace([-70.0, -69.0], interval=0.1)
         d = derivative_series(tr)
         assert len(d) == 1
-        assert d.slope[0] == pytest.approx(10.0)
-        assert d.seq[0] == 1
+        assert d[0] == pytest.approx(10.0)
+        assert d.dtype == np.float64 and not d.flags.writeable
 
     def test_constant_trace_zero_slope(self):
         d = derivative_series(make_trace([-70.0] * 10))
-        assert np.all(d.slope == 0.0)
+        assert np.all(d == 0.0)
 
     def test_gap_uses_elapsed_time(self):
         tr = make_trace([-70.0, -67.0], seqs=[0, 3], interval=0.1)
         d = derivative_series(tr)
-        assert d.slope[0] == pytest.approx(10.0)
+        assert d[0] == pytest.approx(10.0)
 
     def test_affine_trace_recovers_slope_everywhere(self):
         b = 2.5
         t = np.arange(500) * 0.1
         tr = make_trace(-70.0 + b * t, interval=0.1)
         d = derivative_series(tr)
-        assert np.max(np.abs(d.slope - b)) < 1e-12
+        assert np.max(np.abs(d - b)) < 1e-12
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="2 samples"):
             derivative_series(make_trace([-70.0]))
+
+    @given(trace=gapped_traces())
+    @settings(max_examples=80, deadline=None)
+    def test_is_the_naive_backward_difference_bit_for_bit(self, trace):
+        want = naive_slopes(trace)
+        assert derivative_series(trace).tobytes() == \
+            np.array([want[s] for s in trace.seq[1:].tolist()]).tobytes()
+
+    def test_step_below_float_resolution_raises_without_a_warning(self):
+        tr = Trace(seq=[0, 1], t=[0.0, 5e-324], rssi=[-70.0, -69.0],
+                   tx_power=[math.nan, math.nan], nominal_interval=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="slope values must be finite"):
+                derivative_series(tr)
