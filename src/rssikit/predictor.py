@@ -455,8 +455,11 @@ def model_from_json(text: str) -> PredictorModel:
         basis["unit_residuals"] = tuple(basis["unit_residuals"])
         values["basis"] = OrthonormalBasis(**basis)
     if "moments" in payload:
-        m = MomentSet(
-            **_from_record(payload["moments"], MomentSet, _MOMENT_KEYS, "moments"))
+        moments = _from_record(payload["moments"], MomentSet, _MOMENT_KEYS, "moments")
+        try:
+            m = MomentSet(**moments)
+        except ValueError as exc:
+            raise ValueError(f"model file: moments: {exc}") from None
         values["source_moments"] = m
         values["analytic_mse"] = _fitting_mse(m, values["w_level"], values["w_slope"])
     try:

@@ -88,6 +88,8 @@ class AcfEstimate:
 
     def lag_index(self, tau: float) -> int:
         """Map a lag in seconds onto the stored grid; reject off-grid lags."""
+        if not math.isfinite(tau):
+            raise ValueError(f"tau={tau} s is not on the estimated lag grid")
         k = round(tau / self.step_s)
         if abs(tau - k * self.step_s) > 1e-9 or not 0 <= k < len(self.lags):
             raise ValueError(f"tau={tau} s is not on the estimated lag grid")
@@ -134,8 +136,10 @@ class MomentSet:
             raise ValueError(f"rr0 must be positive, got {self.rr0}")
         if self.rprp0 < 0:
             raise ValueError(f"rprp0 must be non-negative, got {self.rprp0}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        if not (math.isfinite(self.step_s) and self.step_s > 0):
+            raise ValueError(f"step_s must be finite and > 0, got {self.step_s}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         # Cauchy-Schwarz with a small slack for float accumulation.

@@ -185,7 +185,7 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
 
 
 # Bulk CSV I/O works on blocks: ingest parses about this many characters at
-# a time, cut at a line end, and export formats this many rows per string.
+# a time, cut at a line end, and export formats this many rows per block.
 # Each bounds the transient memory beyond the file's own text.
 _INGEST_BLOCK_CHARS = 1 << 16
 _EXPORT_BLOCK_ROWS = 4096
@@ -393,17 +393,134 @@ def export_csv(trace: Trace, path: str | Path) -> None:
 
     Fixed formatting: 6 decimals for t_s, 2 decimals for dBm fields and an
     empty field for an unknown tx_power, so the output is byte-deterministic
-    for a given trace. Rows are formatted a block at a time.
+    for a given trace. The bytes are those of Python's ``%`` formatting.
+
+    Rows are formatted a block at a time, as bytes, by integer arithmetic
+    (``_byte_rows``). A block that holds a value outside that writer's exact
+    range is formatted with ``%`` instead: a t_s that is not the double
+    nearest a whole number of microseconds below 2**53, or a dBm value of
+    magnitude 2**52 or more.
     """
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(CSV_FIELDS) + "\n").encode("ascii"))
         for lo in range(0, len(trace), _EXPORT_BLOCK_ROWS):
-            block = [col[lo:lo + _EXPORT_BLOCK_ROWS].tolist()
+            block = [col[lo:lo + _EXPORT_BLOCK_ROWS]
                      for col in (trace.seq, trace.t, trace.rssi, trace.tx_power)]
-            values = [None] * (4 * len(block[0]))
-            for j, col in enumerate(block):
-                values[j::4] = col
-            text = "%d,%.6f,%.2f,%.2f\n" * len(block[0]) % tuple(values)
-            # t and rssi are finite, so every "nan" is an unknown tx_power.
-            fh.write(text.replace(",nan\n", ",\n"))
+            rows = _byte_rows(*block)
+            fh.write(_percent_rows(*block) if rows is None else rows)
+
+
+def _percent_rows(seq, t, rssi, tx) -> bytes:
+    """CSV rows formatted by Python's ``%``: the exact fallback for any row."""
+    values = [None] * (4 * len(seq))
+    for j, col in enumerate((seq, t, rssi, tx)):
+        values[j::4] = col.tolist()
+    text = "%d,%.6f,%.2f,%.2f\n" * len(seq) % tuple(values)
+    # t and rssi are finite, so every "nan" is an unknown tx_power.
+    return text.replace(",nan\n", ",\n").encode("ascii")
+
+
+def _words(chars) -> np.ndarray:
+    """Rows of four byte codes as uint32 words that hold those bytes in order."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
+
+
+# The byte writer lays each row out as uint32 words and drops the NUL bytes
+# that pad them. Integers are written in 4-digit chunks, looked up in
+# 20,000-entry tables by the chunk, plus 10,000 where the number has digits
+# above it: such a chunk is zero-filled ("0007"), a number's leading chunk
+# has its leading zeros blanked ("\0\0\07"), and a chunk above the leading
+# one is blank. Only the units chunk writes a lone 0.
+_DIGITS = (np.arange(10_000, dtype=np.uint16)[:, None]
+           // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8)
+_INNER_WORDS = _words(_DIGITS + ord("0"))
+_HIGH_CHUNK = np.concatenate([
+    _words(np.where(np.maximum.accumulate(_DIGITS, axis=1) > 0, _DIGITS + ord("0"), 0)),
+    _INNER_WORDS])
+_UNITS_CHUNK = _HIGH_CHUNK.copy()
+_UNITS_CHUNK[0] = _words([0, 0, 0, ord("0")])[0]
+# "\0.dd": a decimal point and two digits, for cents and for the first two
+# digits of the microseconds.
+_POINT_WORDS = _words(np.column_stack([np.zeros(100, np.uint8), np.full(100, ord(".")),
+                                       _DIGITS[:100, 2:] + ord("0")]))
+_COMMA, _COMMA_MINUS, _NEWLINE = np.frombuffer(b",\0\0\0,-\0\0\n\0\0\0", np.uint32)
+
+
+def _int_words(x: np.ndarray) -> list:
+    """The word columns of non-negative int64 ``x``, most significant first,
+    as many as the largest needs."""
+    table, columns = _UNITS_CHUNK, []
+    while True:
+        x, chunk = np.divmod(x, 10_000)
+        higher = x != 0
+        columns.append(table[chunk + 10_000 * higher])
+        if not higher.any():
+            return columns[::-1]
+        table = _HIGH_CHUNK
+
+
+def _cents(x: np.ndarray) -> np.ndarray | None:
+    """``round(abs(x) * 100)`` as int64, exactly and with ties to even, as
+    ``%.2f`` rounds; None if any abs(x) is 2**52 or more.
+
+    abs(x) = M / 2**s with an integer M < 2**53, so M * 100 < 2**60 is exact
+    and the cents are its quotient by 2**s, rounded from the remainder. A
+    shift beyond 61 is clamped to 61, which still rounds to 0: those
+    abs(x) are below 2**-9.
+    """
+    mag = np.abs(x)
+    if not mag.max() < 2.0**52:
+        return None
+    frac, exp = np.frexp(mag)
+    scaled = np.ldexp(frac, 53).astype(np.int64) * 100
+    shift = np.minimum(53 - exp, 61).astype(np.int64)
+    half_less_one = (np.int64(1) << (shift - 1)) - 1
+    return (scaled + half_less_one + ((scaled >> shift) & 1)) >> shift
+
+
+def _signed_words(x: np.ndarray, cents: np.ndarray) -> list:
+    """The word columns of a dBm field after its comma: ``%.2f`` of x, whose
+    rounded magnitude in cents is ``cents``."""
+    units, cents = np.divmod(cents, 100)
+    return [np.where(np.signbit(x), _COMMA_MINUS, _COMMA), *_int_words(units),
+            _POINT_WORDS[cents]]
+
+
+def _byte_rows(seq, t, rssi, tx) -> bytes | None:
+    """The rows' CSV bytes as ``_percent_rows`` writes them, formatted with
+    integer arithmetic, or None where a value is outside its exact range.
+
+    A t_s prints as the nearest whole number of microseconds d, which the
+    writer takes as rint(t * 1e6) where d / 1e6 == t and d < 2**53. IEEE
+    division rounds correctly, so t is then the double nearest d * 1e-6.
+    Below 2**33 s doubles are less than 1 us apart, so t is within half a
+    microsecond of d * 1e-6 and ``%.6f`` prints d. From 2**33 s on, t * 1e6
+    is at least 2**52, where doubles are whole numbers, so its rounding to
+    one already gives the d that ``%.6f`` prints. The dBm fields round as
+    ``_cents`` does. A sign is taken from the sign bit, so -0.0 prints
+    -0.00 as ``%`` prints it.
+    """
+    with np.errstate(over="ignore"):
+        micros = np.rint(t * 1e6)
+    if not ((micros / 1e6 == t).all() and micros.max() < 2.0**53):
+        return None
+    known = ~np.isnan(tx)
+    tx = np.where(known, tx, 0.0)
+    rssi_cents, tx_cents = _cents(rssi), _cents(tx)
+    if rssi_cents is None or tx_cents is None:
+        return None
+
+    seconds, fraction = np.divmod(micros.astype(np.int64), 1_000_000)
+    head, tail = np.divmod(fraction, 10_000)
+    tx_words = _signed_words(tx, tx_cents)
+    # An unknown tx_power is an empty field: its comma, then the line end.
+    columns = [*_int_words(seq),
+               np.where(np.signbit(t), _COMMA_MINUS, _COMMA), *_int_words(seconds),
+               _POINT_WORDS[head], _INNER_WORDS[tail],
+               *_signed_words(rssi, rssi_cents),
+               tx_words[0], *(word * known for word in tx_words[1:]), _NEWLINE]
+    words = np.empty((len(seq), len(columns)), np.uint32)
+    for j, column in enumerate(columns):
+        words[:, j] = column
+    return words.tobytes().translate(None, b"\0")

@@ -19,6 +19,14 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+# A simplified model record whose moments record ends with the given keys.
+SIMPLIFIED_WITH_MOMENTS = (
+    '{"method": "simplified", "tau_s": 0.1, "step_s": 0.1, "w_level": 1.0,'
+    ' "w_slope": 0.1, "mean_dbm": 0.0, "analytic_mse_db2": null, "moments": {'
+    '"rr0": 1.0, "rpr0": 0.0, "rprp0": 1.0, "rr_tau": 0.5, "rrp_tau": 0.0,'
+    ' "rr0_ahead": 1.0, "n": 10, "mean_r": 0.0, "mean_rp": 0.0, %s}}')
+
+
 @pytest.fixture
 def trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
@@ -234,6 +242,9 @@ class TestExitCodes:
         ' "w_slope": 0.1, "mean_dbm": 0.0, "analytic_mse_db2": null}',
         '{"method": "simplified", "tau_s": -0.2, "step_s": 0.1, "w_level": 1.0,'
         ' "w_slope": -0.2, "mean_dbm": 0.0, "analytic_mse_db2": null}',
+        *(SIMPLIFIED_WITH_MOMENTS % moments for moments in (
+            '"tau_s": NaN, "step_s": 0.1', '"tau_s": 0.1, "step_s": -1.0',
+            '"tau_s": 0.1, "step_s": Infinity')),
     ])
     def test_malformed_model_file(self, tmp_path, capsys, text):
         model = tmp_path / "model.json"

@@ -505,12 +505,19 @@ class TestModelProperties:
         (lambda p: {**p, "tau_s": -0.2}, "model file: tau must be finite and > 0, got -0.2"),
         (lambda p: {**p, "step_s": math.inf},
          "model file: step_s must be finite and > 0, got inf"),
+        (lambda p: {**p, "moments": {**p["moments"], "tau_s": math.nan}},
+         "model file: moments: tau must be finite and >= 0, got nan"),
+        (lambda p: {**p, "moments": {**p["moments"], "step_s": -1.0}},
+         "model file: moments: step_s must be finite and > 0, got -1.0"),
+        (lambda p: {**p, "moments": {**p["moments"], "step_s": math.inf}},
+         "model file: moments: step_s must be finite and > 0, got inf"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
             "moments-not-object", "moments-no-rr0", "tau-not-number",
             "unit-residuals-not-list", "method-not-string", "weight-is-bool",
             "step-not-number", "step-null", "moments-rr0-ahead-null",
             "moments-n-not-integer", "step-zero", "step-negative", "tau-negative",
-            "step-infinite"])
+            "step-infinite", "moments-tau-nan", "moments-step-negative",
+            "moments-step-infinite"])
     def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -329,6 +329,9 @@ class TestDerivativeIdentities:
         m = moment_set(sine_trace, derivative_series(sine_trace), 0.5)
         with pytest.raises(ValueError, match="lag grid"):
             check_derivative_identities(acf, m)
+        for tau in (0.05, -0.1, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="not on the estimated lag grid"):
+                acf.lag_index(tau)
 
 
 class TestMemory:

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import tracemalloc
 import warnings
+from dataclasses import replace
 from itertools import accumulate
 from unittest import mock
 
@@ -15,9 +18,14 @@ from hypothesis import strategies as st
 from rssikit import (
     IngestError,
     Trace,
+    apply_loss,
     derivative_series,
     export_csv,
+    generate_trace,
+    gilbert_elliott_loss,
     ingest_csv,
+    profile_by_name,
+    swell_channel,
 )
 from rssikit import trace as trace_module
 from rssikit.trace import CSV_FIELDS, derive_times
@@ -535,8 +543,19 @@ class TestExportRoundTrip:
 AWKWARD_DBM = st.one_of(
     st.integers(min_value=-13000, max_value=2000).map(lambda c: c / 100),
     st.integers(min_value=-1040, max_value=160).map(lambda k: k / 8),
-    st.sampled_from([-0.0, 0.0, -0.001, -0.004, -0.005, 0.005, 1.005, 2.675]),
+    st.sampled_from([-0.0, 0.0, -0.001, -0.004, -0.005, 0.005, 1.005, 2.675,
+                     2.0**52 - 0.5, -(2.0**52 - 1)]),
     st.floats(min_value=-130, max_value=20),
+)
+# Magnitudes of 2**52 and more, which the byte writer hands to %.
+HUGE_DBM = st.one_of(st.floats(min_value=2.0**52, allow_infinity=False),
+                     st.floats(max_value=-(2.0**52), allow_infinity=False))
+# Times the byte writer hands to %: subnormal, or at or beyond 2**53 us,
+# where a t_s has no exact int64 microsecond count or t * 1e6 overflows.
+EXTREME_T = st.one_of(
+    st.floats(min_value=0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=2**53 / 1e6 - 1, max_value=2**53 / 1e6 + 1),
+    st.floats(min_value=0, allow_infinity=False),
 )
 
 
@@ -545,24 +564,44 @@ class TestBlockExport:
         n=st.integers(min_value=0, max_value=12),
         block=st.integers(min_value=1, max_value=5),
         first_seq=st.one_of(st.integers(min_value=0, max_value=10),
-                            st.integers(min_value=2**62 - 10, max_value=2**62 + 10)),
+                            st.integers(min_value=2**62 - 10, max_value=2**62 + 10),
+                            st.none()),
+        times=st.sampled_from(["micros", "steps", "extreme"]),
+        dbm=st.sampled_from([AWKWARD_DBM, st.one_of(AWKWARD_DBM, HUGE_DBM)]),
         data=st.data(),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_writes_the_csv_writer_bytes(self, tmp_path_factory, n, block, first_seq, data):
+    @settings(max_examples=300, deadline=None)
+    def test_writes_the_csv_writer_bytes(self, tmp_path_factory, n, block, first_seq,
+                                         times, dbm, data):
         gaps = data.draw(st.lists(st.integers(min_value=1, max_value=1000),
                                   min_size=n, max_size=n))
-        t0 = data.draw(st.one_of(st.sampled_from([-0.0, 0.0]),
-                                 st.floats(min_value=0, max_value=1e4)))
-        # k / 128 with odd k is a 6-decimal tie.
-        steps = data.draw(st.lists(st.one_of(
-            st.integers(min_value=1, max_value=10**4).map(lambda k: k / 128),
-            st.floats(min_value=1e-3, max_value=100)), min_size=n, max_size=n))
-        rssi = data.draw(st.lists(AWKWARD_DBM, min_size=n, max_size=n))
-        tx = data.draw(st.lists(st.one_of(st.just(math.nan), AWKWARD_DBM),
-                                min_size=n, max_size=n))
-        tr = columns(list(accumulate([first_seq] + gaps))[:n],
-                     list(accumulate([t0] + steps))[:n], rssi, tx)
+        seq = list(accumulate([first_seq or 0] + gaps))[:n]
+        if first_seq is None and n:
+            # The last seq is the largest int64.
+            seq = [s - seq[-1] + 2**63 - 1 for s in seq]
+        if times == "micros":
+            # Whole microseconds, up to and past 2**53 of them, at least 2
+            # apart and divided as ints, which rounds once, so that they
+            # stay distinct doubles that far out.
+            m0 = data.draw(st.one_of(st.integers(min_value=0, max_value=10**10),
+                                     st.integers(min_value=2**53 - 10**9,
+                                                 max_value=2**53 + 10**3)))
+            steps = data.draw(st.lists(st.integers(min_value=2, max_value=10**8),
+                                       min_size=n, max_size=n))
+            t = [m / 10**6 for m in accumulate([m0] + steps)][:n]
+        elif times == "steps":
+            t0 = data.draw(st.one_of(st.sampled_from([-0.0, 0.0]),
+                                     st.floats(min_value=0, max_value=1e4)))
+            # k / 128 with odd k is a 6-decimal tie.
+            steps = data.draw(st.lists(st.one_of(
+                st.integers(min_value=1, max_value=10**4).map(lambda k: k / 128),
+                st.floats(min_value=1e-3, max_value=100)), min_size=n, max_size=n))
+            t = list(accumulate([t0] + steps))[:n]
+        else:
+            t = sorted(data.draw(st.lists(EXTREME_T, min_size=n, max_size=n, unique=True)))
+        rssi = data.draw(st.lists(dbm, min_size=n, max_size=n))
+        tx = data.draw(st.lists(st.one_of(st.just(math.nan), dbm), min_size=n, max_size=n))
+        tr = columns(seq, t, rssi, tx)
         out = tmp_path_factory.mktemp("export") / "t.csv"
         with mock.patch.object(trace_module, "_EXPORT_BLOCK_ROWS", block):
             export_csv(tr, out)
@@ -577,6 +616,38 @@ class TestBlockExport:
         tr = columns(2**62 + np.arange(n) * 3, np.arange(n) / 128, rssi, tx)
         export_csv(tr, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == csv_writer_export(tr)
+
+    def test_generated_and_ingested_traces_never_fall_back(self, tmp_path):
+        # Without this, a writer that always handed its blocks to % would
+        # pass every byte test.
+        lossy = apply_loss(generate_trace(swell_channel(seed=3, base_path_loss_db=80.0),
+                                          profile_by_name("cc2538"), 0.0, 20_000),
+                           gilbert_elliott_loss(0.05, 0.25, seed=4))
+        text = "seq,rssi_dbm,tx_power_dbm\n" + "".join(
+            f"{s},{r:.2f},{k % 23 - 15}\n"
+            for k, (s, r) in enumerate(zip(lossy.seq.tolist(), lossy.rssi.tolist())))
+        ingested = ingest_csv(write_csv(tmp_path, text), nominal_interval=0.1)
+        unknown_tx = replace(ingested, tx_power=np.full(len(ingested), np.nan))
+        out = tmp_path / "t.csv"
+        with mock.patch.object(trace_module, "_percent_rows",
+                               side_effect=AssertionError("block fell back to %")):
+            for tr in (lossy, ingested, unknown_tx):
+                export_csv(tr, out)
+                assert out.read_bytes() == csv_writer_export(tr)
+
+    def test_peak_memory_stays_within_a_block(self):
+        # 41,423 rows, as many as the benchmark's offline pass exports.
+        rng = np.random.default_rng(8)
+        seq = np.sort(rng.choice(50_000, 41_423, replace=False))
+        tr = columns(seq, derive_times(seq, 0.1), rng.integers(-9000, -6000, seq.size) / 100,
+                     np.zeros(seq.size))
+        tracemalloc.start()
+        try:
+            export_csv(tr, os.devnull)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
 
 class TestTraceInvariants:
