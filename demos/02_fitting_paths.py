@@ -42,7 +42,7 @@ print("=== Predicting across a gap ===")
 anchor_r, anchor_rp = float(trace.rssi[1000]), float(slope[999])
 target = float(trace.rssi[1001])
 for model in (on, simp):
-    p = rk.predict(model, anchor_r, anchor_rp, n_steps=1)
+    p = rk.predict(model, anchor_r, anchor_rp)
     print(f"{model.method:<12}: predicted {p.value:.3f} dBm, "
           f"actual {target:.2f} dBm, model mse {p.mse:.4f} dB^2")
 

@@ -26,7 +26,6 @@ from .stats import (
 )
 from .predictor import (
     DegenerateMomentsError,
-    LagMismatchError,
     OrthonormalBasis,
     Prediction,
     PredictorModel,
@@ -80,7 +79,6 @@ __all__ = [
     "IdentityCheck",
     "IngestError",
     "InsufficientSupportError",
-    "LagMismatchError",
     "LoopRecord",
     "LoopResult",
     "LossModel",

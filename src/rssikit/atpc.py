@@ -152,7 +152,7 @@ class AtpcController:
             model = self._window.model_for(n) if anchor is not None else None
             if model is not None:
                 gain_a, slope_a = anchor
-                predicted_gain = predict(model, gain_a, slope_a, n_steps=n).value
+                predicted_gain = predict(model, gain_a, slope_a).value
                 required = self._target - predicted_gain
                 next_tx = min(max(required, self._min_tx), self._max_tx)
                 # The last field is the receiver-side power the lost packet
@@ -283,6 +283,8 @@ def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
                     threshold_dbm: float | None = None) -> LoopResult:
     """Baseline: transmit every packet at a fixed power (e.g. always-max)."""
     _check_tx_power(radio, tx_dbm)
+    if threshold_dbm is not None and not math.isfinite(threshold_dbm):
+        raise ValueError("threshold_dbm and margin_db must be finite")
     gains, keep = _link(channel, radio, n_packets, loss)
     thr = radio.sensitivity_dbm if threshold_dbm is None else threshold_dbm
     return _transcript(radio, np.full(n_packets, tx_dbm, dtype=float), gains, keep,

@@ -116,9 +116,7 @@ def _cmd_fit(opts: dict) -> int:
 
 def _cmd_predict(opts: dict) -> int:
     model = predictor.model_from_json(Path(opts["model"]).read_text(encoding="utf-8"))
-    pred = predictor.predict(
-        model, opts["anchor_rssi"], opts["anchor_slope"], n_steps=opts["steps"]
-    )
+    pred = predictor.predict(model, opts["anchor_rssi"], opts["anchor_slope"])
     out = {
         "value_dbm": round(pred.value, 6),
         "mse_db2": round(pred.mse, 6) if pred.mse is not None else None,
@@ -215,7 +213,6 @@ _COMMANDS = {
         _Opt("model", required=True),
         _Opt("anchor_rssi", float, required=True),
         _Opt("anchor_slope", float, 0.0),
-        _Opt("steps", int, 1),
     )),
     "evaluate": (_cmd_evaluate, "walk-forward RMSE over lags", (
         _IN,

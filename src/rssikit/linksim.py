@@ -141,7 +141,12 @@ class ChannelModel:
             raise ValueError("oscillation parameters must be non-negative")
         if self.noise_std_db < 0 or self.noise_corr_time_s < 0:
             raise ValueError("noise parameters must be non-negative")
+        # Each kind takes only the fields its realization reads.
+        if self.kind != "ar2" and self.ar_coeffs:
+            raise ValueError(f"{self.kind} channel takes no ar_coeffs")
         if self.kind == "ar2":
+            if self.noise_corr_time_s != 0:
+                raise ValueError("ar2 channel takes no noise_corr_time_s")
             if len(self.ar_coeffs) != 2:
                 raise ValueError(
                     f"ar2 channel takes exactly two ar_coeffs, got {len(self.ar_coeffs)}")
@@ -151,10 +156,10 @@ class ChannelModel:
 
     def realize(self, n_samples: int, rate_pps: float) -> np.ndarray:
         """Deterministic fluctuation series (dB around the mean path)."""
-        if n_samples < 1:
+        if _as_int(n_samples, "n_samples") < 1:
             raise ValueError("n_samples must be >= 1")
-        if rate_pps <= 0:
-            raise ValueError("rate_pps must be > 0")
+        if not (math.isfinite(rate_pps) and rate_pps > 0):
+            raise ValueError(f"rate_pps must be finite and > 0, got {rate_pps}")
         rng = np.random.default_rng(self.seed)
         t = np.arange(n_samples) / rate_pps
 
@@ -254,6 +259,8 @@ class LossModel:
 
     def keep_mask(self, n: int) -> np.ndarray:
         """Boolean survival mask for n consecutive packets (True = kept)."""
+        if _as_int(n, "n") < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         rng = np.random.default_rng(self.seed)
         if n == 0:
             return np.zeros(0, dtype=bool)

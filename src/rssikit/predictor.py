@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .stats import MomentSet, _as_int, lag_moments, moment_set
+from .stats import MomentSet, _as_int, _lag_steps, lag_moments, moment_set
 # The benchmark's traced run wraps Trace, derivative_series and moment_set here.
 from .trace import Trace, _slopes, derivative_series, derive_times
 
@@ -56,10 +56,6 @@ _REFIT_EVERY = 64
 
 class DegenerateMomentsError(ValueError):
     """The moment matrix is (near-)singular; no stable fit exists."""
-
-
-class LagMismatchError(ValueError):
-    """A model fitted at one lag was asked to serve another."""
 
 
 def _check_identifiable(m: MomentSet) -> float:
@@ -115,15 +111,16 @@ class PredictorModel:
             horizon the model predicts; finite and > 0.
         w_level: Weight on the (mean-removed) current value, dimensionless.
         w_slope: Weight on the (mean-removed) current slope, seconds.
-        step_s: Sample grid spacing, finite and > 0; the model serves only
-            the step count that reproduces tau.
+        step_s: Sample grid spacing, finite and > 0; tau is a whole
+            number of these steps, the model's horizon (see ``predict``).
         mean_r: Removed process mean in dBm, added back at prediction time.
         mean_rp: Removed slope mean in dB/s. Essentially zero for stationary
             data; kept so fitting and prediction use identical centering.
         analytic_mse: Squared prediction error in dB^2 of these weights over
             the fitting triples; None when no moments were supplied.
         basis: Orthonormal construction record (orthonormal method only).
-        source_moments: Fitting moments, for provenance.
+        source_moments: Fitting moments, for provenance; their tau and
+            step_s are the model's own.
     """
 
     method: str
@@ -142,6 +139,9 @@ class PredictorModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        m = self.source_moments
+        if m is not None and (m.tau != self.tau or m.step_s != self.step_s):
+            raise ValueError("source moments must have the model's tau and step_s")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == METHOD_SIMPLIFIED:
@@ -154,16 +154,16 @@ class PredictorModel:
             if abs(lvl - self.w_level) > 1e-12 * max(1.0, abs(self.w_level)) or \
                abs(slp - self.w_slope) > 1e-12 * max(1.0, abs(self.w_slope)):
                 raise ValueError("stored weights inconsistent with basis record")
-        if self.analytic_mse is not None and self.source_moments is not None \
+        if self.analytic_mse is not None and m is not None \
                 and self.method != METHOD_SIMPLIFIED:
             # Optimally fitted weights can never do worse than predicting
             # the mean; the simplified weights carry no such guarantee.
-            if self.analytic_mse > self.source_moments.rr0_ahead * (1.0 + 1e-9):
+            if self.analytic_mse > m.rr0_ahead * (1.0 + 1e-9):
                 raise ValueError("analytic_mse exceeds the fitting-set variance")
 
     def apply(self, anchor_r, anchor_rp):
         """Vectorized prediction formula for the horizon ``tau``; scalars in,
-        scalars out. ``predict`` checks that a step count matches ``tau``."""
+        scalars out."""
         return self.mean_r + self.w_level * (anchor_r - self.mean_r) \
             + self.w_slope * (anchor_rp - self.mean_rp)
 
@@ -283,17 +283,21 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
 def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorModel:
     """Small-lag model with weights exactly (1, tau); needs no statistics.
 
-    Like every model it serves only the horizon tau: as the moments' step
-    count when they are supplied, and as a single step without them.
-    Supplied moments also centre the slope on their slope mean and attach
-    the error of the model's own predictions over their fitting triples.
+    Without moments the model serves tau as a single step. Supplied moments
+    must be those of lag tau on their own grid; the model then takes their
+    tau and step, centres the slope on their slope mean and attaches the
+    error of its own predictions over their fitting triples.
     """
+    if moments is not None and \
+            _lag_steps(tau, moments.step_s) != _lag_steps(moments.tau, moments.step_s):
+        raise ValueError(f"moments of tau={moments.tau} s cannot fit tau={tau} s")
+    tau = float(tau if moments is None else moments.tau)
     return PredictorModel(
         method=METHOD_SIMPLIFIED,
-        tau=float(tau),
+        tau=tau,
         w_level=1.0,
-        w_slope=float(tau),
-        step_s=float(tau) if moments is None else moments.step_s,
+        w_slope=tau,
+        step_s=tau if moments is None else moments.step_s,
         mean_rp=0.0 if moments is None else moments.mean_rp,
         analytic_mse=None if moments is None else _fitting_mse(moments, 1.0, tau),
         source_moments=moments,
@@ -337,30 +341,14 @@ def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
     return _fit_moments(method, k * step, step, m)
 
 
-def predict(model: PredictorModel, anchor_r: float, anchor_rp: float,
-            n_steps: int = 1) -> Prediction:
-    """Predict received power n sampling steps ahead of an anchor sample.
-
-    Args:
-        model: Fitted model. It serves only its own horizon and raises
-            LagMismatchError unless n_steps steps of ``model.step_s`` make
-            up ``model.tau``.
-        anchor_r: Anchor received power, dBm.
-        anchor_rp: Anchor slope, dB/s.
-        n_steps: Prediction horizon in sampling steps, >= 1.
+def predict(model: PredictorModel, anchor_r: float, anchor_rp: float) -> Prediction:
+    """Predict received power (dBm) tau past an anchor value (dBm) and slope
+    (dB/s). ``steps_ahead`` is the model's horizon in steps (``_lag_steps``);
+    a tau that is not a whole number >= 1 of its steps raises ValueError.
     """
-    if abs(n_steps * model.step_s - model.tau) > 1e-9:
-        lag = model.tau / model.step_s
-        whole = round(lag)
-        hint = (f"use --steps {whole}"
-                if whole >= 1 and abs(whole * model.step_s - model.tau) <= 1e-9
-                else "no whole number of steps serves it")
-        raise LagMismatchError(
-            f"model fitted at lag {lag:.6g} ({model.tau:.6g} s) cannot serve "
-            f"{n_steps} step{'s' * (n_steps != 1)}; {hint}"
-        )
-    return Prediction(value=float(model.apply(anchor_r, anchor_rp)),
-                      mse=model.analytic_mse, steps_ahead=n_steps)
+    # By position: keywords would cost a missed ACK more than the horizon check.
+    return Prediction(float(model.apply(anchor_r, anchor_rp)), model.analytic_mse,
+                      _lag_steps(model.tau, model.step_s))
 
 
 # Model-file records: one field -> JSON key map each drives both

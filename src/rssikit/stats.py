@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,18 @@ def _as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _lag_steps(tau: float, step_s: float) -> int:
+    """The one rule mapping a lag of tau seconds onto the whole number of
+    steps k it spans: tau must lie within 1e-9 s of k * step_s. Each caller
+    checks its own range of k."""
+    q = tau / step_s
+    if math.isfinite(q):
+        k = round(q)
+        if abs(tau - k * step_s) <= 1e-9:
+            return k
+    raise ValueError(f"tau={tau} s is not on the {step_s} s sample grid")
 
 
 class DegenerateProcessError(ValueError):
@@ -88,12 +100,10 @@ class AcfEstimate:
 
     def lag_index(self, tau: float) -> int:
         """Map a lag in seconds onto the stored grid; reject off-grid lags."""
-        if not math.isfinite(tau):
+        k = _lag_steps(tau, self.step_s)
+        if not 0 <= k < len(self.lags):
             raise ValueError(f"tau={tau} s is not on the estimated lag grid")
-        k = round(tau / self.step_s)
-        if abs(tau - k * self.step_s) > 1e-9 or not 0 <= k < len(self.lags):
-            raise ValueError(f"tau={tau} s is not on the estimated lag grid")
-        return int(k)
+        return k
 
 
 @dataclass(frozen=True)
@@ -371,9 +381,10 @@ def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
     """Estimate the five fitting moments at one lag: the one-lag case of
     ``lag_moments``.
 
-    ``slope`` is ``derivative_series(trace)``. tau must be a positive integer
-    multiple of the trace's nominal interval; there is no interpolation.
-    Means are estimated once from all values and all slopes, then every
+    ``slope`` is ``derivative_series(trace)``. tau must be a whole number
+    k >= 1 of the trace's nominal intervals (see ``_lag_steps``); there is
+    no interpolation, and the moments carry the grid lag k * step as their
+    tau. Means are estimated once from all values and all slopes, then every
     moment is the average of centered products over the joint index set
     where r(t), r'(t) and r(t+tau) all exist.
 
@@ -383,12 +394,9 @@ def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
         DegenerateProcessError: Zero variance over the triples.
     """
     step = trace.nominal_interval
-    k_f = tau / step
-    k = round(k_f) if math.isfinite(k_f) else 0
-    if k < 1 or abs(k_f - k) > 1e-9:
-        raise ValueError(
-            f"tau={tau} s is not a positive integer multiple of the {step} s sample grid"
-        )
+    k = _lag_steps(tau, step)
+    if k < 1:
+        raise ValueError(f"tau={tau} s is not a positive lag on the {step} s sample grid")
     if len(trace) < 2:
         raise InsufficientSupportError("trace too short for moment estimation")
     if np.shape(slope) != (len(trace) - 1,):
@@ -396,8 +404,7 @@ def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
     [(_, _, m)] = lag_moments(trace.seq, trace.rssi, slope, step, (k,))
     if not isinstance(m, MomentSet):
         raise m
-    # The lag's tau is k * step; keep the caller's own value for it.
-    return m if m.tau == tau else replace(m, tau=float(tau))
+    return m
 
 
 def check_derivative_identities(acf: AcfEstimate, m: MomentSet) -> IdentityCheck:

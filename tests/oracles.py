@@ -409,7 +409,7 @@ class ReferenceAtpcController:
             )
             return self.config.radio.max_tx_dbm
         gain_a, slope_a = anchor
-        predicted_gain = predict(model, gain_a, slope_a, n_steps=n).value
+        predicted_gain = predict(model, gain_a, slope_a).value
         next_tx, insufficient = self._decide(predicted_gain)
         self.state = ReferenceAtpcState(
             last_tx_dbm=next_tx,

@@ -292,8 +292,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         ok = ok and out_path.read_bytes() == first
 
     predict_args = ["predict", "--model", str(model_path),
-                    "--anchor-rssi", "-70.5", "--anchor-slope", "1.5",
-                    "--steps", "1"]
+                    "--anchor-rssi", "-70.5", "--anchor-slope", "1.5"]
     capsys.readouterr()
     assert cli_main(list(predict_args)) == 0
     out1 = capsys.readouterr().out

@@ -473,6 +473,12 @@ class TestFixedTxPower:
                            match=r"tx_power .* dBm outside \[-24\.0, 7\.0\] for cc2538"):
             FIXED_POWER[fn](tx)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_is_rejected(self, threshold):
+        # As AtpcConfig rejects it; None stays the radio's sensitivity.
+        with pytest.raises(ValueError, match="threshold_dbm and margin_db must be finite"):
+            run_fixed_power(swell_channel(seed=25), RADIO, 0.0, 200, threshold_dbm=threshold)
+
     @pytest.mark.parametrize("fn", FIXED_POWER)
     @pytest.mark.parametrize("tx", [RADIO.min_tx_dbm, RADIO.max_tx_dbm])
     def test_radio_limits_are_accepted(self, fn, tx):

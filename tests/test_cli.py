@@ -97,20 +97,15 @@ class TestFitPredict:
                      "--lag", "3", "--out", str(model_path))
         assert rc == 0
         rc = run_cli("predict", "--model", str(model_path),
-                     "--anchor-rssi", "-70", "--anchor-slope", "2", "--steps", "3")
+                     "--anchor-rssi", "-70", "--anchor-slope", "2")
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         # Weights (1, 0.3 s) on the slope centred on the trace's slope mean.
         mean_rp = json.loads(model_path.read_text())["mean_slope_db_s"]
         assert mean_rp != 0.0
         assert out["value_dbm"] == pytest.approx(-70 + 0.3 * (2 - mean_rp))
+        # The model serves the horizon it was fitted at.
         assert out["steps_ahead"] == 3
-        # The model serves only the horizon it was fitted at.
-        rc = run_cli("predict", "--model", str(model_path),
-                     "--anchor-rssi", "-70", "--anchor-slope", "2", "--steps", "1")
-        assert rc == 1
-        assert ("model fitted at lag 3 (0.3 s) cannot serve 1 step; use --steps 3"
-                in capsys.readouterr().err)
 
     def test_predict_serves_the_error_recomputed_from_the_moments(self, tmp_path, capsys):
         from test_predictor import HAND_BUILT_MODEL_FILE, hand_built_exact_error
@@ -244,7 +239,7 @@ class TestExitCodes:
         ' "w_slope": -0.2, "mean_dbm": 0.0, "analytic_mse_db2": null}',
         *(SIMPLIFIED_WITH_MOMENTS % moments for moments in (
             '"tau_s": NaN, "step_s": 0.1', '"tau_s": 0.1, "step_s": -1.0',
-            '"tau_s": 0.1, "step_s": Infinity')),
+            '"tau_s": 0.1, "step_s": Infinity', '"tau_s": 0.2, "step_s": 0.1')),
     ])
     def test_malformed_model_file(self, tmp_path, capsys, text):
         model = tmp_path / "model.json"

@@ -160,6 +160,33 @@ class TestChannelModel:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ChannelModel(**params)
 
+    @pytest.mark.parametrize("kind", ["swell", "ripple"])
+    def test_ar_coeffs_are_refused_unless_the_kind_is_ar2(self, kind):
+        # Unstable, and no realization of these kinds would read them.
+        with pytest.raises(ValueError, match=f"{kind} channel takes no ar_coeffs"):
+            replace(channel_by_name(kind), ar_coeffs=(3.0, 5.0))
+
+    def test_ar2_refuses_a_noise_correlation_time(self):
+        with pytest.raises(ValueError, match="ar2 channel takes no noise_corr_time_s"):
+            replace(ar2_channel(), noise_corr_time_s=3.0)
+
+    @pytest.mark.parametrize("n_samples, rate_pps, message", [
+        (2.5, 10.0, "n_samples must be an integer"),
+        (np.float64(50.0), 10.0, "n_samples must be an integer"),
+        (0, 10.0, "n_samples must be >= 1"),
+        (50, math.nan, "rate_pps must be finite and > 0"),
+        (50, math.inf, "rate_pps must be finite and > 0"),
+        (50, 0.0, "rate_pps must be finite and > 0"),
+        (50, -10.0, "rate_pps must be finite and > 0"),
+    ])
+    def test_realize_checks_its_count_and_rate(self, n_samples, rate_pps, message):
+        with pytest.raises(ValueError, match=message):
+            swell_channel(seed=1).realize(n_samples, rate_pps)
+
+    def test_realize_takes_a_numpy_integer_count(self):
+        ch = swell_channel(seed=1)
+        assert ch.realize(np.int64(50), 10.0).tobytes() == ch.realize(50, 10.0).tobytes()
+
     @pytest.mark.parametrize(("kind", "rate_pps", "noise_std_db"), list(REALIZE_SHA256))
     def test_realize_is_pinned(self, kind, rate_pps, noise_std_db):
         ch = channel_by_name(kind, seed=31)
@@ -223,6 +250,15 @@ class TestChannelModel:
 
 
 class TestLossModels:
+    @pytest.mark.parametrize("loss", [bernoulli_loss(0.3, seed=1),
+                                      gilbert_elliott_loss(0.05, 0.25, seed=1)])
+    def test_keep_mask_checks_its_count(self, loss):
+        for n, message in ((2.5, "n must be an integer"), (-1, "n must be >= 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                loss.keep_mask(n)
+        assert loss.keep_mask(0).shape == (0,)
+        assert loss.keep_mask(np.int64(40)).tolist() == loss.keep_mask(40).tolist()
+
     def test_bernoulli_zero_keeps_everything(self):
         tr = generate_trace(swell_channel(seed=1), profile_by_name("cc2538"), 0.0, 500)
         out = apply_loss(tr, bernoulli_loss(0.0, seed=3))

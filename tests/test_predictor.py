@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rssikit import (
     AtpcConfig,
     DegenerateMomentsError,
-    LagMismatchError,
     MomentSet,
     PredictorModel,
     Trace,
@@ -201,7 +200,7 @@ class TestSimplified:
 
     def test_vanishing_lag_returns_anchor(self):
         model = fit_simplified(1e-9)
-        p = predict(model, -70.0, 5.0, n_steps=1)
+        p = predict(model, -70.0, 5.0)
         assert p.value == pytest.approx(-70.0, abs=1e-6)
 
     def test_requires_positive_tau(self):
@@ -222,18 +221,36 @@ class TestSimplified:
         assert model.analytic_mse >= 0.0
         assert fit_simplified(0.1).analytic_mse is None
 
+    def test_moments_must_be_of_its_own_lag(self, ar2_trace):
+        # Lag-1 moments would attach the lag-1 error to a 3-step model.
+        lag1 = fit_moments(ar2_trace, k_steps=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "moments of tau=0.1 s cannot fit tau=0.3 s")):
+            fit_simplified(0.3, moments=lag1)
+        model = fit_simplified(0.3, moments=fit_moments(ar2_trace, k_steps=3))
+        assert model.tau == model.source_moments.tau
+        assert model.analytic_mse == pytest.approx(
+            empirical_mse(ar2_trace, 3, 1.0, model.tau, model.mean_r, model.mean_rp),
+            rel=1e-9)
+
+    def test_off_grid_moments_are_refused(self):
+        off_grid = MomentSet(rr0=4.0, rpr0=0.1, rprp0=2.0, rr_tau=3.5, rrp_tau=0.2,
+                             rr0_ahead=4.0, tau=0.25, step_s=0.1, n=100)
+        with pytest.raises(ValueError, match="not on the 0.1 s sample grid"):
+            fit_simplified(0.25, moments=off_grid)
+
 
 class TestPredict:
     def test_simplified_arithmetic(self):
         model = fit_simplified(0.3)
-        p = predict(model, -70.0, 2.0, n_steps=1)
+        p = predict(model, -70.0, 2.0)
         assert p.value == pytest.approx(-69.4, abs=1e-12)
 
     def test_zero_slope_identity_weights_return_anchor(self):
         m = MomentSet(rr0=4.0, rpr0=0.5, rprp0=2.0, rr_tau=4.0, rrp_tau=0.5,
                       rr0_ahead=4.0, tau=0.1, step_s=0.1, n=100)
         model = fit_normal_equations(m)
-        p = predict(model, -81.5, 0.0, n_steps=1)
+        p = predict(model, -81.5, 0.0)
         assert p.value == pytest.approx(-81.5, abs=1e-12)
         p2 = predict(fit_simplified(0.2), -81.5, 0.0)
         assert p2.value == pytest.approx(-81.5)
@@ -242,40 +259,28 @@ class TestPredict:
            loss_p=st.floats(min_value=0.0, max_value=0.3),
            method=st.sampled_from(METHODS),
            k=st.integers(min_value=1, max_value=6),
-           other=st.integers(min_value=1, max_value=12),
            anchor=st.tuples(st.floats(min_value=-100, max_value=-40),
                             st.floats(min_value=-20, max_value=20)))
     @settings(max_examples=60, deadline=None)
     def test_every_model_serves_exactly_its_fitted_lag(self, seed, loss_p, method, k,
-                                                       other, anchor):
+                                                       anchor):
         # One serving rule for all three methods: a model fitted at k steps
-        # predicts k steps ahead with its own formula and refuses any other
-        # step count.
+        # predicts k steps ahead with its own formula.
         clean = generate_trace(ar2_channel(seed=seed), RADIO, 0.0, 400)
         trace = apply_loss(clean, bernoulli_loss(loss_p, seed=seed + 1))
         model = fit_at_lag(trace, method, k)
         r, s = anchor
-        p = predict(model, r, s, n_steps=k)
+        p = predict(model, r, s)
         assert p.value == float(model.apply(r, s))
         assert model.tau == k * trace.nominal_interval
         assert p.steps_ahead == k
-        if other != k:
-            with pytest.raises(LagMismatchError,
-                               match=rf"^model fitted at lag {k} \(.* s\) cannot serve "
-                                     rf"{other} steps?; use --steps {k}$"):
-                predict(model, r, s, n_steps=other)
 
-    def test_statistical_model_refuses_other_lags(self, ar2_trace):
-        model = fit_normal_equations(fit_moments(ar2_trace, k_steps=1))
-        with pytest.raises(LagMismatchError):
-            predict(model, -70.0, 0.0, n_steps=2)
-
-    def test_mismatch_without_a_whole_lag_suggests_no_step_count(self):
+    def test_a_lag_off_the_model_grid_is_refused(self):
+        # 0.25 s is two and a half steps of 0.1 s.
         model = dataclasses.replace(fit_simplified(0.25), step_s=0.1)
-        with pytest.raises(LagMismatchError, match=re.escape(
-                "model fitted at lag 2.5 (0.25 s) cannot serve 2 steps; "
-                "no whole number of steps serves it")):
-            predict(model, -70.0, 0.0, n_steps=2)
+        with pytest.raises(ValueError, match=re.escape(
+                "tau=0.25 s is not on the 0.1 s sample grid")):
+            predict(model, -70.0, 0.0)
 
     def test_beats_zero_order_hold_on_ar2(self, ar2_trace):
         model = fit_normal_equations(fit_moments(ar2_trace))
@@ -285,7 +290,7 @@ class TestPredict:
 
     def test_prediction_metadata(self, ar2_trace):
         model = fit_orthonormal(fit_moments(ar2_trace))
-        p = predict(model, -65.0, 1.0, n_steps=1)
+        p = predict(model, -65.0, 1.0)
         assert model.tau == pytest.approx(0.1)
         assert p.mse == model.analytic_mse
         assert p.value == float(model.apply(-65.0, 1.0))
@@ -384,6 +389,13 @@ class TestAnalyticMse:
 
 
 class TestModelProperties:
+    @pytest.mark.parametrize("field, value", [("tau", 0.2), ("step_s", 0.05)])
+    def test_moments_must_share_the_models_lag_and_step(self, ar2_trace, field, value):
+        for method in METHODS:
+            model = fit_at_lag(ar2_trace, method, 1)
+            with pytest.raises(ValueError, match="source moments must have"):
+                dataclasses.replace(model, **{field: value})
+
     def test_shift_invariance(self, ar2_trace):
         shifted = ar2_trace.shifted(17.25)
         a = fit_normal_equations(fit_moments(ar2_trace))
@@ -448,8 +460,8 @@ class TestModelProperties:
             assert model.source_moments is not None and model.step_s == 0.1
             assert (model.basis is not None) == (method == "orthonormal")
             clone = self.assert_round_trip(model)
-            p1 = predict(model, -68.0, 0.5, n_steps=2).value
-            p2 = predict(clone, -68.0, 0.5, n_steps=2).value
+            p1 = predict(model, -68.0, 0.5).value
+            p2 = predict(clone, -68.0, 0.5).value
             assert p1 == p2
 
     def test_simplified_json_round_trip(self, ar2_trace):
@@ -511,13 +523,15 @@ class TestModelProperties:
          "model file: moments: step_s must be finite and > 0, got -1.0"),
         (lambda p: {**p, "moments": {**p["moments"], "step_s": math.inf}},
          "model file: moments: step_s must be finite and > 0, got inf"),
+        (lambda p: {**p, "moments": {**p["moments"], "tau_s": 0.2}},
+         "model file: source moments must have the model's tau and step_s"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
             "moments-not-object", "moments-no-rr0", "tau-not-number",
             "unit-residuals-not-list", "method-not-string", "weight-is-bool",
             "step-not-number", "step-null", "moments-rr0-ahead-null",
             "moments-n-not-integer", "step-zero", "step-negative", "tau-negative",
             "step-infinite", "moments-tau-nan", "moments-step-negative",
-            "moments-step-infinite"])
+            "moments-step-infinite", "moments-tau-another-lag"])
     def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -549,7 +563,7 @@ class TestSlidingWindow:
     def test_simplified_needs_no_statistics(self):
         sw = SlidingWindowPredictor("simplified", lags=(1, 4), step_s=0.1)
         model = sw.model_for(4)
-        p = predict(model, -70.0, -4.0, n_steps=4)
+        p = predict(model, -70.0, -4.0)
         assert p.value == pytest.approx(-70.0 - 4.0 * 0.4)
         assert sw.model_for(2) is None
 

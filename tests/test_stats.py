@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssikit import (
@@ -18,9 +18,12 @@ from rssikit import (
     check_derivative_identities,
     derivative_series,
     evaluate,
+    fit_normal_equations,
+    fit_simplified,
     generate_trace,
     gilbert_elliott_loss,
     moment_set,
+    predict,
     profile_by_name,
     sample_acf,
     swell_channel,
@@ -199,7 +202,7 @@ class TestMomentSet:
 
     def test_off_grid_tau_rejected(self, ar2_trace):
         d = derivative_series(ar2_trace)
-        for tau in (0.15, 0.0, math.inf, -math.inf, math.nan):
+        for tau in (0.15, 0.0, 1e-10, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="sample grid"):
                 moment_set(ar2_trace, d, tau)
 
@@ -329,7 +332,11 @@ class TestDerivativeIdentities:
         m = moment_set(sine_trace, derivative_series(sine_trace), 0.5)
         with pytest.raises(ValueError, match="lag grid"):
             check_derivative_identities(acf, m)
-        for tau in (0.05, -0.1, math.inf, -math.inf, math.nan):
+        # Off the 0.1 s steps, or a whole number of them outside 0..3.
+        for tau in (0.05, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="not on the 0.1 s sample grid"):
+                acf.lag_index(tau)
+        for tau in (-0.1, 0.4):
             with pytest.raises(ValueError, match="not on the estimated lag grid"):
                 acf.lag_index(tau)
 
@@ -350,3 +357,44 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+
+# A lag in seconds is k steps within 1e-9 s of k * step. Offsets drawn inside
+# half that tolerance, or outside twice it, leave rounding no room to flip
+# the verdict; outside offsets stay below 0.4 steps, so k is the nearest.
+INSIDE = st.floats(min_value=-5e-10, max_value=5e-10)
+OUTSIDE = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+class TestLagSteps:
+    @given(step=st.sampled_from([1e-3, 0.1, 0.5, 10.0]),
+           k=st.integers(min_value=1, max_value=6),
+           inside=st.booleans(), near=INSIDE, far=OUTSIDE,
+           seed=st.integers(min_value=0, max_value=2**16))
+    # 1 ms steps: half a nanosecond off is on the grid.
+    @example(step=1e-3, k=2, inside=True, near=5e-10, far=(1.0, 0.0), seed=0)
+    # 10 s steps: five nanoseconds off is not.
+    @example(step=10.0, k=2, inside=False, near=0.0,
+             far=(1.0, math.log(2.5) / math.log(2e9)), seed=0)
+    @settings(max_examples=120, deadline=None)
+    def test_one_rule_places_every_lag(self, step, k, inside, near, far, seed):
+        sign, e = far
+        # Log-uniform between 2e-9 s and 0.4 steps.
+        delta = near if inside else sign * 2e-9 * (0.2 * step / 1e-9) ** e
+        tau = k * step + delta
+        tr = make_trace(np.random.default_rng(seed).normal(-70, 3, size=40), interval=step)
+        slope = derivative_series(tr)
+        acf = sample_acf(tr, max_lag=6)
+        if not inside:
+            with pytest.raises(ValueError, match=f"not on the {step} s sample grid"):
+                moment_set(tr, slope, tau)
+            with pytest.raises(ValueError, match=f"not on the {step} s sample grid"):
+                acf.lag_index(tau)
+            return
+        m = moment_set(tr, slope, tau)
+        # The moments carry the grid lag, and so does every model of them.
+        assert m.tau == float(k * step)
+        assert acf.lag_index(tau) == k
+        for model in (fit_normal_equations(m), fit_simplified(tau, m)):
+            assert model.tau == m.tau
+            assert predict(model, -70.0, 1.0).steps_ahead == k
