@@ -133,7 +133,10 @@ class AtpcController:
         self._tick += 1
         required = self._target - gain
         next_tx = min(max(required, self._min_tx), self._max_tx)
-        self._state = AtpcState(next_tx, 0, gain, MODE_TRACKING, required > self._max_tx)
+        # Each event's state is built as a tuple of all six fields, skipping
+        # the keyword and default handling of the generated __new__.
+        self._state = tuple.__new__(
+            AtpcState, (next_tx, 0, gain, MODE_TRACKING, required > self._max_tx, None))
         return next_tx
 
     def on_missed_ack(self) -> float:
@@ -157,11 +160,12 @@ class AtpcController:
                 next_tx = min(max(required, self._min_tx), self._max_tx)
                 # The last field is the receiver-side power the lost packet
                 # would have produced.
-                self._state = AtpcState(next_tx, n, predicted_gain, MODE_TRACKING,
-                                        required > self._max_tx,
-                                        predicted_gain + prev.last_tx_dbm)
+                self._state = tuple.__new__(
+                    AtpcState, (next_tx, n, predicted_gain, MODE_TRACKING,
+                                required > self._max_tx, predicted_gain + prev.last_tx_dbm))
                 return next_tx
-        self._state = AtpcState(self._max_tx, n, prev.path_gain_estimate_db, MODE_FALLBACK)
+        self._state = tuple.__new__(
+            AtpcState, (self._max_tx, n, prev.path_gain_estimate_db, MODE_FALLBACK, False, None))
         return self._max_tx
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .stats import MomentSet, _as_int, _lag_steps, lag_moments, moment_set
+from .stats import MomentSet, _as_int, _lag_steps, _record, lag_moments, moment_set
 # The benchmark's traced run wraps Trace, derivative_series and moment_set here.
 from .trace import Trace, _slopes, derivative_series, derive_times
 
@@ -210,12 +210,12 @@ def _fitting_mse(m: MomentSet, w_level: float, w_slope: float) -> float:
 def _statistical_model(method: str, m: MomentSet, w_level: float, w_slope: float,
                        basis: OrthonormalBasis | None = None) -> PredictorModel:
     """The model a statistical fit of ``m`` yields, with its analytic MSE."""
-    return PredictorModel(
-        method=method, tau=m.tau, w_level=w_level, w_slope=w_slope,
-        mean_r=m.mean_r, mean_rp=m.mean_rp,
-        analytic_mse=_fitting_mse(m, w_level, w_slope),
-        basis=basis, source_moments=m, step_s=m.step_s,
-    )
+    return _record(PredictorModel, {
+        "method": method, "tau": m.tau, "w_level": w_level, "w_slope": w_slope,
+        "step_s": m.step_s, "mean_r": m.mean_r, "mean_rp": m.mean_rp,
+        "analytic_mse": _fitting_mse(m, w_level, w_slope),
+        "basis": basis, "source_moments": m,
+    })
 
 
 def fit_normal_equations(m: MomentSet) -> PredictorModel:
@@ -273,10 +273,10 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
         abs(t21 * t21 * m.rr0 + 2.0 * t21 * t22 * m.rpr0 + t22 * t22 * m.rprp0 - 1.0),
         abs(t11 * (t21 * m.rr0 + t22 * m.rpr0)),
     )
-    basis = OrthonormalBasis(
-        t11=t11, t21=t21, t22=t22, proj1=proj1, proj2=proj2,
-        unit_residuals=unit_residuals,
-    )
+    basis = _record(OrthonormalBasis, {
+        "t11": t11, "t21": t21, "t22": t22, "proj1": proj1, "proj2": proj2,
+        "unit_residuals": unit_residuals,
+    })
     return _statistical_model(METHOD_ORTHONORMAL, m, w_level, w_slope, basis)
 
 
@@ -346,9 +346,9 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float) -> Predict
     (dB/s). ``steps_ahead`` is the model's horizon in steps (``_lag_steps``);
     a tau that is not a whole number >= 1 of its steps raises ValueError.
     """
-    # By position: keywords would cost a missed ACK more than the horizon check.
-    return Prediction(float(model.apply(anchor_r, anchor_rp)), model.analytic_mse,
-                      _lag_steps(model.tau, model.step_s))
+    return _record(Prediction, {"value": float(model.apply(anchor_r, anchor_rp)),
+                                "mse": model.analytic_mse,
+                                "steps_ahead": _lag_steps(model.tau, model.step_s)})
 
 
 # Model-file records: one field -> JSON key map each drives both
@@ -504,7 +504,9 @@ class SlidingWindowPredictor:
             ValueError: seq is not an integer, value is not finite, or seq
                 does not exceed the previous observation's.
         """
-        seq, value = _as_int(seq, "observation seq"), float(value)
+        if type(seq) is not int:
+            seq = _as_int(seq, "observation seq")
+        value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"observation value must be finite, got {value}")
         last = self._last

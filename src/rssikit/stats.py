@@ -35,6 +35,21 @@ def _as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _record(cls, values: dict):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, one
+    value per field, checked by the class's ``__post_init__`` as
+    ``cls(**values)`` would be, without the per-field ``object.__setattr__``
+    calls of the generated ``__init__``. Field defaults are not applied, so
+    ``values`` names every field. The hot paths build their records here.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    check = getattr(cls, "__post_init__", None)
+    if check is not None:
+        check(obj)
+    return obj
+
+
 def _lag_steps(tau: float, step_s: float) -> int:
     """The one rule mapping a lag of tau seconds onto the whole number of
     steps k it spans: tau must lie within 1e-9 s of k * step_s. Each caller
@@ -358,19 +373,19 @@ def lag_moments(
             if rr0 <= 0:
                 raise DegenerateProcessError(
                     "degenerate process: zero variance over fitting set")
-            moments = MomentSet(
-                rr0=rr0,
-                rpr0=xd / n,
-                rprp0=dd / n,
-                rr_tau=yx / n,
-                rrp_tau=yd / n,
-                rr0_ahead=yy / n,
-                tau=tau,
-                step_s=step_s,
-                n=n,
-                mean_r=mean_r,
-                mean_rp=mean_rp,
-            )
+            moments = _record(MomentSet, {
+                "rr0": rr0,
+                "rpr0": xd / n,
+                "rprp0": dd / n,
+                "rr_tau": yx / n,
+                "rrp_tau": yd / n,
+                "rr0_ahead": yy / n,
+                "tau": tau,
+                "step_s": step_s,
+                "n": n,
+                "mean_r": mean_r,
+                "mean_rp": mean_rp,
+            })
         except ValueError as exc:
             moments = exc
         out.append((i, j, moments))

@@ -10,6 +10,7 @@ packet interval.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -68,9 +69,9 @@ class Trace:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nominal_interval) and self.nominal_interval > 0):
             raise ValueError(f"nominal_interval must be > 0, got {self.nominal_interval}")
-        for name, dtype in (("seq", np.int64), ("t", np.float64),
-                            ("rssi", np.float64), ("tx_power", np.float64)):
-            a = np.array(getattr(self, name), dtype=dtype)
+        for name in ("seq", "t", "rssi", "tx_power"):
+            values = getattr(self, name)
+            a = _int64_column(values, name) if name == "seq" else np.array(values, np.float64)
             if a.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D column")
             a.flags.writeable = False
@@ -109,6 +110,26 @@ class Trace:
     def shifted(self, offset_db: float) -> "Trace":
         """Copy of the trace with a constant added to every rssi value."""
         return replace(self, rssi=self.rssi + offset_db, meta=dict(self.meta))
+
+
+def _int64_column(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array. An array of a dtype that int64 holds
+    exactly converts as it is; any other is checked value by value, and a
+    value that its int64 conversion would change (a fraction, NaN, +-inf or
+    one beyond int64) raises ValueError naming the first such value."""
+    a = np.asarray(values)
+    if not np.can_cast(a.dtype, np.int64):
+        for value in a.ravel().tolist():
+            if not _is_int64(value):
+                raise ValueError(f"{name} must hold integers within int64, got {value!r}")
+    return np.array(a, dtype=np.int64)
+
+
+def _is_int64(value) -> bool:
+    try:
+        return -2**63 <= value < 2**63 and int(value) == value
+    except (TypeError, ValueError):
+        return False
 
 
 def _slopes(t: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -432,32 +453,44 @@ def _words(chars) -> np.ndarray:
 # above it: such a chunk is zero-filled ("0007"), a number's leading chunk
 # has its leading zeros blanked ("\0\0\07"), and a chunk above the leading
 # one is blank. Only the units chunk writes a lone 0.
-_DIGITS = (np.arange(10_000, dtype=np.uint16)[:, None]
-           // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8)
-_INNER_WORDS = _words(_DIGITS + ord("0"))
-_HIGH_CHUNK = np.concatenate([
-    _words(np.where(np.maximum.accumulate(_DIGITS, axis=1) > 0, _DIGITS + ord("0"), 0)),
-    _INNER_WORDS])
-_UNITS_CHUNK = _HIGH_CHUNK.copy()
-_UNITS_CHUNK[0] = _words([0, 0, 0, ord("0")])[0]
-# "\0.dd": a decimal point and two digits, for cents and for the first two
-# digits of the microseconds.
-_POINT_WORDS = _words(np.column_stack([np.zeros(100, np.uint8), np.full(100, ord(".")),
-                                       _DIGITS[:100, 2:] + ord("0")]))
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only word tables ``(inner, high, units, point)``, built on
+    the first export so that a process that never exports does not hold
+    them. ``inner`` holds each chunk zero-filled; ``high`` and ``units``
+    hold the chunks of a number above its units and of its units; ``point``
+    holds "\\0.dd", a decimal point and two digits, for cents and for the
+    first two digits of the microseconds."""
+    digits = (np.arange(10_000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8)
+    inner = _words(digits + ord("0"))
+    high = np.concatenate([
+        _words(np.where(np.maximum.accumulate(digits, axis=1) > 0, digits + ord("0"), 0)),
+        inner])
+    units = high.copy()
+    units[0] = _words([0, 0, 0, ord("0")])[0]
+    point = _words(np.column_stack([np.zeros(100, np.uint8), np.full(100, ord(".")),
+                                    digits[:100, 2:] + ord("0")]))
+    for table in (inner, high, units, point):
+        table.flags.writeable = False
+    return inner, high, units, point
+
+
 _COMMA, _COMMA_MINUS, _NEWLINE = np.frombuffer(b",\0\0\0,-\0\0\n\0\0\0", np.uint32)
 
 
 def _int_words(x: np.ndarray) -> list:
     """The word columns of non-negative int64 ``x``, most significant first,
     as many as the largest needs."""
-    table, columns = _UNITS_CHUNK, []
+    _, high, table, _ = _tables()
+    columns = []
     while True:
         x, chunk = np.divmod(x, 10_000)
         higher = x != 0
         columns.append(table[chunk + 10_000 * higher])
         if not higher.any():
             return columns[::-1]
-        table = _HIGH_CHUNK
+        table = high
 
 
 def _cents(x: np.ndarray) -> np.ndarray | None:
@@ -483,8 +516,8 @@ def _signed_words(x: np.ndarray, cents: np.ndarray) -> list:
     """The word columns of a dBm field after its comma: ``%.2f`` of x, whose
     rounded magnitude in cents is ``cents``."""
     units, cents = np.divmod(cents, 100)
-    return [np.where(np.signbit(x), _COMMA_MINUS, _COMMA), *_int_words(units),
-            _POINT_WORDS[cents]]
+    point = _tables()[3]
+    return [np.where(np.signbit(x), _COMMA_MINUS, _COMMA), *_int_words(units), point[cents]]
 
 
 def _byte_rows(seq, t, rssi, tx) -> bytes | None:
@@ -511,13 +544,14 @@ def _byte_rows(seq, t, rssi, tx) -> bytes | None:
     if rssi_cents is None or tx_cents is None:
         return None
 
+    inner, _, _, point = _tables()
     seconds, fraction = np.divmod(micros.astype(np.int64), 1_000_000)
     head, tail = np.divmod(fraction, 10_000)
     tx_words = _signed_words(tx, tx_cents)
     # An unknown tx_power is an empty field: its comma, then the line end.
     columns = [*_int_words(seq),
                np.where(np.signbit(t), _COMMA_MINUS, _COMMA), *_int_words(seconds),
-               _POINT_WORDS[head], _INNER_WORDS[tail],
+               point[head], inner[tail],
                *_signed_words(rssi, rssi_cents),
                tx_words[0], *(word * known for word in tx_words[1:]), _NEWLINE]
     words = np.empty((len(seq), len(columns)), np.uint32)

@@ -24,6 +24,8 @@ from rssikit import (
     swell_channel,
 )
 from rssikit.atpc import CONTROLLER_METHODS
+from rssikit.predictor import OrthonormalBasis, Prediction, PredictorModel
+from rssikit.stats import MomentSet
 
 from conftest import ForcedLoss, load_bench
 from oracles import ReferenceAtpcController, ReferenceAtpcState, per_packet_fixed_power
@@ -383,6 +385,22 @@ class TestClosedLoop:
             "2c0bf6fbf06b1dfcb28ececc794ce4e39f4ffeb4aa187ea54429a9d2eb71c69f"
         assert sha256(fixed.to_csv_text().encode()).hexdigest() == \
             "6929a83226976707bd7eb17f064736c18b7b171d15bb3246b629a671fc3f4fbf"
+
+    def test_hot_path_builds_no_record_through_init(self, monkeypatch):
+        # The loop builds its records through stats._record. A generated
+        # frozen __init__ (one object.__setattr__ per field) back on the
+        # refit or missed-ACK path fails here; nothing is timed.
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__}.__init__ on the loop's hot path")
+
+        for cls in (MomentSet, OrthonormalBasis, PredictorModel, Prediction):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        ch = swell_channel(seed=1001, base_path_loss_db=80.0)
+        loss = gilbert_elliott_loss(0.05, 0.25, seed=1002)
+        res = run_closed_loop(ch, make_config(predictor_method="orthonormal"), 2_000, loss=loss)
+        # Orthonormal models exist only after a refit, so every prediction
+        # followed refits that built each record.
+        assert np.count_nonzero(~np.isnan(res.predicted_dbm)) > 50
 
     def test_summary_statistics(self):
         ch = swell_channel(seed=18, base_path_loss_db=80.0)

@@ -39,6 +39,7 @@ from rssikit import (
 )
 from rssikit import predictor
 from rssikit.predictor import METHODS, SlidingWindowPredictor, fit_at_lag
+from rssikit.stats import _record
 from rssikit.trace import derive_times
 
 from conftest import make_trace
@@ -756,3 +757,161 @@ class TestWindowIsBatchBitForBit:
                 assert window == batch
             refits += 1
         assert refits >= 4
+
+
+# Field values for the records the loop builds through stats._record.
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+STEP = st.sampled_from([0.1, 0.5, 0.25, 1e-3, 3.0])
+
+
+@st.composite
+def moment_values(draw, tau=None, step_s=None):
+    """Valid ``MomentSet`` fields; rr_tau within the Cauchy-Schwarz bound."""
+    rr0, rr0_ahead = draw(POSITIVE), draw(POSITIVE)
+    rho = draw(st.floats(min_value=-1.0, max_value=1.0))
+    step_s = draw(STEP) if step_s is None else step_s
+    return {
+        "rr0": rr0, "rpr0": draw(FINITE), "rprp0": draw(st.floats(0.0, 1e6)),
+        "rr_tau": rho * math.sqrt(rr0 * rr0_ahead), "rrp_tau": draw(FINITE),
+        "rr0_ahead": rr0_ahead,
+        "tau": draw(st.integers(0, 40)) * step_s if tau is None else tau,
+        "step_s": step_s, "n": draw(st.integers(1, 10**6)),
+        "mean_r": draw(FINITE), "mean_rp": draw(FINITE),
+    }
+
+
+@st.composite
+def basis_values(draw):
+    return {
+        "t11": draw(FINITE), "t21": draw(FINITE), "t22": draw(FINITE),
+        "proj1": draw(FINITE), "proj2": draw(FINITE),
+        "unit_residuals": tuple(draw(st.lists(POSITIVE, min_size=3, max_size=3))),
+    }
+
+
+@st.composite
+def model_values(draw):
+    """Valid ``PredictorModel`` fields of each method, with and without a
+    basis record and source moments."""
+    method = draw(st.sampled_from(METHODS))
+    step_s = draw(STEP)
+    tau = draw(st.integers(1, 40)) * step_s
+    moments = draw(st.one_of(st.none(), moment_values(tau=tau, step_s=step_s).map(
+        lambda values: MomentSet(**values))))
+    basis = None
+    if method == "simplified":
+        w_level, w_slope = 1.0, tau
+    elif draw(st.booleans()):
+        b = draw(basis_values())
+        basis = predictor.OrthonormalBasis(**b)
+        w_level = b["proj1"] * b["t11"] + b["proj2"] * b["t21"]
+        w_slope = b["proj2"] * b["t22"]
+    else:
+        w_level, w_slope = draw(FINITE), draw(FINITE)
+    if moments is None:
+        mse = draw(st.one_of(st.none(), POSITIVE))
+    elif method == "simplified":
+        mse = draw(POSITIVE)
+    else:
+        mse = draw(st.floats(0.0, moments.rr0_ahead))
+    return {
+        "method": method, "tau": tau, "w_level": w_level, "w_slope": w_slope,
+        "step_s": step_s, "mean_r": draw(FINITE), "mean_rp": draw(FINITE),
+        "analytic_mse": mse, "basis": basis, "source_moments": moments,
+    }
+
+
+@st.composite
+def prediction_values(draw):
+    return {"value": draw(FINITE), "mse": draw(st.one_of(st.none(), POSITIVE)),
+            "steps_ahead": draw(st.integers(1, 1000))}
+
+
+def float_bits(value):
+    """The value with every float replaced by its IEEE bit pattern."""
+    if isinstance(value, float):
+        return ("float", np.float64(value).view(np.int64).item())
+    if isinstance(value, tuple):
+        return tuple(map(float_bits, value))
+    return value
+
+
+def built_both_ways(cls, values):
+    """``cls(**values)`` and ``stats._record(cls, values)``: each the record,
+    or the message of the ValueError it raised."""
+    outcomes = []
+    for build in (lambda: cls(**values), lambda: _record(cls, dict(values))):
+        try:
+            outcomes.append(build())
+        except ValueError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+# Each record the loop builds, with a strategy for its valid field values.
+RECORDS = {
+    MomentSet: moment_values(),
+    predictor.OrthonormalBasis: basis_values(),
+    PredictorModel: model_values(),
+    predictor.Prediction: prediction_values(),
+}
+
+
+class TestCheckedConstructor:
+    """``stats._record`` builds the loop's records as their ``__init__`` does:
+    the same fields, bit for bit, and the same ``__post_init__`` refusals."""
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_valid_record_equals_the_init_one(self, cls, data):
+        values = data.draw(RECORDS[cls])
+        by_init, by_record = built_both_ways(cls, values)
+        assert isinstance(by_init, cls), by_init
+        assert type(by_record) is cls and by_record == by_init
+        assert vars(by_record) == vars(by_init)
+        for f in dataclasses.fields(cls):
+            assert float_bits(getattr(by_record, f.name)) == float_bits(getattr(by_init, f.name))
+        assert hash(by_record) == hash(by_init)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            by_record.__setattr__(dataclasses.fields(cls)[0].name, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(moment_values(), st.floats(max_value=0.0))
+    def test_a_non_positive_rr0_is_refused_alike(self, values, rr0):
+        by_init, by_record = built_both_ways(MomentSet, {**values, "rr0": rr0})
+        assert by_init == by_record == f"ValueError: rr0 must be positive, got {rr0}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(moment_values(), st.floats(min_value=1e-6, max_value=1e3))
+    def test_a_cauchy_schwarz_violation_is_refused_alike(self, values, excess):
+        bound = math.sqrt(values["rr0"] * values["rr0_ahead"])
+        by_init, by_record = built_both_ways(MomentSet, {**values, "rr_tau": bound * (1 + excess)})
+        assert by_init == by_record == "ValueError: moments violate the Cauchy-Schwarz bound"
+
+    @settings(max_examples=50, deadline=None)
+    @given(moment_values(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_a_non_finite_tau_is_refused_alike(self, values, tau):
+        by_init, by_record = built_both_ways(MomentSet, {**values, "tau": tau})
+        assert by_init == by_record == f"ValueError: tau must be finite and >= 0, got {tau}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(model_values(), st.floats(min_value=1e-6, max_value=1.0))
+    def test_a_basis_inconsistent_with_the_weights_is_refused_alike(self, values, offset):
+        assume(values["basis"] is not None)
+        w_level = values["w_level"]
+        values = {**values, "w_level": w_level + offset * max(1.0, abs(w_level))}
+        by_init, by_record = built_both_ways(PredictorModel, values)
+        assert by_init == by_record == \
+            "ValueError: stored weights inconsistent with basis record"
+
+    @settings(max_examples=50, deadline=None)
+    @given(prediction_values(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_a_non_finite_prediction_is_refused_alike(self, values, value):
+        by_init, by_record = built_both_ways(predictor.Prediction, {**values, "value": value})
+        assert by_init == by_record == "ValueError: predicted value must be finite"
+
+    def test_the_records_stay_frozen_dataclasses(self):
+        for cls in RECORDS:
+            assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen

@@ -4,10 +4,13 @@ import io
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import accumulate
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -635,6 +638,25 @@ class TestBlockExport:
                 export_csv(tr, out)
                 assert out.read_bytes() == csv_writer_export(tr)
 
+    def test_tables_are_built_on_the_first_export_only(self, tmp_path):
+        # A fresh interpreter: this one may have exported already.
+        code = ("import numpy as np; from rssikit import trace, swell_channel, "
+                "run_closed_loop, AtpcConfig, profile_by_name\n"
+                "config = AtpcConfig(profile_by_name('cc2538'), -90.0)\n"
+                "run_closed_loop(swell_channel(seed=1, base_path_loss_db=80.0), config, 200)\n"
+                "print(trace._tables.cache_info().currsize)\n"
+                "trace.export_csv(trace.Trace([0], [0.0], [-70.0], [0.0], 0.1), '{out}')\n"
+                "print(trace._tables.cache_info().currsize)\n")
+        src = str(Path(trace_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "one.csv"
+        proc = subprocess.run([sys.executable, "-c", code.format(out=out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
+        assert out.read_bytes() == b"seq,t_s,rssi_dbm,tx_power_dbm\n0,0.000000,-70.00,0.00\n"
+
     def test_peak_memory_stays_within_a_block(self):
         # 41,423 rows, as many as the benchmark's offline pass exports.
         rng = np.random.default_rng(8)
@@ -670,6 +692,31 @@ class TestTraceInvariants:
             columns([0], [0.0], [-70.0], tx_power=[-math.inf])
         with pytest.raises(ValueError, match="equal length"):
             columns([0, 1], [0.0], [-70.0, -70.0])
+
+    @pytest.mark.parametrize("seq, named", [
+        (np.array([0.0, 1.5, 2.9]), "1.5"),
+        ([0.0, math.nan, 2.0], "nan"),
+        ([0.0, 1.0, math.inf], "inf"),
+        ([-math.inf, 0.0, 1.0], "-inf"),
+        ([0.0, 1.0, 2.0**63], "9.223372036854776e+18"),
+        ([0, 1, 2**64], "18446744073709551616"),
+        (np.array([0, 1, 2**63], dtype=np.uint64), "9223372036854775808"),
+        (np.array([0, 2.5, 3], dtype=object), "2.5"),
+    ])
+    def test_a_seq_that_int64_would_change_is_refused(self, seq, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"seq must hold integers within int64, "
+                                                 f"got {re.escape(named)}$"):
+                columns(seq, [0.0, 0.1, 0.2], [-80.0, -81.0, -82.0])
+
+    @pytest.mark.parametrize("seq", [
+        [0.0, 1.0, 2.0], np.array([0, 1, 2], np.float32), np.array([0, 1, 2], np.uint64),
+        np.array([0, 1, 2], np.int8), [False, True, 2], np.array([0, 1, 2], dtype=object),
+    ])
+    def test_a_seq_of_whole_numbers_converts_exactly(self, seq):
+        tr = columns(seq, [0.0, 0.1, 0.2], [-80.0, -81.0, -82.0])
+        assert tr.seq.dtype == np.int64 and tr.seq.tolist() == [0, 1, 2]
 
     def test_columns_are_read_only_copies(self):
         rssi = np.array([-70.0, -71.0])
