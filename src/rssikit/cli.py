@@ -23,28 +23,30 @@ from .stats import sample_acf
 from .trace import export_csv, ingest_csv
 
 
-class _CliError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; the toolkit reserves 2 for
     # I/O errors, so route usage problems through the validation path.
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
-def _parse_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_flags(path: str, command: str) -> list[str]:
+    """A flat ``key = value`` file read as the flags it mirrors, each line
+    as ``--key=value``."""
+    flag_of = {o.name: o.flag for o in _COMMANDS[command][2]}
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise _CliError(f"{path}:{lineno}: expected key = value")
+            raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        name = key.strip().replace("-", "_")
+        if name not in flag_of:
+            raise ValueError(f"unknown config key {name!r}")
+        flags.append(f"{flag_of[name]}={val.strip()}")
+    return flags
 
 
 def _parse_loss(spec: str | None, seed: int) -> linksim.LossModel | None:
@@ -61,15 +63,15 @@ def _parse_loss(spec: str | None, seed: int) -> linksim.LossModel | None:
                 raise ValueError("expected 4 comma-separated probabilities")
             return linksim.gilbert_elliott_loss(*parts, seed=seed)
     except ValueError as exc:
-        raise _CliError(f"bad loss spec {spec!r}: {exc}") from exc
-    raise _CliError(f"bad loss spec {spec!r}: unknown kind {kind!r}")
+        raise ValueError(f"bad loss spec {spec!r}: {exc}") from exc
+    raise ValueError(f"bad loss spec {spec!r}: unknown kind {kind!r}")
 
 
 def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise _CliError(f"bad lag list {text!r}") from exc
+        raise ValueError(f"bad lag list {text!r}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -93,14 +95,20 @@ def _cmd_acf(opts: dict) -> int:
     return 0
 
 
-def _cmd_simulate(opts: dict) -> int:
+def _link(opts: dict) -> tuple[linksim.RadioProfile, linksim.ChannelModel,
+                               linksim.LossModel | None]:
+    """Radio, channel and loss model; the loss seed is the channel's + 1."""
     radio = linksim.profile_by_name(opts["radio"])
     channel = linksim.channel_by_name(
         opts["channel"], seed=opts["seed"], base_path_loss_db=opts["path_loss"]
     )
+    return radio, channel, _parse_loss(opts["loss"], seed=opts["seed"] + 1)
+
+
+def _cmd_simulate(opts: dict) -> int:
+    radio, channel, loss = _link(opts)
     tx = radio.max_tx_dbm if opts["tx_power"] is None else opts["tx_power"]
     tr = linksim.generate_trace(channel, radio, tx, opts["packets"])
-    loss = _parse_loss(opts["loss"], seed=opts["seed"] + 1)
     if loss is not None:
         tr = linksim.apply_loss(tr, loss)
     export_csv(tr, opts["out"])
@@ -137,10 +145,7 @@ def _cmd_evaluate(opts: dict) -> int:
 
 
 def _cmd_atpc(opts: dict) -> int:
-    radio = linksim.profile_by_name(opts["radio"])
-    channel = linksim.channel_by_name(
-        opts["channel"], seed=opts["seed"], base_path_loss_db=opts["path_loss"]
-    )
+    radio, channel, loss = _link(opts)
     config = AtpcConfig(
         radio=radio,
         threshold_dbm=opts["threshold"],
@@ -148,7 +153,6 @@ def _cmd_atpc(opts: dict) -> int:
         max_missed_acks=opts["max_missed"],
         predictor_method=opts["method"],
     )
-    loss = _parse_loss(opts["loss"], seed=opts["seed"] + 1)
     result = run_closed_loop(channel, config, opts["packets"], loss=loss)
     _emit(result.to_csv_text(), opts["out"])
     return 0
@@ -157,8 +161,7 @@ def _cmd_atpc(opts: dict) -> int:
 @dataclass(frozen=True)
 class _Opt:
     """One option of a subcommand: flag ``--name`` (dashes for underscores)
-    and config key ``name``. A config value is converted and choice-checked
-    exactly as argparse treats the flag."""
+    and config key ``name``."""
 
     name: str
     type: Callable[[str], object] = str
@@ -170,13 +173,6 @@ class _Opt:
     @property
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
-
-    def convert(self, raw: str):
-        val = self.type(raw)
-        if self.choices is not None and val not in self.choices:
-            raise ValueError(
-                f"invalid choice {val!r} (choose from {', '.join(self.choices)})")
-        return val
 
 
 _IN = _Opt("in", required=True)
@@ -235,45 +231,38 @@ _COMMANDS = {
 }
 
 
-def _options(command: str, args: dict) -> dict:
-    """Merge defaults < config file < explicit flags, then check required
-    options."""
-    table = {o.name: o for o in _COMMANDS[command][2]}
-    opts = {name: o.default for name, o in table.items()}
-    if args["config"]:
-        for key, raw in _parse_config(args["config"]).items():
-            if key not in table:
-                raise _CliError(f"unknown config key {key!r}")
-            try:
-                opts[key] = table[key].convert(raw)
-            except ValueError as exc:
-                raise _CliError(f"config key {key!r}: {exc}") from exc
-    opts.update((k, v) for k, v in args.items() if k not in ("command", "config"))
-    for o in table.values():
-        if o.required and opts[o.name] is None:
-            raise _CliError(f"{command}: {o.flag} is required")
-    return opts
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rssikit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, table) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for o in table:
+            # Required options are checked in main, so usage keeps them in
+            # brackets and a config file may supply them.
             p.add_argument(o.flag, dest=o.name, type=o.type, choices=o.choices,
-                           default=argparse.SUPPRESS, help=o.help)
+                           default=o.default, help=o.help)
         p.add_argument("--config", help="flat key = value file; flags win")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = vars(parser.parse_args(argv))
-        handler = _COMMANDS[args["command"]][0]
-        return handler(_options(args["command"], args))
-    except (_CliError, ValueError) as exc:
+        args = parser.parse_args(argv)
+        command = args.command
+        if args.config:
+            # Config lines go ahead of the command line's own flags, which
+            # argparse lets win.
+            at = argv.index(command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.config, command) + argv[at:])
+        opts = vars(args)
+        for o in _COMMANDS[command][2]:
+            if o.required and opts[o.name] is None:
+                raise ValueError(f"{command}: {o.flag} is required")
+        return _COMMANDS[command][0](opts)
+    except ValueError as exc:
         print(f"rssikit: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

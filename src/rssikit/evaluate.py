@@ -14,7 +14,7 @@ RMSE always travels alongside.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,12 @@ class EvalRow:
     accuracy_pct: float
     analytic_mse_db2: float | None
     method: str
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -65,30 +71,16 @@ class EvalReport:
             "normalization": {"r_max_dbm": self.r_max_dbm, "r_min_dbm": self.r_min_dbm},
             "nominal_interval_s": self.nominal_interval,
             "trace_meta": {k: str(v) for k, v in sorted(self.trace_meta.items())},
-            "rows": [
-                {
-                    "lag_steps": r.lag_steps,
-                    "lag_s": r.lag_s,
-                    "n_predictions": r.n_predictions,
-                    "rmse_db": r.rmse_db,
-                    "nrmse_pct": r.nrmse_pct,
-                    "accuracy_pct": r.accuracy_pct,
-                    "analytic_mse_db2": r.analytic_mse_db2,
-                    "method": r.method,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_csv_text(self) -> str:
-        lines = ["lag_steps,lag_s,n_predictions,rmse_db,nrmse_pct,accuracy_pct,analytic_mse_db2,method"]
+        """EvalRow's fields; floats to 6 decimals, a missing MSE empty."""
+        names = [f.name for f in fields(EvalRow)]
+        lines = [",".join(names)]
         for r in self.rows:
-            amse = f"{r.analytic_mse_db2:.6f}" if r.analytic_mse_db2 is not None else ""
-            lines.append(
-                f"{r.lag_steps},{r.lag_s:.6f},{r.n_predictions},{r.rmse_db:.6f},"
-                f"{r.nrmse_pct:.6f},{r.accuracy_pct:.6f},{amse},{r.method}"
-            )
+            lines.append(",".join(_csv_field(getattr(r, name)) for name in names))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> None:

@@ -11,7 +11,7 @@ scale, not claims of fidelity to any particular deployment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +19,10 @@ from .stats import _as_int
 from .trace import Trace, derive_times
 
 CHANNEL_KINDS = ("ar2", "swell", "ripple")
-LOSS_KINDS = ("bernoulli", "gilbert_elliott")
+# Loss kind -> the LossModel fields its keep_mask reads.
+_LOSS_FIELDS = {"bernoulli": ("p",), "gilbert_elliott": (
+    "p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad")}
+LOSS_KINDS = tuple(_LOSS_FIELDS)
 
 _BURN_IN = 512
 
@@ -252,10 +255,13 @@ class LossModel:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        for name in ("p", "p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad"):
-            v = getattr(self, name)
+        for f in fields(self)[2:]:  # the probabilities, after kind and seed
+            v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+                raise ValueError(f"{f.name} must be in [0, 1], got {v}")
+            # Each kind takes only the fields its keep_mask reads.
+            if v != f.default and f.name not in _LOSS_FIELDS[self.kind]:
+                raise ValueError(f"{self.kind} loss takes no {f.name}")
 
     def keep_mask(self, n: int) -> np.ndarray:
         """Boolean survival mask for n consecutive packets (True = kept)."""

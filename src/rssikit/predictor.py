@@ -371,7 +371,13 @@ _MOMENT_KEYS = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: ``json`` also reads NaN and +-Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 # Field annotation -> (check of a JSON value for that field, what it must be).
@@ -431,9 +437,10 @@ def model_from_json(text: str) -> PredictorModel:
 
     Raises:
         ValueError: The text is not JSON, a record is not an object, or a
-            record lacks a key or holds a value of the wrong type or one
-            the model refuses, such as a step_s of 0. A model record
-            without ``mean_slope_db_s`` loads with 0.0.
+            record lacks a key or holds a value of the wrong type (a
+            non-finite number included) or one the model refuses, such as
+            a step_s of 0 or, without moments, a negative stored error. A
+            model record without ``mean_slope_db_s`` loads with 0.0.
     """
     payload = json.loads(text)
     values = _from_record(payload, PredictorModel, _MODEL_KEYS, "model record",
@@ -450,6 +457,10 @@ def model_from_json(text: str) -> PredictorModel:
             raise ValueError(f"model file: moments: {exc}") from None
         values["source_moments"] = m
         values["analytic_mse"] = _fitting_mse(m, values["w_level"], values["w_slope"])
+    elif values["analytic_mse"] is not None and values["analytic_mse"] < 0:
+        # Not in PredictorModel: a fit may round a near-zero error below 0.
+        raise ValueError("model file: model record key 'analytic_mse_db2' must not "
+                         f"be negative, got {values['analytic_mse']}")
     try:
         return PredictorModel(**values)
     except ValueError as exc:

@@ -301,3 +301,35 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     ok = ok and out1 == out2 and json.loads(out1)["value_dbm"] is not None
 
     _criterion(11, "CLI outputs are byte-identical across repeat runs", ok)
+
+
+def test_criterion_12_headline_accuracy():
+    # Mean walk-forward accuracy over lags 1-4 of a 20,000-packet trace at
+    # maximum power under bursty Gilbert-Elliott loss. accuracy_pct is
+    # 100 - 100 * RMSE / dynamic range, so it depends on the channel's
+    # amplitude (README).
+    acc = {}
+    for radio in (RADIO10, RADIO2):
+        for kind in CHANNELS:
+            tr = rk.generate_trace(rk.channel_by_name(kind, seed=5, base_path_loss_db=80),
+                                   radio, radio.max_tx_dbm, 20000)
+            tr = rk.apply_loss(tr, rk.gilbert_elliott_loss(0.05, 0.25, seed=6))
+            for method in ("orthonormal", "simplified"):
+                rows = rk.evaluate(tr, method, [1, 2, 3, 4]).rows
+                acc[radio.name, kind, method] = float(np.mean([r.accuracy_pct for r in rows]))
+    floor = {"cc2538": 90.0, "cc1200": 85.0}
+    ok = all(acc[radio, kind, "orthonormal"] >= floor[radio]
+             and acc[radio, kind, "orthonormal"] > acc[radio, kind, "simplified"]
+             for radio in floor for kind in CHANNELS)
+    # The slower radio loses accuracy on the oscillating channels. AR(2)'s
+    # coefficients are per step whatever the packet rate, so both radios see
+    # the same process there and score the same, to rounding, until the
+    # channel respects the packet rate (ROADMAP item 12).
+    for method in ("orthonormal", "simplified"):
+        ok = ok and all(acc["cc1200", kind, method] < acc["cc2538", kind, method]
+                        for kind in ("swell", "ripple"))
+        ok = ok and abs(acc["cc1200", "ar2", method] - acc["cc2538", "ar2", method]) < 1e-9
+    _criterion(
+        12, "orthonormal prediction is over 90% (10 pkt/s) and 85% (2 pkt/s) accurate",
+        ok, ", ".join(f"{r}/{k}/{m} {v:.2f}%" for (r, k, m), v in acc.items()),
+    )

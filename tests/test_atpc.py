@@ -502,3 +502,12 @@ class TestFixedTxPower:
     def test_radio_limits_are_accepted(self, fn, tx):
         sent = FIXED_POWER[fn](tx)
         assert sent.tolist() == [tx] * 50
+
+
+@pytest.mark.parametrize("ack_rssi", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_ack_is_refused(ack_rssi):
+    ctrl = AtpcController(make_config())
+    before = ctrl.state
+    with pytest.raises(ValueError, match="ack_rssi must be finite"):
+        ctrl.on_ack(ack_rssi)
+    assert ctrl.state is before

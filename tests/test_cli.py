@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rssikit
+from rssikit import cli
 from rssikit.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -187,6 +188,21 @@ class TestConfigFile:
         assert run_cli("acf", "--config", str(cfg), "--out", str(out)) == 0
         assert len(out.read_text().strip().split("\n")) == 7
 
+    def test_config_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\n\nchannel = ripple\npackets 300\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out",
+                       str(tmp_path / "x.csv")) == 1
+        assert capsys.readouterr().err == \
+            f"rssikit: error: {cfg}:4: expected key = value\n"
+
+    def test_dashed_config_key_is_its_flag(self, trace_csv, tmp_path):
+        cfg = tmp_path / "acf.cfg"
+        cfg.write_text(f"in = {trace_csv}\nmax-lag = 5\n")
+        out = tmp_path / "acf.csv"
+        assert run_cli("acf", "--config", str(cfg), "--out", str(out)) == 0
+        assert len(out.read_text().strip().split("\n")) == 7
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp_speed = 9\n")
@@ -210,6 +226,81 @@ class TestConfigFile:
         assert run_cli(*argv, "--" + key, value) == 1
         assert run_cli(*argv, "--config", str(cfg)) == 1
         assert "invalid choice" in capsys.readouterr().err.splitlines()[-1]
+
+
+# Every option row of every subcommand.
+OPTION_ROWS = [pytest.param(command, o, id=f"{command}-{o.name}")
+               for command, (_, _, table) in cli._COMMANDS.items() for o in table]
+
+
+def option_values(o):
+    """Two values the option takes and one it refuses (None where argparse
+    takes any text)."""
+    if o.choices:
+        return o.choices[-1], o.choices[0], o.choices[0].upper()
+    return {int: ("7", "12", "7.5"), float: ("-3.25", "0.5", "x"),
+            str: ("a b.csv", "c.csv", None)}[o.type]
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Run the CLI with handlers that return the options they are given."""
+    seen = []
+
+    def record(opts):
+        seen.append(opts)
+        return 0
+
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        command: (record, help_text, table)
+        for command, (_, help_text, table) in cli._COMMANDS.items()})
+
+    def run(*argv):
+        assert run_cli(*argv) == 0
+        return seen.pop()
+
+    return run
+
+
+def others_required(command, option):
+    """Flags for the required options of ``command`` other than ``option``."""
+    argv = []
+    for o in cli._COMMANDS[command][2]:
+        if o.required and o is not option:
+            argv += [o.flag, "-70" if o.type is float else "x"]
+    return argv
+
+
+class TestConfigMirrorsFlags:
+    @pytest.mark.parametrize("command, option", OPTION_ROWS)
+    def test_config_line_parses_as_its_flag(self, tmp_path, parsed, command, option):
+        value = option_values(option)[0]
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{option.name} = {value}\n")
+        base = others_required(command, option)
+        by_flag = parsed(command, *base, option.flag, value)
+        by_config = parsed(command, *base, "--config", str(cfg))
+        assert by_flag[option.name] == option.type(value)
+        assert {**by_flag, "config": None} == {**by_config, "config": None}
+
+    @pytest.mark.parametrize("command, option", OPTION_ROWS)
+    def test_flag_overrides_config(self, tmp_path, parsed, command, option):
+        value, other, _ = option_values(option)
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{option.name} = {other}\n")
+        base = others_required(command, option)
+        for argv in ((option.flag, value, "--config", str(cfg)),
+                     ("--config", str(cfg), option.flag, value)):
+            assert parsed(command, *base, *argv)[option.name] == option.type(value)
+
+    @pytest.mark.parametrize("command, option", [
+        row for row in OPTION_ROWS if option_values(row.values[1])[2] is not None])
+    def test_bad_config_value_names_the_flag(self, tmp_path, capsys, command, option):
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"{option.name} = {option_values(option)[2]}\n")
+        argv = [command, *others_required(command, option), "--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"rssikit: error: argument {option.flag}: ")
 
 
 class TestExitCodes:
@@ -240,6 +331,11 @@ class TestExitCodes:
         *(SIMPLIFIED_WITH_MOMENTS % moments for moments in (
             '"tau_s": NaN, "step_s": 0.1', '"tau_s": 0.1, "step_s": -1.0',
             '"tau_s": 0.1, "step_s": Infinity', '"tau_s": 0.2, "step_s": 0.1')),
+        # A record without moments serves its stored error, which must be a
+        # finite number >= 0; a non-finite weight fails at load, not in use.
+        *('{"method": "normal_eq", "tau_s": 0.1, "step_s": 0.1, "w_level": %s,'
+          ' "w_slope": 0.05, "mean_dbm": -70.0, "analytic_mse_db2": %s}' % values
+          for values in (("0.9", "NaN"), ("0.9", "-3.5"), ("Infinity", "0.5"))),
     ])
     def test_malformed_model_file(self, tmp_path, capsys, text):
         model = tmp_path / "model.json"
@@ -269,6 +365,29 @@ class TestExitCodes:
         assert run_cli(*argv, "--packets", "5", "--out", str(out)) == 1
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("bernoulli:x", "could not convert string to float: 'x'"),
+        ("bernoulli", "could not convert string to float: ''"),
+        ("bernoulli:1.5", "p must be in [0, 1], got 1.5"),
+        ("gilbert:0.1,0.2", "expected 4 comma-separated probabilities"),
+        ("gilbert_elliott:0.1,0.2,0.0,y", "could not convert string to float: 'y'"),
+        ("gilbert:0.1,0.2,0.0,2", "loss_bad must be in [0, 1], got 2.0"),
+        ("burst:0.1", "unknown kind 'burst'"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "atpc"])
+    def test_bad_loss_spec(self, tmp_path, capsys, command, spec, message):
+        out = tmp_path / "out.csv"
+        assert run_cli(command, "--packets", "5", "--loss", spec, "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"rssikit: error: bad loss spec {spec!r}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lags", ["1,x", "1.5", "2;3"])
+    def test_bad_lag_list(self, trace_csv, tmp_path, capsys, lags):
+        assert run_cli("evaluate", "--in", str(trace_csv), "--lags", lags,
+                       "--out", str(tmp_path / "r")) == 1
+        assert capsys.readouterr().err == f"rssikit: error: bad lag list {lags!r}\n"
 
     def test_success_is_zero(self, trace_csv, tmp_path):
         assert run_cli("acf", "--in", str(trace_csv), "--max-lag", "5",

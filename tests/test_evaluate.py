@@ -154,3 +154,9 @@ class TestReportOutput:
         assert report.row_for(5).lag_steps == 5
         with pytest.raises(KeyError):
             report.row_for(2)
+
+
+@pytest.mark.parametrize("values", [[-70.0], []], ids=["one-sample", "empty"])
+def test_a_too_short_trace_is_refused(values):
+    with pytest.raises(ValueError, match="trace too short to evaluate"):
+        evaluate(make_trace(values), "orthonormal", [1])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from rssikit import (
     ChannelModel,
+    LossModel,
     apply_loss,
     ar2_channel,
     bernoulli_loss,
@@ -324,8 +326,57 @@ class TestLossModels:
         with pytest.raises(ValueError):
             gilbert_elliott_loss(-0.1, 0.5)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("gilbert_elliott", "p", 0.9),
+        ("bernoulli", "p_good_to_bad", 0.5),
+        ("bernoulli", "p_bad_to_good", 0.5),
+        ("bernoulli", "loss_good", 0.1),
+        ("bernoulli", "loss_bad", 0.5),
+    ])
+    def test_a_field_the_kind_does_not_read_is_refused(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"{kind} loss takes no {field}"):
+            LossModel(kind=kind, seed=0, **{field: value})
+
+    def test_unread_fields_at_their_defaults_are_accepted(self):
+        bern = LossModel(kind="bernoulli", seed=0, p=0.2, p_good_to_bad=0.0, loss_bad=1.0)
+        assert bern == bernoulli_loss(0.2)
+        ge = LossModel(kind="gilbert_elliott", seed=0, p=0.0, p_good_to_bad=0.1)
+        assert ge == gilbert_elliott_loss(0.1, 0.0)
+
     def test_empty_trace_rejected(self):
         tr = generate_trace(swell_channel(seed=1), profile_by_name("cc2538"), 0.0, 10)
         empty = apply_loss(tr, bernoulli_loss(1.0, seed=1))
         with pytest.raises(ValueError, match="empty"):
             apply_loss(empty, bernoulli_loss(0.0, seed=1))
+
+
+CC2538 = profile_by_name("cc2538")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(CC2538, rate_pps=0.0), "rate_pps must be > 0"),
+    (lambda: replace(CC2538, rate_pps=-2.0), "rate_pps must be > 0"),
+    (lambda: replace(CC2538, min_tx_dbm=7.0), "min_tx_dbm must be below max_tx_dbm"),
+    (lambda: replace(CC2538, min_tx_dbm=8.0), "min_tx_dbm must be below max_tx_dbm"),
+    (lambda: replace(CC2538, packet_bytes=0), "packet_bytes must be > 0"),
+    (lambda: replace(swell_channel(), kind="chop"), "unknown channel kind 'chop'"),
+    (lambda: replace(swell_channel(), osc_amps_db=(3.5,)),
+     "oscillation frequencies and amplitudes must pair up"),
+    (lambda: replace(swell_channel(), osc_freqs_hz=(0.09, -0.038)),
+     "oscillation parameters must be non-negative"),
+    (lambda: replace(swell_channel(), osc_amps_db=(-3.5, 1.5)),
+     "oscillation parameters must be non-negative"),
+    (lambda: replace(swell_channel(), noise_std_db=-0.3), "noise parameters must be non-negative"),
+    (lambda: replace(ripple_channel(), noise_corr_time_s=-0.4),
+     "noise parameters must be non-negative"),
+    (lambda: channel_by_name("chop"), "unknown channel kind 'chop'"),
+    (lambda: LossModel(kind="burst", seed=0), "unknown loss kind 'burst'"),
+    (lambda: generate_trace(swell_channel(), CC2538, 0.0, 0), "n_packets must be >= 1"),
+    (lambda: generate_trace(swell_channel(), CC2538, 0.0, -5), "n_packets must be >= 1"),
+], ids=["rate-zero", "rate-negative", "min-tx-at-max", "min-tx-above-max", "packet-bytes-zero",
+        "channel-kind", "oscillators-unpaired", "osc-freq-negative", "osc-amp-negative",
+        "noise-std-negative", "noise-corr-negative", "channel-name", "loss-kind",
+        "no-packets", "negative-packets"])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -516,14 +516,24 @@ class TestModelProperties:
         (lambda p: {**p, "step_s": -0.1},
          "model file: step_s must be finite and > 0, got -0.1"),
         (lambda p: {**p, "tau_s": -0.2}, "model file: tau must be finite and > 0, got -0.2"),
-        (lambda p: {**p, "step_s": math.inf},
-         "model file: step_s must be finite and > 0, got inf"),
+        (lambda p: {**p, "step_s": math.inf}, "model record key 'step_s' must be a number"),
         (lambda p: {**p, "moments": {**p["moments"], "tau_s": math.nan}},
-         "model file: moments: tau must be finite and >= 0, got nan"),
+         "moments key 'tau_s' must be a number"),
         (lambda p: {**p, "moments": {**p["moments"], "step_s": -1.0}},
          "model file: moments: step_s must be finite and > 0, got -1.0"),
         (lambda p: {**p, "moments": {**p["moments"], "step_s": math.inf}},
-         "model file: moments: step_s must be finite and > 0, got inf"),
+         "moments key 'step_s' must be a number"),
+        (lambda p: {**p, "w_level": math.inf}, "model record key 'w_level' must be a number"),
+        (lambda p: {**p, "mean_dbm": -math.inf}, "model record key 'mean_dbm' must be a number"),
+        (lambda p: {**p, "mean_dbm": 10 ** 400}, "model record key 'mean_dbm' must be a number"),
+        (lambda p: {**p, "analytic_mse_db2": math.nan},
+         "model record key 'analytic_mse_db2' must be a number or null"),
+        (lambda p: {**p, "basis": {**p["basis"], "unit_residuals": [0.0, math.nan, 1.0]}},
+         "basis key 'unit_residuals' must be a list of three numbers"),
+        (lambda p: {**p, "moments": {**p["moments"], "rr0": math.inf}},
+         "moments key 'rr0' must be a number"),
+        (lambda p: {**without(p, "moments"), "analytic_mse_db2": -3.5},
+         "model record key 'analytic_mse_db2' must not be negative, got -3.5"),
         (lambda p: {**p, "moments": {**p["moments"], "tau_s": 0.2}},
          "model file: source moments must have the model's tau and step_s"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
@@ -532,7 +542,9 @@ class TestModelProperties:
             "step-not-number", "step-null", "moments-rr0-ahead-null",
             "moments-n-not-integer", "step-zero", "step-negative", "tau-negative",
             "step-infinite", "moments-tau-nan", "moments-step-negative",
-            "moments-step-infinite", "moments-tau-another-lag"])
+            "moments-step-infinite", "weight-infinite", "mean-minus-infinite",
+            "mean-beyond-float", "stored-mse-nan", "unit-residual-nan",
+            "moments-rr0-infinite", "stored-mse-negative", "moments-tau-another-lag"])
     def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -915,3 +927,40 @@ class TestCheckedConstructor:
     def test_the_records_stay_frozen_dataclasses(self):
         for cls in RECORDS:
             assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+
+
+# Moments on which the normal-equations weights are (0.5, 0): the lag-tau
+# covariance is half the variance and the slope carries nothing.
+FLAT_SLOPE_MOMENTS = MomentSet(rr0=1.0, rpr0=0.0, rprp0=1.0, rr_tau=0.5, rrp_tau=0.0,
+                               tau=0.1, n=10, mean_r=0.0, mean_rp=0.0, rr0_ahead=1.0,
+                               step_s=0.1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PredictorModel("bogus", 0.1, 1.0, 0.1, 0.1), "unknown method 'bogus'"),
+    (lambda: PredictorModel("simplified", 0.1, 0.9, 0.1, 0.1),
+     "simplified model must have weights (1, tau)"),
+    (lambda: PredictorModel("simplified", 0.1, 1.0, 0.2, 0.1),
+     "simplified model must have weights (1, tau)"),
+    (lambda: PredictorModel("normal_eq", 0.1, 0.5, 0.0, 0.1, analytic_mse=1.5,
+                            source_moments=FLAT_SLOPE_MOMENTS),
+     "analytic_mse exceeds the fitting-set variance"),
+    (lambda: predictor.Prediction(value=-70.0, mse=None, steps_ahead=0),
+     "steps_ahead must be >= 1"),
+    (lambda: predictor.Prediction(value=-70.0, mse=0.5, steps_ahead=-2),
+     "steps_ahead must be >= 1"),
+    (lambda: SlidingWindowPredictor("bogus", (1,), 0.1), "unknown method 'bogus'"),
+    (lambda: SlidingWindowPredictor("orthonormal", (0, 1), 0.1), "lags must be >= 1"),
+    (lambda: SlidingWindowPredictor("simplified", (-1,), 0.1), "lags must be >= 1"),
+], ids=["model-method", "simplified-level-weight", "simplified-slope-weight",
+        "mse-above-variance", "prediction-horizon-zero", "prediction-horizon-negative",
+        "window-method", "window-lag-zero", "window-lag-negative"])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_an_error_equal_to_the_fitting_variance_is_accepted():
+    at_variance = PredictorModel("normal_eq", 0.1, 0.5, 0.0, 0.1, analytic_mse=1.0,
+                                 source_moments=FLAT_SLOPE_MOMENTS)
+    assert at_variance.analytic_mse == FLAT_SLOPE_MOMENTS.rr0_ahead

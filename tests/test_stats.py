@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -398,3 +399,16 @@ class TestLagSteps:
         for model in (fit_normal_equations(m), fit_simplified(tau, m)):
             assert model.tau == m.tau
             assert predict(model, -70.0, 1.0).steps_ahead == k
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sample_acf(make_trace([1.0, 2.0, 3.0, 4.0, 5.0]), 10),
+     "trace has 5 samples, need at least 12 for max_lag=10"),
+    (lambda: sample_acf(make_trace([1.0, 2.0]), 1),
+     "trace has 2 samples, need at least 3 for max_lag=1"),
+    (lambda: moment_set(make_trace([-70.0]), np.zeros(0), 0.1),
+     "trace too short for moment estimation"),
+], ids=["acf-five-samples", "acf-two-samples", "moments-one-sample"])
+def test_too_short_traces_are_refused(build, message):
+    with pytest.raises(InsufficientSupportError, match=re.escape(message)):
+        build()

@@ -791,3 +791,24 @@ class TestDerivative:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="slope values must be finite"):
                 derivative_series(tr)
+
+
+@pytest.mark.parametrize("interval", [0.0, -0.1, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("build", [
+    lambda tmp_path, interval: make_trace([-70.0, -69.0], interval=interval),
+    lambda tmp_path, interval: ingest_csv(
+        write_csv(tmp_path, "seq,t_s,rssi_dbm\n0,0.0,-70.0\n"), interval),
+], ids=["trace", "ingest"])
+def test_a_bad_nominal_interval_is_refused(tmp_path, build, interval):
+    with pytest.raises(ValueError, match=re.escape(f"nominal_interval must be > 0, got {interval}")):
+        build(tmp_path, interval)
+
+
+@pytest.mark.parametrize("column", ["seq", "t", "rssi", "tx_power"])
+def test_a_two_dimensional_column_is_refused(column):
+    values = {"seq": [0, 1], "t": [0.0, 0.1], "rssi": [-70.0, -69.0],
+              "tx_power": [math.nan, math.nan]}
+    values[column] = [values[column]]
+    with pytest.raises(ValueError, match=f"{column} must be a 1-D column"):
+        Trace(**values, nominal_interval=0.1)
