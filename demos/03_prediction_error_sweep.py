@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Walk-forward prediction error versus horizon, for both radio cadences.
+"""In-sample prediction error versus horizon, for both radio cadences.
 
 Reproduces the shape of an error-vs-lag study: error grows with the
 prediction horizon, collapses at very long horizons where correlation is

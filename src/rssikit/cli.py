@@ -210,7 +210,7 @@ _COMMANDS = {
         _Opt("anchor_rssi", float, required=True),
         _Opt("anchor_slope", float, 0.0),
     )),
-    "evaluate": (_cmd_evaluate, "walk-forward RMSE over lags", (
+    "evaluate": (_cmd_evaluate, "in-sample RMSE over lags", (
         _IN,
         _Opt("interval", float, 0.1),
         _METHOD,

@@ -1,8 +1,10 @@
-"""Walk-forward prediction-error evaluation over a grid of lags.
+"""In-sample prediction-error evaluation over a grid of lags.
 
-Evaluation is strictly causal: every prediction anchors on a sample and its
-backward-difference slope, both available before the target time. No random
-train/test splits; that is how a live transmitter would use the model.
+Each lag's model is fitted on the whole trace and scored on the same
+triples it was fitted on, so the error is in-sample, not walk-forward. Each
+prediction itself anchors on a sample and its backward-difference slope,
+both available before the target time, as a live transmitter would use the
+model; a causal score replays the trace through ``SlidingWindowPredictor``.
 
 The headline error is the RMSE in dB. The normalized figure divides by the
 observed dynamic range of the evaluated trace (max - min received power):
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .predictor import _fit_moments
-from .stats import _as_int, lag_moments
+from .stats import _as_int, _trace_moments
 from .trace import Trace, derivative_series
 
 
@@ -91,12 +93,13 @@ class EvalReport:
 
 
 def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> EvalReport:
-    """Walk-forward error of the chosen fitting path at each lag.
+    """In-sample error of the chosen fitting path at each lag.
 
     For every sample whose slope exists and whose lag-ahead target was
     received, predict the target and accumulate squared error. Each lag
-    gets its own model, fitted as ``fit_at_lag`` fits it, from the
-    triples and moments of one ``lag_moments`` call for every lag.
+    gets its own model, fitted as ``fit_at_lag`` fits it on the whole trace,
+    from the same triples it is scored on: the trace's memoised triples
+    and moments (``_trace_moments``).
 
     Raises:
         ValueError: No valid prediction points at some lag, bad lags, or
@@ -115,7 +118,7 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
     step = trace.nominal_interval
 
     rows = []
-    per_lag = lag_moments(trace.seq, r, slope, step, lag_list)
+    per_lag = _trace_moments(trace, lag_list)
     for k, (i, j, m) in zip(lag_list, per_lag):
         model = _fit_moments(method, k * step, step, m)
         if i.size == 0:

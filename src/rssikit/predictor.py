@@ -26,6 +26,7 @@ model and added back at prediction time.
 
 from __future__ import annotations
 
+import array
 import json
 import logging
 import math
@@ -473,18 +474,19 @@ class SlidingWindowPredictor:
     Single-writer: one owner feeds observations via ``observe``; fitted
     models are immutable snapshots that readers may hold freely. The window
     holds the latest 512 observations in a ring buffer, two preallocated
-    arrays (seq and value) that each observation overwrites at the oldest
-    slot, and refits every 64 of them. A refit reads the window in seq
-    order, derives its timestamps as ``derive_times`` and its slopes as
-    ``derivative_series`` does, and takes every lag's moments from one
-    ``lag_moments`` call. The latest two observations are also kept as
-    Python numbers, for the order check and ``anchor``.
+    machine arrays (int64 seq and float64 value) that each observation
+    overwrites at the oldest slot, and refits every 64 of them. A refit
+    reads the window in seq order, derives its timestamps as
+    ``derive_times`` and its slopes as ``derivative_series`` does, and takes
+    every lag's moments from one ``lag_moments`` call. The latest two
+    observations are also kept as Python numbers, for the order check and
+    ``anchor``.
 
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
-    simplified method, never refits; the simplified method's fixed-weight
-    models, one per lag, exist from the start. Each model serves exactly
-    its own lag.
+    simplified method, never refits and so never writes its ring; the
+    simplified method's fixed-weight models, one per lag, exist from the
+    start. Each model serves exactly its own lag.
     """
 
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float):
@@ -497,8 +499,11 @@ class SlidingWindowPredictor:
         if any(k < 1 for k in self.lags):
             raise ValueError("lags must be >= 1")
         self.step_s = float(step_s)
-        self._seq = np.zeros(_WINDOW, dtype=np.int64)
-        self._value = np.zeros(_WINDOW)
+        self._refits = bool(self.lags) and method != METHOD_SIMPLIFIED
+        # The ring is two machine arrays, which store a Python number faster
+        # than a numpy array does; a refit reads them as numpy views.
+        self._seq = array.array("q", bytes(8 * _WINDOW))
+        self._value = array.array("d", bytes(8 * _WINDOW))
         # Observations so far; the next one goes to slot _count % _WINDOW.
         self._count = 0
         self._last: tuple[int, float] | None = None
@@ -524,13 +529,14 @@ class SlidingWindowPredictor:
         if last is not None and seq <= last[0]:
             raise ValueError("observations must arrive in increasing seq order")
         count = self._count
-        slot = count % _WINDOW
-        self._seq[slot] = seq
-        self._value[slot] = value
         self._before_last, self._last = last, (seq, value)
-        self._count = count = count + 1
-        if count % _REFIT_EVERY == 0 and self.lags and self.method != METHOD_SIMPLIFIED:
-            self._refit()
+        self._count = count + 1
+        if self._refits:
+            slot = count % _WINDOW
+            self._seq[slot] = seq
+            self._value[slot] = value
+            if (count + 1) % _REFIT_EVERY == 0:
+                self._refit()
 
     def anchor(self) -> tuple[float, float] | None:
         """Latest (value, slope) anchor, or None with < 2 observations."""
@@ -562,8 +568,10 @@ class SlidingWindowPredictor:
         # Oldest first: the slots from the next write to the end of those
         # filled, then the slots before it.
         first, held = self._count % _WINDOW, min(self._count, _WINDOW)
-        seq = np.concatenate((self._seq[first:held], self._seq[:first]))
-        r = np.concatenate((self._value[first:held], self._value[:first]))
+        ring_seq = np.frombuffer(self._seq, np.int64)
+        ring_value = np.frombuffer(self._value, np.float64)
+        seq = np.concatenate((ring_seq[first:held], ring_seq[:first]))
+        r = np.concatenate((ring_value[first:held], ring_value[:first]))
         seq -= seq[0]
         with np.errstate(all="ignore"):
             t = derive_times(seq, self.step_s)

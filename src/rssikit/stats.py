@@ -12,6 +12,7 @@ yields bit-identical output.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from collections.abc import Sequence
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import Trace
+from .trace import Trace, derivative_series
 
 # Below this many contributing sample pairs a second-order moment is too
 # noisy to fit from.
@@ -392,19 +393,51 @@ def lag_moments(
     return out
 
 
+def _trace_moments(
+    trace: Trace, lags: Sequence[int],
+) -> list[tuple[np.ndarray, np.ndarray, MomentSet | ValueError]]:
+    """``lag_moments`` of the trace's own columns and slope for each of
+    ``lags``, memoised on the trace: one ``lag_moments`` call computes the
+    lags not held yet. A lag's triples and moments do not depend on which
+    other lags share the call, so every result is that of a fresh call.
+
+    The memo holds read-only (i, j) arrays, and each failure without its
+    traceback, so no memoised error keeps a frame alive; every request gets
+    a fresh copy of the error, and each raise of it starts its own
+    traceback.
+    """
+    held = trace._derived.setdefault("lags", {})
+    missing = [k for k in dict.fromkeys(lags) if k not in held]
+    if missing:
+        per_lag = lag_moments(trace.seq, trace.rssi, derivative_series(trace),
+                              trace.nominal_interval, missing)
+        for k, (i, j, m) in zip(missing, per_lag):
+            i.flags.writeable = j.flags.writeable = False
+            if isinstance(m, ValueError):
+                m = m.with_traceback(None)
+            held[k] = (i, j, m)
+    out = []
+    for k in lags:
+        i, j, m = held[k]
+        out.append((i, j, copy.copy(m) if isinstance(m, ValueError) else m))
+    return out
+
+
 def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
     """Estimate the five fitting moments at one lag: the one-lag case of
-    ``lag_moments``.
+    ``lag_moments``, memoised on the trace (see ``_trace_moments``).
 
-    ``slope`` is ``derivative_series(trace)``. tau must be a whole number
-    k >= 1 of the trace's nominal intervals (see ``_lag_steps``); there is
-    no interpolation, and the moments carry the grid lag k * step as their
-    tau. Means are estimated once from all values and all slopes, then every
-    moment is the average of centered products over the joint index set
-    where r(t), r'(t) and r(t+tau) all exist.
+    ``slope`` must be ``derivative_series(trace)``: that array or one equal
+    to it. tau must be a whole number k >= 1 of the trace's nominal
+    intervals (see ``_lag_steps``); there is no interpolation, and the
+    moments carry the grid lag k * step as their tau. Means are estimated
+    once from all values and all slopes, then every moment is the average
+    of centered products over the joint index set where r(t), r'(t) and
+    r(t+tau) all exist.
 
     Raises:
-        ValueError: tau off the grid, or a slope column of the wrong length.
+        ValueError: tau off the grid, a slope column of the wrong length,
+            or one that is not the trace's own.
         InsufficientSupportError: Fewer than ``_MIN_PAIRS`` triples.
         DegenerateProcessError: Zero variance over the triples.
     """
@@ -416,7 +449,10 @@ def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
         raise InsufficientSupportError("trace too short for moment estimation")
     if np.shape(slope) != (len(trace) - 1,):
         raise ValueError(f"slope must hold {len(trace) - 1} values, got shape {np.shape(slope)}")
-    [(_, _, m)] = lag_moments(trace.seq, trace.rssi, slope, step, (k,))
+    own = derivative_series(trace)
+    if slope is not own and not np.array_equal(slope, own):
+        raise ValueError("slope must be derivative_series(trace)")
+    [(_, _, m)] = _trace_moments(trace, (k,))
     if not isinstance(m, MomentSet):
         raise m
     return m

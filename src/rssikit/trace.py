@@ -57,6 +57,11 @@ class Trace:
             NaN where unknown.
         nominal_interval: Seconds between consecutive sequence numbers.
         meta: Free-form labels (deployment, radio, ingestion counters).
+
+    Statistics derived from the columns (the slope column, each lag's
+    triples and moments) are memoised in the private ``_derived`` dict, so
+    each is computed at most once per trace; ``replace``, ``shifted`` and
+    every other new trace start with it empty.
     """
 
     seq: np.ndarray
@@ -65,6 +70,7 @@ class Trace:
     tx_power: np.ndarray
     nominal_interval: float
     meta: dict = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nominal_interval) and self.nominal_interval > 0):
@@ -137,7 +143,8 @@ def _slopes(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     but the first, so a gap's elapsed time is its denominator. A quotient
     that overflows, or a repeated time, is non-finite, without a warning."""
     with np.errstate(all="ignore"):
-        return np.subtract(r[1:], r[:-1]) / np.subtract(t[1:], t[:-1])
+        d = np.subtract(r[1:], r[:-1])
+        return np.divide(d, np.subtract(t[1:], t[:-1]), out=d)
 
 
 def derivative_series(trace: Trace) -> np.ndarray:
@@ -151,14 +158,20 @@ def derivative_series(trace: Trace) -> np.ndarray:
 
     Returns:
         The slope column in dB/s, read-only float64: entry i - 1 is the
-        slope at ``trace.seq[i]``. A slope that is not finite raises.
+        slope at ``trace.seq[i]``. A slope that is not finite raises. The
+        column is computed on the first call; every later call on the same
+        trace returns that same array.
     """
+    slope = trace._derived.get("slope")
+    if slope is not None:
+        return slope
     if len(trace) < 2:
         raise ValueError("derivative needs at least 2 samples")
     slope = _slopes(trace.t, trace.rssi)
     if not np.isfinite(slope).all():
         raise ValueError("slope values must be finite")
     slope.flags.writeable = False
+    trace._derived["slope"] = slope
     return slope
 
 

@@ -304,7 +304,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
 
 
 def test_criterion_12_headline_accuracy():
-    # Mean walk-forward accuracy over lags 1-4 of a 20,000-packet trace at
+    # Mean in-sample accuracy over lags 1-4 of a 20,000-packet trace at
     # maximum power under bursty Gilbert-Elliott loss. accuracy_pct is
     # 100 - 100 * RMSE / dynamic range, so it depends on the channel's
     # amplitude (README).

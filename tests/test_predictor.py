@@ -580,6 +580,16 @@ class TestSlidingWindow:
         assert p.value == pytest.approx(-70.0 - 4.0 * 0.4)
         assert sw.model_for(2) is None
 
+    @pytest.mark.parametrize("method, lags", [("simplified", (1, 4)), ("orthonormal", ())])
+    def test_a_window_that_never_refits_writes_no_ring(self, method, lags):
+        sw = SlidingWindowPredictor(method, lags=lags, step_s=0.1)
+        with mock.patch.object(sw, "_refit") as refit:
+            for k in range(600):
+                sw.observe(3 * k, -70.0 + k % 7)
+        refit.assert_not_called()
+        assert not (any(sw._seq) or any(sw._value))
+        assert sw.anchor() == (-70.0 + 599 % 7, pytest.approx(10.0 / 3))
+
     @mock.patch.object(predictor, "_REFIT_EVERY", 8)
     def test_degenerate_window_yields_no_model(self):
         sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)

@@ -30,7 +30,8 @@ from rssikit import (
     swell_channel,
 )
 from rssikit import stats
-from rssikit.trace import derive_times
+from rssikit.predictor import METHODS, fit_at_lag
+from rssikit.trace import Trace, derive_times
 
 from conftest import gapped_traces, make_trace, sinusoid_trace
 from oracles import (
@@ -217,6 +218,95 @@ class TestMomentSet:
         tr = make_trace(np.sin(np.arange(9)) - 70)
         with pytest.raises(InsufficientSupportError):
             moment_set(tr, derivative_series(tr), 0.5)
+
+
+# One request on a trace: moment_set at lag k, evaluate over some lags (in
+# any order, repeats allowed) or fit_at_lag at lag k.
+REQUESTS = st.one_of(
+    st.tuples(st.just("moment_set"), st.integers(min_value=1, max_value=12)),
+    st.tuples(st.just("evaluate"), st.sampled_from(METHODS),
+              st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5)),
+    st.tuples(st.just("fit_at_lag"), st.sampled_from(METHODS),
+              st.integers(min_value=1, max_value=12)),
+)
+
+
+def request_outcome(trace, request) -> tuple:
+    """The repr of what the request returns, which tells every float's bits
+    (-0.0 from 0.0 included), or the type and message of its error."""
+    kind, *args = request
+    try:
+        if kind == "moment_set":
+            (k,) = args
+            return "ok", repr(moment_set(trace, derivative_series(trace), k * 0.1))
+        if kind == "evaluate":
+            method, lags = args
+            return "ok", repr(evaluate(trace, method, lags))
+        method, k = args
+        return "ok", repr(fit_at_lag(trace, method, k))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def exc_depth(exc: BaseException) -> int:
+    depth, tb = 0, exc.__traceback__
+    while tb is not None:
+        depth, tb = depth + 1, tb.tb_next
+    return depth
+
+
+class TestTraceMemo:
+    @given(trace=gapped_traces(), requests=st.lists(REQUESTS, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_every_request_matches_a_fresh_trace(self, trace, requests):
+        for request in requests:
+            fresh = Trace(seq=trace.seq, t=trace.t, rssi=trace.rssi,
+                          tx_power=trace.tx_power, nominal_interval=trace.nominal_interval)
+            assert request_outcome(trace, request) == request_outcome(fresh, request), request
+        # What the memo holds is read-only, and no error in it keeps a frame.
+        assert not derivative_series(trace).flags.writeable
+        for i, j, m in trace._derived.get("lags", {}).values():
+            assert not (i.flags.writeable or j.flags.writeable)
+            assert not isinstance(m, ValueError) or m.__traceback__ is None
+
+    def test_each_lag_is_computed_once(self):
+        tr = make_trace(np.random.default_rng(4).normal(-70, 3, size=300))
+        d = derivative_series(tr)
+        with mock.patch.object(stats, "lag_moments", wraps=stats.lag_moments) as kernel:
+            moment_set(tr, d, 0.2)
+            evaluate(tr, "orthonormal", [3, 1, 2])
+            evaluate(tr, "normal_eq", [1, 2, 3])
+            fit_at_lag(tr, "simplified", 2)
+        assert [c.args[4] for c in kernel.call_args_list] == [[2], [1, 3]]
+        assert [c.args[2] is d for c in kernel.call_args_list] == [True, True]
+
+    def test_repeated_failures_raise_with_a_traceback_of_constant_length(self):
+        tr = make_trace(np.sin(np.arange(9)) - 70)
+        d = derivative_series(tr)
+        for call in (lambda: moment_set(tr, d, 0.5),
+                     lambda: fit_at_lag(tr, "orthonormal", 5),
+                     lambda: evaluate(tr, "normal_eq", [5])):
+            depths = []
+            for _ in range(4):
+                with pytest.raises(InsufficientSupportError) as info:
+                    call()
+                depths.append(exc_depth(info.value))
+            assert len(set(depths)) == 1, depths
+        [(_, _, stored)] = tr._derived["lags"].values()
+        assert isinstance(stored, InsufficientSupportError) and stored.__traceback__ is None
+
+    def test_slope_must_be_the_traces_own(self, ar2_trace):
+        d = derivative_series(ar2_trace)
+        m = moment_set(ar2_trace, d, 0.1)
+        assert repr(moment_set(ar2_trace, d.copy(), 0.1)) == repr(m)
+        other = d.copy()
+        other[7] += 1.0
+        lossy = apply_loss(ar2_trace, gilbert_elliott_loss(0.05, 0.25, seed=3))
+        for wrong in (other, np.zeros_like(d), derivative_series(ar2_trace.shifted(1.0)) + 1.0):
+            with pytest.raises(ValueError, match=r"slope must be derivative_series\(trace\)"):
+                moment_set(ar2_trace, wrong, 0.1)
+        with pytest.raises(ValueError, match=r"slope must be derivative_series\(trace\)"):
+            moment_set(lossy, d[:len(lossy) - 1], 0.1)
 
 
 class TestLagMoments:

@@ -777,6 +777,23 @@ class TestDerivative:
         with pytest.raises(ValueError, match="2 samples"):
             derivative_series(make_trace([-70.0]))
 
+    def test_is_computed_once_per_trace(self):
+        tr = make_trace(np.sin(np.arange(40)) - 70.0)
+        with mock.patch.object(trace_module, "_slopes", wraps=trace_module._slopes) as slopes:
+            first = derivative_series(tr)
+            assert derivative_series(tr) is first
+        assert slopes.call_count == 1
+        assert not first.flags.writeable
+        assert "_derived" not in repr(tr)
+
+    def test_a_new_trace_starts_with_no_derived_statistics(self):
+        tr = make_trace(np.sin(np.arange(40)) - 70.0)
+        derivative_series(tr)
+        for new in (replace(tr), tr.shifted(0.0),
+                    apply_loss(tr, gilbert_elliott_loss(0.05, 0.25, seed=1))):
+            assert new._derived == {}
+            assert derivative_series(new) is not derivative_series(tr)
+
     @given(trace=gapped_traces())
     @settings(max_examples=80, deadline=None)
     def test_is_the_naive_backward_difference_bit_for_bit(self, trace):
