@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .predictor import _fit_moments
-from .stats import _as_int, _trace_moments
+from .predictor import _fit_moments, _whole_lags
+from .stats import _trace_moments
 from .trace import Trace, derivative_series
 
 
@@ -105,9 +105,9 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
         ValueError: No valid prediction points at some lag, bad lags, or
             degenerate statistics for the statistical methods.
     """
-    lag_list = sorted(set(_as_int(k, "lag") for k in lags))
-    if not lag_list or lag_list[0] < 1:
-        raise ValueError("lags must be integers >= 1")
+    lag_list = _whole_lags(lags)
+    if not lag_list:
+        raise ValueError("no lags to evaluate")
     if len(trace) < 2:
         raise ValueError("trace too short to evaluate")
     slope = derivative_series(trace)

@@ -30,13 +30,13 @@ import array
 import json
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .stats import MomentSet, _as_int, _lag_steps, _record, lag_moments, moment_set
 # The benchmark's traced run wraps Trace, derivative_series and moment_set here.
-from .trace import Trace, _slopes, derivative_series, derive_times
+from .trace import Trace, derivative_series
 
 logger = logging.getLogger(__name__)
 
@@ -289,35 +289,31 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
     tau and step, centres the slope on their slope mean and attaches the
     error of its own predictions over their fitting triples.
     """
-    if moments is not None and \
-            _lag_steps(tau, moments.step_s) != _lag_steps(moments.tau, moments.step_s):
+    if moments is None:
+        return _fit_moments(METHOD_SIMPLIFIED, tau, float(tau), None)
+    if _lag_steps(tau, moments.step_s) != _lag_steps(moments.tau, moments.step_s):
         raise ValueError(f"moments of tau={moments.tau} s cannot fit tau={tau} s")
-    tau = float(tau if moments is None else moments.tau)
-    return PredictorModel(
-        method=METHOD_SIMPLIFIED,
-        tau=tau,
-        w_level=1.0,
-        w_slope=tau,
-        step_s=tau if moments is None else moments.step_s,
-        mean_rp=0.0 if moments is None else moments.mean_rp,
-        analytic_mse=None if moments is None else _fitting_mse(moments, 1.0, tau),
-        source_moments=moments,
-    )
+    return _fit_moments(METHOD_SIMPLIFIED, tau, moments.step_s, moments)
 
 
 def _fit_moments(method: str, tau: float, step_s: float,
-                 m: MomentSet | ValueError) -> PredictorModel:
+                 m: MomentSet | ValueError | None) -> PredictorModel:
     """The ``method`` model for horizon tau on a grid of step_s, from the
-    lag's moments or the error that took their place.
+    lag's moments or the error (or None) that took their place.
 
     A statistical method raises that error. The simplified model needs no
-    moments; it carries an error estimate only when they exist.
+    moments; where they exist it takes their tau, slope mean and error.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == METHOD_SIMPLIFIED:
-        moments = m if isinstance(m, MomentSet) else None
-        return replace(fit_simplified(tau, moments), step_s=step_s)
+        m = m if isinstance(m, MomentSet) else None
+        tau = float(tau) if m is None else m.tau
+        return _record(PredictorModel, {
+            "method": method, "tau": tau, "w_level": 1.0, "w_slope": tau, "step_s": step_s,
+            "mean_r": 0.0, "mean_rp": 0.0 if m is None else m.mean_rp,
+            "analytic_mse": None if m is None else _fitting_mse(m, 1.0, tau),
+            "basis": None, "source_moments": m})
     if not isinstance(m, MomentSet):
         raise m
     if method == METHOD_ORTHONORMAL:
@@ -325,14 +321,24 @@ def _fit_moments(method: str, tau: float, step_s: float,
     return fit_normal_equations(m)
 
 
+def _whole_lags(lags) -> tuple[int, ...]:
+    """Distinct lags in steps, ascending; each an integer (``_as_int``) >= 1."""
+    ks = tuple(sorted(set(_as_int(k, "lag") for k in lags)))
+    if ks and ks[0] < 1:
+        raise ValueError(f"lags must be >= 1, got {ks[0]}")
+    return ks
+
+
 def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
-    """Fit ``method`` for a horizon of ``k`` nominal intervals of a trace.
+    """Fit ``method`` for a horizon of ``k`` nominal intervals of a trace,
+    k a lag as ``evaluate`` and the sliding window take it (``_whole_lags``).
 
     The statistical methods fit the trace's moments at that lag and raise
     when they are degenerate or under-supported. The simplified model needs
     none; it carries an error estimate only when the moments exist. Every
     model carries the trace's step size and serves exactly ``k`` steps.
     """
+    [k] = _whole_lags((k,))
     step = trace.nominal_interval
     slope = derivative_series(trace)
     try:
@@ -476,11 +482,10 @@ class SlidingWindowPredictor:
     holds the latest 512 observations in a ring buffer, two preallocated
     machine arrays (int64 seq and float64 value) that each observation
     overwrites at the oldest slot, and refits every 64 of them. A refit
-    reads the window in seq order, derives its timestamps as
-    ``derive_times`` and its slopes as ``derivative_series`` does, and takes
-    every lag's moments from one ``lag_moments`` call. The latest two
-    observations are also kept as Python numbers, for the order check and
-    ``anchor``.
+    reads the window in seq order, takes each slope by ``anchor``'s rule,
+    the value difference over Δseq·step_s, and takes every lag's moments
+    from one ``lag_moments`` call. The latest two observations are also
+    kept as Python numbers, for the order check and ``anchor``.
 
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
@@ -495,9 +500,7 @@ class SlidingWindowPredictor:
         if not (math.isfinite(step_s) and step_s > 0):
             raise ValueError(f"step_s must be finite and > 0, got {step_s}")
         self.method = method
-        self.lags = tuple(sorted(set(_as_int(k, "lag") for k in lags)))
-        if any(k < 1 for k in self.lags):
-            raise ValueError("lags must be >= 1")
+        self.lags = _whole_lags(lags)
         self.step_s = float(step_s)
         self._refits = bool(self.lags) and method != METHOD_SIMPLIFIED
         # The ring is two machine arrays, which store a Python number faster
@@ -510,7 +513,7 @@ class SlidingWindowPredictor:
         self._before_last: tuple[int, float] | None = None
         self._models: dict[int, PredictorModel] = {}
         if method == METHOD_SIMPLIFIED:
-            self._models = {k: replace(fit_simplified(k * self.step_s), step_s=self.step_s)
+            self._models = {k: _fit_moments(method, k * self.step_s, self.step_s, None)
                             for k in self.lags}
 
     def observe(self, seq: int, value: float) -> None:
@@ -554,16 +557,13 @@ class SlidingWindowPredictor:
         return self._models.get(_as_int(n_steps, "n_steps"))
 
     def _refit(self) -> None:
-        """Refit every lag from the window, as ``fit_at_lag`` would fit it on
-        a trace of the same observations, bit for bit.
+        """Refit every lag from the window, read oldest first.
 
-        The window is read oldest first with its seqs counted from the
-        first. Its timestamps are ``derive_times`` of those seqs, and its
-        slopes follow ``derivative_series``'s one rule, ``trace._slopes``.
-        A window whose timestamps repeat (a step below the microsecond) has
-        non-finite slopes and is skipped. Then one ``lag_moments`` call
-        serves every lag, and each lag's model replaces the last or, where
-        its fit fails, is dropped.
+        Each slope is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) *
+        step_s), so a refit fits on the slopes that prediction serves; a
+        window with a slope that overflows is skipped. One ``lag_moments``
+        call serves every lag, and each lag's model replaces the last or,
+        where its fit fails, is dropped.
         """
         # Oldest first: the slots from the next write to the end of those
         # filled, then the slots before it.
@@ -572,10 +572,9 @@ class SlidingWindowPredictor:
         ring_value = np.frombuffer(self._value, np.float64)
         seq = np.concatenate((ring_seq[first:held], ring_seq[:first]))
         r = np.concatenate((ring_value[first:held], ring_value[:first]))
-        seq -= seq[0]
         with np.errstate(all="ignore"):
-            t = derive_times(seq, self.step_s)
-        slope = _slopes(t, r)
+            slope = np.subtract(r[1:], r[:-1])
+            np.divide(slope, np.subtract(seq[1:], seq[:-1]) * self.step_s, out=slope)
         if not np.isfinite(slope).all():
             logger.debug("refit at lags %s skipped: non-finite slope in window", self.lags)
             return

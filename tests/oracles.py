@@ -57,6 +57,13 @@ def naive_slopes(trace: Trace) -> dict[int, float]:
     return slopes
 
 
+def window_slopes(seq: list[int], r: list[float], step_s: float) -> np.ndarray:
+    """The sliding window's slopes, loop-built by ``anchor``'s rule: value
+    difference over seq difference times the step."""
+    return np.array([(r[i] - r[i - 1]) / ((seq[i] - seq[i - 1]) * step_s)
+                     for i in range(1, len(seq))])
+
+
 def naive_moments(trace: Trace, k_steps: int) -> dict:
     """Loop-based five moments over the joint index set.
 

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,28 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
 
+# Digests of `rssikit atpc` transcripts: orthonormal loop, seed 5, 20k packets,
+# path loss 80 dB.
+ATPC_DIGESTS = {
+    ("ripple", "cc2538", "gilbert:0.05,0.25,0.0,0.8"):
+        "9736fe0eec6e0690aca441a61593037392a08b5f5442af23ccd06028553960cf",
+    ("ripple", "cc2538", "bernoulli:0.3"):
+        "099ed7924b74af2673b74e5c09d9fecd7b6c5c270265aa618bfefddf7368da74",
+    ("ripple", "cc1200", "gilbert:0.05,0.25,0.0,0.8"):
+        "210aa0292bc77090cca0571573a3d615bf24b8fa23a3345f4ffce11d6ac04c14",
+    ("ripple", "cc1200", "bernoulli:0.3"):
+        "6c0c9c94ded6e545bceae8f1c8cf7c27dfd9134ad921dbe6969ceff28ba957f2",
+    ("ar2", "cc2538", "gilbert:0.05,0.25,0.0,0.8"):
+        "f4ffbbe46bd0e7557047f336a4cec0a93d059875a33f42b740cdbfad42f5813d",
+    ("ar2", "cc2538", "bernoulli:0.3"):
+        "e33196521c9dad70e7a382252ee3a3afd83d913c30a1a597d8008149e55db873",
+    ("ar2", "cc1200", "gilbert:0.05,0.25,0.0,0.8"):
+        "f80028e12445edc5528950dbe1ddbe8c754951866a07190b922197e4f220cfef",
+    ("ar2", "cc1200", "bernoulli:0.3"):
+        "19422bb09fcc47ebcf30c27bd66cd031211fbd8468a2212ff7b7edff35f5859d",
+}
+
+
 class TestAtpcCommand:
     def test_loop_csv_schema(self, tmp_path):
         out = tmp_path / "loop.csv"
@@ -169,6 +192,16 @@ class TestAtpcCommand:
         assert run_cli(*args, "--out", str(p1)) == 0
         assert run_cli(*args, "--out", str(p2)) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("channel, radio, loss", ATPC_DIGESTS)
+    def test_transcripts_beyond_swell_are_pinned(self, tmp_path, channel, radio, loss):
+        # A change that moves a single tx, rssi, prediction or mode of the
+        # loop changes its digest.
+        out = tmp_path / "loop.csv"
+        assert run_cli("atpc", "--channel", channel, "--radio", radio, "--seed", "5",
+                       "--packets", "20000", "--path-loss", "80", "--loss", loss,
+                       "--out", str(out)) == 0
+        assert sha256(out.read_bytes()).hexdigest() == ATPC_DIGESTS[channel, radio, loss]
 
 
 class TestConfigFile:

@@ -38,9 +38,9 @@ from rssikit import (
     swell_channel,
 )
 from rssikit import predictor
+from rssikit.evaluate import evaluate
 from rssikit.predictor import METHODS, SlidingWindowPredictor, fit_at_lag
 from rssikit.stats import _record
-from rssikit.trace import derive_times
 
 from conftest import make_trace
 from oracles import (
@@ -48,6 +48,8 @@ from oracles import (
     grid_search_best,
     mse_quadratic,
     prediction_triples,
+    reference_lag_moments,
+    window_slopes,
     zero_order_hold_rmse,
 )
 
@@ -664,9 +666,9 @@ class TestSlidingWindow:
 
     @mock.patch.object(predictor, "_REFIT_EVERY", 16)
     def test_refit_with_non_finite_slopes_is_skipped(self, caplog):
-        # At 1e-7 s per step, neighbouring seqs share a microsecond
-        # timestamp, so every slope divides by zero.
-        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=1e-7)
+        # At 1e-310 s per step (a subnormal), a slope of a decibel per step
+        # overflows to infinity.
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=1e-310)
         rng = np.random.default_rng(4)
         with caplog.at_level(logging.DEBUG, logger="rssikit.predictor"):
             for k in range(32):
@@ -674,6 +676,46 @@ class TestSlidingWindow:
         assert sw.model_for(1) is None
         assert [r.getMessage() for r in caplog.records] == [
             "refit at lags (1,) skipped: non-finite slope in window"] * 2
+
+    @mock.patch.object(predictor, "_REFIT_EVERY", 16)
+    def test_a_step_below_the_microsecond_serves_models(self, caplog):
+        sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=1e-7)
+        rng = np.random.default_rng(4)
+        x = 0.0
+        with caplog.at_level(logging.DEBUG, logger="rssikit.predictor"):
+            for k in range(64):
+                x = 0.9 * x + rng.normal()
+                sw.observe(k, -70.0 + x)
+        assert not caplog.records
+        for k in (1, 2):
+            model = sw.model_for(k)
+            assert (model.tau, model.step_s) == (k * 1e-7, 1e-7)
+            assert predict(model, *sw.anchor()).steps_ahead == k
+
+    @pytest.mark.parametrize("step_s", [0.1, 1e-3])
+    def test_anchor_slope_is_the_newest_slope_of_the_last_refit(self, step_s):
+        # Every refit's slopes reach lag_moments; the newest is the slope at
+        # the observation that triggered the refit, which anchor() serves.
+        slopes = []
+
+        def recording(seq, r, slope, step, lags):
+            slopes.append(slope.copy())
+            return lag_moments(seq, r, slope, step, lags)
+
+        lag_moments = predictor.lag_moments
+        sw = SlidingWindowPredictor("orthonormal", lags=(1, 3), step_s=step_s)
+        rng = np.random.default_rng(6)
+        seq, x = 10**9, 0.0
+        with mock.patch.object(predictor, "lag_moments", recording):
+            for count in range(1, 1601):
+                seq += 1 + int(rng.integers(0, 4)) * (rng.random() < 0.3)
+                x = 0.95 * x + rng.normal()
+                sw.observe(seq, -70.0 + x)
+                if count % 64 == 0:
+                    assert len(slopes) == count // 64
+                    newest = slopes[-1][-1]
+                    assert np.float64(sw.anchor()[1]).view(np.int64) == \
+                        newest.view(np.int64), count
 
 
 @st.composite
@@ -702,8 +744,32 @@ def observation_streams(draw):
     return seqs.tolist(), (-70.0 + x).tolist()
 
 
-def assert_close(a: float, b: float) -> None:
-    assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (a, b)
+# The public fit that each refitting window method must reproduce.
+PUBLIC_FITS = {"normal_eq": fit_normal_equations, "orthonormal": fit_orthonormal}
+
+
+def reference_window_models(seqs, values, step_s, lags, method):
+    """Each lag's model for a refit of these observations: ``method``'s
+    public fit of ``reference_lag_moments`` over the window's slopes, or
+    None where the moments or the fit fail, as the window drops a lag whose
+    fit raises ValueError; and the moments, or errors."""
+    slope = window_slopes(seqs, values, step_s)
+    per_lag = reference_lag_moments(np.array(seqs), np.array(values), slope, step_s, lags)
+    models = {}
+    for k, (_, _, m) in zip(lags, per_lag):
+        try:
+            models[k] = PUBLIC_FITS[method](m) if isinstance(m, MomentSet) else None
+        except ValueError:
+            models[k] = None
+    return models, [m for _, _, m in per_lag]
+
+
+def assert_bit_equal(a, b, where) -> None:
+    """Equal models, every float field to the bit: repr is exact for
+    floats, and tells -0.0 from 0.0."""
+    for f in dataclasses.fields(a):
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), (where, f.name)
+    assert a == b, where
 
 
 class TestWindowMatchesBatchFits:
@@ -711,34 +777,20 @@ class TestWindowMatchesBatchFits:
            method=st.sampled_from(["normal_eq", "orthonormal"]),
            lags=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
-    def test_every_lag_equals_fit_at_lag_on_the_same_observations(self, stream, method,
+    def test_every_lag_is_the_public_fit_of_the_same_observations(self, stream, method,
                                                                    lags):
         seqs, values = stream
         sw = SlidingWindowPredictor(method, lags=tuple(lags), step_s=0.1)
         for s, v in zip(seqs, values):
             sw.observe(s, v)
-        # The last refit came at the last observation and saw the latest 512,
-        # with seqs counted from the first of them.
-        seq = np.array(seqs[-512:]) - seqs[-512]
-        trace = Trace(seq=seq, t=derive_times(seq, 0.1), rssi=values[-512:],
-                      tx_power=np.full(512, np.nan), nominal_interval=0.1)
-        for k in sorted(lags):
-            try:
-                batch = fit_at_lag(trace, method, k)
-            except ValueError:
-                batch = None
+        # The last refit came at the last observation and saw the latest 512.
+        lags = sorted(lags)
+        want, _ = reference_window_models(seqs[-512:], values[-512:], 0.1, lags, method)
+        for k in lags:
             window = sw.model_for(k)
-            assert (window is None) == (batch is None), k
-            if batch is None:
-                continue
-            assert (window.method, window.tau, window.step_s) == \
-                (batch.method, batch.tau, batch.step_s)
-            for name in ("w_level", "w_slope", "analytic_mse"):
-                assert_close(getattr(window, name), getattr(batch, name))
-            wm, bm = window.source_moments, batch.source_moments
-            assert wm.n == bm.n
-            for f in dataclasses.fields(wm):
-                assert_close(getattr(wm, f.name), getattr(bm, f.name))
+            assert (window is None) == (want[k] is None), k
+            if window is not None:
+                assert_bit_equal(window, want[k], k)
         (s0, v0), (s1, v1) = zip(seqs[-2:], values[-2:])
         assert sw.anchor() == (v1, (v1 - v0) / ((s1 - s0) * 0.1))
 
@@ -747,38 +799,63 @@ class TestWindowIsBatchBitForBit:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("loss", ["ge", "bernoulli"])
     @pytest.mark.parametrize("channel", ["swell", "ripple"])
-    def test_every_refit_model_is_fit_at_lag_on_the_window(self, channel, loss, seed):
+    @pytest.mark.parametrize("method", ["normal_eq", "orthonormal"])
+    def test_every_refit_model_is_the_public_fit_on_the_window(self, method, channel, loss,
+                                                               seed):
         make_channel = swell_channel if channel == "swell" else ripple_channel
         loss_model = (gilbert_elliott_loss(0.05, 0.25, seed=seed + 1) if loss == "ge"
                       else bernoulli_loss(0.3, seed=seed + 1))
         stream = apply_loss(generate_trace(make_channel(seed=seed, base_path_loss_db=80.0),
                                            RADIO, tx_power_dbm=0.0, n_packets=1600),
                             loss_model)
-        seq, rssi, step = stream.seq, stream.rssi, stream.nominal_interval
+        seq, rssi, step = stream.seq.tolist(), stream.rssi.tolist(), stream.nominal_interval
         lags = (1, 2, 3, 4)
-        sw = SlidingWindowPredictor("orthonormal", lags=lags, step_s=step)
-        refits = 0
-        for count, (s, v) in enumerate(zip(seq.tolist(), rssi.tolist()), start=1):
+        sw = SlidingWindowPredictor(method, lags=lags, step_s=step)
+        fitted = 0
+        for count, (s, v) in enumerate(zip(seq, rssi), start=1):
             sw.observe(s, v)
-            if count % 64 or count < 512:
+            if count % 64:
                 continue
-            # This observation refit the window from the latest 512, with
-            # seqs counted from the first of them.
-            window_seq = seq[count - 512:count] - seq[count - 512]
-            trace = Trace(seq=window_seq, t=derive_times(window_seq, step),
-                          rssi=rssi[count - 512:count], tx_power=np.full(512, np.nan),
-                          nominal_interval=step)
-            for k in lags:
-                batch = fit_at_lag(trace, "orthonormal", k)
+            # This observation refit the window from the latest 512 or fewer.
+            first = max(0, count - 512)
+            want, moments = reference_window_models(seq[first:count], rssi[first:count],
+                                                    step, lags, method)
+            for k, m in zip(lags, moments):
                 window = sw.model_for(k)
-                for name in ("w_level", "w_slope", "mean_r", "analytic_mse", "basis",
-                             "source_moments"):
-                    # repr is exact for floats, and tells -0.0 from 0.0.
-                    assert repr(getattr(window, name)) == repr(getattr(batch, name)), \
-                        (count, k, name)
-                assert window == batch
-            refits += 1
-        assert refits >= 4
+                assert (window is None) == (want[k] is None), (count, k)
+                if window is None:
+                    continue
+                assert_bit_equal(window, want[k], (count, k))
+                # The simplified fit of those moments is the one dispatch's.
+                assert_bit_equal(predictor._fit_moments("simplified", k * step, step,
+                                                        window.source_moments),
+                                 fit_simplified(k * step, m), (count, k))
+                fitted += 1
+        assert fitted >= 4 * len(lags)
+
+
+class TestFitAtLagTakesALagAsEvaluateDoes:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k, message", [
+        (1.5, "lag must be an integer, got 1.5"),
+        (2.0, "lag must be an integer, got 2.0"),
+        (0, "lags must be >= 1, got 0"),
+        (-1, "lags must be >= 1, got -1"),
+    ])
+    def test_a_lag_evaluate_refuses_is_refused(self, ar2_trace, method, k, message):
+        for fit in (lambda: fit_at_lag(ar2_trace, method, k),
+                    lambda: evaluate(ar2_trace, method, [k]),
+                    lambda: SlidingWindowPredictor(method, (k,), 0.1)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fit()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_true_is_lag_one_as_in_evaluate(self, ar2_trace, method):
+        model = fit_at_lag(ar2_trace, method, True)
+        assert model == fit_at_lag(ar2_trace, method, 1)
+        assert predict(model, -70.0, 1.0).steps_ahead == 1
+        assert evaluate(ar2_trace, method, [True]).rows[0].lag_steps == 1
+        assert SlidingWindowPredictor(method, (True,), 0.1).lags == (1,)
 
 
 # Field values for the records the loop builds through stats._record.
