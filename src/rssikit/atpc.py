@@ -288,7 +288,7 @@ def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
     """Baseline: transmit every packet at a fixed power (e.g. always-max)."""
     _check_tx_power(radio, tx_dbm)
     if threshold_dbm is not None and not math.isfinite(threshold_dbm):
-        raise ValueError("threshold_dbm and margin_db must be finite")
+        raise ValueError("threshold_dbm must be finite")
     gains, keep = _link(channel, radio, n_packets, loss)
     thr = radio.sensitivity_dbm if threshold_dbm is None else threshold_dbm
     return _transcript(radio, np.full(n_packets, tx_dbm, dtype=float), gains, keep,

@@ -176,6 +176,9 @@ class _Opt:
 
 
 _IN = _Opt("in", required=True)
+_INTERVAL = _Opt("interval", float,
+                 help="nominal packet interval, s; needed only for a trace without t_s, "
+                      "and otherwise within 1 us of its t_s step")
 _CHANNEL = _Opt("channel", str, "swell", linksim.CHANNEL_KINDS)
 _RADIO = _Opt("radio", str, "cc2538", tuple(p.name for p in linksim.builtin_profiles()))
 _PACKETS = _Opt("packets", int, 2000)
@@ -187,7 +190,7 @@ _METHOD = _Opt("method", str, predictor.METHOD_ORTHONORMAL, predictor.METHODS)
 _COMMANDS = {
     "acf": (_cmd_acf, "sample autocorrelation of a trace CSV", (
         _IN,
-        _Opt("interval", float, 0.1, help="nominal packet interval, s"),
+        _INTERVAL,
         _Opt("max_lag", int, 25),
         _Opt("out"),
     )),
@@ -200,7 +203,7 @@ _COMMANDS = {
     )),
     "fit": (_cmd_fit, "fit a predictor and dump it as JSON", (
         _IN,
-        _Opt("interval", float, 0.1),
+        _INTERVAL,
         _METHOD,
         _Opt("lag", int, 1),
         _Opt("out"),
@@ -212,7 +215,7 @@ _COMMANDS = {
     )),
     "evaluate": (_cmd_evaluate, "in-sample RMSE over lags", (
         _IN,
-        _Opt("interval", float, 0.1),
+        _INTERVAL,
         _METHOD,
         _Opt("lags", str, "1,2,3", help="comma-separated lag steps, e.g. 1,2,3"),
         _Opt("out", required=True, help="report basename; writes .csv and .json"),

@@ -322,10 +322,13 @@ def _fit_moments(method: str, tau: float, step_s: float,
 
 
 def _whole_lags(lags) -> tuple[int, ...]:
-    """Distinct lags in steps, ascending; each an integer (``_as_int``) >= 1."""
+    """Distinct lags in steps, ascending; each an integer (``_as_int``) in
+    [1, 2**63), the range of a trace's seq."""
     ks = tuple(sorted(set(_as_int(k, "lag") for k in lags)))
     if ks and ks[0] < 1:
         raise ValueError(f"lags must be >= 1, got {ks[0]}")
+    if ks and ks[-1] >= 2**63:
+        raise ValueError(f"lags must be < 2**63, got {ks[-1]}")
     return ks
 
 

@@ -211,18 +211,26 @@ def _lag_pairs(seq: np.ndarray, lags: Sequence[int]) -> list[tuple[np.ndarray, n
     Every anchor i has a slope (at ``slope[i - 1]``); only the first sample
     has none.
 
+    The grid is sized for the largest lag or the seq span, whichever is
+    less: a lag longer than the span has no pairs, and costs no more grid
+    than one as long as the span.
+
     All lags are paired before any is used, so the grid is freed before
     the callers' per-lag arrays are allocated; on traces of tens of
     thousands of samples that keeps the one-lag case as fast as a
     dedicated pairing.
     """
-    max_lag = max(lags)
+    max_lag = min(max(lags), int(seq[-1] - seq[0]))
     slot = _slots(seq, max_lag)
     pos = np.full(int(slot[-1]) + max_lag + 1, -1, dtype=np.int64)
     pos[slot] = np.arange(len(seq))
     anchor_slots = slot[1:]
+    none = np.zeros(0, dtype=np.int64)
     pairs = []
     for k in lags:
+        if k > max_lag:
+            pairs.append((none, none))
+            continue
         # pos[k:][s] is pos[s + k]: the sample k slots after each anchor.
         j = pos[k:].take(anchor_slots)
         i = (j >= 0).nonzero()[0]

@@ -4,7 +4,7 @@ lossy CSV ingestion, export, and slope estimation.
 A trace is an ordered, gap-aware record of per-packet received power.
 Sequence numbers are the ground truth for ordering and loss accounting;
 timestamps either come from the file or are derived from the nominal
-packet interval.
+packet interval, which a file that gives timestamps states itself.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def derive_times(seq: np.ndarray, nominal_interval: float) -> np.ndarray:
     return t
 
 
-def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
+def ingest_csv(path: str | Path, nominal_interval: float | None = None) -> Trace:
     """Parse a trace CSV file.
 
     The header must declare at least ``seq`` and ``rssi_dbm``; ``t_s`` and
@@ -205,12 +205,18 @@ def ingest_csv(path: str | Path, nominal_interval: float) -> Trace:
     or one with more or fewer fields than the header, aborts ingestion with
     its line number. A leading byte-order mark is skipped.
 
+    The trace's nominal interval is the step its own ``t_s`` states (see
+    ``_rows_to_trace``). ``nominal_interval`` is needed only for a file
+    with fewer than two kept rows that give ``t_s``; otherwise, when given,
+    it must lie within 1 us of that step, and is then used as given.
+
     The text is read once and cut into rows in bulk, or line by line where
     its structure needs it (see ``_parse_blocks``); the row rules are one
     pass that both parsers share.
     """
     path = Path(path)
-    if not (math.isfinite(nominal_interval) and nominal_interval > 0):
+    if nominal_interval is not None and not (
+            math.isfinite(nominal_interval) and nominal_interval > 0):
         raise ValueError(f"nominal_interval must be > 0, got {nominal_interval}")
     with path.open(newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
@@ -372,13 +378,18 @@ def _parse_lines(text: str, path: Path) -> tuple:
     return seq, t, rssi, tx, t_given == 1, tx_given == 1, lines, error
 
 
-def _rows_to_trace(path: Path, nominal_interval: float, rows: tuple) -> Trace:
+def _rows_to_trace(path: Path, nominal_interval: float | None, rows: tuple) -> Trace:
     """The ingest row rules: one vectorised pass over either parser's rows.
 
     The first row with a negative seq, or with a kept rssi and a bad given
     t_s or tx_power_dbm, aborts ingestion before the parser's ``error``
-    does. Rows with rssi outside the window are dropped and counted, the
-    last row of a seq wins, and a t not given is derived from seq.
+    does. Rows with rssi outside the window are dropped and counted, and
+    the last row of a seq wins. The step the kept rows' given times state
+    is ``round(median(dt / dseq), 6)`` over consecutive such rows, 6
+    decimals being the schema's resolution of t_s. It is the nominal
+    interval unless one is given; a given one more than 1 us from it, or
+    none where fewer than two rows give t_s, aborts ingestion. A t not
+    given is derived from seq and the nominal interval.
     """
     seq, t, rssi, tx, t_given, tx_given, lines, error = rows
     kept = (rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM)
@@ -409,6 +420,15 @@ def _rows_to_trace(path: Path, nominal_interval: float, rows: tuple) -> Trace:
         logger.warning("%s: %d duplicate seq rows, kept last occurrence", path, duplicates)
     seq, t = seq[keep], t[keep]
     derived = np.isnan(t)
+    step = _step(seq[~derived], t[~derived]) if derived.any() else _step(seq, t)
+    if nominal_interval is None:
+        if step is None:
+            raise IngestError(f"{path}: fewer than two kept rows give t_s, so the "
+                              "nominal interval (--interval) must be given")
+        nominal_interval = step
+    elif step is not None and round(abs(nominal_interval - step), 6) > 1e-6:
+        raise IngestError(f"{path}: nominal interval {nominal_interval} s (--interval) "
+                          f"disagrees with the t_s step {step} s")
     t[derived] = derive_times(seq[derived], nominal_interval)
     meta = {
         "source": path.name,
@@ -420,6 +440,26 @@ def _rows_to_trace(path: Path, nominal_interval: float, rows: tuple) -> Trace:
                      nominal_interval=nominal_interval, meta=meta)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc
+
+
+def _step(seq: np.ndarray, t: np.ndarray) -> float | None:
+    """The step that times t at seqs seq state: ``round(median(dt / dseq),
+    6)``, a zero step as +0.0, or None for fewer than two times.
+
+    The quotients are one array, divided and partitioned in place, so the
+    step costs ingest one more column; ``np.median`` would also import
+    ``numpy.ma``, about 2 MB of memory.
+    """
+    if seq.size < 2:
+        return None
+    ratio = np.subtract(t[1:], t[:-1])
+    ratio /= np.subtract(seq[1:], seq[:-1])
+    half = ratio.size // 2
+    ratio.partition(half)
+    median = float(ratio[half])
+    if ratio.size % 2 == 0:
+        median = (float(ratio[:half].max()) + median) / 2
+    return round(median + 0.0, 6)
 
 
 def export_csv(trace: Trace, path: str | Path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,14 +252,16 @@ def csv_writer_export(trace: Trace) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def dict_ingest(path, nominal_interval: float) -> Trace:
+def dict_ingest(path, nominal_interval: float | None = None) -> Trace:
     """Reference trace CSV ingest: every row rule applied row by row.
 
     The rows go into a dict keyed by seq, so the last duplicate wins; each
     error names the physical line the csv reader has reached, which for a
     row whose quoted field spans lines is the row's last line. Blank lines
     are skipped, a row must be as wide as the header, and a repeated column
-    name reads its last column. A leading byte-order mark is skipped.
+    name reads its last column. A leading byte-order mark is skipped. The
+    step is the median of dt / dseq between consecutive kept rows that give
+    t_s, to the microsecond; a given interval must lie within 1 us of it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(io.StringIO(fh.read(), newline=""))
@@ -298,16 +301,35 @@ def dict_ingest(path, nominal_interval: float) -> Trace:
         if tx is not None and not math.isfinite(tx):
             raise IngestError(f"{where}: tx_power must be finite when present")
         duplicates += seq in rows
-        rows[seq] = (round(seq * nominal_interval, 6) if t is None else t, rssi,
-                     math.nan if tx is None else tx)
+        rows[seq] = (t, rssi, math.nan if tx is None else tx)
 
     if not rows:
         raise IngestError(f"{path}: no usable rows")
     seqs = sorted(rows)
+    ratios = []
+    last = None
+    for s in seqs:
+        t = rows[s][0]
+        if t is not None:
+            if last is not None:
+                ratios.append((t - last[1]) / (s - last[0]))
+            last = (s, t)
+    # + 0.0: a zero step is +0.0, whichever sign of zero sorts to the middle.
+    step = round(statistics.median(ratios) + 0.0, 6) if ratios else None
+    if nominal_interval is None:
+        if step is None:
+            raise IngestError(f"{path}: fewer than two kept rows give t_s, so the "
+                              "nominal interval (--interval) must be given")
+        nominal_interval = step
+    elif step is not None and round(abs(nominal_interval - step), 6) > 1e-6:
+        raise IngestError(f"{path}: nominal interval {nominal_interval} s (--interval) "
+                          f"disagrees with the t_s step {step} s")
+    times = [round(s * nominal_interval, 6) if rows[s][0] is None else rows[s][0]
+             for s in seqs]
     meta = {"source": path.name, "rejected_rssi_rows": rejected,
             "duplicate_seq_rows": duplicates}
     try:
-        return Trace(seq=seqs, t=[rows[s][0] for s in seqs],
+        return Trace(seq=seqs, t=times,
                      rssi=[rows[s][1] for s in seqs], tx_power=[rows[s][2] for s in seqs],
                      nominal_interval=nominal_interval, meta=meta)
     except ValueError as exc:

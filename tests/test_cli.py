@@ -150,6 +150,79 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
 
+@pytest.fixture
+def cc1200_csv(tmp_path):
+    """A ripple trace at the CC1200's 2 pkt/s: rows 0.5 s apart."""
+    path = tmp_path / "cc1200.csv"
+    assert run_cli("simulate", "--channel", "ripple", "--radio", "cc1200",
+                   "--packets", "1500", "--seed", "5", "--out", str(path)) == 0
+    return path
+
+
+class TestIntervalFromTimes:
+    def test_fit_refuses_an_interval_that_contradicts_t_s(self, trace_csv, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert run_cli("fit", "--in", str(trace_csv), "--interval", "0.5", "--lag", "1",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"rssikit: error: {trace_csv}: nominal interval 0.5 s (--interval) "
+            "disagrees with the t_s step 0.1 s\n")
+        assert not out.exists()
+        assert run_cli("fit", "--in", str(trace_csv), "--lag", "1", "--out", str(out)) == 0
+        model = json.loads(out.read_text())
+        assert (model["tau_s"], model["step_s"]) == (0.1, 0.1)
+
+    def test_evaluate_labels_lags_by_the_trace_s_own_step(self, cc1200_csv, tmp_path,
+                                                          capsys):
+        base = tmp_path / "report"
+        assert run_cli("evaluate", "--in", str(cc1200_csv), "--interval", "0.1",
+                       "--lags", "1,2", "--out", str(base)) == 1
+        assert capsys.readouterr().err == (
+            f"rssikit: error: {cc1200_csv}: nominal interval 0.1 s (--interval) "
+            "disagrees with the t_s step 0.5 s\n")
+        assert run_cli("evaluate", "--in", str(cc1200_csv), "--lags", "1,2",
+                       "--out", str(base)) == 0
+        lag_s = [line.split(",")[1] for line in
+                 base.with_suffix(".csv").read_text().splitlines()[1:]]
+        assert lag_s == ["0.500000", "1.000000"]
+
+    @pytest.mark.parametrize("command", ["acf", "fit", "evaluate"])
+    def test_a_trace_without_t_s_needs_the_flag(self, tmp_path, capsys, command):
+        path = tmp_path / "no_t.csv"
+        path.write_text("seq,rssi_dbm\n" + "".join(
+            f"{k},{-70 - k % 7}\n" for k in range(100)))
+        argv = [command, "--in", str(path), "--out", str(tmp_path / "out")]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"rssikit: error: {path}: fewer than two kept rows give t_s, so the nominal "
+            "interval (--interval) must be given\n")
+        assert run_cli(*argv, "--interval", "0.1") == 0
+
+    @pytest.mark.parametrize("radio, step", [("cc2538", "0.1"), ("cc1200", "0.5")])
+    def test_omitting_a_matching_interval_changes_no_byte(self, tmp_path, radio, step):
+        trace = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--channel", "ar2", "--radio", radio, "--packets", "1500",
+                       "--seed", "3", "--loss", "bernoulli:0.2", "--out", str(trace)) == 0
+        outputs = []
+        for interval in (["--interval", step], []):
+            out = tmp_path / ("given" if interval else "read")
+            for argv in (["acf", "--max-lag", "8", "--out", f"{out}.acf"],
+                         ["fit", "--lag", "3", "--out", f"{out}.model"],
+                         ["evaluate", "--lags", "1,2,4", "--out", str(out)]):
+                assert run_cli(*argv, "--in", str(trace), *interval) == 0
+            outputs.append([Path(f"{out}{suffix}").read_bytes()
+                            for suffix in (".acf", ".model", ".csv", ".json")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command, flag", [("fit", "--lag"), ("evaluate", "--lags")])
+    def test_a_lag_beyond_int64_is_a_one_line_error(self, trace_csv, tmp_path, capsys,
+                                                   command, flag):
+        assert run_cli(command, "--in", str(trace_csv), flag, str(10**20),
+                       "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == \
+            f"rssikit: error: lags must be < 2**63, got {10**20}\n"
+
+
 # Digests of `rssikit atpc` transcripts: orthonormal loop, seed 5, 20k packets,
 # path loss 80 dB.
 ATPC_DIGESTS = {

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rssikit import (
     AtpcConfig,
     DegenerateMomentsError,
+    InsufficientSupportError,
     MomentSet,
     PredictorModel,
     Trace,
@@ -841,6 +842,8 @@ class TestFitAtLagTakesALagAsEvaluateDoes:
         (2.0, "lag must be an integer, got 2.0"),
         (0, "lags must be >= 1, got 0"),
         (-1, "lags must be >= 1, got -1"),
+        pytest.param(2**63, f"lags must be < 2**63, got {2**63}", id="2**63"),
+        pytest.param(10**400, f"lags must be < 2**63, got {10**400}", id="10**400"),
     ])
     def test_a_lag_evaluate_refuses_is_refused(self, ar2_trace, method, k, message):
         for fit in (lambda: fit_at_lag(ar2_trace, method, k),
@@ -848,6 +851,22 @@ class TestFitAtLagTakesALagAsEvaluateDoes:
                     lambda: SlidingWindowPredictor(method, (k,), 0.1)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 fit()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_largest_lag_has_no_pairs_and_no_overflow(self, ar2_trace, method):
+        k = 2**63 - 1
+        window = SlidingWindowPredictor(method, (1, k), 0.1)
+        for seq in range(2 * predictor._REFIT_EVERY):
+            window.observe(seq, float(ar2_trace.rssi[seq]))
+        assert window.model_for(1) is not None
+        assert (window.model_for(k) is None) == (method != "simplified")
+        if method == "simplified":
+            assert fit_at_lag(ar2_trace, method, k).analytic_mse is None
+            with pytest.raises(ValueError, match=f"lag {k}: no valid prediction points"):
+                evaluate(ar2_trace, method, [k])
+        else:
+            with pytest.raises(InsufficientSupportError, match="only 0 contributing"):
+                fit_at_lag(ar2_trace, method, k)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_true_is_lag_one_as_in_evaluate(self, ar2_trace, method):

@@ -30,7 +30,7 @@ from rssikit import (
     swell_channel,
 )
 from rssikit import stats
-from rssikit.predictor import METHODS, fit_at_lag
+from rssikit.predictor import METHODS, SlidingWindowPredictor, fit_at_lag
 from rssikit.trace import Trace, derive_times
 
 from conftest import gapped_traces, make_trace, sinusoid_trace
@@ -377,6 +377,18 @@ class TestKernelMatchesReference:
     def test_random_gap_patterns(self, data, lags):
         assert_matches_reference_kernel(*data, 0.1, lags)
 
+    @given(data=kernel_inputs(),
+           lags=st.lists(st.integers(min_value=1, max_value=12), max_size=4, unique=True),
+           offsets=st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=3,
+                            unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_lags_about_the_seq_span(self, data, lags, offsets):
+        # The kernel sizes its grid by the span where a lag exceeds it; the
+        # reference sizes it by the largest lag.
+        span = int(data[0][-1] - data[0][0])
+        lags = lags + [span + d for d in offsets if span + d >= 1 and span + d not in lags]
+        assert_matches_reference_kernel(*data, 0.1, lags)
+
     def test_fifty_thousand_packets_under_burst_loss(self):
         radio = profile_by_name("cc2538")
         trace = apply_loss(
@@ -448,6 +460,29 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+    def test_a_lag_beyond_the_trace_costs_no_lag_sized_grid(self):
+        tr = make_trace(np.random.default_rng(7).normal(-70, 3, size=2000))
+        window = SlidingWindowPredictor("orthonormal", (1, 10**6), 0.1)
+        for run, error in ((lambda: evaluate(tr, "simplified", [10**7]), ValueError),
+                           (lambda: evaluate(tr, "orthonormal", [1, 10**7]),
+                            InsufficientSupportError),
+                           (lambda: fit_at_lag(tr, "orthonormal", 10**6),
+                            InsufficientSupportError),
+                           (lambda: [window.observe(k, -70.0 + k % 5) for k in range(512)],
+                            None)):
+            tracemalloc.start()
+            try:
+                if error is None:
+                    run()
+                else:
+                    with pytest.raises(error, match="no valid prediction points|10000"):
+                        run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+        assert window.model_for(1) is not None and window.model_for(10**6) is None
 
 
 # A lag in seconds is k steps within 1e-9 s of k * step. Offsets drawn inside

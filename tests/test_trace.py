@@ -101,8 +101,9 @@ class TestIngest:
 
     def test_explicit_time_column_overrides(self, tmp_path):
         p = write_csv(tmp_path, "seq,t_s,rssi_dbm\n0,0.05,-70\n1,0.17,-71\n")
-        tr = ingest_csv(p, nominal_interval=0.1)
+        tr = ingest_csv(p)
         assert list(tr.t) == [0.05, 0.17]
+        assert tr.nominal_interval == 0.12
 
     def test_tx_power_column(self, tmp_path):
         p = write_csv(tmp_path, "seq,rssi_dbm,tx_power_dbm\n0,-70,7\n1,-71,\n")
@@ -112,7 +113,7 @@ class TestIngest:
 
     def test_header_names_are_stripped(self, tmp_path):
         p = write_csv(tmp_path, "seq, t_s , rssi_dbm\n0, 0.05,-70\n1,0.17,-71\n")
-        tr = ingest_csv(p, nominal_interval=0.1)
+        tr = ingest_csv(p)
         assert list(tr.seq) == [0, 1]
         assert list(tr.t) == [0.05, 0.17]
         assert list(tr.rssi) == [-70.0, -71.0]
@@ -157,13 +158,15 @@ def ingest_line_by_line(path, nominal_interval):
         path, nominal_interval, trace_module._parse_lines(text, path))
 
 
-def outcome(ingest, path):
-    """The trace's columns and meta, or the ValueError raised instead."""
+def outcome(ingest, path, interval=0.1):
+    """The trace's columns, meta and nominal interval, or the ValueError
+    raised instead."""
     try:
-        tr = ingest(path, 0.1)
+        tr = ingest(path, interval)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return [getattr(tr, c).tobytes() for c in ("seq", "t", "rssi", "tx_power")], tr.meta
+    columns = [getattr(tr, c).tobytes() for c in ("seq", "t", "rssi", "tx_power")]
+    return columns, tr.meta, tr.nominal_interval
 
 
 # (text, whether the bulk parser accepts it, the line an IngestError names or
@@ -250,11 +253,14 @@ def trace_csv_texts(draw):
     names = [n for n in draw(st.permutations(CSV_FIELDS))
              if n in ("seq", "rssi_dbm") or draw(st.booleans())]
     gaps = draw(st.lists(st.integers(min_value=1, max_value=5), max_size=40))
+    # One step per file, as a logger's clock gives it; each t_s is spelled
+    # one of two ways or left empty.
+    step = draw(st.sampled_from([0.1, 0.125]))
     rows = []
     for s in accumulate([draw(st.integers(min_value=0, max_value=10))] + gaps):
         spell = {
             "seq": draw(st.sampled_from(["{}", " {}", "+{}", "0{}", "{} "])).format(s),
-            "t_s": draw(st.sampled_from(["", f"{s * 0.1:.6f}", f"{s / 8:g}"])),
+            "t_s": draw(st.sampled_from(["", f"{s * step:.6f}", f"{s * step:g}"])),
             "rssi_dbm": f"{draw(st.integers(min_value=-13000, max_value=2000)) / 100:.2f}",
             "tx_power_dbm": draw(st.sampled_from(["", "0", "-3.5", "7.00"])),
         }
@@ -367,20 +373,22 @@ class TestBulkIngest:
         named = re.search(r"\.csv:(\d+):", got[1]) if got[0] == "IngestError" else None
         assert (named and int(named[1])) == line
 
-    @given(text=trace_csv_texts(), block=st.sampled_from([1, 7, 64, 1 << 16]))
+    @given(text=trace_csv_texts(), block=st.sampled_from([1, 7, 64, 1 << 16]),
+           interval=st.sampled_from([0.1, None]))
     @settings(max_examples=300, deadline=None)
-    def test_bulk_parser_agrees_with_line_parser(self, tmp_path_factory, text, block):
+    def test_bulk_parser_agrees_with_line_parser(self, tmp_path_factory, text, block,
+                                                 interval):
         p = tmp_path_factory.mktemp("agree") / "trace.csv"
         p.write_bytes(text.encode("utf-8"))
         with mock.patch.object(trace_module, "_INGEST_BLOCK_CHARS", block):
             bulk = trace_module._parse_blocks(text)
-            got = outcome(ingest_csv, p)
+            got = outcome(ingest_csv, p, interval)
         if bulk is not None:
             lines = trace_module._parse_lines(text, p)
             assert [c.tobytes() for c in bulk[:7]] == [c.tobytes() for c in lines[:7]]
             assert bulk[7] is lines[7] is None
-        assert got == outcome(dict_ingest, p)
-        assert got == outcome(ingest_line_by_line, p)
+        assert got == outcome(dict_ingest, p, interval)
+        assert got == outcome(ingest_line_by_line, p, interval)
 
     @given(text=spelled_csv_texts(), block=st.sampled_from([1, 7, 1 << 16]))
     @settings(max_examples=300, deadline=None)
@@ -486,6 +494,86 @@ class TestBulkIngest:
         got = outcome(ingest_csv, write_csv(tmp_path, text))
         assert got == outcome(dict_ingest, tmp_path / "trace.csv")
         assert got[1]["duplicate_seq_rows"] > 2000 and got[1]["rejected_rssi_rows"] > 100
+
+
+@st.composite
+def clocked_csv_texts(draw):
+    """Trace CSV text whose t_s a logger's clock wrote: gapped seqs, times
+    on a drifting or jittered clock, some or all t_s fields empty, or no
+    t_s column; with the interval to ingest it at, or None."""
+    step = draw(st.sampled_from([0.1, 0.5, 0.02, 0.125, 3e-6]))
+    ppm = draw(st.sampled_from([0, 0, 5, 10, 20, -20, 300]))
+    jitter = draw(st.sampled_from([0.0, 1e-6, step / 4]))
+    empty = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    with_t = draw(st.integers(min_value=0, max_value=3)) > 0
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=6), max_size=30))
+    rows = []
+    for s in accumulate([draw(st.integers(min_value=0, max_value=1000))] + gaps):
+        t = s * step * (1 + ppm * 1e-6) + draw(st.floats(min_value=0.0, max_value=jitter))
+        field = "" if draw(st.floats(min_value=0.0, max_value=1.0)) < empty else f"{t:.6f}"
+        rssi = f"{draw(st.integers(min_value=-9000, max_value=-4000)) / 100:.2f}"
+        rows.append(f"{s},{field},{rssi}" if with_t else f"{s},{rssi}")
+    header = "seq,t_s,rssi_dbm" if with_t else "seq,rssi_dbm"
+    interval = draw(st.sampled_from([None, None, step, step + 5e-7, step + 2e-6, 0.1]))
+    return "\n".join([header, *rows]) + "\n", interval
+
+
+class TestStepFromTimes:
+    @given(case=clocked_csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_parsers_and_reference_read_the_same_step(self, tmp_path_factory, case):
+        text, interval = case
+        p = tmp_path_factory.mktemp("step") / "trace.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert trace_module._parse_blocks(text) is not None
+        got = outcome(ingest_csv, p, interval)
+        assert got == outcome(dict_ingest, p, interval)
+        assert got == outcome(ingest_line_by_line, p, interval)
+
+    @pytest.mark.parametrize("step, ppm, derived", [
+        (0.1, 0, 0.1), (0.5, 0, 0.5), (0.02, 0, 0.02), (0.1, 20, 0.100002),
+        (0.5, -20, 0.49999),
+    ])
+    def test_the_step_is_the_median_time_per_seq(self, tmp_path, step, ppm, derived):
+        # Gaps of 1-3 packets, and one row without t_s, derived at that step.
+        seqs = np.cumsum(np.random.default_rng(8).integers(1, 4, 200))
+        rows = [f"{s},{s * step * (1 + ppm * 1e-6):.6f},-70" for s in seqs.tolist()]
+        rows[50] = f"{seqs[50]},,-70"
+        tr = ingest_csv(write_csv(tmp_path, "seq,t_s,rssi_dbm\n" + "\n".join(rows) + "\n"))
+        assert tr.nominal_interval == derived
+        assert tr.t[50] == round(int(seqs[50]) * derived, 6)
+
+    def test_a_drifting_clock_refuses_the_nominal_rate(self, tmp_path):
+        # 20 ppm fast at 10 pkt/s: 0.100002 s per packet, 2 us off 0.1.
+        p = write_csv(tmp_path, "seq,t_s,rssi_dbm\n" + "".join(
+            f"{s},{s * 0.100002:.6f},-70\n" for s in range(100)))
+        message = "nominal interval 0.1 s (--interval) disagrees with the t_s step 0.100002 s"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            ingest_csv(p, 0.1)
+        assert ingest_csv(p).nominal_interval == 0.100002
+
+    @pytest.mark.parametrize("given_interval", [0.1, 0.100001, 0.099999, 0.1000014])
+    def test_a_given_interval_within_a_microsecond_is_used_as_given(self, tmp_path,
+                                                                    given_interval):
+        p = write_csv(tmp_path, "seq,t_s,rssi_dbm\n" + "".join(
+            f"{s},{s * 0.1:.6f},-70\n" for s in range(0, 100, 3)) + "100,,-70\n")
+        tr = ingest_csv(p, given_interval)
+        assert tr.nominal_interval == given_interval
+        assert tr.t[-1] == round(100 * given_interval, 6)
+
+    @pytest.mark.parametrize("text", [
+        "seq,rssi_dbm\n0,-70\n1,-71\n",
+        "seq,t_s,rssi_dbm\n0,,-70\n1,,-71\n",
+        "seq,t_s,rssi_dbm\n0,0.0,-70\n1,,-71\n",
+        "seq,t_s,rssi_dbm\n0,0.0,-70\n1,0.1,-200\n2,,-71\n",
+    ])
+    def test_without_two_times_the_interval_must_be_given(self, tmp_path, text):
+        p = write_csv(tmp_path, text)
+        with pytest.raises(IngestError, match=re.escape(
+                "fewer than two kept rows give t_s, so the nominal interval (--interval) "
+                "must be given")):
+            ingest_csv(p)
+        assert ingest_csv(p, 0.1).nominal_interval == 0.1
 
 
 class TestExportRoundTrip:
