@@ -50,7 +50,8 @@ METHODS = (METHOD_NORMAL_EQ, METHOD_ORTHONORMAL, METHOD_SIMPLIFIED)
 DET_RTOL = 1e-10
 
 # The sliding window keeps the latest _WINDOW observations and refits every
-# _REFIT_EVERY of them, so the first refit comes once that many arrived.
+# _REFIT_EVERY of them, so the first refit comes once that many arrived. The
+# cadence is exact only while _WINDOW is a multiple of _REFIT_EVERY.
 _WINDOW = 512
 _REFIT_EVERY = 64
 
@@ -482,17 +483,19 @@ class SlidingWindowPredictor:
 
     Single-writer: one owner feeds observations via ``observe``; fitted
     models are immutable snapshots that readers may hold freely. The window
-    holds the latest 512 observations in a ring buffer, two preallocated
-    machine arrays (int64 seq and float64 value) that each observation
-    overwrites at the oldest slot, and refits every 64 of them. A refit
-    reads the window in seq order, takes each slope by ``anchor``'s rule,
-    the value difference over Δseq·step_s, and takes every lag's moments
-    from one ``lag_moments`` call. The latest two observations are also
-    kept as Python numbers, for the order check and ``anchor``.
+    is two machine arrays (int64 seq and float64 value) that hold the
+    observations oldest first: each observation is appended, and a refit
+    comes whenever their length is a multiple of 64. A refit reads the
+    latest 512, keeps the newest 448 for the next one and drops the rest;
+    512 being a multiple of 64 keeps the cadence exact. It takes each slope
+    by ``anchor``'s rule, the value difference over Δseq·step_s, and every
+    lag's moments from one ``lag_moments`` call. The latest two
+    observations are also kept as Python numbers, for the order check and
+    ``anchor``.
 
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
-    simplified method, never refits and so never writes its ring; the
+    simplified method, never refits and so never writes its arrays; the
     simplified method's fixed-weight models, one per lag, exist from the
     start. Each model serves exactly its own lag.
     """
@@ -506,12 +509,9 @@ class SlidingWindowPredictor:
         self.lags = _whole_lags(lags)
         self.step_s = float(step_s)
         self._refits = bool(self.lags) and method != METHOD_SIMPLIFIED
-        # The ring is two machine arrays, which store a Python number faster
-        # than a numpy array does; a refit reads them as numpy views.
-        self._seq = array.array("q", bytes(8 * _WINDOW))
-        self._value = array.array("d", bytes(8 * _WINDOW))
-        # Observations so far; the next one goes to slot _count % _WINDOW.
-        self._count = 0
+        # Machine arrays append a Python number faster than numpy stores one.
+        self._seq = array.array("q")
+        self._value = array.array("d")
         self._last: tuple[int, float] | None = None
         self._before_last: tuple[int, float] | None = None
         self._models: dict[int, PredictorModel] = {}
@@ -534,14 +534,11 @@ class SlidingWindowPredictor:
         last = self._last
         if last is not None and seq <= last[0]:
             raise ValueError("observations must arrive in increasing seq order")
-        count = self._count
         self._before_last, self._last = last, (seq, value)
-        self._count = count + 1
         if self._refits:
-            slot = count % _WINDOW
-            self._seq[slot] = seq
-            self._value[slot] = value
-            if (count + 1) % _REFIT_EVERY == 0:
+            self._seq.append(seq)
+            self._value.append(value)
+            if len(self._seq) % _REFIT_EVERY == 0:
                 self._refit()
 
     def anchor(self) -> tuple[float, float] | None:
@@ -560,21 +557,20 @@ class SlidingWindowPredictor:
         return self._models.get(_as_int(n_steps, "n_steps"))
 
     def _refit(self) -> None:
-        """Refit every lag from the window, read oldest first.
+        """Refit every lag from the window, oldest first.
 
-        Each slope is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) *
-        step_s), so a refit fits on the slopes that prediction serves; a
-        window with a slope that overflows is skipped. One ``lag_moments``
-        call serves every lag, and each lag's model replaces the last or,
-        where its fit fails, is dropped.
+        The window is copied, and all but its newest _WINDOW - _REFIT_EVERY
+        observations are dropped before anything is computed, so it never
+        holds more than _WINDOW, even after a refit that raises. Each slope
+        is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) * step_s),
+        so a refit fits on the slopes that prediction serves; a window with
+        a slope that overflows is skipped. One ``lag_moments`` call serves
+        every lag, and each lag's model replaces the last or, where its fit
+        fails, is dropped.
         """
-        # Oldest first: the slots from the next write to the end of those
-        # filled, then the slots before it.
-        first, held = self._count % _WINDOW, min(self._count, _WINDOW)
-        ring_seq = np.frombuffer(self._seq, np.int64)
-        ring_value = np.frombuffer(self._value, np.float64)
-        seq = np.concatenate((ring_seq[first:held], ring_seq[:first]))
-        r = np.concatenate((ring_value[first:held], ring_value[:first]))
+        seq, r = np.array(self._seq), np.array(self._value)
+        keep = _WINDOW - _REFIT_EVERY
+        del self._seq[:-keep], self._value[:-keep]
         with np.errstate(all="ignore"):
             slope = np.subtract(r[1:], r[:-1])
             np.divide(slope, np.subtract(seq[1:], seq[:-1]) * self.step_s, out=slope)

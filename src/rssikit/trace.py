@@ -180,18 +180,19 @@ def derive_times(seq: np.ndarray, nominal_interval: float) -> np.ndarray:
 
     Quantized to the CSV schema's microsecond precision so that derived
     timestamps survive an export/ingest round trip bit-exactly. The result
-    equals Python's ``round`` bit for bit: the scaled product is the double
-    nearest the exact one, so ``rint`` can disagree with correct rounding
-    only where that double is itself a half-integer (valid below 2**52 us),
-    and those ties are rounded by ``round`` itself.
+    equals Python's ``round`` bit for bit: below 2**52 us the scaled
+    product is the double nearest the exact one, so ``rint`` can disagree
+    with correct rounding only where that double is itself a half-integer.
+    Those ties, and every product of 2**52 us or more, where the quotient
+    by 1e6 can be one ulp off, are rounded by ``round`` itself.
     """
     x = np.asarray(seq, dtype=np.int64) * nominal_interval
     scaled = x * 1e6
     micros = np.rint(scaled)
     t = micros / 1e6
-    ties = (np.abs(scaled - micros) == 0.5).nonzero()[0]
-    if ties.size:
-        t[ties] = [round(v, 6) for v in x[ties].tolist()]
+    slow = ((np.abs(scaled - micros) == 0.5) | (np.abs(scaled) >= 2.0**52)).nonzero()[0]
+    if slow.size:
+        t[slow] = [round(v, 6) for v in x[slow].tolist()]
     return t
 
 
@@ -311,18 +312,20 @@ def _plain_block(block: str) -> str | None:
         return None
     codes = np.frombuffer(raw, np.uint8)
     sep = (codes == ord(",")) | (codes == ord("\n"))
+    after_sep = sep[1:] & sep[:-1]
     # Most blocks have neither a blank line nor an empty field, and these
     # vector checks pass them faster than any substring search.
-    if sep[0] or block[-1] == "," or (sep[1:] & sep[:-1]).any():
-        if block[0] == "\n" or "\n\n" in block:
+    if sep[0] or block[-1] == "," or after_sep.any():
+        lf = codes == ord("\n")
+        if lf[0] or (lf[1:] & lf[:-1]).any():
             return None
-        block = block.replace(",\n", ",nan\n").replace("\n,", "\nnan,")
-        # The first pass leaves at most two commas in a row, the second none.
-        block = block.replace(",,", ",nan,").replace(",,", ",nan,")
-        if block[0] == ",":
-            block = "nan" + block
-        if block[-1] == ",":
-            block += "nan"
+        # A field is empty where it starts at a separator: at the block
+        # start or right after one; a block that ends in a comma ends with
+        # one more.
+        empty = np.flatnonzero(np.concatenate(([sep[0]], after_sep, [block[-1] == ","])))
+        nan = np.frombuffer(b"nan", np.uint8)
+        codes = np.insert(codes, np.repeat(empty, 3), np.tile(nan, empty.size))
+        block = codes.tobytes().decode("ascii")
     if "_" in block:
         if _LOOSE_UNDERSCORE.search(block):
             return None
@@ -384,12 +387,13 @@ def _rows_to_trace(path: Path, nominal_interval: float | None, rows: tuple) -> T
     The first row with a negative seq, or with a kept rssi and a bad given
     t_s or tx_power_dbm, aborts ingestion before the parser's ``error``
     does. Rows with rssi outside the window are dropped and counted, and
-    the last row of a seq wins. The step the kept rows' given times state
-    is ``round(median(dt / dseq), 6)`` over consecutive such rows, 6
-    decimals being the schema's resolution of t_s. It is the nominal
-    interval unless one is given; a given one more than 1 us from it, or
-    none where fewer than two rows give t_s, aborts ingestion. A t not
-    given is derived from seq and the nominal interval.
+    the last row of a seq wins. The kept rows' given times must strictly
+    increase with seq; the first that does not aborts ingestion. The step
+    they state is ``round(median(dt / dseq), 6)`` over consecutive such
+    rows, 6 decimals being the schema's resolution of t_s. It is the
+    nominal interval unless one is given; a given one more than 1 us from
+    it, or none where fewer than two rows give t_s, aborts ingestion. A t
+    not given is derived from seq and the nominal interval.
     """
     seq, t, rssi, tx, t_given, tx_given, lines, error = rows
     kept = (rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM)
@@ -420,7 +424,13 @@ def _rows_to_trace(path: Path, nominal_interval: float | None, rows: tuple) -> T
         logger.warning("%s: %d duplicate seq rows, kept last occurrence", path, duplicates)
     seq, t = seq[keep], t[keep]
     derived = np.isnan(t)
-    step = _step(seq[~derived], t[~derived]) if derived.any() else _step(seq, t)
+    given_seq, given_t = (seq[~derived], t[~derived]) if derived.any() else (seq, t)
+    back = np.flatnonzero(given_t[1:] <= given_t[:-1])
+    if back.size:
+        i, j = np.flatnonzero(~derived)[back[0]:back[0] + 2]
+        raise IngestError(f"{path}:{lines[keep[j]]}: t_s must strictly increase with seq, "
+                          f"got {float(t[j])} after {float(t[i])}")
+    step = _step(given_seq, given_t)
     if nominal_interval is None:
         if step is None:
             raise IngestError(f"{path}: fewer than two kept rows give t_s, so the "

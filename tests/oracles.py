@@ -261,7 +261,8 @@ def dict_ingest(path, nominal_interval: float | None = None) -> Trace:
     are skipped, a row must be as wide as the header, and a repeated column
     name reads its last column. A leading byte-order mark is skipped. The
     step is the median of dt / dseq between consecutive kept rows that give
-    t_s, to the microsecond; a given interval must lie within 1 us of it.
+    t_s, whose times must strictly increase, to the microsecond; a given
+    interval must lie within 1 us of it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(io.StringIO(fh.read(), newline=""))
@@ -301,7 +302,7 @@ def dict_ingest(path, nominal_interval: float | None = None) -> Trace:
         if tx is not None and not math.isfinite(tx):
             raise IngestError(f"{where}: tx_power must be finite when present")
         duplicates += seq in rows
-        rows[seq] = (t, rssi, math.nan if tx is None else tx)
+        rows[seq] = (t, rssi, math.nan if tx is None else tx, reader.line_num)
 
     if not rows:
         raise IngestError(f"{path}: no usable rows")
@@ -312,6 +313,9 @@ def dict_ingest(path, nominal_interval: float | None = None) -> Trace:
         t = rows[s][0]
         if t is not None:
             if last is not None:
+                if not t > last[1]:
+                    raise IngestError(f"{path}:{rows[s][3]}: t_s must strictly increase "
+                                      f"with seq, got {t} after {last[1]}")
                 ratios.append((t - last[1]) / (s - last[0]))
             last = (s, t)
     # + 0.0: a zero step is +0.0, whichever sign of zero sorts to the middle.

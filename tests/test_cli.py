@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rssikit
-from rssikit import cli
+from rssikit import cli, predictor
 from rssikit.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -214,6 +214,20 @@ class TestIntervalFromTimes:
                             for suffix in (".acf", ".model", ".csv", ".json")])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("interval", [[], ["--interval", "0.2"]], ids=["read", "given"])
+    @pytest.mark.parametrize("times, got", [(("0.5", "0.3", "0.1"), "0.3 after 0.5"),
+                                            (("0.5", "0.5", "0.5"), "0.5 after 0.5")],
+                             ids=["backwards", "constant"])
+    def test_times_that_do_not_increase_name_t_s(self, tmp_path, capsys, interval, times,
+                                                 got):
+        path = tmp_path / "times.csv"
+        path.write_text("seq,t_s,rssi_dbm\n" + "".join(
+            f"{k},{t},-70\n" for k, t in enumerate(times)))
+        assert run_cli("fit", "--in", str(path), *interval,
+                       "--out", str(tmp_path / "model.json")) == 1
+        assert capsys.readouterr().err == (
+            f"rssikit: error: {path}:3: t_s must strictly increase with seq, got {got}\n")
+
     @pytest.mark.parametrize("command, flag", [("fit", "--lag"), ("evaluate", "--lags")])
     def test_a_lag_beyond_int64_is_a_one_line_error(self, trace_csv, tmp_path, capsys,
                                                    command, flag):
@@ -275,6 +289,107 @@ class TestAtpcCommand:
                        "--packets", "20000", "--path-loss", "80", "--loss", loss,
                        "--out", str(out)) == 0
         assert sha256(out.read_bytes()).hexdigest() == ATPC_DIGESTS[channel, radio, loss]
+
+
+# Digests of each command's output on one simulated trace per channel and
+# radio (GE loss 0.05,0.25,0.0,0.8, 3,000 packets, seed 5): the trace, acf
+# at --max-lag 20, and per method the fit at --lag 2 (.model), predict on
+# that model at -70 dBm and 2 dB/s (.predict) and the evaluate report at
+# --lags 1,2,3,4 (.csv, .json). A change meant to keep every output's bytes
+# must keep these.
+GOLDEN_DIGESTS = {
+    ("swell", "cc2538"): {
+        "trace.csv": "20dc845442efd4119bee1847123a7910de218df97969808cf5a6c7ebe6fc3967",
+        "acf.csv": "bd3485eb695ee3cfeeae9830546338e9dfaa7b8f354727834197e75b25da8893",
+        "normal_eq.model": "8bb09497a8e3b82796bcd499d4de5136435fd681bfda3e3a3b64c8e8b3f91aea",
+        "normal_eq.predict": "de60a07f4d1ce2338eda543f0dddb933a7067194076d5587eac80ba439772011",
+        "normal_eq.csv": "24b8697e898a27cd0339f34be005c826a2d24596e3eab3d129417250d7dd7c09",
+        "normal_eq.json": "d3daa8b93a60178f2ad480d9902d4a50315bdc9f4f9c62b346feb65595070f40",
+        "orthonormal.model": "664e7dd29703499f47002c39093989c293a1124abf93174ef8bced9d4acf2a07",
+        "orthonormal.predict": "21ff07ffd7461ffc8e32e29768dfb09e4ef29ef9d4bd14b1f5f4f0b3547e8905",
+        "orthonormal.csv": "255055c609b962fb84aa33e43f2f9ce7f4253a578501d9d313f6d25e4d264236",
+        "orthonormal.json": "9849850abbbea5c52071ec73dc9c6300405bbecb62d9d6f94039560a33bd96cb",
+        "simplified.model": "35f70ac6af2c7a8ad81320583030465c6508b68252bcb8bbcf231c7f69824fed",
+        "simplified.predict": "53d706883a8ed9e3b9901bad8c9463b3ac8b305b421031190be125b6943284e9",
+        "simplified.csv": "a0f39f584a9e9644411c73fa0ebe2f0fd53a4bc579542d2248798b7a5c60a8d0",
+        "simplified.json": "ff894bb42fc1e9d2577ede9ac6877bea01353deabc850cf5989b20806add5ba0",
+    },
+    ("swell", "cc1200"): {
+        "trace.csv": "15689a588a6fb90994e9aac96ca2fe72bb5763f5c2ab6edcba787c22d7307e4b",
+        "acf.csv": "318fdc6db67dc08fdabe14c2c5277ec8abbca32ab3ce9f44357ced48463d093f",
+        "normal_eq.model": "129c786f40f555e4a35bdaf71ed1a6fce23d8dfab8a11ce148dd169852c96a91",
+        "normal_eq.predict": "dd813497526ae25540d6c109d7b9747c9edcccc8cc213f735a8ebf6da18f95b7",
+        "normal_eq.csv": "e82a7e57091d1c1c6e04109214da569f1fdcf079a89cc37153cb5dfc49a4dd1a",
+        "normal_eq.json": "f2ea6eaedcf04a3e047f86283a86bd47a42b2f2bcef900460d6cf5b1fefc8b5a",
+        "orthonormal.model": "39f268185e69d1f1a423405261c0cbefeb3d385e3d58ff81442e667ccd00dd05",
+        "orthonormal.predict": "58aa414d07d08354d54649c7a203e69a9525ec596362d5ae63c6a654ae5434f9",
+        "orthonormal.csv": "822d9e361650ec7f2614065f02c3f4c378ab9014f6aad78ee254656700bd607f",
+        "orthonormal.json": "d3b06031874d27b674e863f710769123861a46a4960c8c3d85318596d51ddbc6",
+        "simplified.model": "efc87c1227856447fa25dab650d34d19b7b2328307d51e832589e84175dca75f",
+        "simplified.predict": "718dfcf6d4cb992c05201417a451780df91571a753e6313ab9db138198ead1eb",
+        "simplified.csv": "e9c890ffef6d4c4767429274c2b83c7eb52e520a67fcf63733a5a64d398df702",
+        "simplified.json": "f4154c55741878b5b83f2d825a98287a9ab708dfbba6e616a276850fd3afc161",
+    },
+    ("ar2", "cc2538"): {
+        "trace.csv": "759414640de0f5a75333cb7ac65cd48ef35aa7ce0c293f78be3bd6730aab35f2",
+        "acf.csv": "b8448e70238b34440c019c0c5a32b437d60ce28ddad941f5e0a8bfb66c034775",
+        "normal_eq.model": "e7fa3b53f848f6a3a6e27b5d66aaed4c551e376d96f4733acffe35a4a0a800c7",
+        "normal_eq.predict": "6e383806dc2cf6da06ca78416ec665fc5677b840fa34926da8fd8ca40ebd39e2",
+        "normal_eq.csv": "5a56fca3c1a5bf0c2ac5fc7c7da2a3db16ae0f1a94b7e25b5c2eae98acb8a04b",
+        "normal_eq.json": "0ae282cf69c467cd0aec0a24533d7fd364c7851da114ec92c45040da9145fb88",
+        "orthonormal.model": "2b16a6e6357770089cd14e1d4b4cc5b982bb9c780da8b22b974b0c83f209fa07",
+        "orthonormal.predict": "92061075ccf1f3d8397fdb8f082c509d363dc3222443d64b704a70febaf204e1",
+        "orthonormal.csv": "edb96b14da504a163541e8cd24536de39e823aa448e744c125461865212be3f0",
+        "orthonormal.json": "b08ac39dd57555c41277cff286655011215caf3d576f64d5a613affd0b868210",
+        "simplified.model": "249ea19cf6358f885902653d6afff407433b55fe0b51de74d54ec6d18b32f60e",
+        "simplified.predict": "b0a5ce0613a0246f979ff2aa6780b60fbdb0a9ccb05a53c3acf6655f6bcc7593",
+        "simplified.csv": "a5f96149043aedeae9b943a8da2db0948539076b7c895c3952064b8bf35daa25",
+        "simplified.json": "26bdd86db62f55041e773d6bcd95685abb18e0235bb30e85094126306af9e55a",
+    },
+    ("ar2", "cc1200"): {
+        "trace.csv": "666ade6a5d569a6b1e5f3c55d4b347ba4ee6ff803568dbe889ba818809828e79",
+        "acf.csv": "b3b42fef03ef5c6d1d996d884369571253e7d37cc4583d3dfb441d6632b315c7",
+        "normal_eq.model": "09832aca22c040c301169a00be5fd57f9709ff1947f644f1122ddfa2323c5f40",
+        "normal_eq.predict": "7c2ebb49dd70a81e245c7e00d9d900f00b361220883160909989ffc83056c89b",
+        "normal_eq.csv": "0e2f8b481341f7abd3d9104939dd04aff52c04e4487685b4f870f12f5b7b9157",
+        "normal_eq.json": "de28cd3b2bf6d979c48af3fdf96a3fec617f3cee81b544ec54ed9a0940d855e2",
+        "orthonormal.model": "e8c694c21d5bea634e8fb1c5240f6cb4dbdffe0bed51692eb952378fa6d59d6d",
+        "orthonormal.predict": "f1177518f545ef53828c3da5cbd4702ce8bbcb3def992598b9e4b487a15a49e6",
+        "orthonormal.csv": "948dbc23f3428f1ccae2f3686cde12b020655e34a97fdb195fe9b2f2a3ac5941",
+        "orthonormal.json": "af5f75ea1e1a7f2f016f31992be267b7a4d09bb2833e7af4f53d92f5d7de7caf",
+        "simplified.model": "0e7e14ce130574e2e614354392b9af86d300e4ad75e0dc8a0d7b4d0b7cc471c3",
+        "simplified.predict": "91ad5d41ce78ee9af29ca44d229f155b93230241ceb213239360ce2196127280",
+        "simplified.csv": "0f5d82e65fe32c49212654c6cec3d86624ec2a3073de95733b0b6f6989e6dd57",
+        "simplified.json": "4bf8d9bec1f37a57bbdb9d32d9d2686cf1fecc607246954fd307ee69a289743e",
+    },
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("channel, radio", GOLDEN_DIGESTS)
+    def test_every_command_keeps_its_bytes(self, tmp_path, capsys, channel, radio):
+        trace = tmp_path / "trace.csv"
+        assert run_cli("simulate", "--channel", channel, "--radio", radio,
+                       "--packets", "3000", "--seed", "5",
+                       "--loss", "gilbert:0.05,0.25,0.0,0.8", "--out", str(trace)) == 0
+        assert run_cli("acf", "--in", str(trace), "--max-lag", "20",
+                       "--out", str(tmp_path / "acf.csv")) == 0
+        outputs = {}
+        for method in predictor.METHODS:
+            model = tmp_path / f"{method}.model"
+            assert run_cli("fit", "--in", str(trace), "--method", method, "--lag", "2",
+                           "--out", str(model)) == 0
+            capsys.readouterr()
+            assert run_cli("predict", "--model", str(model), "--anchor-rssi", "-70",
+                           "--anchor-slope", "2") == 0
+            outputs[f"{method}.predict"] = capsys.readouterr().out.encode()
+            assert run_cli("evaluate", "--in", str(trace), "--method", method,
+                           "--lags", "1,2,3,4", "--out", str(tmp_path / method)) == 0
+        for name in GOLDEN_DIGESTS[channel, radio]:
+            if name not in outputs:
+                outputs[name] = (tmp_path / name).read_bytes()
+        digests = {name: sha256(data).hexdigest() for name, data in outputs.items()}
+        assert digests == GOLDEN_DIGESTS[channel, radio]
 
 
 class TestConfigFile:

@@ -590,7 +590,7 @@ class TestSlidingWindow:
             for k in range(600):
                 sw.observe(3 * k, -70.0 + k % 7)
         refit.assert_not_called()
-        assert not (any(sw._seq) or any(sw._value))
+        assert len(sw._seq) == len(sw._value) == 0
         assert sw.anchor() == (-70.0 + 599 % 7, pytest.approx(10.0 / 3))
 
     @mock.patch.object(predictor, "_REFIT_EVERY", 8)
@@ -717,6 +717,70 @@ class TestSlidingWindow:
                     newest = slopes[-1][-1]
                     assert np.float64(sw.anchor()[1]).view(np.int64) == \
                         newest.view(np.int64), count
+
+    def test_the_window_is_a_whole_number_of_refit_periods(self):
+        # A refit keeps _WINDOW - _REFIT_EVERY observations, so the next one
+        # comes _REFIT_EVERY later only while this holds.
+        assert predictor._WINDOW % predictor._REFIT_EVERY == 0
+        assert predictor._WINDOW > predictor._REFIT_EVERY
+
+
+def recording_lag_moments(calls: list, fail_at: int | None = None):
+    """``lag_moments`` that records the seqs and values of each call, and
+    raises MemoryError on call number ``fail_at`` (counting from 1)."""
+    lag_moments = predictor.lag_moments
+
+    def recording(seq, r, slope, step, lags):
+        calls.append((seq.tolist(), r.tolist()))
+        if len(calls) == fail_at:
+            raise MemoryError("refit failed")
+        return lag_moments(seq, r, slope, step, lags)
+
+    return recording
+
+
+class TestWindowHoldsTheNewestObservations:
+    @given(n=st.integers(min_value=0, max_value=2000),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           max_gap=st.sampled_from([1, 3, 200]))
+    @settings(max_examples=30, deadline=None)
+    def test_every_refit_reads_the_newest_observations_in_order(self, n, seed, max_gap):
+        rng = np.random.default_rng(seed)
+        seqs = np.cumsum(rng.integers(1, max_gap + 1, n)).tolist()
+        values = (-70.0 + rng.normal(size=n)).tolist()
+        calls = []
+        sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=0.1)
+        with mock.patch.object(predictor, "lag_moments", recording_lag_moments(calls)):
+            for count, (s, v) in enumerate(zip(seqs, values), start=1):
+                sw.observe(s, v)
+                assert len(sw._seq) == len(sw._value) <= predictor._WINDOW
+                assert len(calls) == count // 64, count
+                if count % 64 == 0:
+                    first = max(0, count - 512)
+                    assert calls[-1] == (seqs[first:count], values[first:count]), count
+
+    def test_a_refit_that_raises_leaves_the_window_bounded_and_on_cadence(self):
+        rng = np.random.default_rng(8)
+        seqs = np.cumsum(rng.integers(1, 4, 1024)).tolist()
+        values = (-70.0 + rng.normal(size=1024)).tolist()
+        calls = []
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
+        # The ninth refit, at observation 576, raises.
+        with mock.patch.object(predictor, "lag_moments", recording_lag_moments(calls, 9)):
+            for count, (s, v) in enumerate(zip(seqs, values), start=1):
+                if count == 576:
+                    with pytest.raises(MemoryError):
+                        sw.observe(s, v)
+                    assert len(sw._seq) == len(sw._value) == 448
+                    continue
+                sw.observe(s, v)
+                assert len(sw._seq) <= predictor._WINDOW
+                assert len(calls) == count // 64, count
+        assert len(calls) == 16
+        # The refit after the failed one reads the newest 512, the failed
+        # observation included, in order.
+        assert calls[9] == (seqs[640 - 512:640], values[640 - 512:640])
+        assert sw.model_for(1) is not None
 
 
 @st.composite

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssikit import (
@@ -210,7 +210,7 @@ TARGETED = [
     # duplicate and out-of-order seq
     ("seq,rssi_dbm\n0,-70\n1,-75\n1,-72\n", True, None),
     ("seq,rssi_dbm\n2,-70\n0,-71\n1,-72\n", True, None),
-    ("seq,t_s,rssi_dbm\n0,0.0,-70\n1,0.1,-71\n2,0.2,-72\n1,0.3,-73\n", True, None),
+    ("seq,t_s,rssi_dbm\n0,0.0,-70\n1,0.1,-71\n2,0.2,-72\n1,0.3,-73\n", True, 4),
     # rssi outside, and on the edges of, the plausibility window
     ("seq,rssi_dbm\n0,-70\n1,-200\n2,-71\n", True, None),
     ("seq,rssi_dbm\n0,-70\n1,20.01\n", True, None),
@@ -239,7 +239,7 @@ TARGETED = [
     (" rssi_dbm , seq\n-70,0\n", True, None),
     # no final newline; explicit times out of order
     ("seq,rssi_dbm\n0,-70\n1,-71", True, None),
-    ("seq,t_s,rssi_dbm\n0,0.5,-70\n1,0.1,-71\n", True, None),
+    ("seq,t_s,rssi_dbm\n0,0.5,-70\n1,0.1,-71\n", True, 3),
 ]
 
 # Field spellings a corrupted row may carry.
@@ -391,6 +391,8 @@ class TestBulkIngest:
         assert got == outcome(ingest_line_by_line, p, interval)
 
     @given(text=spelled_csv_texts(), block=st.sampled_from([1, 7, 1 << 16]))
+    # A seq whose time at 0.1 s is beyond 2**52 us.
+    @example(text="seq,rssi_dbm\n5569227385477653,0", block=1)
     @settings(max_examples=300, deadline=None)
     def test_number_spellings_convert_as_int_and_float_do(self, tmp_path_factory, text,
                                                           block):
@@ -833,6 +835,15 @@ class TestDeriveTimes:
         # integer, where scaling and rint alone round the other way.
         step = 1.0 / rate_pps
         seq = np.arange(20000)
+        expected = np.array([round(k * step, 6) for k in seq.tolist()])
+        assert derive_times(seq, step).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rate_pps", [10.0, 2.0, 3.0, 4e5, 8e5, 2e6])
+    def test_equals_python_round_for_seqs_up_to_2_62(self, rate_pps):
+        # Beyond 2**52 us, rint(seq * step * 1e6) / 1e6 is often one ulp off.
+        step = 1.0 / rate_pps
+        rng = np.random.default_rng(int(rate_pps))
+        seq = np.unique((2.0 ** rng.uniform(30, 62, 20000)).astype(np.int64))
         expected = np.array([round(k * step, 6) for k in seq.tolist()])
         assert derive_times(seq, step).tobytes() == expected.tobytes()
 
