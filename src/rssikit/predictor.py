@@ -49,9 +49,10 @@ METHODS = (METHOD_NORMAL_EQ, METHOD_ORTHONORMAL, METHOD_SIMPLIFIED)
 # as singular (collinear value/slope inputs).
 DET_RTOL = 1e-10
 
-# The sliding window keeps the latest _WINDOW observations and refits every
-# _REFIT_EVERY of them, so the first refit comes once that many arrived. The
-# cadence is exact only while _WINDOW is a multiple of _REFIT_EVERY.
+# The sliding window refits every _REFIT_EVERY observations on the latest of
+# them, at most _WINDOW in whole refit periods; so the first refit comes once
+# _REFIT_EVERY arrived, and it reads exactly _WINDOW while that is a multiple
+# of _REFIT_EVERY. _WINDOW must be at least _REFIT_EVERY.
 _WINDOW = 512
 _REFIT_EVERY = 64
 
@@ -486,12 +487,11 @@ class SlidingWindowPredictor:
     is two machine arrays (int64 seq and float64 value) that hold the
     observations oldest first: each observation is appended, and a refit
     comes whenever their length is a multiple of 64. A refit reads the
-    latest 512, keeps the newest 448 for the next one and drops the rest;
-    512 being a multiple of 64 keeps the cadence exact. It takes each slope
-    by ``anchor``'s rule, the value difference over Δseq·step_s, and every
-    lag's moments from one ``lag_moments`` call. The latest two
-    observations are also kept as Python numbers, for the order check and
-    ``anchor``.
+    latest 512, keeps the newest 448 for the next one and drops the rest.
+    It takes each slope by ``anchor``'s rule, the value difference over
+    Δseq·step_s, and every lag's moments from one ``lag_moments`` call. The
+    latest two observations are also kept as Python numbers, for the order
+    check and ``anchor``.
 
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
@@ -559,18 +559,19 @@ class SlidingWindowPredictor:
     def _refit(self) -> None:
         """Refit every lag from the window, oldest first.
 
-        The window is copied, and all but its newest _WINDOW - _REFIT_EVERY
-        observations are dropped before anything is computed, so it never
-        holds more than _WINDOW, even after a refit that raises. Each slope
-        is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) * step_s),
-        so a refit fits on the slopes that prediction serves; a window with
-        a slope that overflows is skipped. One ``lag_moments`` call serves
-        every lag, and each lag's model replaces the last or, where its fit
-        fails, is dropped.
+        The window is copied, and all but its newest whole refit periods
+        that leave room for one more are dropped before anything is
+        computed. So its length stays a multiple of _REFIT_EVERY, and it
+        never holds more than _WINDOW, even after a refit that raises. Each
+        slope is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) *
+        step_s), so a refit fits on the slopes that prediction serves; a
+        window with a slope that overflows is skipped. One ``lag_moments``
+        call serves every lag, and each lag's model replaces the last or,
+        where its fit fails, is dropped.
         """
         seq, r = np.array(self._seq), np.array(self._value)
-        keep = _WINDOW - _REFIT_EVERY
-        del self._seq[:-keep], self._value[:-keep]
+        drop = max(seq.size - (_WINDOW // _REFIT_EVERY - 1) * _REFIT_EVERY, 0)
+        del self._seq[:drop], self._value[:drop]
         with np.errstate(all="ignore"):
             slope = np.subtract(r[1:], r[:-1])
             np.divide(slope, np.subtract(seq[1:], seq[:-1]) * self.step_s, out=slope)

@@ -312,20 +312,18 @@ def _plain_block(block: str) -> str | None:
         return None
     codes = np.frombuffer(raw, np.uint8)
     sep = (codes == ord(",")) | (codes == ord("\n"))
-    after_sep = sep[1:] & sep[:-1]
     # Most blocks have neither a blank line nor an empty field, and these
     # vector checks pass them faster than any substring search.
-    if sep[0] or block[-1] == "," or after_sep.any():
-        lf = codes == ord("\n")
-        if lf[0] or (lf[1:] & lf[:-1]).any():
+    if sep[0] or block[-1] == "," or (sep[1:] & sep[:-1]).any():
+        if block[0] == "\n" or "\n\n" in block:
             return None
-        # A field is empty where it starts at a separator: at the block
-        # start or right after one; a block that ends in a comma ends with
-        # one more.
-        empty = np.flatnonzero(np.concatenate(([sep[0]], after_sep, [block[-1] == ","])))
-        nan = np.frombuffer(b"nan", np.uint8)
-        codes = np.insert(codes, np.repeat(empty, 3), np.tile(nan, empty.size))
-        block = codes.tobytes().decode("ascii")
+        block = block.replace(",\n", ",nan\n").replace("\n,", "\nnan,")
+        # The first pass leaves at most two commas in a row, the second none.
+        block = block.replace(",,", ",nan,").replace(",,", ",nan,")
+        if block[0] == ",":
+            block = "nan" + block
+        if block[-1] == ",":
+            block += "nan"
     if "_" in block:
         if _LOOSE_UNDERSCORE.search(block):
             return None

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rssikit import (
@@ -719,8 +719,8 @@ class TestSlidingWindow:
                         newest.view(np.int64), count
 
     def test_the_window_is_a_whole_number_of_refit_periods(self):
-        # A refit keeps _WINDOW - _REFIT_EVERY observations, so the next one
-        # comes _REFIT_EVERY later only while this holds.
+        # A refit reads whole refit periods, so it reads all of _WINDOW only
+        # while this holds.
         assert predictor._WINDOW % predictor._REFIT_EVERY == 0
         assert predictor._WINDOW > predictor._REFIT_EVERY
 
@@ -742,21 +742,32 @@ def recording_lag_moments(calls: list, fail_at: int | None = None):
 class TestWindowHoldsTheNewestObservations:
     @given(n=st.integers(min_value=0, max_value=2000),
            seed=st.integers(min_value=0, max_value=2**32 - 1),
-           max_gap=st.sampled_from([1, 3, 200]))
+           max_gap=st.sampled_from([1, 3, 200]),
+           window=st.sampled_from([(512, 64), (600, 64), (100, 16), (16, 16), (47, 8)]))
     @settings(max_examples=30, deadline=None)
-    def test_every_refit_reads_the_newest_observations_in_order(self, n, seed, max_gap):
+    @example(n=700, seed=1, max_gap=3, window=(512, 64))
+    @example(n=700, seed=1, max_gap=3, window=(600, 64))
+    def test_every_refit_reads_the_newest_observations_in_order(self, n, seed, max_gap,
+                                                                window):
+        # Whatever the window's size, a refit comes every _REFIT_EVERY
+        # observations and reads the newest whole refit periods that fit in
+        # _WINDOW: all 512 of the shipped window.
+        size, every = window
+        span = size // every * every
         rng = np.random.default_rng(seed)
         seqs = np.cumsum(rng.integers(1, max_gap + 1, n)).tolist()
         values = (-70.0 + rng.normal(size=n)).tolist()
         calls = []
         sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=0.1)
-        with mock.patch.object(predictor, "lag_moments", recording_lag_moments(calls)):
+        with mock.patch.object(predictor, "lag_moments", recording_lag_moments(calls)), \
+                mock.patch.object(predictor, "_WINDOW", size), \
+                mock.patch.object(predictor, "_REFIT_EVERY", every):
             for count, (s, v) in enumerate(zip(seqs, values), start=1):
                 sw.observe(s, v)
-                assert len(sw._seq) == len(sw._value) <= predictor._WINDOW
-                assert len(calls) == count // 64, count
-                if count % 64 == 0:
-                    first = max(0, count - 512)
+                assert len(sw._seq) == len(sw._value) <= size
+                assert len(calls) == count // every, count
+                if count % every == 0:
+                    first = max(0, count - span)
                     assert calls[-1] == (seqs[first:count], values[first:count]), count
 
     def test_a_refit_that_raises_leaves_the_window_bounded_and_on_cadence(self):
