@@ -38,6 +38,14 @@ MODE_FALLBACK = "fallback"
 CONTROLLER_METHODS = (METHOD_ORTHONORMAL, METHOD_SIMPLIFIED)
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``min(max(x, lo), hi)`` as the two comparisons those builtins make,
+    in their order, so that ties, signed zeros and NaN resolve as theirs
+    do, without the cost of two builtin calls on every event."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
+
+
 @dataclass(frozen=True)
 class AtpcConfig:
     """Controller parameters.
@@ -132,7 +140,7 @@ class AtpcController:
         self._window.observe(self._tick, gain)
         self._tick += 1
         required = self._target - gain
-        next_tx = min(max(required, self._min_tx), self._max_tx)
+        next_tx = _clamp(required, self._min_tx, self._max_tx)
         # Each event's state is built as a tuple of all six fields, skipping
         # the keyword and default handling of the generated __new__.
         self._state = tuple.__new__(
@@ -157,7 +165,7 @@ class AtpcController:
                 gain_a, slope_a = anchor
                 predicted_gain = predict(model, gain_a, slope_a).value
                 required = self._target - predicted_gain
-                next_tx = min(max(required, self._min_tx), self._max_tx)
+                next_tx = _clamp(required, self._min_tx, self._max_tx)
                 # The last field is the receiver-side power the lost packet
                 # would have produced.
                 self._state = tuple.__new__(
@@ -167,6 +175,12 @@ class AtpcController:
         self._state = tuple.__new__(
             AtpcState, (self._max_tx, n, prev.path_gain_estimate_db, MODE_FALLBACK, False, None))
         return self._max_tx
+
+
+# The transcript's row templates, indexed by whether the packet has no
+# prediction: such a row prints its predicted NaN as an empty field
+# ("%.0s"), while a NaN in any other column still prints "nan".
+_LOOP_ROWS = ("%d,%.2f,%.2f,%d,%.2f,%s\n", "%d,%.2f,%.2f,%d,%.0s,%s\n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,14 +230,16 @@ class LoopResult:
         return np.count_nonzero(got >= self.threshold_dbm) / got.size
 
     def to_csv_text(self) -> str:
-        """The per-packet transcript as CSV, the ``rssikit atpc`` format."""
-        lines = ["seq,tx_dbm,rssi_dbm,delivered,predicted,mode"]
-        for k, (tx, rssi, delivered, p, mode) in enumerate(zip(
-                self.tx_dbm.tolist(), self.rssi_dbm.tolist(), self.delivered.tolist(),
-                self.predicted_dbm.tolist(), self.mode.tolist())):
-            pred = "" if math.isnan(p) else f"{p:.2f}"
-            lines.append(f"{k},{tx:.2f},{rssi:.2f},{int(delivered)},{pred},{mode}")
-        return "\n".join(lines) + "\n"
+        """The per-packet transcript as CSV, the ``rssikit atpc`` format:
+        one ``%`` format over the whole table, a row template per packet."""
+        n = len(self.tx_dbm)
+        values = [None] * (6 * n)
+        values[0::6] = range(n)
+        for j, col in enumerate((self.tx_dbm, self.rssi_dbm, self.delivered,
+                                 self.predicted_dbm, self.mode), 1):
+            values[j::6] = col.tolist()
+        rows = "".join(map(_LOOP_ROWS.__getitem__, np.isnan(self.predicted_dbm).tolist()))
+        return "seq,tx_dbm,rssi_dbm,delivered,predicted,mode\n" + rows % tuple(values)
 
 
 def _link(channel: ChannelModel, radio: RadioProfile, n_packets: int,

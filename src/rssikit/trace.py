@@ -390,8 +390,9 @@ def _rows_to_trace(path: Path, nominal_interval: float | None, rows: tuple) -> T
     they state is ``round(median(dt / dseq), 6)`` over consecutive such
     rows, 6 decimals being the schema's resolution of t_s. It is the
     nominal interval unless one is given; a given one more than 1 us from
-    it, or none where fewer than two rows give t_s, aborts ingestion. A t
-    not given is derived from seq and the nominal interval.
+    it, or none where fewer than two rows give t_s or the step rounds to 0,
+    aborts ingestion. A t not given is derived from seq and the nominal
+    interval.
     """
     seq, t, rssi, tx, t_given, tx_given, lines, error = rows
     kept = (rssi >= RSSI_MIN_DBM) & (rssi <= RSSI_MAX_DBM)
@@ -433,6 +434,9 @@ def _rows_to_trace(path: Path, nominal_interval: float | None, rows: tuple) -> T
         if step is None:
             raise IngestError(f"{path}: fewer than two kept rows give t_s, so the "
                               "nominal interval (--interval) must be given")
+        if step == 0:
+            raise IngestError(f"{path}: the t_s step rounds to 0 at the schema's 1 us "
+                              "resolution, so the nominal interval (--interval) must be given")
         nominal_interval = step
     elif step is not None and round(abs(nominal_interval - step), 6) > 1e-6:
         raise IngestError(f"{path}: nominal interval {nominal_interval} s (--interval) "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rssikit import AtpcConfig, ChannelModel, IngestError, LossModel, RadioProfile, Trace
-from rssikit.atpc import MODE_FALLBACK, MODE_TRACKING
+from rssikit.atpc import MODE_FALLBACK, MODE_TRACKING, LoopResult
 from rssikit.predictor import SlidingWindowPredictor, predict
 from rssikit.stats import (
     _MIN_PAIRS,
@@ -262,7 +262,8 @@ def dict_ingest(path, nominal_interval: float | None = None) -> Trace:
     name reads its last column. A leading byte-order mark is skipped. The
     step is the median of dt / dseq between consecutive kept rows that give
     t_s, whose times must strictly increase, to the microsecond; a given
-    interval must lie within 1 us of it.
+    interval must lie within 1 us of it, and one must be given where the
+    step rounds to 0.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(io.StringIO(fh.read(), newline=""))
@@ -324,6 +325,9 @@ def dict_ingest(path, nominal_interval: float | None = None) -> Trace:
         if step is None:
             raise IngestError(f"{path}: fewer than two kept rows give t_s, so the "
                               "nominal interval (--interval) must be given")
+        if step == 0:
+            raise IngestError(f"{path}: the t_s step rounds to 0 at the schema's 1 us "
+                              "resolution, so the nominal interval (--interval) must be given")
         nominal_interval = step
     elif step is not None and round(abs(nominal_interval - step), 6) > 1e-6:
         raise IngestError(f"{path}: nominal interval {nominal_interval} s (--interval) "
@@ -373,6 +377,19 @@ def per_packet_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: f
          bool(tx_dbm + gains[k] >= radio.sensitivity_dbm and keep[k]))
         for k in range(n_packets)
     ]
+
+
+def per_row_loop_csv(result: LoopResult) -> str:
+    """Reference ``rssikit atpc`` transcript: one f-string per packet, as
+    ``LoopResult.to_csv_text`` wrote it before it became one ``%`` format;
+    only the predicted field prints a NaN as an empty field."""
+    lines = ["seq,tx_dbm,rssi_dbm,delivered,predicted,mode"]
+    for k, (tx, rssi, delivered, p, mode) in enumerate(zip(
+            result.tx_dbm.tolist(), result.rssi_dbm.tolist(), result.delivered.tolist(),
+            result.predicted_dbm.tolist(), result.mode.tolist())):
+        pred = "" if math.isnan(p) else f"{p:.2f}"
+        lines.append(f"{k},{tx:.2f},{rssi:.2f},{int(delivered)},{pred},{mode}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

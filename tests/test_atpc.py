@@ -23,12 +23,17 @@ from rssikit import (
     run_fixed_power,
     swell_channel,
 )
-from rssikit.atpc import CONTROLLER_METHODS
+from rssikit.atpc import CONTROLLER_METHODS, LoopResult
 from rssikit.predictor import OrthonormalBasis, Prediction, PredictorModel
 from rssikit.stats import MomentSet
 
 from conftest import ForcedLoss, load_bench
-from oracles import ReferenceAtpcController, ReferenceAtpcState, per_packet_fixed_power
+from oracles import (
+    ReferenceAtpcController,
+    ReferenceAtpcState,
+    per_packet_fixed_power,
+    per_row_loop_csv,
+)
 
 RADIO = profile_by_name("cc2538")
 # The controller starts at the radio's maximum power; on its first ACK the
@@ -301,6 +306,21 @@ class TestMatchesReference:
         assert any(s.last_tx_dbm == RADIO.min_tx_dbm for s in seen)
         assert any(s.headroom_insufficient for s in seen)
 
+    # A required power equal to a limit but of the other zero's sign: max
+    # and min keep their first argument on a tie, so the clamp returns the
+    # required power, -0.0 against a +0.0 floor and +0.0 against a -0.0
+    # ceiling. A clamp that took the limit on a tie would return its sign.
+    @pytest.mark.parametrize("limits, threshold, margin, gain, want", [
+        (dict(min_tx_dbm=0.0), -0.0, -0.0, 0.0, -0.0),
+        (dict(max_tx_dbm=-0.0, min_tx_dbm=-20.0), -20.0, 0.0, -20.0, 0.0),
+    ], ids=["floor", "ceiling"])
+    def test_a_tie_with_a_limit_keeps_the_required_zero(self, limits, threshold, margin,
+                                                        gain, want):
+        radio = dataclasses.replace(RADIO, **limits)
+        [state] = drive(make_config(radio=radio, threshold_dbm=threshold, margin_db=margin),
+                        [gain])
+        assert bits(state.last_tx_dbm) == bits(want)
+
 
 class TestSafety:
     @given(st.lists(
@@ -471,6 +491,24 @@ class TestTranscript:
         assert np.isnan(res.predicted_dbm).all()
         assert res.mode.tolist() == ["fixed"] * n
         assert res.threshold_dbm == RADIO.sensitivity_dbm
+
+    @given(rows=st.lists(st.tuples(
+        st.floats(), st.floats(), st.booleans(), st.floats(),
+        st.one_of(st.sampled_from(["tracking", "fallback", "fixed"]), st.text(max_size=4))),
+        max_size=40))
+    @example(rows=[])
+    # A NaN rssi, as a duck-typed channel can give, still prints "nan".
+    @example(rows=[(7.0, math.nan, False, math.nan, "fixed"),
+                   (-0.0, -0.0, True, -0.0, "tracking"),
+                   (-0.005, 0.005, True, -math.nan, "fallback"),
+                   (math.inf, -math.inf, False, 1e300, "tracking")])
+    @settings(max_examples=200, deadline=None)
+    def test_csv_text_is_the_per_row_reference(self, rows):
+        tx, rssi, delivered, predicted, mode = list(zip(*rows)) or [()] * 5
+        res = LoopResult(np.array(tx, dtype=float), np.array(rssi, dtype=float),
+                         np.array(delivered, dtype=bool), np.array(predicted, dtype=float),
+                         np.array(mode, dtype=object), threshold_dbm=-90.0)
+        assert res.to_csv_text() == per_row_loop_csv(res)
 
 
 # Both functions that transmit at one caller-given power, each giving the

@@ -214,6 +214,20 @@ class TestIntervalFromTimes:
                             for suffix in (".acf", ".model", ".csv", ".json")])
         assert outputs[0] == outputs[1]
 
+    def test_a_step_below_the_schema_s_resolution_needs_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text("seq,t_s,rssi_dbm\n" + "".join(
+            f"{k},{(k + 1) * 1e-7:.7f},{-70 - k % 7}\n" for k in range(100)))
+        out = tmp_path / "model.json"
+        argv = ["fit", "--in", str(path), "--lag", "1", "--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"rssikit: error: {path}: the t_s step rounds to 0 at the schema's 1 us "
+            "resolution, so the nominal interval (--interval) must be given\n")
+        assert not out.exists()
+        assert run_cli(*argv, "--interval", "0.0000001") == 0
+        assert json.loads(out.read_text())["step_s"] == 1e-7
+
     @pytest.mark.parametrize("interval", [[], ["--interval", "0.2"]], ids=["read", "given"])
     @pytest.mark.parametrize("times, got", [(("0.5", "0.3", "0.1"), "0.3 after 0.5"),
                                             (("0.5", "0.5", "0.5"), "0.5 after 0.5")],

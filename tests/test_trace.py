@@ -563,6 +563,18 @@ class TestStepFromTimes:
         assert tr.nominal_interval == given_interval
         assert tr.t[-1] == round(100 * given_interval, 6)
 
+    def test_a_step_that_rounds_to_zero_needs_the_interval(self, tmp_path):
+        # Times 0.1 us apart state a step of 0.0 at 6 decimals.
+        p = write_csv(tmp_path, "seq,t_s,rssi_dbm\n0,0.0000001,-70\n1,0.0000002,-71\n"
+                                "2,0.0000003,-72\n")
+        with pytest.raises(IngestError, match=re.escape(
+                "the t_s step rounds to 0 at the schema's 1 us resolution, so the nominal "
+                "interval (--interval) must be given")):
+            ingest_csv(p)
+        assert outcome(ingest_csv, p, None) == outcome(dict_ingest, p, None) == \
+            outcome(ingest_line_by_line, p, None)
+        assert ingest_csv(p, 1e-7).nominal_interval == 1e-7
+
     @pytest.mark.parametrize("text", [
         "seq,rssi_dbm\n0,-70\n1,-71\n",
         "seq,t_s,rssi_dbm\n0,,-70\n1,,-71\n",
