@@ -31,11 +31,15 @@ import json
 import logging
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .stats import MomentSet, _as_int, _lag_steps, _record, lag_moments, moment_set
-# The benchmark's traced run wraps Trace, derivative_series and moment_set here.
+# The benchmark's traced run wraps Trace, derivative_series and moment_set
+# here, the names fit_at_lag calls; the window's refits go through
+# lag_moments and the fits (fit_orthonormal), which it wraps too. The
+# imports stay for that run: tests/test_bench_api.py resolves each name.
 from .trace import Trace, derivative_series
 
 logger = logging.getLogger(__name__)
@@ -479,6 +483,27 @@ def model_from_json(text: str) -> PredictorModel:
         raise ValueError(f"model file: {exc}") from None
 
 
+class LagRefits(NamedTuple):
+    """One lag's share of a window's refits: the models fitted, the fits
+    that failed, and the class name of the latest failure (None before
+    the first)."""
+
+    lag: int
+    fitted: int
+    failed: int
+    last_failure: str | None
+
+
+class RefitCounts(NamedTuple):
+    """A snapshot of a window's refits: every refit run, of them those
+    skipped for a non-finite slope, and each lag's outcome of the others,
+    in lag order (so a lag's fitted + failed is refits - skipped)."""
+
+    refits: int
+    skipped: int
+    lags: tuple[LagRefits, ...]
+
+
 class SlidingWindowPredictor:
     """Per-lag models refit over a sliding window of observations.
 
@@ -497,7 +522,8 @@ class SlidingWindowPredictor:
     model until a later refit succeeds. A window with no lags, or with the
     simplified method, never refits and so never writes its arrays; the
     simplified method's fixed-weight models, one per lag, exist from the
-    start. Each model serves exactly its own lag.
+    start. Each model serves exactly its own lag. ``refit_counts`` says
+    how the refits went; each failure is also logged at debug level.
     """
 
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float):
@@ -515,6 +541,9 @@ class SlidingWindowPredictor:
         self._last: tuple[int, float] | None = None
         self._before_last: tuple[int, float] | None = None
         self._models: dict[int, PredictorModel] = {}
+        self._refits_run = self._refits_skipped = 0
+        # Per lag: [fitted, failed, class name of the latest failure].
+        self._lag_refits = {k: [0, 0, None] for k in self.lags}
         if method == METHOD_SIMPLIFIED:
             self._models = {k: _fit_moments(method, k * self.step_s, self.step_s, None)
                             for k in self.lags}
@@ -556,6 +585,12 @@ class SlidingWindowPredictor:
         """
         return self._models.get(_as_int(n_steps, "n_steps"))
 
+    @property
+    def refit_counts(self) -> RefitCounts:
+        """How the window's refits have gone so far (see ``RefitCounts``)."""
+        return RefitCounts(self._refits_run, self._refits_skipped, tuple(
+            LagRefits(k, *self._lag_refits[k]) for k in self.lags))
+
     def _refit(self) -> None:
         """Refit every lag from the window, oldest first.
 
@@ -567,8 +602,10 @@ class SlidingWindowPredictor:
         step_s), so a refit fits on the slopes that prediction serves; a
         window with a slope that overflows is skipped. One ``lag_moments``
         call serves every lag, and each lag's model replaces the last or,
-        where its fit fails, is dropped.
+        where its fit fails, is dropped. Each outcome is counted for
+        ``refit_counts``.
         """
+        self._refits_run += 1
         seq, r = np.array(self._seq), np.array(self._value)
         drop = max(seq.size - (_WINDOW // _REFIT_EVERY - 1) * _REFIT_EVERY, 0)
         del self._seq[:drop], self._value[:drop]
@@ -576,12 +613,17 @@ class SlidingWindowPredictor:
             slope = np.subtract(r[1:], r[:-1])
             np.divide(slope, np.subtract(seq[1:], seq[:-1]) * self.step_s, out=slope)
         if not np.isfinite(slope).all():
+            self._refits_skipped += 1
             logger.debug("refit at lags %s skipped: non-finite slope in window", self.lags)
             return
         per_lag = lag_moments(seq, r, slope, self.step_s, self.lags)
         for k, (_, _, m) in zip(self.lags, per_lag):
+            counts = self._lag_refits[k]
             try:
                 self._models[k] = _fit_moments(self.method, k * self.step_s, self.step_s, m)
+                counts[0] += 1
             except ValueError as exc:
-                logger.debug("refit at lag %d failed: %s: %s", k, type(exc).__name__, exc)
+                counts[1] += 1
+                counts[2] = type(exc).__name__
+                logger.debug("refit at lag %d failed: %s: %s", k, counts[2], exc)
                 self._models.pop(k, None)

@@ -205,39 +205,6 @@ def _slots(seq: np.ndarray, max_lag: int) -> np.ndarray:
     return slot
 
 
-def _lag_pairs(seq: np.ndarray, lags: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each k in ``lags``, the positions (i, j), i >= 1, with
-    ``seq[j] == seq[i] + k``, in ascending i, from one grid of ``_slots``.
-    Every anchor i has a slope (at ``slope[i - 1]``); only the first sample
-    has none.
-
-    The grid is sized for the largest lag or the seq span, whichever is
-    less: a lag longer than the span has no pairs, and costs no more grid
-    than one as long as the span.
-
-    All lags are paired before any is used, so the grid is freed before
-    the callers' per-lag arrays are allocated; on traces of tens of
-    thousands of samples that keeps the one-lag case as fast as a
-    dedicated pairing.
-    """
-    max_lag = min(max(lags), int(seq[-1] - seq[0]))
-    slot = _slots(seq, max_lag)
-    pos = np.full(int(slot[-1]) + max_lag + 1, -1, dtype=np.int64)
-    pos[slot] = np.arange(len(seq))
-    anchor_slots = slot[1:]
-    none = np.zeros(0, dtype=np.int64)
-    pairs = []
-    for k in lags:
-        if k > max_lag:
-            pairs.append((none, none))
-            continue
-        # pos[k:][s] is pos[s + k]: the sample k slots after each anchor.
-        j = pos[k:].take(anchor_slots)
-        i = (j >= 0).nonzero()[0]
-        pairs.append((i + 1, j[i]))
-    return pairs
-
-
 def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
     """Mean-removed, biased sample autocovariance over lags 0..max_lag.
 
@@ -319,7 +286,8 @@ def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
 def lag_moments(
     seq: np.ndarray, r: np.ndarray, slope: np.ndarray, step_s: float, lags: Sequence[int],
 ) -> list[tuple[np.ndarray, np.ndarray, MomentSet | ValueError]]:
-    """Every lag's fitting triples and five moments, from one pairing grid.
+    """Every lag's fitting triples and five moments, in one pass over all
+    of them.
 
     ``slope[i - 1]`` is the backward-difference slope at sample i (see
     ``derivative_series``); lag k spans k * step_s seconds. The means of all
@@ -327,14 +295,24 @@ def lag_moments(
     average centred products over its triples: the anchors i whose value,
     slope and value k ahead all exist.
 
-    Each lag gathers its centred anchor values, anchor slopes and targets
-    into one (6, n) product buffer, squares them and forms their three
-    cross products in place, and takes all six sums with one row-wise
-    reduce. Each row sums as the 1-D ``sum()`` of the same products would,
-    so every moment is that sum divided by n, as ``np.mean`` computes it.
-    The buffer is allocated once, for the lag with the most triples, and
-    every lag uses a C-ordered prefix of it: ``take`` gathers straight
-    into a C-ordered ``out``, but into any other view through a copy.
+    Pairing: a grid of ``_slots`` holds each sample's position. It is sized
+    for the largest lag or the seq span, whichever is less; a lag longer
+    than the span has no pairs, and is clipped to one slot past the span
+    before it is added to the slots, so no lag up to 2**63 - 1 can
+    overflow the addition or reach a sample. One ``take`` looks up the
+    sample k slots after every anchor for every lag, an (L, n - 1) target
+    matrix, and one ``nonzero`` of it gives every lag's pairs, lag after
+    lag, each in ascending anchor order.
+
+    Products: two ``take``s gather every lag's targets, centred anchor
+    values and anchor slopes into rows 0-2 of one (6, N) buffer, N the
+    triples of all the lags, and three multiplies form the cross products
+    and squares. Each lag's triples are one contiguous column range, and
+    one row-wise reduce over it sums each row as the 1-D ``sum()`` of the
+    same products would, so every moment is that sum divided by n, as
+    ``np.mean`` computes it, whichever other lags share the call. The
+    transient memory grows with the lags of a call, so a caller with many
+    lags of a long trace asks for one at a time (see ``_trace_moments``).
 
     Returns:
         One ``(i, j, moments)`` per lag, in the order of ``lags``: the
@@ -353,31 +331,54 @@ def lag_moments(
     np.subtract(r, mean_r, out=centred[0])
     np.subtract(slope, mean_rp, out=centred[1, 1:])
     centred[1, 0] = 0.0  # the first sample is never an anchor
-    values = centred[0]
-    pairs = _lag_pairs(seq, lags)
-    store = np.empty(6 * max(i.size for i, _ in pairs))
+
+    # Each sample's position on the grid, 0 on empty slots: sample 0 is
+    # never a target, so 0 marks no sample. Every anchor i >= 1 has a slope
+    # (at slope[i - 1]); only the first sample has none. A lag beyond
+    # max_lag is longer than the span, so no gap was narrowed, and max_lag
+    # + 1 slots past any anchor lies past the last sample.
+    max_lag = min(max(lags), int(seq[-1] - seq[0]))
+    slot = _slots(seq, max_lag)
+    pos = np.zeros(int(slot[-1]) + max_lag + 2, dtype=np.int64)
+    pos[slot] = np.arange(len(seq))
+    steps = np.array([min(k, max_lag + 1) for k in lags], dtype=np.int64)
+    # Row l of targets holds the sample lags[l] slots after each anchor.
+    targets = pos.take(np.add(steps[:, None], slot[1:]))
+    # Each grid is freed as soon as it is read: on a trace of tens of
+    # thousands of samples that keeps one lag's peak at the product buffer,
+    # and on a sparse trace at the grid.
+    del slot, pos
+    # The hits, as flat indices, run lag after lag and anchor after anchor;
+    # wrapped at the row width n - 1, each is its anchor's column.
+    hits = (targets > 0).ravel().nonzero()[0]
+    i_all = np.arange(1, len(seq)).take(hits, 0, None, "wrap")
+    j_all = targets.take(hits)
+    width = len(seq) - 1
+    bounds = hits.searchsorted([width * l for l in range(len(lags) + 1)]).tolist()
+    del targets, hits
+
+    buf = np.empty((6, j_all.size))
+    # Rows 0-2 gather the target y, anchor value x1 and anchor slope x2.
+    # Rows 3-5 take the cross products y x1, x1 x2 and y x2, then rows 0-2
+    # are squared in place (one view, so numpy sees no overlap to resolve).
+    # Same-shape operands: a broadcast would cost more than the arithmetic.
+    centred[0].take(j_all, 0, buf[0], "clip")
+    centred.take(i_all, 1, buf[1:3], "clip")
+    np.multiply(buf[0:2], buf[1:3], out=buf[3:5])
+    np.multiply(buf[0], buf[2], out=buf[5])
+    gathered = buf[:3]
+    np.multiply(gathered, gathered, out=gathered)
+
     out = []
-    for k, (i, j) in zip(lags, pairs):
+    for k, a, b in zip(lags, bounds, bounds[1:]):
+        n = b - a
         tau = float(k * step_s)
-        n = int(i.size)
         try:
             if n < _MIN_PAIRS:
                 raise InsufficientSupportError(
                     f"tau={tau}: only {n} contributing triples (need >= {_MIN_PAIRS})"
                 )
-            # Rows 0-2 gather the target y, anchor value x1 and anchor slope
-            # x2. Rows 3-5 take the cross products y x1, x1 x2 and y x2, then
-            # rows 0-2 are squared in place (one view, so numpy sees no
-            # overlap to resolve). Same-shape operands: a broadcast would
-            # cost more than the arithmetic.
-            buf = store[:6 * n].reshape(6, n)
-            values.take(j, 0, buf[0], "clip")
-            centred.take(i, 1, buf[1:3], "clip")
-            np.multiply(buf[0:2], buf[1:3], out=buf[3:5])
-            np.multiply(buf[0], buf[2], out=buf[5])
-            gathered = buf[:3]
-            np.multiply(gathered, gathered, out=gathered)
-            yy, xx, dd, yx, xd, yd = np.add.reduce(buf, axis=1).tolist()
+            yy, xx, dd, yx, xd, yd = np.add.reduce(buf[:, a:b], axis=1).tolist()
             rr0 = xx / n
             if rr0 <= 0:
                 raise DegenerateProcessError(
@@ -397,7 +398,7 @@ def lag_moments(
             })
         except ValueError as exc:
             moments = exc
-        out.append((i, j, moments))
+        out.append((i_all[a:b], j_all[a:b], moments))
     return out
 
 
@@ -405,9 +406,11 @@ def _trace_moments(
     trace: Trace, lags: Sequence[int],
 ) -> list[tuple[np.ndarray, np.ndarray, MomentSet | ValueError]]:
     """``lag_moments`` of the trace's own columns and slope for each of
-    ``lags``, memoised on the trace: one ``lag_moments`` call computes the
-    lags not held yet. A lag's triples and moments do not depend on which
-    other lags share the call, so every result is that of a fresh call.
+    ``lags``, memoised on the trace: each lag not held yet is computed by
+    its own one-lag ``lag_moments`` call, so the transient memory of a
+    request is that of one lag, however many it names. A lag's triples and
+    moments do not depend on which other lags share a call, so every
+    result is that of a fresh call.
 
     The memo holds read-only (i, j) arrays, and each failure without its
     traceback, so no memoised error keeps a frame alive; every request gets
@@ -417,9 +420,10 @@ def _trace_moments(
     held = trace._derived.setdefault("lags", {})
     missing = [k for k in dict.fromkeys(lags) if k not in held]
     if missing:
-        per_lag = lag_moments(trace.seq, trace.rssi, derivative_series(trace),
-                              trace.nominal_interval, missing)
-        for k, (i, j, m) in zip(missing, per_lag):
+        slope = derivative_series(trace)
+        for k in missing:
+            [(i, j, m)] = lag_moments(trace.seq, trace.rssi, slope,
+                                      trace.nominal_interval, [k])
             i.flags.writeable = j.flags.writeable = False
             if isinstance(m, ValueError):
                 m = m.with_traceback(None)

@@ -51,3 +51,23 @@ def test_loop_pass_checks_hold(workloads, tmp_path):
     checks = {**res.checks, **run_checks}
     assert all(checks.values()), checks
     assert res.failed == 0
+
+
+def test_traced_loop_sees_the_refits_fits(spans, workloads, tmp_path):
+    # The window's refits call the fits through rssikit.predictor's module
+    # names, so the traced run records each fit inside the observe that
+    # triggered it.
+    inp = workloads.build_inputs("atpc_orthonormal_swell_ge", SEED, tmp_path)
+    with spans.wrapped(spans.Tracer()) as tracer:
+        workloads.loop_pass(inp, PACKETS, tracer)
+    names = [s[0] for s in tracer.spans]
+
+    def under_observe(index):
+        while index >= 0:
+            if names[index] == "predictor.observe":
+                return True
+            index = tracer.spans[index][3]
+        return False
+
+    fits = [n for n, name in enumerate(names) if name == "predictor.fit"]
+    assert fits and all(under_observe(tracer.spans[n][3]) for n in fits)

@@ -678,6 +678,57 @@ class TestSlidingWindow:
         assert [r.getMessage() for r in caplog.records] == [
             "refit at lags (1,) skipped: non-finite slope in window"] * 2
 
+    def test_refit_counts_tell_every_refit_and_each_lags_outcome(self):
+        # Lag 1 fits on a noisy stream; lag 2000 outruns the window, so its
+        # fit fails on every refit for want of pairs.
+        sw = SlidingWindowPredictor("orthonormal", lags=(2000, 1), step_s=0.1)
+        assert sw.refit_counts == (0, 0, ((1, 0, 0, None), (2000, 0, 0, None)))
+        rng = np.random.default_rng(12)
+        seq = 0
+        with mock.patch.object(predictor, "lag_moments",
+                               wraps=predictor.lag_moments) as kernel:
+            for _ in range(1000):
+                seq += 1 + int(rng.integers(0, 3))
+                sw.observe(seq, -70.0 + rng.normal())
+        counts = sw.refit_counts
+        assert counts.refits == 1000 // 64 == kernel.call_count
+        assert counts.skipped == 0
+        assert counts.lags == (
+            predictor.LagRefits(lag=1, fitted=15, failed=0, last_failure=None),
+            predictor.LagRefits(lag=2000, fitted=0, failed=15,
+                                last_failure="InsufficientSupportError"))
+        # A snapshot: later refits leave it as it was, and it cannot be set.
+        for k in range(seq + 1, seq + 65):
+            sw.observe(k, -70.0 + rng.normal())
+        assert sw.refit_counts.refits == 16 and counts.refits == 15
+        with pytest.raises(AttributeError):
+            counts.refits = 0
+        with pytest.raises(AttributeError):
+            sw.refit_counts = counts
+
+    @mock.patch.object(predictor, "_REFIT_EVERY", 16)
+    def test_a_constant_window_counts_a_failure_per_refit(self):
+        sw = SlidingWindowPredictor("normal_eq", lags=(1, 2), step_s=0.1)
+        for k in range(112):
+            sw.observe(k, -70.0)
+        assert sw.refit_counts == (7, 0, (
+            (1, 0, 7, "DegenerateProcessError"), (2, 0, 7, "DegenerateProcessError")))
+
+    @mock.patch.object(predictor, "_REFIT_EVERY", 16)
+    def test_a_window_whose_slopes_overflow_counts_skips(self):
+        sw = SlidingWindowPredictor("orthonormal", lags=(1, 3), step_s=1e-310)
+        rng = np.random.default_rng(4)
+        for k in range(48):
+            sw.observe(k, -70.0 + rng.normal())
+        assert sw.refit_counts == (3, 3, ((1, 0, 0, None), (3, 0, 0, None)))
+
+    @pytest.mark.parametrize("method, lags", [("simplified", (1, 4)), ("orthonormal", ())])
+    def test_a_window_that_never_refits_counts_none(self, method, lags):
+        sw = SlidingWindowPredictor(method, lags=lags, step_s=0.1)
+        for k in range(200):
+            sw.observe(k, -70.0 + k % 7)
+        assert sw.refit_counts == (0, 0, tuple((k, 0, 0, None) for k in lags))
+
     @mock.patch.object(predictor, "_REFIT_EVERY", 16)
     def test_a_step_below_the_microsecond_serves_models(self, caplog):
         sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=1e-7)

@@ -277,8 +277,9 @@ class TestTraceMemo:
             evaluate(tr, "orthonormal", [3, 1, 2])
             evaluate(tr, "normal_eq", [1, 2, 3])
             fit_at_lag(tr, "simplified", 2)
-        assert [c.args[4] for c in kernel.call_args_list] == [[2], [1, 3]]
-        assert [c.args[2] is d for c in kernel.call_args_list] == [True, True]
+        # One kernel call per lag, each lag once, all on the trace's own slope.
+        assert [c.args[4] for c in kernel.call_args_list] == [[2], [1], [3]]
+        assert [c.args[2] is d for c in kernel.call_args_list] == [True, True, True]
 
     def test_repeated_failures_raise_with_a_traceback_of_constant_length(self):
         tr = make_trace(np.sin(np.arange(9)) - 70)
@@ -352,12 +353,16 @@ def kernel_inputs(draw):
     return seq, r, np.diff(r) / np.diff(derive_times(seq, 0.1))
 
 
-def assert_matches_reference_kernel(seq, r, slope, step_s, lags) -> None:
-    """Same pairs, the same MomentSet bit for bit, or the same error."""
+def assert_matches_reference_kernel(seq, r, slope, step_s, lags, reference_lags=None) -> None:
+    """Same pairs, the same MomentSet bit for bit, or the same error. The
+    reference is asked for ``reference_lags``, where given, in place of
+    ``lags``: each a stand-in with the same pairs, whose error names its
+    own tau."""
     got = stats.lag_moments(seq, r, slope, step_s, lags)
-    want = reference_lag_moments(seq, r, slope, step_s, lags)
+    reference_lags = lags if reference_lags is None else reference_lags
+    want = reference_lag_moments(seq, r, slope, step_s, reference_lags)
     assert len(got) == len(want) == len(lags)
-    for k, (i, j, m), (want_i, want_j, want_m) in zip(lags, got, want):
+    for k, want_k, (i, j, m), (want_i, want_j, want_m) in zip(lags, reference_lags, got, want):
         assert np.array_equal(i, want_i) and np.array_equal(j, want_j), k
         if isinstance(want_m, MomentSet):
             assert isinstance(m, MomentSet), (k, m)
@@ -366,7 +371,9 @@ def assert_matches_reference_kernel(seq, r, slope, step_s, lags) -> None:
                 # repr tells -0.0 from 0.0, which == does not.
                 assert a == b and repr(a) == repr(b), (k, f.name, a, b)
         else:
-            assert type(m) is type(want_m) and str(m) == str(want_m), (k, m, want_m)
+            message = str(want_m).replace(f"tau={float(want_k * step_s)}:",
+                                          f"tau={float(k * step_s)}:")
+            assert type(m) is type(want_m) and str(m) == message, (k, m, want_m)
 
 
 class TestKernelMatchesReference:
@@ -380,14 +387,24 @@ class TestKernelMatchesReference:
     @given(data=kernel_inputs(),
            lags=st.lists(st.integers(min_value=1, max_value=12), max_size=4, unique=True),
            offsets=st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=3,
-                            unique=True))
+                            unique=True),
+           huge=st.sampled_from([[], [2**63 - 1], [2**62, 2**63 - 1]]))
     @settings(max_examples=60, deadline=None)
-    def test_lags_about_the_seq_span(self, data, lags, offsets):
-        # The kernel sizes its grid by the span where a lag exceeds it; the
-        # reference sizes it by the largest lag.
+    @example(data=(np.array([5, 6, 8, 9, 12, 13, 14, 17, 18, 20]), np.arange(10.0) % 3 - 70,
+                   np.diff(np.arange(10.0) % 3) / 0.1),
+             lags=[3, 1], offsets=[-1, 0, 1, 3], huge=[2**63 - 1])
+    def test_lags_about_the_seq_span(self, data, lags, offsets, huge):
+        # One call mixes short lags, lags about the span and lags up to
+        # 2**63 - 1. The kernel sizes its grid by the span where a lag
+        # exceeds it, and clips such a lag to one slot past the span before
+        # adding it to the slots; the reference sizes its grid by the
+        # largest lag, so it answers for each huge lag at span + 4, which
+        # reaches no sample either.
         span = int(data[0][-1] - data[0][0])
-        lags = lags + [span + d for d in offsets if span + d >= 1 and span + d not in lags]
-        assert_matches_reference_kernel(*data, 0.1, lags)
+        about = [span + d for d in offsets if span + d >= 1 and span + d not in lags]
+        mixed = huge[:1] + lags + about + huge[1:]
+        stand_ins = [span + 4 if k in huge else k for k in mixed]
+        assert_matches_reference_kernel(*data, 0.1, mixed, stand_ins)
 
     def test_fifty_thousand_packets_under_burst_loss(self):
         radio = profile_by_name("cc2538")
@@ -460,6 +477,33 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+    def test_evaluate_pairs_its_lags_one_at_a_time(self):
+        # The trace memo asks the kernel for one lag per call, so evaluate
+        # at four lags peaks near its one-lag peak; what it adds is the
+        # pairs the memo keeps. A joint call would hold every lag's products
+        # at once.
+        radio = profile_by_name("cc2538")
+        trace = apply_loss(
+            generate_trace(swell_channel(seed=1003, base_path_loss_db=80.0), radio,
+                           tx_power_dbm=radio.max_tx_dbm, n_packets=20_000),
+            gilbert_elliott_loss(0.05, 0.25, seed=1004))
+
+        def peak_and_kept(lags):
+            fresh = Trace(seq=trace.seq, t=trace.t, rssi=trace.rssi,
+                          tx_power=trace.tx_power, nominal_interval=trace.nominal_interval)
+            tracemalloc.start()
+            try:
+                evaluate(fresh, "orthonormal", lags)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(i.nbytes + j.nbytes for i, j, _ in fresh._derived["lags"].values())
+            return peak, kept
+
+        one, _ = peak_and_kept([1])
+        four, kept = peak_and_kept([1, 2, 3, 4])
+        assert four <= 1.25 * one + kept, (one, four, kept)
 
     def test_a_lag_beyond_the_trace_costs_no_lag_sized_grid(self):
         tr = make_trace(np.random.default_rng(7).normal(-70, 3, size=2000))
