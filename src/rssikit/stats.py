@@ -344,17 +344,17 @@ def lag_moments(
     steps = np.array([min(k, max_lag + 1) for k in lags], dtype=np.int64)
     # Row l of targets holds the sample lags[l] slots after each anchor.
     targets = pos.take(np.add(steps[:, None], slot[1:]))
-    # Each grid is freed as soon as it is read: on a trace of tens of
-    # thousands of samples that keeps one lag's peak at the product buffer,
-    # and on a sparse trace at the grid.
+    # The grid, then the target matrix, is freed as soon as it is read, so
+    # a call peaks at the grid on a sparse trace and at the product buffer
+    # on a long one.
     del slot, pos
-    # The hits, as flat indices, run lag after lag and anchor after anchor;
-    # wrapped at the row width n - 1, each is its anchor's column.
+    # The hits, as flat indices, run lag after lag and anchor after anchor.
+    # Taken with wrap from arange(1, n), as long as a row, each gives its
+    # anchor.
     hits = (targets > 0).ravel().nonzero()[0]
     i_all = np.arange(1, len(seq)).take(hits, 0, None, "wrap")
     j_all = targets.take(hits)
-    width = len(seq) - 1
-    bounds = hits.searchsorted([width * l for l in range(len(lags) + 1)]).tolist()
+    bounds = hits.searchsorted([(len(seq) - 1) * l for l in range(len(lags) + 1)]).tolist()
     del targets, hits
 
     buf = np.empty((6, j_all.size))
