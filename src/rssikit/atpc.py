@@ -133,10 +133,16 @@ class AtpcController:
         return self._state.last_tx_dbm
 
     def on_ack(self, ack_rssi_dbm: float) -> float:
-        """Process a received ACK; returns the next transmit power."""
+        """Process a received ACK; returns the next transmit power.
+
+        The reading may be any real scalar, such as an int or a numpy
+        scalar of any precision. It is checked as given, so a str raises,
+        and then taken as a Python float once: every decision and every
+        snapshot field is computed on Python floats, whatever its type.
+        """
         if not math.isfinite(ack_rssi_dbm):
             raise ValueError("ack_rssi must be finite")
-        gain = ack_rssi_dbm - self._state.last_tx_dbm
+        gain = float(ack_rssi_dbm) - self._state.last_tx_dbm
         self._window.observe(self._tick, gain)
         self._tick += 1
         required = self._target - gain

@@ -357,11 +357,24 @@ def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
     return _fit_moments(method, k * step, step, m)
 
 
+def _as_float(value) -> float:
+    """``value``, any real scalar, as the Python float ``float`` makes of
+    it. Unlike ``float``, it parses no str: one raises TypeError."""
+    math.isfinite(value)  # raises TypeError for all but a real number
+    return float(value)
+
+
 def predict(model: PredictorModel, anchor_r: float, anchor_rp: float) -> Prediction:
     """Predict received power (dBm) tau past an anchor value (dBm) and slope
     (dB/s). ``steps_ahead`` is the model's horizon in steps (``_lag_steps``);
     a tau that is not a whole number >= 1 of its steps raises ValueError.
+
+    Each anchor may be any real scalar, such as an int or a numpy scalar of
+    any precision; it is taken as a Python float once, so the prediction
+    is computed in float64 whatever the anchors' types.
     """
+    if type(anchor_r) is not float or type(anchor_rp) is not float:
+        anchor_r, anchor_rp = _as_float(anchor_r), _as_float(anchor_rp)
     return _record(Prediction, {"value": float(model.apply(anchor_r, anchor_rp)),
                                 "mse": model.analytic_mse,
                                 "steps_ahead": _lag_steps(model.tau, model.step_s)})
@@ -551,15 +564,19 @@ class SlidingWindowPredictor:
     def observe(self, seq: int, value: float) -> None:
         """Record one observation; seq gaps mark missed feedback.
 
+        The value may be any real scalar; it is checked as given and
+        stored as the Python float ``float`` makes of it.
+
         Raises:
             ValueError: seq is not an integer, value is not finite, or seq
                 does not exceed the previous observation's.
+            TypeError: value is not a real number, such as a str.
         """
         if type(seq) is not int:
             seq = _as_int(seq, "observation seq")
-        value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"observation value must be finite, got {value}")
+        value = float(value)
         last = self._last
         if last is not None and seq <= last[0]:
             raise ValueError("observations must arrive in increasing seq order")

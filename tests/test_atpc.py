@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from hashlib import sha256
 from types import SimpleNamespace
@@ -259,15 +260,17 @@ COVERING_EVENTS = [-94.0] + gain_walk(7, 200) + [1, 2, 3, 4, -110.0, 3, -40.0, -
                                                  -80.0]
 
 
-def drive(config, events):
+def drive(config, events, reading=float):
     """Run the controller and the reference side by side over ``events``
     (gains of ACKed packets and missed runs); assert every returned power
-    and every snapshot field bit-equal; return the states seen."""
+    and every snapshot field bit-equal; return the states seen. The
+    controller gets each ACK reading as ``reading`` makes it, the reference
+    its ``float()``."""
     ctrl, ref = AtpcController(config), ReferenceAtpcController(config)
     seen = []
 
     def step(method, *args):
-        got, want = getattr(ctrl, method)(*args), getattr(ref, method)(*args)
+        got, want = getattr(ctrl, method)(*args), getattr(ref, method)(*map(float, args))
         assert bits(got) == bits(want), (method, args)
         assert [bits(v) for v in ctrl.state] == \
             [bits(getattr(ref.state, f)) for f in AtpcState._fields], (method, args)
@@ -280,7 +283,7 @@ def drive(config, events):
             for _ in range(event):
                 tx = step("on_missed_ack")
         else:
-            tx = step("on_ack", tx + event)
+            tx = step("on_ack", reading(tx + event))
     return seen
 
 
@@ -305,6 +308,20 @@ class TestMatchesReference:
         assert any(s.mode == "fallback" and s.consecutive_missed == 3 for s in seen)
         assert any(s.last_tx_dbm == RADIO.min_tx_dbm for s in seen)
         assert any(s.headroom_insufficient for s in seen)
+
+    # A reading of any real type is taken as its float: its type moves no
+    # decision, and no numpy scalar reaches the snapshot (radios report RSSI
+    # as integers; a float32 reading kept in float32 moved most powers).
+    @pytest.mark.parametrize("reading", [np.float16, np.float32, np.float64,
+                                         lambda x: np.int8(round(x))],
+                             ids=["float16", "float32", "float64", "int8"])
+    @pytest.mark.parametrize("method", CONTROLLER_METHODS)
+    def test_a_reading_of_any_numpy_type_is_taken_as_its_float(self, method, reading):
+        seen = drive(make_config(max_missed_acks=3, predictor_method=method),
+                     COVERING_EVENTS + gain_walk(11, 300), reading)
+        for state in seen:
+            assert {type(v) for v in state} <= {float, int, bool, str, type(None)}, state
+            json.dumps(state._asdict())
 
     # A required power equal to a limit but of the other zero's sign: max
     # and min keep their first argument on a tie, so the clamp returns the
@@ -549,3 +566,19 @@ def test_a_non_finite_ack_is_refused(ack_rssi):
     with pytest.raises(ValueError, match="ack_rssi must be finite"):
         ctrl.on_ack(ack_rssi)
     assert ctrl.state is before
+
+
+@pytest.mark.parametrize("ack_rssi", ["-80.0", " -80 ", None])
+def test_an_ack_that_is_not_a_number_is_refused(ack_rssi):
+    # Taking the reading as a float must not start parsing numeric strings.
+    ctrl = AtpcController(make_config())
+    before = ctrl.state
+    with pytest.raises(TypeError, match="must be real number"):
+        ctrl.on_ack(ack_rssi)
+    assert ctrl.state is before
+
+
+def test_an_integer_ack_is_its_float():
+    by_int, by_float = AtpcController(make_config()), AtpcController(make_config())
+    assert bits(by_int.on_ack(-80)) == bits(by_float.on_ack(-80.0))
+    assert [bits(v) for v in by_int.state] == [bits(v) for v in by_float.state]

@@ -299,6 +299,27 @@ class TestPredict:
         assert p.mse == model.analytic_mse
         assert p.value == float(model.apply(-65.0, 1.0))
 
+    @pytest.mark.parametrize("scalar", [np.float16, np.float32, np.float64, int])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_anchors_of_any_real_type_predict_as_their_floats(self, ar2_trace, method,
+                                                              scalar):
+        # Computed in float32, the orthonormal lag-1 value at the float32
+        # anchors (-80.13, 0.37) would be -75.95686340332031, not the
+        # -75.95686554487457 that their floats give.
+        model = fit_at_lag(ar2_trace, method, 1)
+        for r, rp in [(-80.13, 0.37), (-65.0, -4.0), (-101.7, 12.25)]:
+            r, rp = scalar(r), scalar(rp)
+            got, want = predict(model, r, rp), predict(model, float(r), float(rp))
+            assert type(got.value) is float
+            assert got.value.hex() == want.value.hex()
+            assert (got.mse, got.steps_ahead) == (want.mse, want.steps_ahead)
+
+    @pytest.mark.parametrize("anchors", [("-70.0", 1.0), (-70.0, "1.0"), (b"-70", 1.0),
+                                         (None, 1.0)])
+    def test_an_anchor_that_is_not_a_number_is_refused(self, anchors):
+        with pytest.raises(TypeError):
+            predict(fit_simplified(0.1), *anchors)
+
 
 class TestAnalyticMse:
     def test_white_noise_mse_is_variance(self):
@@ -629,6 +650,26 @@ class TestSlidingWindow:
         assert sw.anchor() is None
         sw.observe(1, -71.0)
         assert sw.anchor() == (-71.0, pytest.approx(-10.0))
+
+    @pytest.mark.parametrize("value", ["-71.5", " 2.5 ", b"1", None])
+    def test_rejects_a_value_that_is_not_a_number(self, value):
+        # float() would parse a numeric str; the value is checked as given.
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
+        sw.observe(0, -70.0)
+        with pytest.raises(TypeError):
+            sw.observe(1, value)
+        assert sw.anchor() is None
+
+    @pytest.mark.parametrize("scalar", [np.float16, np.float32, np.float64, np.int8, int])
+    def test_stores_a_real_scalar_as_its_exact_float(self, scalar):
+        sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
+        values = [scalar(v) for v in (-70.3, -71.7)]
+        for seq, value in enumerate(values):
+            sw.observe(seq, value)
+        level, slope = sw.anchor()
+        assert type(level) is float and level.hex() == float(values[1]).hex()
+        assert type(slope) is float
+        assert slope.hex() == ((float(values[1]) - float(values[0])) / 0.1).hex()
 
     @pytest.mark.parametrize("seq", [1.9, 2.0, np.float64(1.0), "1", None])
     def test_rejects_a_seq_that_is_not_an_integer(self, seq):
