@@ -56,10 +56,12 @@ class AtpcConfig:
         margin_db: Headroom above the threshold the loop aims for.
         max_missed_acks: Consecutive losses tolerated before falling back
             to maximum power.
-        predictor_method: orthonormal (statistical, refit every 64 ACKs
-            from a 512-observation sliding window once 64 have arrived) or
-            simplified (pure slope extrapolation). Either way the missed-ACK
-            run n is bridged by the model fitted for n steps.
+        predictor_method: orthonormal (statistical: a refit of a
+            512-observation sliding window starts at every 64th ACK and
+            completes over the next 8 ACKs, or at once when a missed ACK
+            asks for a model) or simplified (pure slope extrapolation).
+            Either way the missed-ACK run n is bridged by the model fitted
+            for n steps.
     """
 
     radio: RadioProfile
@@ -110,12 +112,15 @@ class AtpcController:
     def __init__(self, config: AtpcConfig):
         self.config = config
         radio = config.radio
-        self._min_tx = radio.min_tx_dbm
-        self._max_tx = radio.max_tx_dbm
+        # The power limits and the target are taken as Python floats once,
+        # as each reading is, so a numpy scalar in the config (of any
+        # precision) moves no decision and never reaches a snapshot.
+        self._min_tx = float(radio.min_tx_dbm)
+        self._max_tx = float(radio.max_tx_dbm)
         self._max_missed = config.max_missed_acks
         # thr + margin - gain evaluates as (thr + margin) - gain, so the
         # sum is resolved once without changing a bit.
-        self._target = config.threshold_dbm + config.margin_db
+        self._target = float(config.threshold_dbm) + float(config.margin_db)
         self._state = AtpcState(self._max_tx)
         # Prediction horizons 1..max_missed-1; at max_missed the controller
         # stops predicting and falls back. With max_missed 1 there are none.

@@ -35,10 +35,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stats import MomentSet, _as_int, _lag_steps, _record, lag_moments, moment_set
+from .stats import (
+    MomentSet,
+    _as_int,
+    _halfway,
+    _lag_steps,
+    _record,
+    lag_moment_stages,
+    moment_set,
+)
 # The benchmark's traced run wraps Trace, derivative_series and moment_set
 # here, the names fit_at_lag calls; the window's refits go through
-# lag_moments and the fits (fit_orthonormal), which it wraps too. The
+# lag_moment_stages and the fits (fit_orthonormal), which it wraps too. The
 # imports stay for that run: tests/test_bench_api.py resolves each name.
 from .trace import Trace, derivative_series
 
@@ -524,12 +532,22 @@ class SlidingWindowPredictor:
     models are immutable snapshots that readers may hold freely. The window
     is two machine arrays (int64 seq and float64 value) that hold the
     observations oldest first: each observation is appended, and a refit
-    comes whenever their length is a multiple of 64. A refit reads the
-    latest 512, keeps the newest 448 for the next one and drops the rest.
-    It takes each slope by ``anchor``'s rule, the value difference over
-    Δseq·step_s, and every lag's moments from one ``lag_moments`` call. The
-    latest two observations are also kept as Python numbers, for the order
-    check and ``anchor``.
+    starts whenever their length is a multiple of 64, its refit point. The
+    refit point copies the latest 512, keeps the newest 448 for the next
+    refit and drops the rest, and takes each slope by ``anchor``'s rule,
+    the value difference over Δseq·step_s. The refit then completes over
+    the next 8 observations, one stage in each: six stages of
+    ``lag_moment_stages`` give every lag's moments, and two fit half the
+    lags each, the second swapping in the new models. As 8 < 64, no
+    ``observe`` runs more than one stage, or a stage and a refit point.
+    ``model_for`` and ``refit_counts`` first finish a refit in progress, as
+    a refit point would, so every model served and every count read is the
+    one a refit run whole at its refit point would give. While a refit is in
+    progress the window also holds its copies and the kernel's arrays:
+    with 4 lags of 512 observations (about 2,000 triples), 11-53 KB on top
+    of the window's 8 KB, and about 115 KB in the two observations between
+    gathering the products and summing them. The latest two observations
+    are also kept as Python numbers, for the order check and ``anchor``.
 
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
@@ -555,6 +573,11 @@ class SlidingWindowPredictor:
         self._before_last: tuple[int, float] | None = None
         self._models: dict[int, PredictorModel] = {}
         self._refits_run = self._refits_skipped = 0
+        # The refit in progress (the generator of its stages) or None, and
+        # the window length at which observe next has work: 0 at first, so
+        # the first observation finds the first refit point.
+        self._pending = None
+        self._due = 0
         # Per lag: [fitted, failed, class name of the latest failure].
         self._lag_refits = {k: [0, 0, None] for k in self.lags}
         if method == METHOD_SIMPLIFIED:
@@ -584,8 +607,8 @@ class SlidingWindowPredictor:
         if self._refits:
             self._seq.append(seq)
             self._value.append(value)
-            if len(self._seq) % _REFIT_EVERY == 0:
-                self._refit()
+            if len(self._seq) >= self._due:
+                self._work()
 
     def anchor(self) -> tuple[float, float] | None:
         """Latest (value, slope) anchor, or None with < 2 observations."""
@@ -595,32 +618,74 @@ class SlidingWindowPredictor:
         return v1, (v1 - v0) / ((s1 - s0) * self.step_s)
 
     def model_for(self, n_steps: int) -> PredictorModel | None:
-        """Model able to predict n_steps ahead, or None if unavailable.
+        """Model able to predict n_steps ahead, or None if unavailable. A
+        refit in progress is finished first.
 
         Raises:
             ValueError: n_steps is not an integer.
         """
+        if self._pending is not None:
+            self._finish()
         return self._models.get(_as_int(n_steps, "n_steps"))
 
     @property
     def refit_counts(self) -> RefitCounts:
-        """How the window's refits have gone so far (see ``RefitCounts``)."""
+        """How the window's refits have gone so far (see ``RefitCounts``).
+        A refit in progress is finished first."""
+        self._finish()
         return RefitCounts(self._refits_run, self._refits_skipped, tuple(
             LagRefits(k, *self._lag_refits[k]) for k in self.lags))
 
-    def _refit(self) -> None:
-        """Refit every lag from the window, oldest first.
+    def _work(self) -> None:
+        """The window's work at this observation, then the length at which
+        ``observe`` calls again (``_due``): the next observation while a
+        refit is in progress, else the next refit point. A call that raises
+        leaves ``_due`` where it was, so the next observation calls again.
+
+        At a refit point, every _REFIT_EVERY observations, the refit in
+        progress is finished and a new one starts, even if finishing the
+        old one raises. Between refit points, one stage of the refit in
+        progress runs.
+        """
+        if len(self._seq) % _REFIT_EVERY:
+            if self._pending is not None:
+                self._stage()
+        else:
+            try:
+                self._finish()
+            finally:
+                self._start_refit()
+        n = len(self._seq)
+        self._due = n + 1 if self._pending is not None else \
+            (n // _REFIT_EVERY + 1) * _REFIT_EVERY
+
+    def _stage(self) -> None:
+        """Run the next stage of the refit in progress. After its last
+        stage the refit is over; so it is after a stage that raises, which
+        abandons it and leaves the models as they were."""
+        pending, self._pending = self._pending, None
+        try:
+            next(pending)
+        except StopIteration:
+            return
+        self._pending = pending
+
+    def _finish(self) -> None:
+        """Run what is left of the refit in progress, if any."""
+        while self._pending is not None:
+            self._stage()
+
+    def _start_refit(self) -> None:
+        """The refit point: start a refit of every lag on the window.
 
         The window is copied, and all but its newest whole refit periods
         that leave room for one more are dropped before anything is
         computed. So its length stays a multiple of _REFIT_EVERY, and it
-        never holds more than _WINDOW, even after a refit that raises. Each
-        slope is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) *
+        never holds more than _WINDOW, even if a stage of the refit raises.
+        Each slope is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) *
         step_s), so a refit fits on the slopes that prediction serves; a
-        window with a slope that overflows is skipped. One ``lag_moments``
-        call serves every lag, and each lag's model replaces the last or,
-        where its fit fails, is dropped. Each outcome is counted for
-        ``refit_counts``.
+        window with a slope that overflows is skipped. What is left runs in
+        stages (``_refit_stages``), on the copies.
         """
         self._refits_run += 1
         seq, r = np.array(self._seq), np.array(self._value)
@@ -633,14 +698,31 @@ class SlidingWindowPredictor:
             self._refits_skipped += 1
             logger.debug("refit at lags %s skipped: non-finite slope in window", self.lags)
             return
-        per_lag = lag_moments(seq, r, slope, self.step_s, self.lags)
-        for k, (_, _, m) in zip(self.lags, per_lag):
-            counts = self._lag_refits[k]
+        self._pending = self._refit_stages(
+            lag_moment_stages(seq, r, slope, self.step_s, self.lags))
+
+    def _refit_stages(self, moment_stages):
+        """The stages of a refit after its refit point: the six of
+        ``moment_stages``, the kernel's generator over the window's copies,
+        then two that fit half the lags each; the second ends with the model
+        swap. Each lag's model replaces the last or, where its fit fails, is
+        dropped, and each outcome is counted for ``refit_counts``, all at
+        the swap: an abandoned refit changes neither."""
+        moments = [m for _, _, m in (yield from moment_stages)]
+        models, failures = {}, []
+        halfway = _halfway(self.lags)
+        for l, (k, m) in enumerate(zip(self.lags, moments)):
+            if l in (0, halfway):
+                yield
             try:
-                self._models[k] = _fit_moments(self.method, k * self.step_s, self.step_s, m)
-                counts[0] += 1
+                models[k] = _fit_moments(self.method, k * self.step_s, self.step_s, m)
             except ValueError as exc:
-                counts[1] += 1
-                counts[2] = type(exc).__name__
-                logger.debug("refit at lag %d failed: %s: %s", k, counts[2], exc)
-                self._models.pop(k, None)
+                failures.append((k, exc))
+        self._models = models
+        for k in models:
+            self._lag_refits[k][0] += 1
+        for k, exc in failures:
+            counts = self._lag_refits[k]
+            counts[1] += 1
+            counts[2] = type(exc).__name__
+            logger.debug("refit at lag %d failed: %s: %s", k, counts[2], exc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +190,12 @@ class IdentityCheck:
     low_confidence: bool
 
 
+def _halfway(lags: Sequence[int]) -> int:
+    """The index at which a staged loop over ``lags`` pauses once: after
+    the first half, rounded up, so a single lag runs without a pause."""
+    return (len(lags) + 1) // 2
+
+
 def _slots(seq: np.ndarray, max_lag: int) -> np.ndarray:
     """Each sample's slot on the pairing grid: the one rule for which samples
     a lag joins across lost packets. Slots advance with seq, except that
@@ -314,6 +320,10 @@ def lag_moments(
     transient memory grows with the lags of a call, so a caller with many
     lags of a long trace asks for one at a time (see ``_trace_moments``).
 
+    The work is ``lag_moment_stages``, run to completion here: a caller
+    that cannot afford it in one go, such as the sliding window, runs the
+    same stages one at a time, with the same bits.
+
     Returns:
         One ``(i, j, moments)`` per lag, in the order of ``lags``: the
         anchor positions i and target positions j, with
@@ -321,6 +331,27 @@ def lag_moments(
         ``ValueError`` that takes its place: ``InsufficientSupportError``
         for fewer than ``_MIN_PAIRS`` triples, ``DegenerateProcessError``
         for zero variance over them.
+    """
+    stages = lag_moment_stages(seq, r, slope, step_s, lags)
+    try:
+        while True:
+            next(stages)
+    except StopIteration as done:
+        return done.value
+
+
+def lag_moment_stages(
+    seq: np.ndarray, r: np.ndarray, slope: np.ndarray, step_s: float, lags: Sequence[int],
+) -> Generator[None, None, list[tuple[np.ndarray, np.ndarray, MomentSet | ValueError]]]:
+    """``lag_moments`` as a generator of six stages: it yields after
+    centring the values and slopes and placing the samples on slots, after
+    the position grid and target matrix, after the pairs, after gathering
+    the products, and halfway through the lags' sums (``_halfway``), and
+    returns the per-lag list after the rest. Each ``next`` runs one stage;
+    the arrays a later stage needs are held in the generator between them.
+    An argument is read when a stage needs it, and none is written, so a
+    caller that spreads the stages over time passes arrays it will not
+    change meanwhile.
     """
     # np.mean's own arithmetic, without its Python-level wrapper.
     mean_r = float(np.add.reduce(r)) / r.size
@@ -339,6 +370,7 @@ def lag_moments(
     # + 1 slots past any anchor lies past the last sample.
     max_lag = min(max(lags), int(seq[-1] - seq[0]))
     slot = _slots(seq, max_lag)
+    yield
     pos = np.zeros(int(slot[-1]) + max_lag + 2, dtype=np.int64)
     pos[slot] = np.arange(len(seq))
     steps = np.array([min(k, max_lag + 1) for k in lags], dtype=np.int64)
@@ -348,6 +380,7 @@ def lag_moments(
     # a call peaks at the grid on a sparse trace and at the product buffer
     # on a long one.
     del slot, pos
+    yield
     # The hits, as flat indices, run lag after lag and anchor after anchor.
     # Taken with wrap from arange(1, n), as long as a row, each gives its
     # anchor.
@@ -356,6 +389,7 @@ def lag_moments(
     j_all = targets.take(hits)
     bounds = hits.searchsorted([(len(seq) - 1) * l for l in range(len(lags) + 1)]).tolist()
     del targets, hits
+    yield
 
     buf = np.empty((6, j_all.size))
     # Rows 0-2 gather the target y, anchor value x1 and anchor slope x2.
@@ -368,9 +402,14 @@ def lag_moments(
     np.multiply(buf[0], buf[2], out=buf[5])
     gathered = buf[:3]
     np.multiply(gathered, gathered, out=gathered)
+    del centred
+    yield
 
     out = []
-    for k, a, b in zip(lags, bounds, bounds[1:]):
+    halfway = _halfway(lags)
+    for l, (k, a, b) in enumerate(zip(lags, bounds, bounds[1:])):
+        if l == halfway:
+            yield
         n = b - a
         tau = float(k * step_s)
         try:

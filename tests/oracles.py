@@ -2,11 +2,13 @@
 
 Everything here is deliberately written with plain Python loops and dicts,
 not numpy vectorization, so it shares no code path with the implementations
-it verifies. Two references are exceptions. The reference controller shares
+it verifies. Three references are exceptions. The reference controller shares
 the sliding window and ``predict``, and checks only the controller's event
 logic. ``reference_lag_moments`` is the moment kernel as first vectorised,
 one gather and one sum per moment, which the fused kernel must match bit for
-bit.
+bit. ``EagerWindow`` is the sliding window that runs each refit whole at its
+refit point, on the window's own kernel and fits, which the staged refits
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ import numpy as np
 
 from rssikit import AtpcConfig, ChannelModel, IngestError, LossModel, RadioProfile, Trace
 from rssikit.atpc import MODE_FALLBACK, MODE_TRACKING, LoopResult
-from rssikit.predictor import SlidingWindowPredictor, predict
+from rssikit import predictor
+from rssikit.predictor import SlidingWindowPredictor, _fit_moments, predict
 from rssikit.stats import (
     _MIN_PAIRS,
     DegenerateProcessError,
     InsufficientSupportError,
     MomentSet,
+    lag_moments,
 )
 from rssikit.trace import RSSI_MAX_DBM, RSSI_MIN_DBM
 
@@ -470,3 +474,45 @@ class ReferenceAtpcController:
             predicted_dbm=predicted_gain + prev.last_tx_dbm,
         )
         return next_tx
+
+
+class EagerWindow(SlidingWindowPredictor):
+    """The sliding window with each refit run whole, in the observe at its
+    refit point (every ``_REFIT_EVERY`` observations): the window's refit
+    before it was split into stages. Models and counts change only there,
+    so a staged window that finishes its refit before serving must serve
+    what this one does."""
+
+    def _work(self) -> None:
+        every = predictor._REFIT_EVERY
+        if len(self._seq) % every == 0:
+            self._refit()
+        self._due = (len(self._seq) // every + 1) * every
+
+    def _refit(self) -> None:
+        """Copy the window, keep its newest whole refit periods that leave
+        room for one more, take each slope by ``anchor``'s rule (skipping a
+        window with a non-finite one), then fit every lag from one
+        ``lag_moments`` call: each lag's model replaces the last or, where
+        its fit fails, is dropped."""
+        self._refits_run += 1
+        seq, r = np.array(self._seq), np.array(self._value)
+        every = predictor._REFIT_EVERY
+        drop = max(seq.size - (predictor._WINDOW // every - 1) * every, 0)
+        del self._seq[:drop], self._value[:drop]
+        with np.errstate(all="ignore"):
+            slope = np.subtract(r[1:], r[:-1])
+            np.divide(slope, np.subtract(seq[1:], seq[:-1]) * self.step_s, out=slope)
+        if not np.isfinite(slope).all():
+            self._refits_skipped += 1
+            return
+        per_lag = lag_moments(seq, r, slope, self.step_s, self.lags)
+        for k, (_, _, m) in zip(self.lags, per_lag):
+            counts = self._lag_refits[k]
+            try:
+                self._models[k] = _fit_moments(self.method, k * self.step_s, self.step_s, m)
+                counts[0] += 1
+            except ValueError as exc:
+                counts[1] += 1
+                counts[2] = type(exc).__name__
+                self._models.pop(k, None)

@@ -260,13 +260,15 @@ COVERING_EVENTS = [-94.0] + gain_walk(7, 200) + [1, 2, 3, 4, -110.0, 3, -40.0, -
                                                  -80.0]
 
 
-def drive(config, events, reading=float):
+def drive(config, events, reading=float, reference_config=None):
     """Run the controller and the reference side by side over ``events``
     (gains of ACKed packets and missed runs); assert every returned power
     and every snapshot field bit-equal; return the states seen. The
     controller gets each ACK reading as ``reading`` makes it, the reference
-    its ``float()``."""
-    ctrl, ref = AtpcController(config), ReferenceAtpcController(config)
+    its ``float()``; the reference runs on ``reference_config`` where one
+    is given."""
+    ctrl = AtpcController(config)
+    ref = ReferenceAtpcController(reference_config or config)
     seen = []
 
     def step(method, *args):
@@ -319,6 +321,30 @@ class TestMatchesReference:
     def test_a_reading_of_any_numpy_type_is_taken_as_its_float(self, method, reading):
         seen = drive(make_config(max_missed_acks=3, predictor_method=method),
                      COVERING_EVENTS + gain_walk(11, 300), reading)
+        for state in seen:
+            assert {type(v) for v in state} <= {float, int, bool, str, type(None)}, state
+            json.dumps(state._asdict())
+
+    # A numpy scalar in the config is taken as its float too: the controller
+    # whose limits, threshold and margin are numpy scalars decides as the
+    # reference does on the float() of each (at the parent, a float32 or
+    # float16 field kept every decision in its precision).
+    @pytest.mark.parametrize("scalar", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("method", CONTROLLER_METHODS)
+    def test_config_fields_of_any_numpy_type_are_taken_as_their_floats(self, method,
+                                                                        scalar):
+        def config(as_type):
+            radio = dataclasses.replace(RADIO, min_tx_dbm=as_type(scalar(-24.3)),
+                                        max_tx_dbm=as_type(scalar(7.0)))
+            return make_config(radio=radio, threshold_dbm=as_type(scalar(-90.3)),
+                               margin_db=as_type(scalar(3.3)), max_missed_acks=3,
+                               predictor_method=method)
+
+        numpy_config, float_config = config(lambda v: v), config(float)
+        assert type(numpy_config.margin_db) is scalar
+        seen = drive(numpy_config, COVERING_EVENTS + gain_walk(11, 300),
+                     reference_config=float_config)
+        assert bits(AtpcController(numpy_config).current_tx_dbm) == bits(7.0)
         for state in seen:
             assert {type(v) for v in state} <= {float, int, bool, str, type(None)}, state
             json.dumps(state._asdict())

@@ -45,6 +45,7 @@ from rssikit.stats import _record
 
 from conftest import make_trace
 from oracles import (
+    EagerWindow,
     empirical_mse,
     grid_search_best,
     mse_quadratic,
@@ -607,10 +608,10 @@ class TestSlidingWindow:
     @pytest.mark.parametrize("method, lags", [("simplified", (1, 4)), ("orthonormal", ())])
     def test_a_window_that_never_refits_writes_no_ring(self, method, lags):
         sw = SlidingWindowPredictor(method, lags=lags, step_s=0.1)
-        with mock.patch.object(sw, "_refit") as refit:
+        with mock.patch.object(sw, "_work") as work:
             for k in range(600):
                 sw.observe(3 * k, -70.0 + k % 7)
-        refit.assert_not_called()
+        work.assert_not_called()
         assert len(sw._seq) == len(sw._value) == 0
         assert sw.anchor() == (-70.0 + 599 % 7, pytest.approx(10.0 / 3))
 
@@ -625,10 +626,11 @@ class TestSlidingWindow:
     def test_refit_failures_are_logged(self, caplog):
         sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
         with caplog.at_level(logging.DEBUG, logger="rssikit.predictor"):
-            # Refits at observations 16, 32, ..., 112.
+            # Refits at observations 16, 32, ..., 112; model_for finishes
+            # the last.
             for k in range(112):
                 sw.observe(k, -70.0)
-        assert sw.model_for(1) is None
+            assert sw.model_for(1) is None
         failures = [r.getMessage() for r in caplog.records]
         assert len(failures) == 7
         assert all(m.startswith("refit at lag 1 failed: DegenerateProcessError: ")
@@ -726,8 +728,8 @@ class TestSlidingWindow:
         assert sw.refit_counts == (0, 0, ((1, 0, 0, None), (2000, 0, 0, None)))
         rng = np.random.default_rng(12)
         seq = 0
-        with mock.patch.object(predictor, "lag_moments",
-                               wraps=predictor.lag_moments) as kernel:
+        with mock.patch.object(predictor, "lag_moment_stages",
+                               wraps=predictor.lag_moment_stages) as kernel:
             for _ in range(1000):
                 seq += 1 + int(rng.integers(0, 3))
                 sw.observe(seq, -70.0 + rng.normal())
@@ -787,19 +789,20 @@ class TestSlidingWindow:
 
     @pytest.mark.parametrize("step_s", [0.1, 1e-3])
     def test_anchor_slope_is_the_newest_slope_of_the_last_refit(self, step_s):
-        # Every refit's slopes reach lag_moments; the newest is the slope at
-        # the observation that triggered the refit, which anchor() serves.
+        # Every refit's slopes reach its moment stages; the newest is the
+        # slope at the observation that started the refit, which anchor()
+        # serves.
         slopes = []
 
         def recording(seq, r, slope, step, lags):
             slopes.append(slope.copy())
-            return lag_moments(seq, r, slope, step, lags)
+            return lag_moment_stages(seq, r, slope, step, lags)
 
-        lag_moments = predictor.lag_moments
+        lag_moment_stages = predictor.lag_moment_stages
         sw = SlidingWindowPredictor("orthonormal", lags=(1, 3), step_s=step_s)
         rng = np.random.default_rng(6)
         seq, x = 10**9, 0.0
-        with mock.patch.object(predictor, "lag_moments", recording):
+        with mock.patch.object(predictor, "lag_moment_stages", recording):
             for count in range(1, 1601):
                 seq += 1 + int(rng.integers(0, 4)) * (rng.random() < 0.3)
                 x = 0.95 * x + rng.normal()
@@ -818,15 +821,16 @@ class TestSlidingWindow:
 
 
 def recording_lag_moments(calls: list, fail_at: int | None = None):
-    """``lag_moments`` that records the seqs and values of each call, and
-    raises MemoryError on call number ``fail_at`` (counting from 1)."""
-    lag_moments = predictor.lag_moments
+    """``lag_moment_stages``, which a refit point calls, recording the seqs
+    and values of each call, and raising MemoryError on call number
+    ``fail_at`` (counting from 1)."""
+    lag_moment_stages = predictor.lag_moment_stages
 
     def recording(seq, r, slope, step, lags):
         calls.append((seq.tolist(), r.tolist()))
         if len(calls) == fail_at:
             raise MemoryError("refit failed")
-        return lag_moments(seq, r, slope, step, lags)
+        return lag_moment_stages(seq, r, slope, step, lags)
 
     return recording
 
@@ -851,7 +855,7 @@ class TestWindowHoldsTheNewestObservations:
         values = (-70.0 + rng.normal(size=n)).tolist()
         calls = []
         sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=0.1)
-        with mock.patch.object(predictor, "lag_moments", recording_lag_moments(calls)), \
+        with mock.patch.object(predictor, "lag_moment_stages", recording_lag_moments(calls)), \
                 mock.patch.object(predictor, "_WINDOW", size), \
                 mock.patch.object(predictor, "_REFIT_EVERY", every):
             for count, (s, v) in enumerate(zip(seqs, values), start=1):
@@ -869,7 +873,7 @@ class TestWindowHoldsTheNewestObservations:
         calls = []
         sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
         # The ninth refit, at observation 576, raises.
-        with mock.patch.object(predictor, "lag_moments", recording_lag_moments(calls, 9)):
+        with mock.patch.object(predictor, "lag_moment_stages", recording_lag_moments(calls, 9)):
             for count, (s, v) in enumerate(zip(seqs, values), start=1):
                 if count == 576:
                     with pytest.raises(MemoryError):
@@ -1000,6 +1004,215 @@ class TestWindowIsBatchBitForBit:
                                  fit_simplified(k * step, m), (count, k))
                 fitted += 1
         assert fitted >= 4 * len(lags)
+
+
+def assert_same_model(a, b, where) -> None:
+    """Both None, or equal models bit for bit (``assert_bit_equal``)."""
+    assert (a is None) == (b is None), where
+    if a is not None:
+        assert_bit_equal(a, b, where)
+
+
+class TestStagedRefitsServeTheEagerModels:
+    # (_WINDOW, _REFIT_EVERY): the shipped window, and windows short enough
+    # that a refit point comes while the last refit has stages left, which
+    # it finishes first: at (47, 8) the last of its 8, at (12, 4) five.
+    @given(stream=observation_streams(),
+           method=st.sampled_from(["normal_eq", "orthonormal"]),
+           lags=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+           window=st.sampled_from([(512, 64), (47, 8), (16, 16), (12, 4)]),
+           density=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_model_and_count_served_is_the_eager_windows(self, stream, method, lags,
+                                                               window, density, seed):
+        # After random observations, mid-refit included, ask both windows
+        # for a model (of a lag or not), the counts or the anchor.
+        seqs, values = stream
+        size, every = window
+        rng = np.random.default_rng(seed)
+        asks = np.where(rng.random(len(seqs)) < density, rng.integers(1, 4, len(seqs)), 0)
+        horizons = rng.integers(1, 8, len(seqs))
+        with mock.patch.object(predictor, "_WINDOW", size), \
+                mock.patch.object(predictor, "_REFIT_EVERY", every):
+            staged = SlidingWindowPredictor(method, tuple(lags), 0.1)
+            eager = EagerWindow(method, tuple(lags), 0.1)
+            for count, (s, v, ask, n) in enumerate(
+                    zip(seqs, values, asks.tolist(), horizons.tolist()), start=1):
+                staged.observe(s, v)
+                eager.observe(s, v)
+                if ask == 1:
+                    assert_same_model(staged.model_for(n), eager.model_for(n), (count, n))
+                elif ask == 2:
+                    assert staged.refit_counts == eager.refit_counts, count
+                elif ask == 3:
+                    assert staged.anchor() == eager.anchor(), count
+            for n in range(1, 8):
+                assert_same_model(staged.model_for(n), eager.model_for(n), n)
+            assert staged.refit_counts == eager.refit_counts
+
+
+# The stages a refit runs after its refit point, as SlidingWindowPredictor's
+# docstring states them: six of the moments, then the fits in two halves.
+REFIT_STAGES = 8
+
+
+class StageLog:
+    """Wraps ``SlidingWindowPredictor._refit_stages`` to log, against
+    ``count``, the observations so far: ("start", count) at a refit point,
+    ("stage", count) for each stage run and ("end", count) when the refit
+    is over."""
+
+    def __init__(self):
+        self.count = 0
+        self.events = []
+
+    def wrap(self, refit_stages):
+        def instrumented(window, moments):
+            self.events.append(("start", self.count))
+            stages = refit_stages(window, moments)
+
+            def logged():
+                while True:
+                    self.events.append(("stage", self.count))
+                    try:
+                        next(stages)
+                    except StopIteration:
+                        self.events.append(("end", self.count))
+                        return
+                    yield
+
+            return logged()
+        return instrumented
+
+
+def noisy_stream(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    seqs = np.cumsum(1 + (rng.random(n) < 0.2) * rng.integers(1, 4, n)).tolist()
+    x = np.zeros(n)
+    for k in range(1, n):
+        x[k] = 0.9 * x[k - 1] + rng.normal()
+    return seqs, (-70.0 + x).tolist()
+
+
+def failing_kernel(refit: int, stage: int):
+    """``lag_moment_stages`` whose generator for refit number ``refit``
+    (counting from 1) raises MemoryError in its stage number ``stage``."""
+    calls = []
+    lag_moment_stages = predictor.lag_moment_stages
+
+    def failing(stages):
+        for _ in range(stage - 1):
+            next(stages)
+            yield
+        raise MemoryError("stage failed")
+
+    def kernel(*args):
+        calls.append(args)
+        stages = lag_moment_stages(*args)
+        return failing(stages) if len(calls) == refit else stages
+
+    return kernel
+
+
+def failing_fit(call: int):
+    """``_fit_moments`` that raises MemoryError on call number ``call``."""
+    calls = []
+    fit_moments = predictor._fit_moments
+
+    def fit(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise MemoryError("fit failed")
+        return fit_moments(*args)
+
+    return fit
+
+
+class TestRefitStagesAreBounded:
+    def test_each_observe_runs_at_most_one_stage(self):
+        log = StageLog()
+        seqs, values = noisy_stream(5, 1988)
+        sw = SlidingWindowPredictor("orthonormal", (1, 2, 3, 4), 0.1)
+        with mock.patch.object(SlidingWindowPredictor, "_refit_stages",
+                               log.wrap(SlidingWindowPredictor._refit_stages)):
+            for log.count, (s, v) in enumerate(zip(seqs, values), start=1):
+                sw.observe(s, v)
+            starts = [c for e, c in log.events if e == "start"]
+            stages = [c for e, c in log.events if e == "stage"]
+            ends = [c for e, c in log.events if e == "end"]
+            # The last refit, started at 1984, is in progress; asking for
+            # the counts runs its other four stages and ends it.
+            assert sw.refit_counts.refits == len(starts)
+            assert log.events[-5:] == [("stage", 1988)] * 4 + [("end", 1988)]
+        assert starts == list(range(64, 1988, 64))
+        # A refit point runs no stage, and no observation runs two. Nothing
+        # asked for a model, so each refit ran its stages on the next
+        # REFIT_STAGES observations and was over at the last.
+        assert len(set(stages)) == len(stages)
+        assert not set(starts) & set(stages)
+        assert stages == [c + i for c in starts for i in range(1, REFIT_STAGES + 1)
+                          if c + i <= 1988]
+        assert ends == [c + REFIT_STAGES for c in starts[:-1]]
+
+    def test_asking_for_a_model_finishes_the_refit_in_progress(self):
+        log = StageLog()
+        seqs, values = noisy_stream(6, 200)
+        sw = SlidingWindowPredictor("orthonormal", (1, 2), 0.1)
+        with mock.patch.object(SlidingWindowPredictor, "_refit_stages",
+                               log.wrap(SlidingWindowPredictor._refit_stages)):
+            for log.count, (s, v) in enumerate(zip(seqs[:131], values[:131]), start=1):
+                sw.observe(s, v)
+            before = log.events[:]
+            assert sw.model_for(5) is None
+        # The refit started at 128 had run 3 stages; model_for ran the rest.
+        assert before[-1] == ("stage", 131)
+        assert log.events[len(before):] == [("stage", 131)] * (REFIT_STAGES - 3) + [
+            ("end", 131)]
+
+    @pytest.mark.parametrize("runner", ["observe", "model_for"])
+    @pytest.mark.parametrize("failure", [("kernel", 1), ("kernel", 3), ("kernel", 5),
+                                         ("fit", REFIT_STAGES)],
+                             ids=["centring", "pairing", "summing", "fits"])
+    def test_a_stage_that_raises_abandons_its_refit(self, failure, runner):
+        # The third refit, at observation 192, fails in one stage: run by
+        # the observe it falls to, or by a model_for before that.
+        kind, stage = failure
+        patch = (mock.patch.object(predictor, "lag_moment_stages", failing_kernel(3, stage))
+                 if kind == "kernel" else
+                 # Refits fit lags 1-4 in order; call 11 is the third's lag 3,
+                 # in the second half of its fits.
+                 mock.patch.object(predictor, "_fit_moments", failing_fit(11)))
+        seqs, values = noisy_stream(7, 400)
+        lags = (1, 2, 3, 4)
+        sw = SlidingWindowPredictor("orthonormal", lags, 0.1)
+        with patch:
+            for s, v in zip(seqs[:191], values[:191]):
+                sw.observe(s, v)
+            models = {k: sw.model_for(k) for k in lags}
+            assert all(models.values())
+            # The refit point, then the stages before the failing one.
+            for s, v in zip(seqs[191:191 + stage], values[191:191 + stage]):
+                sw.observe(s, v)
+            counts = sw._refits_run, sw._refits_skipped, {
+                k: tuple(c) for k, c in sw._lag_refits.items()}
+            assert counts[0] == 3
+            with pytest.raises(MemoryError):
+                if runner == "observe":
+                    sw.observe(seqs[191 + stage], values[191 + stage])
+                else:
+                    sw.model_for(1)
+            # The refit is over, and the models and counts are as they were.
+            assert all(sw.model_for(k) is models[k] for k in lags)
+            assert sw.refit_counts == (counts[0], counts[1], tuple(
+                (k, *counts[2][k]) for k in lags))
+            assert len(sw._seq) <= predictor._WINDOW
+            # The next refit point, at 256, starts on cadence and serves.
+            seen = 191 + stage + (runner == "observe")
+            for s, v in zip(seqs[seen:256], values[seen:256]):
+                sw.observe(s, v)
+            assert sw.refit_counts == (4, 0, tuple((k, 3, 0, None) for k in lags))
+            assert all(sw.model_for(k) is not models[k] for k in lags)
 
 
 class TestFitAtLagTakesALagAsEvaluateDoes:
