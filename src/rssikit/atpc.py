@@ -58,8 +58,10 @@ class AtpcConfig:
             to maximum power.
         predictor_method: orthonormal (statistical: a refit of a
             512-observation sliding window starts at every 64th ACK and
-            completes over the next 8 ACKs, or at once when a missed ACK
-            asks for a model) or simplified (pure slope extrapolation).
+            completes over the next 4 + L ACKs for the window's L =
+            max_missed_acks - 1 lags, 8 by default, or at once when a
+            missed ACK asks for a model) or simplified (pure slope
+            extrapolation).
             Either way the missed-ACK run n is bridged by the model fitted
             for n steps.
     """

@@ -38,7 +38,6 @@ import numpy as np
 from .stats import (
     MomentSet,
     _as_int,
-    _halfway,
     _lag_steps,
     _record,
     lag_moment_stages,
@@ -60,6 +59,9 @@ METHODS = (METHOD_NORMAL_EQ, METHOD_ORTHONORMAL, METHOD_SIMPLIFIED)
 # Relative determinant floor below which the 2x2 moment matrix is treated
 # as singular (collinear value/slope inputs).
 DET_RTOL = 1e-10
+
+# What SlidingWindowPredictor.observe says of a seq outside [0, 2**63).
+_SEQ_RANGE = "observation seq must be in [0, 2**63), got {}"
 
 # The sliding window refits every _REFIT_EVERY observations on the latest of
 # them, at most _WINDOW in whole refit periods; so the first refit comes once
@@ -535,19 +537,20 @@ class SlidingWindowPredictor:
     starts whenever their length is a multiple of 64, its refit point. The
     refit point copies the latest 512, keeps the newest 448 for the next
     refit and drops the rest, and takes each slope by ``anchor``'s rule,
-    the value difference over Δseq·step_s. The refit then completes over
-    the next 8 observations, one stage in each: six stages of
-    ``lag_moment_stages`` give every lag's moments, and two fit half the
-    lags each, the second swapping in the new models. As 8 < 64, no
-    ``observe`` runs more than one stage, or a stage and a refit point.
-    ``model_for`` and ``refit_counts`` first finish a refit in progress, as
-    a refit point would, so every model served and every count read is the
-    one a refit run whole at its refit point would give. While a refit is in
-    progress the window also holds its copies and the kernel's arrays:
-    with 4 lags of 512 observations (about 2,000 triples), 11-53 KB on top
-    of the window's 8 KB, and about 115 KB in the two observations between
-    gathering the products and summing them. The latest two observations
-    are also kept as Python numbers, for the order check and ``anchor``.
+    the value difference over Δseq·step_s. The refit, one generator
+    (``_refit``), then completes over the next 4 + L observations with L
+    lags, one step in each: one per stage of ``lag_moment_stages``, four
+    that prepare and one per lag that sums it, fits it and, for the last,
+    swaps in the new models. While 4 + L < 64, no ``observe`` runs more
+    than one step. ``model_for`` and ``refit_counts`` first finish a refit
+    in progress, as a refit point would, so every model served and every
+    count read is the one a refit run whole at its refit point would give.
+    While a refit is in progress the window also holds its copies and the
+    kernel's arrays: with 4 lags of 512 observations (about 2,000
+    triples), 21-55 KB on top of the window's 8 KB up to the pairs, and
+    about 120-125 KB from gathering the products through the last lag's
+    step. The latest two observations are also kept as Python numbers,
+    for the order check and ``anchor``.
 
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the
@@ -573,7 +576,7 @@ class SlidingWindowPredictor:
         self._before_last: tuple[int, float] | None = None
         self._models: dict[int, PredictorModel] = {}
         self._refits_run = self._refits_skipped = 0
-        # The refit in progress (the generator of its stages) or None, and
+        # The refit in progress (the generator of its steps) or None, and
         # the window length at which observe next has work: 0 at first, so
         # the first observation finds the first refit point.
         self._pending = None
@@ -591,8 +594,10 @@ class SlidingWindowPredictor:
         stored as the Python float ``float`` makes of it.
 
         Raises:
-            ValueError: seq is not an integer, value is not finite, or seq
-                does not exceed the previous observation's.
+            ValueError: seq is not an integer or lies outside [0, 2**63),
+                the range of a trace's seq, value is not finite, or seq
+                does not exceed the previous observation's. Nothing of a
+                refused observation is kept.
             TypeError: value is not a real number, such as a str.
         """
         if type(seq) is not int:
@@ -600,15 +605,27 @@ class SlidingWindowPredictor:
         if not math.isfinite(value):
             raise ValueError(f"observation value must be finite, got {value}")
         value = float(value)
+        # The order check bounds every seq after the first from below; the
+        # int64 column, or a comparison where there is none, from above.
         last = self._last
-        if last is not None and seq <= last[0]:
+        if last is None:
+            if seq < 0:
+                raise ValueError(_SEQ_RANGE.format(seq))
+        elif seq <= last[0]:
             raise ValueError("observations must arrive in increasing seq order")
-        self._before_last, self._last = last, (seq, value)
         if self._refits:
-            self._seq.append(seq)
+            try:
+                self._seq.append(seq)
+            except OverflowError:
+                raise ValueError(_SEQ_RANGE.format(seq)) from None
             self._value.append(value)
+            self._before_last, self._last = last, (seq, value)
             if len(self._seq) >= self._due:
                 self._work()
+        elif seq < 2**63:
+            self._before_last, self._last = last, (seq, value)
+        else:
+            raise ValueError(_SEQ_RANGE.format(seq))
 
     def anchor(self) -> tuple[float, float] | None:
         """Latest (value, slope) anchor, or None with < 2 observations."""
@@ -643,9 +660,9 @@ class SlidingWindowPredictor:
         leaves ``_due`` where it was, so the next observation calls again.
 
         At a refit point, every _REFIT_EVERY observations, the refit in
-        progress is finished and a new one starts, even if finishing the
-        old one raises. Between refit points, one stage of the refit in
-        progress runs.
+        progress is finished and a new one (``_refit``) runs its first
+        step, even if finishing the old one raises. Between refit points,
+        the refit in progress runs its next step.
         """
         if len(self._seq) % _REFIT_EVERY:
             if self._pending is not None:
@@ -654,38 +671,45 @@ class SlidingWindowPredictor:
             try:
                 self._finish()
             finally:
-                self._start_refit()
+                self._pending = self._refit()
+                self._stage()
         n = len(self._seq)
         self._due = n + 1 if self._pending is not None else \
             (n // _REFIT_EVERY + 1) * _REFIT_EVERY
 
     def _stage(self) -> None:
-        """Run the next stage of the refit in progress. After its last
-        stage the refit is over; so it is after a stage that raises, which
+        """Run the next step of the refit in progress. After its last step
+        the refit is over; so it is after a step that raises, which
         abandons it and leaves the models as they were."""
         pending, self._pending = self._pending, None
-        try:
-            next(pending)
-        except StopIteration:
-            return
-        self._pending = pending
+        # Every step yields None; the default says the refit is over.
+        if next(pending, pending) is None:
+            self._pending = pending
 
     def _finish(self) -> None:
         """Run what is left of the refit in progress, if any."""
         while self._pending is not None:
             self._stage()
 
-    def _start_refit(self) -> None:
-        """The refit point: start a refit of every lag on the window.
+    def _refit(self):
+        """A refit of every lag on the window, as a generator of steps,
+        each run by one ``_stage``: the refit point, then one step per
+        stage of ``lag_moment_stages``, 4 + L with L lags.
 
-        The window is copied, and all but its newest whole refit periods
-        that leave room for one more are dropped before anything is
-        computed. So its length stays a multiple of _REFIT_EVERY, and it
-        never holds more than _WINDOW, even if a stage of the refit raises.
-        Each slope is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i] - seq[i-1]) *
-        step_s), so a refit fits on the slopes that prediction serves; a
-        window with a slope that overflows is skipped. What is left runs in
-        stages (``_refit_stages``), on the copies.
+        The refit point counts the refit, copies the window, and drops all
+        but its newest whole refit periods that leave room for one more
+        before anything is computed. So its length stays a multiple of
+        _REFIT_EVERY, and it never holds more than _WINDOW, even if a later
+        step raises. Each slope is ``anchor``'s, (r[i] - r[i-1]) / ((seq[i]
+        - seq[i-1]) * step_s), so a refit fits on the slopes that
+        prediction serves; a window with a slope that overflows is skipped,
+        and the refit ends there.
+
+        Each later step runs one kernel stage on the copies; one that
+        receives a lag's moments also fits that lag. Each lag's model
+        replaces the last or, where its fit fails, is dropped, and each
+        outcome is counted for ``refit_counts``, all in the last lag's step:
+        a refit abandoned before changes neither.
         """
         self._refits_run += 1
         seq, r = np.array(self._seq), np.array(self._value)
@@ -698,26 +722,20 @@ class SlidingWindowPredictor:
             self._refits_skipped += 1
             logger.debug("refit at lags %s skipped: non-finite slope in window", self.lags)
             return
-        self._pending = self._refit_stages(
-            lag_moment_stages(seq, r, slope, self.step_s, self.lags))
-
-    def _refit_stages(self, moment_stages):
-        """The stages of a refit after its refit point: the six of
-        ``moment_stages``, the kernel's generator over the window's copies,
-        then two that fit half the lags each; the second ends with the model
-        swap. Each lag's model replaces the last or, where its fit fails, is
-        dropped, and each outcome is counted for ``refit_counts``, all at
-        the swap: an abandoned refit changes neither."""
-        moments = [m for _, _, m in (yield from moment_stages)]
+        stages = lag_moment_stages(seq, r, slope, self.step_s, self.lags)
+        yield
         models, failures = {}, []
-        halfway = _halfway(self.lags)
-        for l, (k, m) in enumerate(zip(self.lags, moments)):
-            if l in (0, halfway):
-                yield
-            try:
-                models[k] = _fit_moments(self.method, k * self.step_s, self.step_s, m)
-            except ValueError as exc:
-                failures.append((k, exc))
+        lags = iter(self.lags)
+        for summed in stages:
+            if summed is not None:
+                k = next(lags)
+                try:
+                    models[k] = _fit_moments(self.method, k * self.step_s, self.step_s, summed[2])
+                except ValueError as exc:
+                    failures.append((k, exc))
+                if k == self.lags[-1]:
+                    break
+            yield
         self._models = models
         for k in models:
             self._lag_refits[k][0] += 1

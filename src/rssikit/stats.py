@@ -190,12 +190,6 @@ class IdentityCheck:
     low_confidence: bool
 
 
-def _halfway(lags: Sequence[int]) -> int:
-    """The index at which a staged loop over ``lags`` pauses once: after
-    the first half, rounded up, so a single lag runs without a pause."""
-    return (len(lags) + 1) // 2
-
-
 def _slots(seq: np.ndarray, max_lag: int) -> np.ndarray:
     """Each sample's slot on the pairing grid: the one rule for which samples
     a lag joins across lost packets. Slots advance with seq, except that
@@ -322,7 +316,8 @@ def lag_moments(
 
     The work is ``lag_moment_stages``, run to completion here: a caller
     that cannot afford it in one go, such as the sliding window, runs the
-    same stages one at a time, with the same bits.
+    same stages one at a time, with the same bits, and takes each lag's
+    result as soon as it is summed.
 
     Returns:
         One ``(i, j, moments)`` per lag, in the order of ``lags``: the
@@ -332,26 +327,24 @@ def lag_moments(
         for fewer than ``_MIN_PAIRS`` triples, ``DegenerateProcessError``
         for zero variance over them.
     """
-    stages = lag_moment_stages(seq, r, slope, step_s, lags)
-    try:
-        while True:
-            next(stages)
-    except StopIteration as done:
-        return done.value
+    return [summed for summed in lag_moment_stages(seq, r, slope, step_s, lags)
+            if summed is not None]
 
 
 def lag_moment_stages(
     seq: np.ndarray, r: np.ndarray, slope: np.ndarray, step_s: float, lags: Sequence[int],
-) -> Generator[None, None, list[tuple[np.ndarray, np.ndarray, MomentSet | ValueError]]]:
-    """``lag_moments`` as a generator of six stages: it yields after
-    centring the values and slopes and placing the samples on slots, after
-    the position grid and target matrix, after the pairs, after gathering
-    the products, and halfway through the lags' sums (``_halfway``), and
-    returns the per-lag list after the rest. Each ``next`` runs one stage;
-    the arrays a later stage needs are held in the generator between them.
-    An argument is read when a stage needs it, and none is written, so a
-    caller that spreads the stages over time passes arrays it will not
-    change meanwhile.
+) -> Generator[tuple[np.ndarray, np.ndarray, MomentSet | ValueError] | None, None, None]:
+    """``lag_moments`` as a generator of 4 + L stages, L the lags: it
+    yields None after each of four preparation stages (centring the values
+    and slopes and placing the samples on slots; the position grid and
+    target matrix; the pairs; gathering the products), then each lag's
+    ``(i, j, moments)`` as soon as that lag is summed, in the order of
+    ``lags``. Each ``next`` runs one stage, and no stage loops over the
+    lags; the arrays a later stage needs are held in the generator between
+    them, the product buffer through every lag's stage. An argument is
+    read when a stage needs it, and none is written, so a caller that
+    spreads the stages over time passes arrays it will not change
+    meanwhile.
     """
     # np.mean's own arithmetic, without its Python-level wrapper.
     mean_r = float(np.add.reduce(r)) / r.size
@@ -405,11 +398,7 @@ def lag_moment_stages(
     del centred
     yield
 
-    out = []
-    halfway = _halfway(lags)
-    for l, (k, a, b) in enumerate(zip(lags, bounds, bounds[1:])):
-        if l == halfway:
-            yield
+    for k, a, b in zip(lags, bounds, bounds[1:]):
         n = b - a
         tau = float(k * step_s)
         try:
@@ -437,8 +426,7 @@ def lag_moment_stages(
             })
         except ValueError as exc:
             moments = exc
-        out.append((i_all[a:b], j_all[a:b], moments))
-    return out
+        yield i_all[a:b], j_all[a:b], moments
 
 
 def _trace_moments(

@@ -479,9 +479,10 @@ class ReferenceAtpcController:
 class EagerWindow(SlidingWindowPredictor):
     """The sliding window with each refit run whole, in the observe at its
     refit point (every ``_REFIT_EVERY`` observations): the window's refit
-    before it was split into stages. Models and counts change only there,
-    so a staged window that finishes its refit before serving must serve
-    what this one does."""
+    before it was split into stages. Its ``_refit`` replaces the staged
+    window's refit generator of that name. Models and counts change only
+    there, so a staged window that finishes its refit before serving must
+    serve what this one does."""
 
     def _work(self) -> None:
         every = predictor._REFIT_EVERY

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rssikit import (
@@ -682,6 +682,44 @@ class TestSlidingWindow:
         # Nothing of the rejected observation is kept.
         assert sw.anchor() is None
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("seq", [2**63, 2**70], ids=["2**63", "2**70"])
+    def test_rejects_a_seq_beyond_a_traces_range(self, method, seq):
+        sw = SlidingWindowPredictor(method, lags=(1,), step_s=0.1)
+        sw.observe(0, -70.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"observation seq must be in [0, 2**63), got {seq}")):
+            sw.observe(seq, -71.0)
+        # Nothing of the rejected observation is kept.
+        assert sw.anchor() is None
+        sw.observe(1, -71.0)
+        assert sw.anchor() == (-71.0, pytest.approx(-10.0))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("seq", [-1, -2**63, -2**70], ids=["-1", "-2**63", "-2**70"])
+    def test_rejects_a_negative_first_seq(self, method, seq):
+        sw = SlidingWindowPredictor(method, lags=(1,), step_s=0.1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"observation seq must be in [0, 2**63), got {seq}")):
+            sw.observe(seq, -70.0)
+        sw.observe(0, -70.0)
+        sw.observe(1, -71.0)
+        assert sw.anchor() == (-71.0, pytest.approx(-10.0))
+        assert sw.refit_counts.refits == 0
+
+    @pytest.mark.parametrize("method", ["normal_eq", "orthonormal"])
+    def test_the_widest_seq_range_refits(self, method):
+        # Seqs from 0 to 2**63 - 1: the refit's seq differences stay in int64.
+        sw = SlidingWindowPredictor(method, lags=(1, 2), step_s=0.1)
+        rng = np.random.default_rng(3)
+        seqs = list(range(predictor._REFIT_EVERY - 1)) + [2**63 - 1]
+        for s in seqs:
+            sw.observe(s, -70.0 + rng.normal())
+        assert sw.refit_counts.refits == 1
+        assert sw.model_for(1) is not None and sw.model_for(2) is not None
+        with pytest.raises(ValueError, match="increasing"):
+            sw.observe(2**63 - 1, -70.0)
+
     def test_accepts_what_operator_index_accepts(self):
         sw = SlidingWindowPredictor("orthonormal", lags=(np.int64(2), 1), step_s=0.1)
         assert sw.lags == (1, 2) and all(type(k) is int for k in sw.lags)
@@ -890,6 +928,13 @@ class TestWindowHoldsTheNewestObservations:
         assert sw.model_for(1) is not None
 
 
+# observation_streams builds each stream from one drawn numpy seed, which
+# hypothesis cannot shrink; the tests that draw it skip the shrink phase, so
+# a failure reports its example as generated rather than replaying the
+# stream for minutes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
 @st.composite
 def observation_streams(draw):
     """More than 1,024 observations, so the 512-slot window wraps at least
@@ -948,7 +993,7 @@ class TestWindowMatchesBatchFits:
     @given(stream=observation_streams(),
            method=st.sampled_from(["normal_eq", "orthonormal"]),
            lags=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_every_lag_is_the_public_fit_of_the_same_observations(self, stream, method,
                                                                    lags):
         seqs, values = stream
@@ -1015,15 +1060,17 @@ def assert_same_model(a, b, where) -> None:
 
 class TestStagedRefitsServeTheEagerModels:
     # (_WINDOW, _REFIT_EVERY): the shipped window, and windows short enough
-    # that a refit point comes while the last refit has stages left, which
-    # it finishes first: at (47, 8) the last of its 8, at (12, 4) five.
+    # that a refit point comes while the last refit has steps left, which
+    # it finishes first: a refit of L lags runs 4 + L steps after its
+    # refit point, so at (47, 8) a refit of 4 lags or more, and at (12, 4)
+    # every refit, is still in progress at the next refit point.
     @given(stream=observation_streams(),
            method=st.sampled_from(["normal_eq", "orthonormal"]),
-           lags=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+           lags=st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
            window=st.sampled_from([(512, 64), (47, 8), (16, 16), (12, 4)]),
            density=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_every_model_and_count_served_is_the_eager_windows(self, stream, method, lags,
                                                                window, density, seed):
         # After random observations, mid-refit included, ask both windows
@@ -1052,31 +1099,37 @@ class TestStagedRefitsServeTheEagerModels:
             assert staged.refit_counts == eager.refit_counts
 
 
-# The stages a refit runs after its refit point, as SlidingWindowPredictor's
-# docstring states them: six of the moments, then the fits in two halves.
-REFIT_STAGES = 8
+# The kernel's preparation stages, as ``lag_moment_stages`` states them: a
+# refit runs these and then one stage per lag after its refit point.
+PREPARATION_STAGES = 4
+
+
+def refit_stages(lags) -> int:
+    """The steps a refit of ``lags`` runs after its refit point."""
+    return PREPARATION_STAGES + len(lags)
 
 
 class StageLog:
-    """Wraps ``SlidingWindowPredictor._refit_stages`` to log, against
-    ``count``, the observations so far: ("start", count) at a refit point,
-    ("stage", count) for each stage run and ("end", count) when the refit
-    is over."""
+    """Wraps ``SlidingWindowPredictor._refit`` to log, against ``count``,
+    the observations so far: ("point", count) for the refit point, its
+    first step, ("stage", count) for each later step run and ("end",
+    count) when the refit is over."""
 
     def __init__(self):
         self.count = 0
         self.events = []
 
-    def wrap(self, refit_stages):
-        def instrumented(window, moments):
-            self.events.append(("start", self.count))
-            stages = refit_stages(window, moments)
+    def wrap(self, refit):
+        def instrumented(window):
+            steps = refit(window)
 
             def logged():
+                kind = "point"
                 while True:
-                    self.events.append(("stage", self.count))
+                    self.events.append((kind, self.count))
+                    kind = "stage"
                     try:
-                        next(stages)
+                        next(steps)
                     except StopIteration:
                         self.events.append(("end", self.count))
                         return
@@ -1103,8 +1156,7 @@ def failing_kernel(refit: int, stage: int):
 
     def failing(stages):
         for _ in range(stage - 1):
-            next(stages)
-            yield
+            yield next(stages)
         raise MemoryError("stage failed")
 
     def kernel(*args):
@@ -1129,60 +1181,71 @@ def failing_fit(call: int):
     return fit
 
 
+LAG_COUNTS = [1, 2, 4, 6]
+
+
 class TestRefitStagesAreBounded:
-    def test_each_observe_runs_at_most_one_stage(self):
+    @pytest.mark.parametrize("n_lags", LAG_COUNTS)
+    def test_each_observe_runs_at_most_one_stage(self, n_lags):
         log = StageLog()
         seqs, values = noisy_stream(5, 1988)
-        sw = SlidingWindowPredictor("orthonormal", (1, 2, 3, 4), 0.1)
-        with mock.patch.object(SlidingWindowPredictor, "_refit_stages",
-                               log.wrap(SlidingWindowPredictor._refit_stages)):
+        lags = tuple(range(1, n_lags + 1))
+        stages = refit_stages(lags)
+        sw = SlidingWindowPredictor("orthonormal", lags, 0.1)
+        with mock.patch.object(SlidingWindowPredictor, "_refit",
+                               log.wrap(SlidingWindowPredictor._refit)):
             for log.count, (s, v) in enumerate(zip(seqs, values), start=1):
                 sw.observe(s, v)
-            starts = [c for e, c in log.events if e == "start"]
-            stages = [c for e, c in log.events if e == "stage"]
+            points = [c for e, c in log.events if e == "point"]
+            steps = [c for e, c in log.events if e == "stage"]
             ends = [c for e, c in log.events if e == "end"]
             # The last refit, started at 1984, is in progress; asking for
-            # the counts runs its other four stages and ends it.
-            assert sw.refit_counts.refits == len(starts)
-            assert log.events[-5:] == [("stage", 1988)] * 4 + [("end", 1988)]
-        assert starts == list(range(64, 1988, 64))
-        # A refit point runs no stage, and no observation runs two. Nothing
-        # asked for a model, so each refit ran its stages on the next
-        # REFIT_STAGES observations and was over at the last.
-        assert len(set(stages)) == len(stages)
-        assert not set(starts) & set(stages)
-        assert stages == [c + i for c in starts for i in range(1, REFIT_STAGES + 1)
-                          if c + i <= 1988]
-        assert ends == [c + REFIT_STAGES for c in starts[:-1]]
+            # the counts runs the steps it has left and ends it.
+            assert sw.refit_counts.refits == len(points)
+            assert log.events[-(stages - 3):] == [("stage", 1988)] * (stages - 4) + [
+                ("end", 1988)]
+        assert points == list(range(64, 1988, 64))
+        # No observation runs two steps. Nothing asked for a model, so each
+        # refit ran its later steps on the next 4 + L observations and was
+        # over at the last.
+        assert len(set(points + steps)) == len(points + steps)
+        assert steps == [c + i for c in points for i in range(1, stages + 1)
+                         if c + i <= 1988]
+        assert ends == [c + stages for c in points[:-1]]
 
-    def test_asking_for_a_model_finishes_the_refit_in_progress(self):
+    @pytest.mark.parametrize("n_lags", LAG_COUNTS)
+    def test_asking_for_a_model_finishes_the_refit_in_progress(self, n_lags):
         log = StageLog()
         seqs, values = noisy_stream(6, 200)
-        sw = SlidingWindowPredictor("orthonormal", (1, 2), 0.1)
-        with mock.patch.object(SlidingWindowPredictor, "_refit_stages",
-                               log.wrap(SlidingWindowPredictor._refit_stages)):
+        lags = tuple(range(1, n_lags + 1))
+        sw = SlidingWindowPredictor("orthonormal", lags, 0.1)
+        with mock.patch.object(SlidingWindowPredictor, "_refit",
+                               log.wrap(SlidingWindowPredictor._refit)):
             for log.count, (s, v) in enumerate(zip(seqs[:131], values[:131]), start=1):
                 sw.observe(s, v)
             before = log.events[:]
-            assert sw.model_for(5) is None
-        # The refit started at 128 had run 3 stages; model_for ran the rest.
-        assert before[-1] == ("stage", 131)
-        assert log.events[len(before):] == [("stage", 131)] * (REFIT_STAGES - 3) + [
+            assert sw.model_for(7) is None
+        # The refit started at 128 had run 3 steps after its refit point;
+        # model_for ran the rest.
+        assert before[-4:] == [("point", 128), ("stage", 129), ("stage", 130),
+                               ("stage", 131)]
+        assert log.events[len(before):] == [("stage", 131)] * (refit_stages(lags) - 3) + [
             ("end", 131)]
 
     @pytest.mark.parametrize("runner", ["observe", "model_for"])
-    @pytest.mark.parametrize("failure", [("kernel", 1), ("kernel", 3), ("kernel", 5),
-                                         ("fit", REFIT_STAGES)],
+    @pytest.mark.parametrize("failure", [("kernel", 1), ("kernel", 3), ("kernel", 6),
+                                         ("fit", refit_stages((1, 2, 3, 4)))],
                              ids=["centring", "pairing", "summing", "fits"])
     def test_a_stage_that_raises_abandons_its_refit(self, failure, runner):
-        # The third refit, at observation 192, fails in one stage: run by
-        # the observe it falls to, or by a model_for before that.
+        # The third refit, at observation 192, fails in one step after its
+        # refit point: in a preparation stage, in lag 2's sum or in lag 4's
+        # fit, the step that would swap the models in. It is run by the
+        # observe it falls to, or by a model_for before that.
         kind, stage = failure
         patch = (mock.patch.object(predictor, "lag_moment_stages", failing_kernel(3, stage))
                  if kind == "kernel" else
-                 # Refits fit lags 1-4 in order; call 11 is the third's lag 3,
-                 # in the second half of its fits.
-                 mock.patch.object(predictor, "_fit_moments", failing_fit(11)))
+                 # Refits fit lags 1-4 in order; call 12 is the third's lag 4.
+                 mock.patch.object(predictor, "_fit_moments", failing_fit(12)))
         seqs, values = noisy_stream(7, 400)
         lags = (1, 2, 3, 4)
         sw = SlidingWindowPredictor("orthonormal", lags, 0.1)
@@ -1191,7 +1254,7 @@ class TestRefitStagesAreBounded:
                 sw.observe(s, v)
             models = {k: sw.model_for(k) for k in lags}
             assert all(models.values())
-            # The refit point, then the stages before the failing one.
+            # The refit point, then the steps before the failing one.
             for s, v in zip(seqs[191:191 + stage], values[191:191 + stage]):
                 sw.observe(s, v)
             counts = sw._refits_run, sw._refits_skipped, {
