@@ -56,12 +56,10 @@ class AtpcConfig:
         margin_db: Headroom above the threshold the loop aims for.
         max_missed_acks: Consecutive losses tolerated before falling back
             to maximum power.
-        predictor_method: orthonormal (statistical: a refit of a
-            512-observation sliding window starts at every 64th ACK and
-            completes over the next 4 + L ACKs for the window's L =
-            max_missed_acks - 1 lags, 8 by default, or at once when a
-            missed ACK asks for a model) or simplified (pure slope
-            extrapolation).
+        predictor_method: orthonormal (statistical: models for the
+            max_missed_acks - 1 lags are refit over a sliding window of
+            the latest ACKs, on the schedule ``SlidingWindowPredictor``
+            states) or simplified (pure slope extrapolation).
             Either way the missed-ACK run n is bridged by the model fitted
             for n steps.
     """
@@ -318,7 +316,8 @@ def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
     _check_tx_power(radio, tx_dbm)
     if threshold_dbm is not None and not math.isfinite(threshold_dbm):
         raise ValueError("threshold_dbm must be finite")
-    gains, keep = _link(channel, radio, n_packets, loss)
+    n = _as_int(n_packets, "n_packets")
+    gains, keep = _link(channel, radio, n, loss)
     thr = radio.sensitivity_dbm if threshold_dbm is None else threshold_dbm
-    return _transcript(radio, np.full(n_packets, tx_dbm, dtype=float), gains, keep,
-                       np.full(n_packets, np.nan), ["fixed"] * n_packets, thr)
+    return _transcript(radio, np.full(n, tx_dbm, dtype=float), gains, keep,
+                       np.full(n, np.nan), ["fixed"] * n, thr)

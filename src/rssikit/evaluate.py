@@ -1,10 +1,13 @@
 """In-sample prediction-error evaluation over a grid of lags.
 
-Each lag's model is fitted on the whole trace and scored on the same
-triples it was fitted on, so the error is in-sample, not walk-forward. Each
-prediction itself anchors on a sample and its backward-difference slope,
-both available before the target time, as a live transmitter would use the
-model; a causal score replays the trace through ``SlidingWindowPredictor``.
+Each lag's model is the one ``fit_at_lag`` fits on the whole trace, and it
+is scored on the same triples it was fitted on, so the error is in-sample,
+not walk-forward. Each prediction itself anchors on a sample and its
+backward-difference slope, both available before the target time, as a
+live transmitter would use the model; but the model has seen the whole
+trace, the future included. No causal (walk-forward) score exists yet: one
+would replay the trace through ``SlidingWindowPredictor`` and score each
+prediction with the model the window held at that time.
 
 The headline error is the RMSE in dB. The normalized figure divides by the
 observed dynamic range of the evaluated trace (max - min received power):
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .predictor import _fit_moments, _whole_lags
+from .predictor import _whole_lags, fit_at_lag
 from .stats import _trace_moments
 from .trace import Trace, derivative_series
 
@@ -96,10 +99,9 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
     """In-sample error of the chosen fitting path at each lag.
 
     For every sample whose slope exists and whose lag-ahead target was
-    received, predict the target and accumulate squared error. Each lag
-    gets its own model, fitted as ``fit_at_lag`` fits it on the whole trace,
-    from the same triples it is scored on: the trace's memoised triples
-    and moments (``_trace_moments``).
+    received, predict the target and accumulate squared error. Each lag's
+    model is the one ``fit_at_lag`` returns, scored on the trace's memoised
+    triples of that lag (``_trace_moments``), the triples it was fitted on.
 
     Raises:
         ValueError: No valid prediction points at some lag, bad lags, or
@@ -115,12 +117,10 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
     r = trace.rssi
     r_max, r_min = float(r.max()), float(r.min())
     range_db = r_max - r_min
-    step = trace.nominal_interval
 
     rows = []
-    per_lag = _trace_moments(trace, lag_list)
-    for k, (i, j, m) in zip(lag_list, per_lag):
-        model = _fit_moments(method, k * step, step, m)
+    for k, (i, j, _) in zip(lag_list, _trace_moments(trace, lag_list)):
+        model = fit_at_lag(trace, method, k)
         if i.size == 0:
             raise ValueError(f"lag {k}: no valid prediction points")
 
@@ -133,7 +133,7 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
             nrmse = 0.0 if rmse == 0.0 else float("inf")
         rows.append(EvalRow(
             lag_steps=k,
-            lag_s=k * step,
+            lag_s=model.tau,
             n_predictions=int(i.size),
             rmse_db=rmse,
             nrmse_pct=nrmse,

@@ -159,7 +159,8 @@ class ChannelModel:
 
     def realize(self, n_samples: int, rate_pps: float) -> np.ndarray:
         """Deterministic fluctuation series (dB around the mean path)."""
-        if _as_int(n_samples, "n_samples") < 1:
+        n_samples = _as_int(n_samples, "n_samples")
+        if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not (math.isfinite(rate_pps) and rate_pps > 0):
             raise ValueError(f"rate_pps must be finite and > 0, got {rate_pps}")
@@ -265,7 +266,8 @@ class LossModel:
 
     def keep_mask(self, n: int) -> np.ndarray:
         """Boolean survival mask for n consecutive packets (True = kept)."""
-        if _as_int(n, "n") < 0:
+        n = _as_int(n, "n")
+        if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         rng = np.random.default_rng(self.seed)
         if n == 0:

@@ -40,13 +40,14 @@ from .stats import (
     _as_int,
     _lag_steps,
     _record,
+    _trace_moments,
     lag_moment_stages,
     moment_set,
 )
-# The benchmark's traced run wraps Trace, derivative_series and moment_set
-# here, the names fit_at_lag calls; the window's refits go through
-# lag_moment_stages and the fits (fit_orthonormal), which it wraps too. The
-# imports stay for that run: tests/test_bench_api.py resolves each name.
+# No code here calls Trace, derivative_series or moment_set: they are hook
+# names that the benchmark's traced run wraps in this module, kept until it
+# traces the trace memo (_trace_moments) and the window's refit steps
+# instead; tests/test_bench_api.py resolves each name.
 from .trace import Trace, derivative_series
 
 logger = logging.getLogger(__name__)
@@ -300,13 +301,16 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
 def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorModel:
     """Small-lag model with weights exactly (1, tau); needs no statistics.
 
-    Without moments the model serves tau as a single step. Supplied moments
-    must be those of lag tau on their own grid; the model then takes their
-    tau and step, centres the slope on their slope mean and attaches the
-    error of its own predictions over their fitting triples.
+    tau may be any real scalar, taken as a Python float (``_as_float``);
+    a str raises TypeError. Without moments the model serves tau as a
+    single step. Supplied moments must be those of lag tau on their own
+    grid; the model then takes their tau and step, centres the slope on
+    their slope mean and attaches the error of its own predictions over
+    their fitting triples.
     """
+    tau = _as_float(tau)
     if moments is None:
-        return _fit_moments(METHOD_SIMPLIFIED, tau, float(tau), None)
+        return _fit_moments(METHOD_SIMPLIFIED, tau, tau, None)
     if _lag_steps(tau, moments.step_s) != _lag_steps(moments.tau, moments.step_s):
         raise ValueError(f"moments of tau={moments.tau} s cannot fit tau={tau} s")
     return _fit_moments(METHOD_SIMPLIFIED, tau, moments.step_s, moments)
@@ -351,19 +355,18 @@ def _whole_lags(lags) -> tuple[int, ...]:
 def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
     """Fit ``method`` for a horizon of ``k`` nominal intervals of a trace,
     k a lag as ``evaluate`` and the sliding window take it (``_whole_lags``).
+    This is the one route from a trace to a lag's model: ``rssikit fit``
+    writes it, and ``evaluate`` scores it.
 
-    The statistical methods fit the trace's moments at that lag and raise
-    when they are degenerate or under-supported. The simplified model needs
+    The statistical methods fit the trace's memoised moments at that lag
+    (``_trace_moments``) and raise the error that takes their place when
+    they are degenerate or under-supported. The simplified model needs
     none; it carries an error estimate only when the moments exist. Every
     model carries the trace's step size and serves exactly ``k`` steps.
     """
     [k] = _whole_lags((k,))
     step = trace.nominal_interval
-    slope = derivative_series(trace)
-    try:
-        m = moment_set(trace, slope, k * step)
-    except ValueError as exc:
-        m = exc
+    [(_, _, m)] = _trace_moments(trace, (k,))
     return _fit_moments(method, k * step, step, m)
 
 
@@ -539,18 +542,22 @@ class SlidingWindowPredictor:
     refit and drops the rest, and takes each slope by ``anchor``'s rule,
     the value difference over Δseq·step_s. The refit, one generator
     (``_refit``), then completes over the next 4 + L observations with L
-    lags, one step in each: one per stage of ``lag_moment_stages``, four
-    that prepare and one per lag that sums it, fits it and, for the last,
-    swaps in the new models. While 4 + L < 64, no ``observe`` runs more
-    than one step. ``model_for`` and ``refit_counts`` first finish a refit
-    in progress, as a refit point would, so every model served and every
-    count read is the one a refit run whole at its refit point would give.
+    lags (8 at the controller's default of 4 lags), one step in each: one
+    per stage of ``lag_moment_stages``, four that prepare and one per lag
+    that sums it, fits it and, for the last, swaps in the new models.
+    While 4 + L < 64, no ``observe`` runs more than one step. ``model_for``
+    and ``refit_counts`` first finish a refit in progress, as a refit point
+    would, so every model served and every count read is the one a refit
+    run whole at its refit point would give. In the closed loop an ACK thus
+    pays at most one step, and a missed ACK that asks for a model
+    mid-refit pays the steps left.
     While a refit is in progress the window also holds its copies and the
-    kernel's arrays: with 4 lags of 512 observations (about 2,000
-    triples), 21-55 KB on top of the window's 8 KB up to the pairs, and
+    kernel's arrays (tracemalloc, 4 lags of 512 observations, about 2,000
+    triples): 21-55 KB on top of the window's 8 KB up to the pairs, and
     about 120-125 KB from gathering the products through the last lag's
-    step. The latest two observations are also kept as Python numbers,
-    for the order check and ``anchor``.
+    step, which frees them. The latest two observations are also kept as
+    Python numbers, for the order check and ``anchor``. This is the one
+    statement of the window's schedule and memory; other docs point here.
 
     A lag whose statistics are degenerate or under-supported simply has no
     model until a later refit succeeds. A window with no lags, or with the

@@ -317,7 +317,8 @@ def lag_moments(
     The work is ``lag_moment_stages``, run to completion here: a caller
     that cannot afford it in one go, such as the sliding window, runs the
     same stages one at a time, with the same bits, and takes each lag's
-    result as soon as it is summed.
+    result as soon as it is summed (``SlidingWindowPredictor`` states its
+    schedule and the memory a refit holds).
 
     Returns:
         One ``(i, j, moments)`` per lag, in the order of ``lags``: the

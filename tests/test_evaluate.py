@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from rssikit import (
+    InsufficientSupportError,
     apply_loss,
     ar2_channel,
     evaluate,
@@ -123,6 +125,57 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="lag must be an integer"):
             evaluate(ar2_eval_trace, "simplified", [1.5])
         assert evaluate(ar2_eval_trace, "simplified", [np.int64(2)]).rows[0].lag_steps == 2
+
+
+# On the gapped trace below, the last lag of GAPPED_LAGS has fewer than
+# _MIN_PAIRS triples (one, from seq 2 to 399); lags 1-4 have about 185 each.
+GAPPED_LAGS = [1, 2, 3, 4, 397]
+
+
+@pytest.fixture(scope="module")
+def gapped_trace():
+    rng = np.random.default_rng(17)
+    keep = rng.random(400) > 0.3
+    keep[[0, 1, 2, 399]] = True
+    keep[150:180] = False
+    seqs = np.flatnonzero(keep)
+    return make_trace(np.cumsum(rng.normal(0, 0.3, size=seqs.size)) - 70, seqs=seqs)
+
+
+class TestEvaluateScoresFitAtLag:
+    """Each row of ``evaluate`` reports the model ``fit_at_lag`` returns."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_row_is_that_models_error_over_its_triples(self, gapped_trace, method):
+        lags = GAPPED_LAGS if method == "simplified" else GAPPED_LAGS[:-1]
+        report = evaluate(gapped_trace, method, lags)
+        assert [row.lag_steps for row in report.rows] == lags
+        for row in report.rows:
+            model = fit_at_lag(gapped_trace, method, row.lag_steps)
+            if model.analytic_mse is None:
+                assert row.analytic_mse_db2 is None
+            else:
+                assert row.analytic_mse_db2.hex() == model.analytic_mse.hex()
+            triples = prediction_triples(gapped_trace, row.lag_steps)
+            assert row.n_predictions == len(triples)
+            mse = sum((model.apply(r, rp) - y) ** 2 for r, rp, y in triples) / len(triples)
+            assert row.rmse_db == pytest.approx(math.sqrt(mse), rel=1e-12, abs=1e-12)
+
+    def test_a_short_lag_fails_alike_on_both_routes(self, gapped_trace):
+        k = GAPPED_LAGS[-1]
+        n = len(prediction_triples(gapped_trace, k))
+        assert 0 < n < 8
+        for method in ("normal_eq", "orthonormal"):
+            with pytest.raises(ValueError) as fitted:
+                fit_at_lag(gapped_trace, method, k)
+            with pytest.raises(ValueError) as scored:
+                evaluate(gapped_trace, method, GAPPED_LAGS)
+            assert type(fitted.value) is type(scored.value) is InsufficientSupportError
+            assert str(fitted.value) == str(scored.value)
+            assert f"only {n} contributing triples" in str(scored.value)
+        row = evaluate(gapped_trace, "simplified", GAPPED_LAGS).row_for(k)
+        assert row.analytic_mse_db2 is None
+        assert row.n_predictions == n and math.isfinite(row.rmse_db)
 
 
 class TestReportOutput:

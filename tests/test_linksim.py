@@ -27,6 +27,7 @@ from rssikit import (
     gilbert_elliott_loss,
     profile_by_name,
     ripple_channel,
+    run_fixed_power,
     swell_channel,
 )
 from rssikit.linksim import _ar2_filter
@@ -380,3 +381,23 @@ CC2538 = profile_by_name("cc2538")
 def test_refusals(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+# Each function that takes a packet count, giving bytes that tell its output.
+COUNTED = {
+    "realize": lambda n: swell_channel(seed=3).realize(n, 10.0).tobytes(),
+    "bernoulli-keep_mask": lambda n: bernoulli_loss(0.3, seed=3).keep_mask(n).tobytes(),
+    "gilbert-keep_mask": lambda n: gilbert_elliott_loss(
+        0.05, 0.25, seed=3).keep_mask(n).tobytes(),
+    "run_fixed_power": lambda n: run_fixed_power(
+        swell_channel(seed=3), CC2538, 0.0, n).to_csv_text().encode(),
+}
+
+
+@pytest.mark.parametrize("count", COUNTED)
+@pytest.mark.parametrize("n, as_int", [(True, 1), (np.uint8(3), 3), (np.int16(300), 300)],
+                         ids=["True", "uint8", "int16"])
+def test_a_count_is_used_as_the_int_it_equals(count, n, as_int):
+    # Whatever operator.index takes counts as its int: a bool, or a numpy
+    # integer too narrow to hold the count plus realize's burn-in.
+    assert COUNTED[count](n) == COUNTED[count](as_int)

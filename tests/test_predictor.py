@@ -217,6 +217,12 @@ class TestSimplified:
         with pytest.raises(ValueError, match="tau must be finite and > 0"):
             fit_simplified(tau)
 
+    @pytest.mark.parametrize("tau", ["0.1", b"0.1"], ids=["str", "bytes"])
+    def test_text_tau_is_refused(self, tau):
+        # As predict and on_ack refuse a str: float() would parse it.
+        with pytest.raises(TypeError):
+            fit_simplified(tau)
+
     def test_attaches_exact_quadratic_mse_from_moments(self, ar2_trace):
         m = fit_moments(ar2_trace)
         model = fit_simplified(0.1, moments=m)
