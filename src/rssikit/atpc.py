@@ -16,8 +16,8 @@ flattens the received power.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite, isnan
 from typing import NamedTuple
 
 import numpy as np
@@ -36,14 +36,6 @@ MODE_FALLBACK = "fallback"
 
 # Predictor methods the controller can run.
 CONTROLLER_METHODS = (METHOD_ORTHONORMAL, METHOD_SIMPLIFIED)
-
-
-def _clamp(x: float, lo: float, hi: float) -> float:
-    """``min(max(x, lo), hi)`` as the two comparisons those builtins make,
-    in their order, so that ties, signed zeros and NaN resolve as theirs
-    do, without the cost of two builtin calls on every event."""
-    x = lo if lo > x else x
-    return hi if hi < x else x
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class AtpcConfig:
     predictor_method: str = METHOD_ORTHONORMAL
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.threshold_dbm) and math.isfinite(self.margin_db)):
+        if not (isfinite(self.threshold_dbm) and isfinite(self.margin_db)):
             raise ValueError("threshold_dbm and margin_db must be finite")
         if self.threshold_dbm < self.radio.sensitivity_dbm:
             raise ValueError("threshold below radio sensitivity is unreachable")
@@ -145,13 +137,19 @@ class AtpcController:
         and then taken as a Python float once: every decision and every
         snapshot field is computed on Python floats, whatever its type.
         """
-        if not math.isfinite(ack_rssi_dbm):
+        if not isfinite(ack_rssi_dbm):
             raise ValueError("ack_rssi must be finite")
         gain = float(ack_rssi_dbm) - self._state.last_tx_dbm
         self._window.observe(self._tick, gain)
         self._tick += 1
         required = self._target - gain
-        next_tx = _clamp(required, self._min_tx, self._max_tx)
+        # The clamp: min(max(required, min_tx), max_tx) written as the two
+        # comparisons those builtins make, in their order, so that ties,
+        # signed zeros and NaN resolve as theirs do (a required power equal
+        # to a limit is kept as computed), without two builtin calls.
+        next_tx = self._min_tx if self._min_tx > required else required
+        if self._max_tx < next_tx:
+            next_tx = self._max_tx
         # Each event's state is built as a tuple of all six fields, skipping
         # the keyword and default handling of the generated __new__.
         self._state = tuple.__new__(
@@ -163,8 +161,10 @@ class AtpcController:
 
         Bridges the gap by predicting the path gain n steps past the last
         anchor, where n is the current run of consecutive losses. Exhausted
-        confidence (n reaching max_missed_acks), missing statistics or a
-        missing anchor all force the safe extreme: maximum power.
+        confidence (n reaching max_missed_acks), missing statistics, a
+        missing anchor or a prediction that is not finite (an anchor slope
+        or a prediction beyond float range, from readings near 1e308) all
+        force the safe extreme: maximum power.
         """
         self._tick += 1
         prev = self._state
@@ -174,15 +174,21 @@ class AtpcController:
             model = self._window.model_for(n) if anchor is not None else None
             if model is not None:
                 gain_a, slope_a = anchor
-                predicted_gain = predict(model, gain_a, slope_a).value
-                required = self._target - predicted_gain
-                next_tx = _clamp(required, self._min_tx, self._max_tx)
-                # The last field is the receiver-side power the lost packet
-                # would have produced.
-                self._state = tuple.__new__(
-                    AtpcState, (next_tx, n, predicted_gain, MODE_TRACKING,
-                                required > self._max_tx, predicted_gain + prev.last_tx_dbm))
-                return next_tx
+                try:
+                    predicted_gain = predict(model, gain_a, slope_a).value
+                except ValueError:  # the prediction is not finite
+                    pass
+                else:
+                    required = self._target - predicted_gain
+                    next_tx = self._min_tx if self._min_tx > required else required
+                    if self._max_tx < next_tx:
+                        next_tx = self._max_tx
+                    # The last field is the receiver-side power the lost
+                    # packet would have produced.
+                    self._state = tuple.__new__(
+                        AtpcState, (next_tx, n, predicted_gain, MODE_TRACKING,
+                                    required > self._max_tx, predicted_gain + prev.last_tx_dbm))
+                    return next_tx
         self._state = tuple.__new__(
             AtpcState, (self._max_tx, n, prev.path_gain_estimate_db, MODE_FALLBACK, False, None))
         return self._max_tx
@@ -223,7 +229,7 @@ class LoopResult:
     @property
     def records(self) -> tuple[LoopRecord, ...]:
         """Per-packet view rebuilt from the columns; kept for the benchmark."""
-        predicted = [None if math.isnan(p) else p for p in self.predicted_dbm.tolist()]
+        predicted = [None if isnan(p) else p for p in self.predicted_dbm.tolist()]
         return tuple(map(LoopRecord, range(len(predicted)), self.tx_dbm.tolist(),
                          self.rssi_dbm.tolist(), self.delivered.tolist(), predicted,
                          self.mode.tolist()))
@@ -314,7 +320,7 @@ def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
                     threshold_dbm: float | None = None) -> LoopResult:
     """Baseline: transmit every packet at a fixed power (e.g. always-max)."""
     _check_tx_power(radio, tx_dbm)
-    if threshold_dbm is not None and not math.isfinite(threshold_dbm):
+    if threshold_dbm is not None and not isfinite(threshold_dbm):
         raise ValueError("threshold_dbm must be finite")
     n = _as_int(n_packets, "n_packets")
     gains, keep = _link(channel, radio, n, loss)

@@ -31,6 +31,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, fields
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -155,7 +156,7 @@ class PredictorModel:
     def __post_init__(self) -> None:
         for name in ("tau", "step_s"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         m = self.source_moments
         if m is not None and (m.tau != self.tau or m.step_s != self.step_s):
@@ -195,7 +196,7 @@ class Prediction:
     steps_ahead: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
+        if not isfinite(self.value):
             raise ValueError("predicted value must be finite")
         if self.steps_ahead < 1:
             raise ValueError("steps_ahead must be >= 1")
@@ -373,7 +374,7 @@ def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
 def _as_float(value) -> float:
     """``value``, any real scalar, as the Python float ``float`` makes of
     it. Unlike ``float``, it parses no str: one raises TypeError."""
-    math.isfinite(value)  # raises TypeError for all but a real number
+    isfinite(value)  # raises TypeError for all but a real number
     return float(value)
 
 
@@ -417,7 +418,7 @@ def _is_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
-        return math.isfinite(value)
+        return isfinite(value)
     except OverflowError:  # an integer beyond float range
         return False
 
@@ -570,7 +571,7 @@ class SlidingWindowPredictor:
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if not (math.isfinite(step_s) and step_s > 0):
+        if not (isfinite(step_s) and step_s > 0):
             raise ValueError(f"step_s must be finite and > 0, got {step_s}")
         self.method = method
         self.lags = _whole_lags(lags)
@@ -609,7 +610,7 @@ class SlidingWindowPredictor:
         """
         if type(seq) is not int:
             seq = _as_int(seq, "observation seq")
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise ValueError(f"observation value must be finite, got {value}")
         value = float(value)
         # The order check bounds every seq after the first from below; the

@@ -453,7 +453,13 @@ class ReferenceAtpcController:
         prev = self.state
         anchor = self._window.anchor()
         model = self._window.model_for(n) if anchor is not None else None
-        if n >= self.config.max_missed_acks or anchor is None or model is None:
+        prediction = None
+        if n < self.config.max_missed_acks and model is not None:
+            try:
+                prediction = predict(model, *anchor)
+            except ValueError:  # a prediction that is not finite falls back
+                pass
+        if prediction is None:
             self.state = ReferenceAtpcState(
                 last_tx_dbm=self.config.radio.max_tx_dbm,
                 consecutive_missed=n,
@@ -462,8 +468,7 @@ class ReferenceAtpcController:
                 headroom_insufficient=False,
             )
             return self.config.radio.max_tx_dbm
-        gain_a, slope_a = anchor
-        predicted_gain = predict(model, gain_a, slope_a).value
+        predicted_gain = prediction.value
         next_tx, insufficient = self._decide(predicted_gain)
         self.state = ReferenceAtpcState(
             last_tx_dbm=next_tx,

@@ -353,6 +353,8 @@ class TestMatchesReference:
     # and min keep their first argument on a tie, so the clamp returns the
     # required power, -0.0 against a +0.0 floor and +0.0 against a -0.0
     # ceiling. A clamp that took the limit on a tie would return its sign.
+    # Two equal gains, then a missed ACK, whose flat prediction is the same
+    # gain, take the tie through both events' clamps.
     @pytest.mark.parametrize("limits, threshold, margin, gain, want", [
         (dict(min_tx_dbm=0.0), -0.0, -0.0, 0.0, -0.0),
         (dict(max_tx_dbm=-0.0, min_tx_dbm=-20.0), -20.0, 0.0, -20.0, 0.0),
@@ -360,9 +362,30 @@ class TestMatchesReference:
     def test_a_tie_with_a_limit_keeps_the_required_zero(self, limits, threshold, margin,
                                                         gain, want):
         radio = dataclasses.replace(RADIO, **limits)
-        [state] = drive(make_config(radio=radio, threshold_dbm=threshold, margin_db=margin),
-                        [gain])
-        assert bits(state.last_tx_dbm) == bits(want)
+        seen = drive(make_config(radio=radio, threshold_dbm=threshold, margin_db=margin),
+                     [gain, gain, 1])
+        assert seen[-1].predicted_dbm is not None
+        assert [bits(state.last_tx_dbm) for state in seen] == [bits(want)] * 3
+
+    # A missed ACK whose prediction is not finite falls back, as one with no
+    # anchor does (at the parent, predict raised ValueError): an anchor
+    # slope that overflows (a gain step over a 1e-308 s lag unit, or gains
+    # of 1e308 then -1e308), or a finite anchor whose prediction overflows
+    # (1e308 plus a 1e308 dB/s slope over a 1 s lag).
+    @pytest.mark.parametrize("method, rate_pps, events", [
+        ("simplified", 1e308, [-80.0, -90.0, 1]),
+        ("orthonormal", RADIO.rate_pps, gain_walk(7, 200) + [-80.0, -80.5, 1,
+                                                            1e308, -1e308, 1]),
+        ("simplified", 1.0, [-80.0, 1e308, 1]),
+    ], ids=["slope-over-tiny-lag", "fitted-window", "finite-anchor"])
+    def test_a_prediction_that_is_not_finite_falls_back(self, method, rate_pps, events):
+        radio = dataclasses.replace(RADIO, rate_pps=rate_pps)
+        seen = drive(make_config(radio=radio, max_missed_acks=3, predictor_method=method),
+                     events)
+        if method == "orthonormal":  # the window's model served the earlier gap
+            assert seen[-4].mode == "tracking" and seen[-4].predicted_dbm is not None
+        gain = seen[-2].path_gain_estimate_db
+        assert seen[-1] == (RADIO.max_tx_dbm, 1, gain, "fallback", False, None)
 
 
 class TestSafety:
