@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linksim import ChannelModel, LossModel, RadioProfile, _check_tx_power
+from .linksim import ChannelModel, LossModel, RadioProfile, _check_tx_power, _keep_mask
 from .predictor import (
     METHOD_ORTHONORMAL,
     METHOD_SIMPLIFIED,
@@ -68,9 +68,8 @@ class AtpcConfig:
         if self.threshold_dbm < self.radio.sensitivity_dbm:
             raise ValueError("threshold below radio sensitivity is unreachable")
         if self.margin_db < 0:
-            raise ValueError("margin_db must be >= 0")
-        if _as_int(self.max_missed_acks, "max_missed_acks") < 1:
-            raise ValueError("max_missed_acks must be >= 1")
+            raise ValueError(f"margin_db must be non-negative, got {self.margin_db}")
+        _as_int(self.max_missed_acks, "max_missed_acks", 1)
         if self.predictor_method not in CONTROLLER_METHODS:
             raise ValueError(f"unsupported predictor method {self.predictor_method!r}")
 
@@ -140,8 +139,11 @@ class AtpcController:
         if not isfinite(ack_rssi_dbm):
             raise ValueError("ack_rssi must be finite")
         gain = float(ack_rssi_dbm) - self._state.last_tx_dbm
-        self._window.observe(self._tick, gain)
-        self._tick += 1
+        # The tick moves on first: the window keeps the observation even if
+        # the refit step it runs raises, so the next event needs the next seq.
+        tick = self._tick
+        self._tick = tick + 1
+        self._window.observe(tick, gain)
         required = self._target - gain
         # The clamp: min(max(required, min_tx), max_tx) written as the two
         # comparisons those builtins make, in their order, so that ties,
@@ -262,16 +264,11 @@ class LoopResult:
 def _link(channel: ChannelModel, radio: RadioProfile, n_packets: int,
           loss: LossModel | None) -> tuple[np.ndarray, np.ndarray]:
     """Each packet's path gain, and whether the loss process keeps it."""
-    n_packets = _as_int(n_packets, "n_packets")
-    if n_packets < 1:
-        raise ValueError("n_packets must be >= 1")
+    n_packets = _as_int(n_packets, "n_packets", 1)
     gains = channel.realize(n_packets, radio.rate_pps) - channel.base_path_loss_db
     if loss is None:
         return gains, np.ones(n_packets, dtype=bool)
-    keep = np.asarray(loss.keep_mask(n_packets), dtype=bool)
-    if keep.shape != (n_packets,):
-        raise ValueError(f"loss keep_mask gave {keep.size} entries for {n_packets} packets")
-    return gains, keep
+    return gains, _keep_mask(loss, n_packets)
 
 
 def _transcript(radio: RadioProfile, tx: np.ndarray, gains: np.ndarray, keep: np.ndarray,
@@ -322,8 +319,8 @@ def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
     _check_tx_power(radio, tx_dbm)
     if threshold_dbm is not None and not isfinite(threshold_dbm):
         raise ValueError("threshold_dbm must be finite")
-    n = _as_int(n_packets, "n_packets")
-    gains, keep = _link(channel, radio, n, loss)
+    gains, keep = _link(channel, radio, n_packets, loss)
+    n = gains.size
     thr = radio.sensitivity_dbm if threshold_dbm is None else threshold_dbm
     return _transcript(radio, np.full(n, tx_dbm, dtype=float), gains, keep,
                        np.full(n, np.nan), ["fixed"] * n, thr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .stats import _as_int
-from .trace import Trace, derive_times
+from .trace import Trace, _as_positive, derive_times
 
 CHANNEL_KINDS = ("ar2", "swell", "ripple")
 # Loss kind -> the LossModel fields its keep_mask reads.
@@ -51,7 +51,8 @@ class RadioProfile:
 
     Attributes:
         name: Identifier, e.g. "cc2538".
-        rate_pps: Sustainable packet rate, packets per second.
+        rate_pps: Sustainable packet rate, packets per second; finite and
+            > 0 (``_as_positive``).
         sensitivity_dbm: Minimum receivable power.
         max_tx_dbm: Largest configurable transmit power.
         min_tx_dbm: Smallest configurable transmit power.
@@ -66,11 +67,10 @@ class RadioProfile:
     packet_bytes: int
 
     def __post_init__(self) -> None:
-        for name in ("rate_pps", "sensitivity_dbm", "max_tx_dbm", "min_tx_dbm"):
+        _as_positive(self.rate_pps, "rate_pps")
+        for name in ("sensitivity_dbm", "max_tx_dbm", "min_tx_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.rate_pps <= 0:
-            raise ValueError("rate_pps must be > 0")
         if self.min_tx_dbm >= self.max_tx_dbm:
             raise ValueError("min_tx_dbm must be below max_tx_dbm")
         if self.packet_bytes <= 0:
@@ -79,7 +79,7 @@ class RadioProfile:
     @property
     def lag_unit_s(self) -> float:
         """Seconds per sampling step (one prediction lag unit)."""
-        return 1.0 / self.rate_pps
+        return 1.0 / float(self.rate_pps)
 
 
 def builtin_profiles() -> list[RadioProfile]:
@@ -159,11 +159,8 @@ class ChannelModel:
 
     def realize(self, n_samples: int, rate_pps: float) -> np.ndarray:
         """Deterministic fluctuation series (dB around the mean path)."""
-        n_samples = _as_int(n_samples, "n_samples")
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if not (math.isfinite(rate_pps) and rate_pps > 0):
-            raise ValueError(f"rate_pps must be finite and > 0, got {rate_pps}")
+        n_samples = _as_int(n_samples, "n_samples", 1)
+        rate_pps = _as_positive(rate_pps, "rate_pps")
         rng = np.random.default_rng(self.seed)
         t = np.arange(n_samples) / rate_pps
 
@@ -266,9 +263,7 @@ class LossModel:
 
     def keep_mask(self, n: int) -> np.ndarray:
         """Boolean survival mask for n consecutive packets (True = kept)."""
-        n = _as_int(n, "n")
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        n = _as_int(n, "n", 0)
         rng = np.random.default_rng(self.seed)
         if n == 0:
             return np.zeros(0, dtype=bool)
@@ -324,9 +319,7 @@ def generate_trace(channel: ChannelModel, radio: RadioProfile,
     sensitivity are dropped deterministically (they were never received),
     which layers under any stochastic LossModel applied afterwards.
     """
-    n_packets = _as_int(n_packets, "n_packets")
-    if n_packets < 1:
-        raise ValueError("n_packets must be >= 1")
+    n_packets = _as_int(n_packets, "n_packets", 1)
     _check_tx_power(radio, tx_power_dbm)
     fluct = channel.realize(n_packets, radio.rate_pps)
     rssi = np.round(tx_power_dbm - channel.base_path_loss_db + fluct, 2)
@@ -344,6 +337,16 @@ def generate_trace(channel: ChannelModel, radio: RadioProfile,
                  nominal_interval=step, meta=meta)
 
 
+def _keep_mask(loss, n: int) -> np.ndarray:
+    """The survival of n packets as ``loss.keep_mask(n)`` gives it, read as
+    booleans: the one reading of a loss's mask. A mask of any other shape
+    than (n,) raises ValueError."""
+    keep = np.asarray(loss.keep_mask(n), dtype=bool)
+    if keep.shape != (n,):
+        raise ValueError(f"loss keep_mask gave {keep.size} entries for {n} packets")
+    return keep
+
+
 def apply_loss(trace: Trace, loss: LossModel) -> Trace:
     """Remove samples according to the loss process.
 
@@ -353,7 +356,7 @@ def apply_loss(trace: Trace, loss: LossModel) -> Trace:
     """
     if not len(trace):
         raise ValueError("trace is empty")
-    keep = loss.keep_mask(len(trace))
+    keep = _keep_mask(loss, len(trace))
     meta = dict(trace.meta)
     meta["loss"] = loss.kind
     meta["loss_seed"] = loss.seed

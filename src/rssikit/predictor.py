@@ -49,7 +49,7 @@ from .stats import (
 # names that the benchmark's traced run wraps in this module, kept until it
 # traces the trace memo (_trace_moments) and the window's refit steps
 # instead; tests/test_bench_api.py resolves each name.
-from .trace import Trace, derivative_series
+from .trace import Trace, _as_positive, derivative_series
 
 logger = logging.getLogger(__name__)
 
@@ -154,10 +154,8 @@ class PredictorModel:
     source_moments: MomentSet | None = None
 
     def __post_init__(self) -> None:
-        for name in ("tau", "step_s"):
-            value = getattr(self, name)
-            if not (isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        _as_positive(self.tau, "tau")
+        _as_positive(self.step_s, "step_s")
         m = self.source_moments
         if m is not None and (m.tau != self.tau or m.step_s != self.step_s):
             raise ValueError("source moments must have the model's tau and step_s")
@@ -198,8 +196,7 @@ class Prediction:
     def __post_init__(self) -> None:
         if not isfinite(self.value):
             raise ValueError("predicted value must be finite")
-        if self.steps_ahead < 1:
-            raise ValueError("steps_ahead must be >= 1")
+        _as_int(self.steps_ahead, "steps_ahead", 1)
 
 
 def analytic_mse(model: PredictorModel, m: MomentSet) -> float:
@@ -571,11 +568,9 @@ class SlidingWindowPredictor:
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-        if not (isfinite(step_s) and step_s > 0):
-            raise ValueError(f"step_s must be finite and > 0, got {step_s}")
+        self.step_s = _as_positive(step_s, "step_s")
         self.method = method
         self.lags = _whole_lags(lags)
-        self.step_s = float(step_s)
         self._refits = bool(self.lags) and method != METHOD_SIMPLIFIED
         # Machine arrays append a Python number faster than numpy stores one.
         self._seq = array.array("q")

@@ -20,20 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import Trace, derivative_series
+from .trace import Trace, _as_positive, derivative_series
 
 # Below this many contributing sample pairs a second-order moment is too
 # noisy to fit from.
 _MIN_PAIRS = 8
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as the int ``operator.index`` gives for it; anything that
-    would have to be truncated to become one raises ``ValueError``."""
+def _as_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as the int ``operator.index`` gives for it: the one rule
+    for a count. Anything that would have to be truncated to become one,
+    or an int below ``minimum`` where one is given, raises ``ValueError``."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {n}")
+    return n
 
 
 def _record(cls, values: dict):
@@ -164,8 +168,7 @@ class MomentSet:
             raise ValueError(f"rprp0 must be non-negative, got {self.rprp0}")
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-        if not (math.isfinite(self.step_s) and self.step_s > 0):
-            raise ValueError(f"step_s must be finite and > 0, got {self.step_s}")
+        _as_positive(self.step_s, "step_s")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         # Cauchy-Schwarz with a small slack for float accumulation.
@@ -223,9 +226,7 @@ def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
         InsufficientSupportError: Any requested lag has fewer than
             ``_MIN_PAIRS`` contributing pairs.
     """
-    max_lag = _as_int(max_lag, "max_lag")
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+    max_lag = _as_int(max_lag, "max_lag", 1)
     n = len(trace)
     if n < max_lag + 2:
         raise InsufficientSupportError(

@@ -55,7 +55,8 @@ class Trace:
         rssi: Received power in dBm (float64, finite).
         tx_power: Transmit power in dBm that produced each packet (float64);
             NaN where unknown.
-        nominal_interval: Seconds between consecutive sequence numbers.
+        nominal_interval: Seconds between consecutive sequence numbers;
+            finite and > 0, stored as a Python float (``_as_positive``).
         meta: Free-form labels (deployment, radio, ingestion counters).
 
     Statistics derived from the columns (the slope column, each lag's
@@ -73,8 +74,8 @@ class Trace:
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.nominal_interval) and self.nominal_interval > 0):
-            raise ValueError(f"nominal_interval must be > 0, got {self.nominal_interval}")
+        object.__setattr__(self, "nominal_interval",
+                           _as_positive(self.nominal_interval, "nominal_interval"))
         for name in ("seq", "t", "rssi", "tx_power"):
             values = getattr(self, name)
             a = _int64_column(values, name) if name == "seq" else np.array(values, np.float64)
@@ -116,6 +117,20 @@ class Trace:
     def shifted(self, offset_db: float) -> "Trace":
         """Copy of the trace with a constant added to every rssi value."""
         return replace(self, rssi=self.rssi + offset_db, meta=dict(self.meta))
+
+
+def _as_positive(value, what: str) -> float:
+    """``value``, any real scalar, checked finite and > 0 as given and
+    returned as the Python float ``float`` makes of it: the one rule for a
+    step, an interval or a rate, so a numpy scalar of any precision is
+    used at float64. A str raises TypeError."""
+    try:
+        positive = math.isfinite(value) and value > 0
+    except OverflowError:  # an integer beyond float range
+        positive = False
+    if not positive:
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
+    return float(value)
 
 
 def _int64_column(values, name: str) -> np.ndarray:
@@ -216,9 +231,8 @@ def ingest_csv(path: str | Path, nominal_interval: float | None = None) -> Trace
     pass that both parsers share.
     """
     path = Path(path)
-    if nominal_interval is not None and not (
-            math.isfinite(nominal_interval) and nominal_interval > 0):
-        raise ValueError(f"nominal_interval must be > 0, got {nominal_interval}")
+    if nominal_interval is not None:
+        nominal_interval = _as_positive(nominal_interval, "nominal_interval")
     with path.open(newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
     rows = _parse_blocks(text) or _parse_lines(text, path)

@@ -435,8 +435,9 @@ class ReferenceAtpcController:
         if not math.isfinite(ack_rssi_dbm):
             raise ValueError("ack_rssi must be finite")
         gain = ack_rssi_dbm - self.state.last_tx_dbm
-        self._window.observe(self._tick, gain)
+        # The tick moves on even if the window's refit step raises.
         self._tick += 1
+        self._window.observe(self._tick - 1, gain)
         next_tx, insufficient = self._decide(gain)
         self.state = ReferenceAtpcState(
             last_tx_dbm=next_tx,

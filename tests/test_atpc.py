@@ -24,6 +24,7 @@ from rssikit import (
     run_fixed_power,
     swell_channel,
 )
+from rssikit import predictor
 from rssikit.atpc import CONTROLLER_METHODS, LoopResult
 from rssikit.predictor import OrthonormalBasis, Prediction, PredictorModel
 from rssikit.stats import MomentSet
@@ -631,3 +632,51 @@ def test_an_integer_ack_is_its_float():
     by_int, by_float = AtpcController(make_config()), AtpcController(make_config())
     assert bits(by_int.on_ack(-80)) == bits(by_float.on_ack(-80.0))
     assert [bits(v) for v in by_int.state] == [bits(v) for v in by_float.state]
+
+
+def test_an_ack_after_a_refit_stage_raised_is_served_by_both_controllers(monkeypatch):
+    # The window keeps the observation whose refit step raised, so an ACK
+    # that repeated its tick would be refused as out of order. The first
+    # refit of each controller (kernel calls 1 and 2) raises in its second
+    # stage, two observations after its refit point (ACK 63, from 0).
+    lag_moment_stages, calls = predictor.lag_moment_stages, []
+
+    def failing(stages):
+        yield next(stages)
+        raise MemoryError("stage failed")
+
+    def kernel(*args):
+        calls.append(args)
+        stages = lag_moment_stages(*args)
+        return failing(stages) if len(calls) <= 2 else stages
+
+    monkeypatch.setattr(predictor, "lag_moment_stages", kernel)
+    config = make_config(predictor_method="orthonormal")
+    ctrl, ref = AtpcController(config), ReferenceAtpcController(config)
+
+    def same_state():
+        return [bits(v) for v in ctrl.state] == \
+            [bits(getattr(ref.state, f)) for f in AtpcState._fields]
+
+    tx, raised = ctrl.current_tx_dbm, []
+    for k in range(200):
+        reading = tx - 80.0 + math.sin(k / 9.0)
+        try:
+            got = ctrl.on_ack(reading)
+        except MemoryError:
+            with pytest.raises(MemoryError):
+                ref.on_ack(reading)
+            raised.append(k)
+            continue
+        assert bits(got) == bits(ref.on_ack(reading)) and same_state(), k
+        tx = got
+    assert raised == [65]
+    for _ in range(3):
+        assert bits(ctrl.on_missed_ack()) == bits(ref.on_missed_ack()) and same_state()
+        assert ctrl.state.mode == "tracking" and ctrl.state.predicted_dbm is not None
+
+
+def test_no_delivered_packet_leaves_the_above_threshold_share_undefined():
+    result = run_fixed_power(swell_channel(seed=2), RADIO, 0.0, 50, loss=bernoulli_loss(1.0))
+    assert not result.delivered.any()
+    assert math.isnan(result.delivered_above_threshold)

@@ -120,6 +120,14 @@ class TestFitPredict:
         printed = json.loads(capsys.readouterr().out)["mse_db2"]
         assert printed == round(hand_built_exact_error(), 6)
 
+    def test_fit_without_out_writes_the_file_bytes_to_stdout(self, trace_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        args = ("fit", "--in", str(trace_csv), "--method", "orthonormal", "--lag", "2")
+        assert run_cli(*args, "--out", str(model_path)) == 0
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out.encode() == model_path.read_bytes()
+
     def test_fit_determinism(self, trace_csv, tmp_path):
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         for p in (p1, p2):

@@ -208,6 +208,14 @@ class TestReportOutput:
         with pytest.raises(KeyError):
             report.row_for(2)
 
+    def test_a_missing_mse_is_an_empty_field(self):
+        # Four triples are too few for moments, so the simplified model
+        # carries no error estimate, but it still predicts.
+        report = evaluate(make_trace([-70.0, -69.0, -71.0, -68.0, -70.0, -69.0]),
+                          "simplified", [1])
+        assert report.rows[0].analytic_mse_db2 is None
+        assert report.to_csv_text().splitlines()[1].endswith(",,simplified")
+
 
 @pytest.mark.parametrize("values", [[-70.0], []], ids=["one-sample", "empty"])
 def test_a_too_short_trace_is_refused(values):

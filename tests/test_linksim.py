@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssikit import (
+    AtpcConfig,
     ChannelModel,
     LossModel,
     apply_loss,
@@ -27,6 +29,7 @@ from rssikit import (
     gilbert_elliott_loss,
     profile_by_name,
     ripple_channel,
+    run_closed_loop,
     run_fixed_power,
     swell_channel,
 )
@@ -355,8 +358,8 @@ CC2538 = profile_by_name("cc2538")
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: replace(CC2538, rate_pps=0.0), "rate_pps must be > 0"),
-    (lambda: replace(CC2538, rate_pps=-2.0), "rate_pps must be > 0"),
+    (lambda: replace(CC2538, rate_pps=0.0), "rate_pps must be finite and > 0, got 0.0"),
+    (lambda: replace(CC2538, rate_pps=-2.0), "rate_pps must be finite and > 0, got -2.0"),
     (lambda: replace(CC2538, min_tx_dbm=7.0), "min_tx_dbm must be below max_tx_dbm"),
     (lambda: replace(CC2538, min_tx_dbm=8.0), "min_tx_dbm must be below max_tx_dbm"),
     (lambda: replace(CC2538, packet_bytes=0), "packet_bytes must be > 0"),
@@ -401,3 +404,36 @@ def test_a_count_is_used_as_the_int_it_equals(count, n, as_int):
     # Whatever operator.index takes counts as its int: a bool, or a numpy
     # integer too narrow to hold the count plus realize's burn-in.
     assert COUNTED[count](n) == COUNTED[count](as_int)
+
+
+def test_a_float32_rate_gives_a_python_float_step():
+    radio = replace(CC2538, rate_pps=np.float32(10.0))
+    assert type(radio.lag_unit_s) is float and radio.lag_unit_s == 0.1
+
+
+def test_a_float32_rate_realizes_as_its_float():
+    # The swell's colored noise takes its AR(1) coefficient from the step,
+    # which a float32 rate would otherwise make in float32.
+    ch = swell_channel(seed=4)
+    assert ch.realize(500, np.float32(10.0)).tobytes() == ch.realize(500, 10.0).tobytes()
+
+
+def listed_loss(mask):
+    """A loss process whose keep_mask gives ``mask`` as it is, a list."""
+    return SimpleNamespace(kind="listed", seed=0, keep_mask=lambda n: mask)
+
+
+def test_apply_loss_reads_a_mask_as_booleans():
+    # As run_closed_loop reads it: [0, 1] drops the first packet, where
+    # indexing by it would keep both.
+    tr = generate_trace(swell_channel(seed=1), CC2538, 0.0, 2)
+    assert apply_loss(tr, listed_loss([0, 1])).seq.tolist() == [1]
+
+
+def test_a_mask_of_the_wrong_length_is_refused_alike():
+    tr = generate_trace(swell_channel(seed=1), CC2538, 0.0, 2)
+    config = AtpcConfig(radio=CC2538, threshold_dbm=-90.0)
+    for run in (lambda: apply_loss(tr, listed_loss([True])),
+                lambda: run_closed_loop(swell_channel(seed=1), config, 2, listed_loss([True]))):
+        with pytest.raises(ValueError, match=re.escape("loss keep_mask gave 1 entries for 2 packets")):
+            run()

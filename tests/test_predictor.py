@@ -567,6 +567,10 @@ class TestModelProperties:
          "model record key 'analytic_mse_db2' must not be negative, got -3.5"),
         (lambda p: {**p, "moments": {**p["moments"], "tau_s": 0.2}},
          "model file: source moments must have the model's tau and step_s"),
+        (lambda p: {**p, "moments": {**p["moments"], "n": 0}},
+         "model file: moments: n must be at least 1"),
+        (lambda p: {**p, "moments": {**p["moments"], "rprp0": -1.0}},
+         "model file: moments: rprp0 must be non-negative, got -1.0"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
             "moments-not-object", "moments-no-rr0", "tau-not-number",
             "unit-residuals-not-list", "method-not-string", "weight-is-bool",
@@ -575,7 +579,8 @@ class TestModelProperties:
             "step-infinite", "moments-tau-nan", "moments-step-negative",
             "moments-step-infinite", "weight-infinite", "mean-minus-infinite",
             "mean-beyond-float", "stored-mse-nan", "unit-residual-nan",
-            "moments-rr0-infinite", "stored-mse-negative", "moments-tau-another-lag"])
+            "moments-rr0-infinite", "stored-mse-negative", "moments-tau-another-lag",
+            "moments-n-zero", "moments-rprp0-negative"])
     def test_malformed_json_raises_value_error(self, ar2_trace, edit, message):
         payload = json.loads(model_to_json(fit_orthonormal(fit_moments(ar2_trace))))
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -1316,6 +1321,17 @@ class TestFitAtLagTakesALagAsEvaluateDoes:
         else:
             with pytest.raises(InsufficientSupportError, match="only 0 contributing"):
                 fit_at_lag(ar2_trace, method, k)
+
+    def test_an_unknown_method_is_refused(self, ar2_trace):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            fit_at_lag(ar2_trace, "bogus", 1)
+
+    def test_a_float32_interval_serves_lags_of_its_python_float(self, ar2_trace):
+        # Lag 3 of a float32 0.1 s step spans 3 * 0.10000000149 s computed
+        # in float64, 0.30000000447 s, not the float32 0.30000001192 s.
+        trace = dataclasses.replace(ar2_trace, nominal_interval=np.float32(0.1))
+        assert type(trace.nominal_interval) is float
+        assert fit_at_lag(trace, "orthonormal", 3).tau == 3 * float(np.float32(0.1))
 
     @pytest.mark.parametrize("method", METHODS)
     def test_true_is_lag_one_as_in_evaluate(self, ar2_trace, method):

@@ -921,15 +921,16 @@ class TestDerivative:
                 derivative_series(tr)
 
 
-@pytest.mark.parametrize("interval", [0.0, -0.1, math.nan, math.inf],
-                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("interval", [0.0, -0.1, math.nan, math.inf, 10**400],
+                         ids=["zero", "negative", "nan", "inf", "beyond-float"])
 @pytest.mark.parametrize("build", [
     lambda tmp_path, interval: make_trace([-70.0, -69.0], interval=interval),
     lambda tmp_path, interval: ingest_csv(
         write_csv(tmp_path, "seq,t_s,rssi_dbm\n0,0.0,-70.0\n"), interval),
 ], ids=["trace", "ingest"])
 def test_a_bad_nominal_interval_is_refused(tmp_path, build, interval):
-    with pytest.raises(ValueError, match=re.escape(f"nominal_interval must be > 0, got {interval}")):
+    with pytest.raises(ValueError, match=re.escape(
+            f"nominal_interval must be finite and > 0, got {interval}")):
         build(tmp_path, interval)
 
 
@@ -940,3 +941,25 @@ def test_a_two_dimensional_column_is_refused(column):
     values[column] = [values[column]]
     with pytest.raises(ValueError, match=f"{column} must be a 1-D column"):
         Trace(**values, nominal_interval=0.1)
+
+
+def test_a_half_precision_interval_is_compared_at_its_own_value(tmp_path):
+    # float16 0.1 is 0.0999755859375 s, 24 us from the file's 0.1 s step.
+    path = write_csv(tmp_path, "seq,t_s,rssi_dbm\n0,0.0,-70.0\n1,0.1,-69.0\n2,0.2,-68.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IngestError, match=re.escape(
+                "nominal interval 0.0999755859375 s (--interval) disagrees with "
+                "the t_s step 0.1 s")):
+            ingest_csv(path, np.float16(0.1))
+
+
+def test_the_loss_ratio_of_an_empty_trace_is_nan():
+    empty = Trace(seq=[], t=[], rssi=[], tx_power=[], nominal_interval=0.1)
+    assert math.isnan(empty.loss_ratio)
+
+
+def test_a_seq_that_is_not_a_number_is_refused_by_name():
+    with pytest.raises(ValueError, match=re.escape("seq must hold integers within int64, got 'a'")):
+        Trace(seq=["a", "b"], t=[0.0, 0.1], rssi=[-70.0, -69.0],
+              tx_power=[math.nan, math.nan], nominal_interval=0.1)
