@@ -30,6 +30,7 @@ from .predictor import (
     predict,
 )
 from .stats import _as_int
+from .trace import _as_real
 
 MODE_TRACKING = "tracking"
 MODE_FALLBACK = "fallback"
@@ -63,8 +64,8 @@ class AtpcConfig:
     predictor_method: str = METHOD_ORTHONORMAL
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.threshold_dbm) and isfinite(self.margin_db)):
-            raise ValueError("threshold_dbm and margin_db must be finite")
+        _as_real(self.threshold_dbm, "threshold_dbm")
+        _as_real(self.margin_db, "margin_db")
         if self.threshold_dbm < self.radio.sensitivity_dbm:
             raise ValueError("threshold below radio sensitivity is unreachable")
         if self.margin_db < 0:
@@ -317,8 +318,8 @@ def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
                     threshold_dbm: float | None = None) -> LoopResult:
     """Baseline: transmit every packet at a fixed power (e.g. always-max)."""
     _check_tx_power(radio, tx_dbm)
-    if threshold_dbm is not None and not isfinite(threshold_dbm):
-        raise ValueError("threshold_dbm must be finite")
+    if threshold_dbm is not None:
+        _as_real(threshold_dbm, "threshold_dbm")
     gains, keep = _link(channel, radio, n_packets, loss)
     n = gains.size
     thr = radio.sensitivity_dbm if threshold_dbm is None else threshold_dbm

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .stats import _as_int
-from .trace import Trace, _as_positive, derive_times
+from .trace import Trace, _as_positive, _as_real, derive_times
 
 CHANNEL_KINDS = ("ar2", "swell", "ripple")
 # Loss kind -> the LossModel fields its keep_mask reads.
@@ -56,7 +56,9 @@ class RadioProfile:
         sensitivity_dbm: Minimum receivable power.
         max_tx_dbm: Largest configurable transmit power.
         min_tx_dbm: Smallest configurable transmit power.
-        packet_bytes: Payload size used at that rate.
+            The three powers are each finite (``_as_real``).
+        packet_bytes: Payload size used at that rate; a count >= 1
+            (``_as_int``).
     """
 
     name: str
@@ -69,12 +71,10 @@ class RadioProfile:
     def __post_init__(self) -> None:
         _as_positive(self.rate_pps, "rate_pps")
         for name in ("sensitivity_dbm", "max_tx_dbm", "min_tx_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _as_real(getattr(self, name), name)
         if self.min_tx_dbm >= self.max_tx_dbm:
             raise ValueError("min_tx_dbm must be below max_tx_dbm")
-        if self.packet_bytes <= 0:
-            raise ValueError("packet_bytes must be > 0")
+        _as_int(self.packet_bytes, "packet_bytes", 1)
 
     @property
     def lag_unit_s(self) -> float:
@@ -134,10 +134,11 @@ class ChannelModel:
     def __post_init__(self) -> None:
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        for name in ("base_path_loss_db", "osc_freqs_hz", "osc_amps_db", "ar_coeffs",
-                     "noise_std_db", "noise_corr_time_s"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        for name in ("base_path_loss_db", "noise_std_db", "noise_corr_time_s"):
+            _as_real(getattr(self, name), name)
+        for name in ("osc_freqs_hz", "osc_amps_db", "ar_coeffs"):
+            for value in getattr(self, name):
+                _as_real(value, name)
         if len(self.osc_freqs_hz) != len(self.osc_amps_db):
             raise ValueError("oscillation frequencies and amplitudes must pair up")
         if any(f < 0 for f in self.osc_freqs_hz) or any(a < 0 for a in self.osc_amps_db):

@@ -49,7 +49,7 @@ from .stats import (
 # names that the benchmark's traced run wraps in this module, kept until it
 # traces the trace memo (_trace_moments) and the window's refit steps
 # instead; tests/test_bench_api.py resolves each name.
-from .trace import Trace, _as_positive, derivative_series
+from .trace import Trace, _as_positive, _as_real, _is_finite, derivative_series
 
 logger = logging.getLogger(__name__)
 
@@ -299,14 +299,14 @@ def fit_orthonormal(m: MomentSet) -> PredictorModel:
 def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorModel:
     """Small-lag model with weights exactly (1, tau); needs no statistics.
 
-    tau may be any real scalar, taken as a Python float (``_as_float``);
-    a str raises TypeError. Without moments the model serves tau as a
-    single step. Supplied moments must be those of lag tau on their own
+    tau may be any real scalar, finite and > 0 (``_as_positive``), and is
+    taken as a Python float; a str raises TypeError. Without moments the
+    model serves tau as a single step. Supplied moments must be those of lag tau on their own
     grid; the model then takes their tau and step, centres the slope on
     their slope mean and attaches the error of its own predictions over
     their fitting triples.
     """
-    tau = _as_float(tau)
+    tau = _as_positive(tau, "tau")
     if moments is None:
         return _fit_moments(METHOD_SIMPLIFIED, tau, tau, None)
     if _lag_steps(tau, moments.step_s) != _lag_steps(moments.tau, moments.step_s):
@@ -368,13 +368,6 @@ def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
     return _fit_moments(method, k * step, step, m)
 
 
-def _as_float(value) -> float:
-    """``value``, any real scalar, as the Python float ``float`` makes of
-    it. Unlike ``float``, it parses no str: one raises TypeError."""
-    isfinite(value)  # raises TypeError for all but a real number
-    return float(value)
-
-
 def predict(model: PredictorModel, anchor_r: float, anchor_rp: float) -> Prediction:
     """Predict received power (dBm) tau past an anchor value (dBm) and slope
     (dB/s). ``steps_ahead`` is the model's horizon in steps (``_lag_steps``);
@@ -382,10 +375,12 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float) -> Predict
 
     Each anchor may be any real scalar, such as an int or a numpy scalar of
     any precision; it is taken as a Python float once, so the prediction
-    is computed in float64 whatever the anchors' types.
+    is computed in float64 whatever the anchors' types. An anchor that is
+    not a Python float is checked by ``_as_real``: a NaN, +-inf or an int
+    beyond float range raises ValueError naming it, a str TypeError.
     """
     if type(anchor_r) is not float or type(anchor_rp) is not float:
-        anchor_r, anchor_rp = _as_float(anchor_r), _as_float(anchor_rp)
+        anchor_r, anchor_rp = _as_real(anchor_r, "anchor_r"), _as_real(anchor_rp, "anchor_rp")
     return _record(Prediction, {"value": float(model.apply(anchor_r, anchor_rp)),
                                 "mse": model.analytic_mse,
                                 "steps_ahead": _lag_steps(model.tau, model.step_s)})
@@ -412,12 +407,8 @@ _MOMENT_KEYS = {
 
 def _is_number(value) -> bool:
     """A finite JSON number: ``json`` also reads NaN and +-Infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return isfinite(value)
-    except OverflowError:  # an integer beyond float range
-        return False
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and _is_finite(value))
 
 
 # Field annotation -> (check of a JSON value for that field, what it must be).
@@ -457,13 +448,14 @@ def model_to_json(model: PredictorModel) -> str:
     """Serialize a fitted model as a JSON text record.
 
     Floats keep full precision (repr round trip), so dump/load is exact.
+    A NaN or infinity raises ValueError, as ``model_from_json`` refuses it.
     """
     payload = _to_record(model, _MODEL_KEYS)
     if model.basis is not None:
         payload["basis"] = _to_record(model.basis, _BASIS_KEYS)
     if model.source_moments is not None:
         payload["moments"] = _to_record(model.source_moments, _MOMENT_KEYS)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def model_from_json(text: str) -> PredictorModel:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import Trace, _as_positive, derivative_series
+from .trace import Trace, _as_positive, _is_finite, derivative_series
 
 # Below this many contributing sample pairs a second-order moment is too
 # noisy to fit from.
@@ -144,7 +144,8 @@ class MomentSet:
         rr0_ahead: E{r(t+tau)^2} over the same index set, dB^2.
         tau: Lag in seconds.
         step_s: Sample grid spacing the lag lives on, seconds.
-        n: Contributing triples.
+        n: Contributing triples; a count >= 1 (``_as_int``), stored as
+            the Python int that gives, so a model file writes an integer.
         mean_r: Removed process mean, dBm.
         mean_rp: Removed slope mean, dB/s.
     """
@@ -166,11 +167,10 @@ class MomentSet:
             raise ValueError(f"rr0 must be positive, got {self.rr0}")
         if self.rprp0 < 0:
             raise ValueError(f"rprp0 must be non-negative, got {self.rprp0}")
-        if not (math.isfinite(self.tau) and self.tau >= 0):
+        if not (_is_finite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         _as_positive(self.step_s, "step_s")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "n", _as_int(self.n, "n", 1))
         # Cauchy-Schwarz with a small slack for float accumulation.
         if self.rr_tau**2 > self.rr0 * self.rr0_ahead * (1.0 + 1e-9):
             raise ValueError("moments violate the Cauchy-Schwarz bound")

@@ -119,16 +119,31 @@ class Trace:
         return replace(self, rssi=self.rssi + offset_db, meta=dict(self.meta))
 
 
-def _as_positive(value, what: str) -> float:
-    """``value``, any real scalar, checked finite and > 0 as given and
-    returned as the Python float ``float`` makes of it: the one rule for a
-    step, an interval or a rate, so a numpy scalar of any precision is
-    used at float64. A str raises TypeError."""
+def _is_finite(value) -> bool:
+    """Whether ``value``, any real scalar, is finite: the one scalar
+    finiteness test. An integer beyond float range is not; a str raises
+    TypeError."""
     try:
-        positive = math.isfinite(value) and value > 0
-    except OverflowError:  # an integer beyond float range
-        positive = False
-    if not positive:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _as_real(value, what: str) -> float:
+    """``value``, any real scalar, checked finite as given (``_is_finite``)
+    and returned as the Python float ``float`` makes of it: the one rule
+    for a real number, such as a power, a gain or a channel parameter."""
+    if not _is_finite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return float(value)
+
+
+def _as_positive(value, what: str) -> float:
+    """``value``, any real scalar, checked finite (``_is_finite``) and > 0
+    as given and returned as the Python float ``float`` makes of it: the
+    one rule for a step, an interval or a rate, so a numpy scalar of any
+    precision is used at float64. A str raises TypeError."""
+    if not (_is_finite(value) and value > 0):
         raise ValueError(f"{what} must be finite and > 0, got {value}")
     return float(value)
 

@@ -76,7 +76,8 @@ class TestConfig:
         assert ctrl._window.lags == (1, 2)
 
     @pytest.mark.parametrize("field", ["threshold_dbm", "margin_db"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
     def test_non_finite_target_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             make_config(**{field: value})
@@ -596,10 +597,11 @@ class TestFixedTxPower:
                            match=r"tx_power .* dBm outside \[-24\.0, 7\.0\] for cc2538"):
             FIXED_POWER[fn](tx)
 
-    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
     def test_non_finite_threshold_is_rejected(self, threshold):
         # As AtpcConfig rejects it; None stays the radio's sensitivity.
-        with pytest.raises(ValueError, match="^threshold_dbm must be finite$"):
+        with pytest.raises(ValueError, match=f"^threshold_dbm must be finite, got {threshold}$"):
             run_fixed_power(swell_channel(seed=25), RADIO, 0.0, 200, threshold_dbm=threshold)
 
     @pytest.mark.parametrize("fn", FIXED_POWER)

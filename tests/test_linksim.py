@@ -100,7 +100,8 @@ class TestRadioProfiles:
         with pytest.raises(ValueError):
             profile_by_name("cc9999")
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
     @pytest.mark.parametrize("field", ["rate_pps", "sensitivity_dbm", "max_tx_dbm",
                                        "min_tx_dbm"])
     def test_non_finite_limit_rejected(self, field, value):
@@ -156,6 +157,8 @@ class TestChannelModel:
         ("noise_std_db", math.nan), ("noise_corr_time_s", math.inf),
         ("osc_freqs_hz", (0.1, math.nan)), ("osc_amps_db", (math.inf, 1.0)),
         ("ar_coeffs", (math.nan, -0.5)),
+        pytest.param("base_path_loss_db", 10**400, id="base_path_loss_db-10**400"),
+        pytest.param("ar_coeffs", (10**400, -0.5), id="ar_coeffs-10**400"),
     ])
     def test_non_finite_parameter_rejected(self, field, value):
         kind = "ar2" if field == "ar_coeffs" else "swell"
@@ -165,6 +168,15 @@ class TestChannelModel:
         params[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ChannelModel(**params)
+
+    def test_a_coefficient_beyond_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="ar_coeffs must be finite"):
+            ar2_channel(a1=10**400)
+
+    def test_a_text_parameter_is_refused_as_not_a_number(self):
+        # The finiteness rule's own TypeError, not numpy's ufunc refusal.
+        with pytest.raises(TypeError, match="must be real number, not str"):
+            replace(swell_channel(), base_path_loss_db="60")
 
     @pytest.mark.parametrize("kind", ["swell", "ripple"])
     def test_ar_coeffs_are_refused_unless_the_kind_is_ar2(self, kind):
@@ -362,7 +374,9 @@ CC2538 = profile_by_name("cc2538")
     (lambda: replace(CC2538, rate_pps=-2.0), "rate_pps must be finite and > 0, got -2.0"),
     (lambda: replace(CC2538, min_tx_dbm=7.0), "min_tx_dbm must be below max_tx_dbm"),
     (lambda: replace(CC2538, min_tx_dbm=8.0), "min_tx_dbm must be below max_tx_dbm"),
-    (lambda: replace(CC2538, packet_bytes=0), "packet_bytes must be > 0"),
+    (lambda: replace(CC2538, packet_bytes=0), "packet_bytes must be >= 1, got 0"),
+    (lambda: replace(CC2538, packet_bytes=1.5), "packet_bytes must be an integer, got 1.5"),
+    (lambda: replace(CC2538, packet_bytes="128"), "packet_bytes must be an integer, got '128'"),
     (lambda: replace(swell_channel(), kind="chop"), "unknown channel kind 'chop'"),
     (lambda: replace(swell_channel(), osc_amps_db=(3.5,)),
      "oscillation frequencies and amplitudes must pair up"),
@@ -378,7 +392,8 @@ CC2538 = profile_by_name("cc2538")
     (lambda: generate_trace(swell_channel(), CC2538, 0.0, 0), "n_packets must be >= 1"),
     (lambda: generate_trace(swell_channel(), CC2538, 0.0, -5), "n_packets must be >= 1"),
 ], ids=["rate-zero", "rate-negative", "min-tx-at-max", "min-tx-above-max", "packet-bytes-zero",
-        "channel-kind", "oscillators-unpaired", "osc-freq-negative", "osc-amp-negative",
+        "packet-bytes-fraction", "packet-bytes-str", "channel-kind", "oscillators-unpaired",
+        "osc-freq-negative", "osc-amp-negative",
         "noise-std-negative", "noise-corr-negative", "channel-name", "loss-kind",
         "no-packets", "negative-packets"])
 def test_refusals(build, message):

@@ -212,7 +212,8 @@ class TestSimplified:
         with pytest.raises(ValueError):
             fit_simplified(0.0)
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
     def test_requires_finite_tau(self, tau):
         with pytest.raises(ValueError, match="tau must be finite and > 0"):
             fit_simplified(tau)
@@ -325,6 +326,14 @@ class TestPredict:
                                          (None, 1.0)])
     def test_an_anchor_that_is_not_a_number_is_refused(self, anchors):
         with pytest.raises(TypeError):
+            predict(fit_simplified(0.1), *anchors)
+
+    @pytest.mark.parametrize("anchors, what", [
+        ((np.float64("inf"), 0.0), "anchor_r"), ((10**400, 0.0), "anchor_r"),
+        ((-70.0, np.float32("nan")), "anchor_rp"), ((-70.0, -10**400), "anchor_rp"),
+    ], ids=["float64-inf", "int-beyond-float", "float32-nan", "int-beyond-float-slope"])
+    def test_a_non_finite_anchor_is_refused_by_name(self, anchors, what):
+        with pytest.raises(ValueError, match=f"^{what} must be finite, got "):
             predict(fit_simplified(0.1), *anchors)
 
 
@@ -505,6 +514,21 @@ class TestModelProperties:
                       fit_simplified(0.5, moments=hand_built)):
             self.assert_round_trip(model)
 
+    @pytest.mark.parametrize("n", [np.int64(400), True], ids=["int64", "bool"])
+    def test_a_count_of_another_integer_type_is_written_as_an_integer(self, n):
+        moments = dataclasses.replace(FLAT_SLOPE_MOMENTS, n=n)
+        assert type(moments.n) is int and moments.n == n
+        clone = self.assert_round_trip(fit_simplified(0.1, moments))
+        assert type(clone.source_moments.n) is int
+
+    @pytest.mark.parametrize("build", [
+        lambda: PredictorModel("normal_eq", 0.1, math.nan, 0.0, 0.1),
+        lambda: fit_simplified(0.1, dataclasses.replace(FLAT_SLOPE_MOMENTS, mean_r=math.inf)),
+    ], ids=["weight-nan", "moments-mean-infinite"])
+    def test_a_model_the_reader_would_refuse_is_not_written(self, build):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            model_to_json(build())
+
     def test_loading_recomputes_the_error_from_the_moments(self):
         # The stored -0.06079 is ignored: loading serves the error of the
         # file's weights over its moments.
@@ -568,7 +592,7 @@ class TestModelProperties:
         (lambda p: {**p, "moments": {**p["moments"], "tau_s": 0.2}},
          "model file: source moments must have the model's tau and step_s"),
         (lambda p: {**p, "moments": {**p["moments"], "n": 0}},
-         "model file: moments: n must be at least 1"),
+         "model file: moments: n must be >= 1, got 0"),
         (lambda p: {**p, "moments": {**p["moments"], "rprp0": -1.0}},
          "model file: moments: rprp0 must be non-negative, got -1.0"),
     ], ids=["no-tau", "not-object", "basis-not-object", "basis-no-t22",
@@ -1474,7 +1498,7 @@ class TestCheckedConstructor:
         assert by_init == by_record == "ValueError: moments violate the Cauchy-Schwarz bound"
 
     @settings(max_examples=50, deadline=None)
-    @given(moment_values(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    @given(moment_values(), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
     def test_a_non_finite_tau_is_refused_alike(self, values, tau):
         by_init, by_record = built_both_ways(MomentSet, {**values, "tau": tau})
         assert by_init == by_record == f"ValueError: tau must be finite and >= 0, got {tau}"
@@ -1520,12 +1544,15 @@ FLAT_SLOPE_MOMENTS = MomentSet(rr0=1.0, rpr0=0.0, rprp0=1.0, rr_tau=0.5, rrp_tau
      "steps_ahead must be >= 1"),
     (lambda: predictor.Prediction(value=-70.0, mse=0.5, steps_ahead=-2),
      "steps_ahead must be >= 1"),
+    (lambda: dataclasses.replace(FLAT_SLOPE_MOMENTS, n=2.5), "n must be an integer, got 2.5"),
+    (lambda: dataclasses.replace(FLAT_SLOPE_MOMENTS, n="3"), "n must be an integer, got '3'"),
     (lambda: SlidingWindowPredictor("bogus", (1,), 0.1), "unknown method 'bogus'"),
     (lambda: SlidingWindowPredictor("orthonormal", (0, 1), 0.1), "lags must be >= 1"),
     (lambda: SlidingWindowPredictor("simplified", (-1,), 0.1), "lags must be >= 1"),
 ], ids=["model-method", "simplified-level-weight", "simplified-slope-weight",
         "mse-above-variance", "prediction-horizon-zero", "prediction-horizon-negative",
-        "window-method", "window-lag-zero", "window-lag-negative"])
+        "moments-n-fraction", "moments-n-str", "window-method", "window-lag-zero",
+        "window-lag-negative"])
 def test_refusals(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
