@@ -301,10 +301,10 @@ def fit_simplified(tau: float, moments: MomentSet | None = None) -> PredictorMod
 
     tau may be any real scalar, finite and > 0 (``_as_positive``), and is
     taken as a Python float; a str raises TypeError. Without moments the
-    model serves tau as a single step. Supplied moments must be those of lag tau on their own
-    grid; the model then takes their tau and step, centres the slope on
-    their slope mean and attaches the error of its own predictions over
-    their fitting triples.
+    model serves tau as a single step. Supplied moments must be those of
+    lag tau on their own grid; the model then takes their tau and step,
+    centres the slope on their slope mean and attaches the error of its
+    own predictions over their fitting triples.
     """
     tau = _as_positive(tau, "tau")
     if moments is None:

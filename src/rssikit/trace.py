@@ -132,7 +132,8 @@ def _is_finite(value) -> bool:
 def _as_real(value, what: str) -> float:
     """``value``, any real scalar, checked finite as given (``_is_finite``)
     and returned as the Python float ``float`` makes of it: the one rule
-    for a real number, such as a power, a gain or a channel parameter."""
+    for a real number, such as a power, a threshold or a channel
+    parameter."""
     if not _is_finite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     return float(value)
