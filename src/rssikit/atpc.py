@@ -78,8 +78,10 @@ class AtpcConfig:
 class AtpcState(NamedTuple):
     """Immutable snapshot of the controller between events.
 
-    Each event builds one whole snapshot and publishes it with a single
-    assignment, so a concurrent reader never sees a half-updated state.
+    Each event publishes its whole state, a plain tuple of these six
+    fields in this order, with a single assignment, so a concurrent reader
+    never sees a half-updated state; ``AtpcController.state`` builds this
+    snapshot from it on the first read after the event.
     ``predicted_dbm`` is the received power predicted for the packet whose
     ACK was just missed, or None when the last event made no prediction.
     """
@@ -96,9 +98,11 @@ class AtpcController:
     """Single-owner state machine driven by ack / missed-ack events.
 
     The first packet goes out at maximum power. Each event returns the
-    transmit power for the next packet and publishes one immutable
-    ``AtpcState`` snapshot, which ``state`` returns and which may be read
-    concurrently.
+    transmit power for the next packet and publishes its whole state as
+    one plain tuple in ``AtpcState`` field order, which the events read by
+    index. ``state`` returns it as an immutable ``AtpcState``, built on the
+    first read after each event and returned to every later read until
+    the next; it may be read concurrently.
     """
 
     def __init__(self, config: AtpcConfig):
@@ -113,7 +117,15 @@ class AtpcController:
         # thr + margin - gain evaluates as (thr + margin) - gain, so the
         # sum is resolved once without changing a bit.
         self._target = float(config.threshold_dbm) + float(config.margin_db)
-        self._state = AtpcState(self._max_tx)
+        # The published state: a plain tuple of the six AtpcState fields,
+        # in their order (last_tx_dbm, consecutive_missed,
+        # path_gain_estimate_db, mode, headroom_insufficient,
+        # predicted_dbm), which a literal builds far cheaper than the
+        # NamedTuple's constructor.
+        self._state = (self._max_tx, 0, None, MODE_TRACKING, False, None)
+        # (published tuple, its AtpcState), replaced as one pair by the
+        # read that builds the snapshot.
+        self._snapshot = (None, None)
         # Prediction horizons 1..max_missed-1; at max_missed the controller
         # stops predicting and falls back. With max_missed 1 there are none.
         lags = tuple(range(1, config.max_missed_acks))
@@ -123,11 +135,20 @@ class AtpcController:
 
     @property
     def state(self) -> AtpcState:
-        return self._state
+        # The published tuple is read once, and the snapshot kept for it is
+        # used only while that very tuple is the one published. A read
+        # never writes _state: a reader that did could put its older
+        # snapshot back over an event another thread had just published.
+        raw = self._state
+        held, snapshot = self._snapshot
+        if held is not raw:
+            snapshot = AtpcState._make(raw)
+            self._snapshot = (raw, snapshot)
+        return snapshot
 
     @property
     def current_tx_dbm(self) -> float:
-        return self._state.last_tx_dbm
+        return self._state[0]
 
     def on_ack(self, ack_rssi_dbm: float) -> float:
         """Process a received ACK; returns the next transmit power.
@@ -139,7 +160,7 @@ class AtpcController:
         """
         if not isfinite(ack_rssi_dbm):
             raise ValueError("ack_rssi must be finite")
-        gain = float(ack_rssi_dbm) - self._state.last_tx_dbm
+        gain = float(ack_rssi_dbm) - self._state[0]
         # The tick moves on first: the window keeps the observation even if
         # the refit step it runs raises, so the next event needs the next seq.
         tick = self._tick
@@ -153,10 +174,7 @@ class AtpcController:
         next_tx = self._min_tx if self._min_tx > required else required
         if self._max_tx < next_tx:
             next_tx = self._max_tx
-        # Each event's state is built as a tuple of all six fields, skipping
-        # the keyword and default handling of the generated __new__.
-        self._state = tuple.__new__(
-            AtpcState, (next_tx, 0, gain, MODE_TRACKING, required > self._max_tx, None))
+        self._state = (next_tx, 0, gain, MODE_TRACKING, required > self._max_tx, None)
         return next_tx
 
     def on_missed_ack(self) -> float:
@@ -171,7 +189,7 @@ class AtpcController:
         """
         self._tick += 1
         prev = self._state
-        n = prev.consecutive_missed + 1
+        n = prev[1] + 1
         if n < self._max_missed:
             anchor = self._window.anchor()
             model = self._window.model_for(n) if anchor is not None else None
@@ -188,12 +206,10 @@ class AtpcController:
                         next_tx = self._max_tx
                     # The last field is the receiver-side power the lost
                     # packet would have produced.
-                    self._state = tuple.__new__(
-                        AtpcState, (next_tx, n, predicted_gain, MODE_TRACKING,
-                                    required > self._max_tx, predicted_gain + prev.last_tx_dbm))
+                    self._state = (next_tx, n, predicted_gain, MODE_TRACKING,
+                                   required > self._max_tx, predicted_gain + prev[0])
                     return next_tx
-        self._state = tuple.__new__(
-            AtpcState, (self._max_tx, n, prev.path_gain_estimate_db, MODE_FALLBACK, False, None))
+        self._state = (self._max_tx, n, prev[2], MODE_FALLBACK, False, None)
         return self._max_tx
 
 
@@ -306,8 +322,8 @@ def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,
         rssi = tx + gain
         tx = on_ack(rssi) if rssi >= sensitivity and kept else on_missed_ack()
         state = ctrl._state
-        predicted.append(state.predicted_dbm)
-        modes.append(state.mode)
+        predicted.append(state[5])
+        modes.append(state[3])
     # The float column holds None, no prediction, as NaN.
     return _transcript(radio, np.array(txs), gains, keep, np.array(predicted, dtype=float),
                        modes, config.threshold_dbm)

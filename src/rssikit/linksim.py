@@ -119,7 +119,8 @@ class ChannelModel:
             sampling rate).
 
     Stationarity is ensured by construction: AR recursions must be stable
-    and sinusoid amplitudes are fixed.
+    and sinusoid amplitudes are fixed. ``seed`` is a count >= 0
+    (``_as_int``), checked when the model is built.
     """
 
     kind: str
@@ -134,6 +135,7 @@ class ChannelModel:
     def __post_init__(self) -> None:
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        _as_int(self.seed, "seed", 0)
         for name in ("base_path_loss_db", "noise_std_db", "noise_corr_time_s"):
             _as_real(getattr(self, name), name)
         for name in ("osc_freqs_hz", "osc_amps_db", "ar_coeffs"):
@@ -241,6 +243,8 @@ class LossModel:
             and ``p_bad_to_good`` are per-step transition probabilities,
             ``loss_good``/``loss_bad`` the loss probabilities inside each
             state. The chain starts in the good state.
+
+    ``seed`` is a count >= 0 (``_as_int``), checked when the model is built.
     """
 
     kind: str
@@ -254,6 +258,7 @@ class LossModel:
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        _as_int(self.seed, "seed", 0)
         for f in fields(self)[2:]:  # the probabilities, after kind and seed
             v = getattr(self, f.name)
             if not 0.0 <= v <= 1.0:

@@ -126,6 +126,10 @@ class AcfEstimate:
         return k
 
 
+# The moments and means of a MomentSet, each checked finite (``_is_finite``).
+_MOMENT_VALUES = ("rr0", "rpr0", "rprp0", "rr_tau", "rrp_tau", "rr0_ahead", "mean_r", "mean_rp")
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """The five second-order sample moments the two-term predictor needs.
@@ -133,7 +137,9 @@ class MomentSet:
     All moments are central and averaged over one common index set: only
     samples where the value, its slope, and the value one lag ahead all
     exist contribute, so the normal equations and the orthogonality
-    principle hold exactly on the fitting data.
+    principle hold exactly on the fitting data. Each moment and mean must
+    be finite: a NaN or +-inf one, which no fit could use, raises
+    ValueError naming it.
 
     Attributes:
         rr0: E{r.r} at lag 0, dB^2.
@@ -167,6 +173,10 @@ class MomentSet:
             raise ValueError(f"rr0 must be positive, got {self.rr0}")
         if self.rprp0 < 0:
             raise ValueError(f"rprp0 must be non-negative, got {self.rprp0}")
+        for name in _MOMENT_VALUES:
+            value = getattr(self, name)
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (_is_finite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         _as_positive(self.step_s, "step_s")

@@ -217,6 +217,33 @@ class TestSnapshot:
             f.name for f in dataclasses.fields(ReferenceAtpcState))
         assert tuple(AtpcState(MAX_TX)) == dataclasses.astuple(ReferenceAtpcState(MAX_TX))
 
+    def test_reading_between_events_changes_nothing(self):
+        # One controller is read after every event, twice, the other never:
+        # on a seeded GE stream both return and publish the same bits, and
+        # a read leaves the published tuple in place.
+        n = 3_000
+        gains = swell_channel(seed=11, base_path_loss_db=80.0).realize(n, RADIO.rate_pps) - 80.0
+        keep = gilbert_elliott_loss(0.05, 0.25, seed=12).keep_mask(n)
+        config = make_config(predictor_method="orthonormal")
+        read, unread = AtpcController(config), AtpcController(config)
+        tx, seen = read.current_tx_dbm, []
+        for gain, kept in zip(gains.tolist(), keep.tolist()):
+            rssi = tx + gain
+            if rssi >= RADIO.sensitivity_dbm and kept:
+                tx, want = read.on_ack(rssi), unread.on_ack(rssi)
+            else:
+                tx, want = read.on_missed_ack(), unread.on_missed_ack()
+            assert bits(tx) == bits(want)
+            published = read._state
+            assert [bits(v) for v in published] == [bits(v) for v in unread._state]
+            snapshot = read.state
+            assert read._state is published and read.state is snapshot
+            assert type(snapshot) is AtpcState and snapshot == published
+            assert read.current_tx_dbm == tx
+            seen.append(snapshot)
+        assert {s.mode for s in seen} == {"tracking", "fallback"}
+        assert sum(s.predicted_dbm is not None for s in seen) > 50
+
     def test_unpacks_and_replaces_like_a_tuple(self):
         state = AtpcController(make_config()).state
         assert state == (MAX_TX, 0, None, "tracking", False, None)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import importlib
 
+import numpy as np
 import pytest
+
+from rssikit import run_closed_loop
 
 from conftest import load_bench
 
@@ -72,3 +75,18 @@ def test_traced_loop_sees_the_refits_fits(spans, workloads, tmp_path):
 
     fits = [n for n, name in enumerate(names) if name == "predictor.fit"]
     assert fits and all(in_event(tracer.spans[n][3]) for n in fits)
+
+
+def test_traced_loop_records_one_predict_per_prediction(spans, workloads, tmp_path):
+    # The controller calls rssikit.atpc.predict once for each missed ACK it
+    # bridges, so the traced pass counts every prediction the loop makes.
+    inp = workloads.build_inputs("atpc_orthonormal_swell_ge", SEED, tmp_path)
+    with spans.wrapped(spans.Tracer()) as tracer:
+        workloads.loop_pass(inp, PACKETS, tracer)
+    predicted = run_closed_loop(inp["channel"], inp["config"], PACKETS,
+                                loss=inp["loss"]).predicted_dbm
+    predicts = [s for s in tracer.spans if s[0] == "predictor.predict"]
+    parents = [s[3] for s in predicts]
+    assert predicts and len(predicts) == np.count_nonzero(~np.isnan(predicted))
+    assert all(s[4] for s in predicts) and len(set(parents)) == len(parents)
+    assert all(tracer.spans[i][0] == "atpc.on_missed_ack" for i in parents)

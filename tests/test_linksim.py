@@ -385,12 +385,18 @@ CC2538 = profile_by_name("cc2538")
      "noise parameters must be non-negative"),
     (lambda: channel_by_name("chop"), "unknown channel kind 'chop'"),
     (lambda: LossModel(kind="burst", seed=0), "unknown loss kind 'burst'"),
+    (lambda: replace(swell_channel(), seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: replace(ar2_channel(), seed=-1), "seed must be >= 0, got -1"),
+    (lambda: replace(bernoulli_loss(0.1), seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: gilbert_elliott_loss(0.05, 0.25, seed=-1), "seed must be >= 0, got -1"),
     (lambda: generate_trace(swell_channel(), CC2538, 0.0, 0), "n_packets must be >= 1"),
     (lambda: generate_trace(swell_channel(), CC2538, 0.0, -5), "n_packets must be >= 1"),
 ], ids=["rate-zero", "rate-negative", "min-tx-at-max", "min-tx-above-max", "packet-bytes-zero",
         "packet-bytes-fraction", "packet-bytes-str", "channel-kind", "oscillators-unpaired",
         "osc-freq-negative", "osc-amp-negative",
         "noise-std-negative", "noise-corr-negative", "channel-name", "loss-kind",
+        "channel-seed-fraction", "channel-seed-negative", "loss-seed-fraction",
+        "loss-seed-negative",
         "no-packets", "negative-packets"])
 def test_refusals(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

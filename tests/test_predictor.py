@@ -288,11 +288,24 @@ class TestPredict:
         assert p.steps_ahead == k
 
     def test_a_lag_off_the_model_grid_is_refused(self):
-        # 0.25 s is two and a half steps of 0.1 s.
+        # 0.25 s is two and a half steps of 0.1 s. The horizon is worked out
+        # once per model, and a raise keeps nothing: every call raises.
         model = dataclasses.replace(fit_simplified(0.25), step_s=0.1)
-        with pytest.raises(ValueError, match=re.escape(
-                "tau=0.25 s is not on the 0.1 s sample grid")):
-            predict(model, -70.0, 0.0)
+        for _ in range(3):
+            with pytest.raises(ValueError, match=re.escape(
+                    "tau=0.25 s is not on the 0.1 s sample grid")):
+                predict(model, -70.0, 0.0)
+
+    def test_a_lag_below_one_step_is_refused_on_every_call(self):
+        # 1e-10 s lies within 1e-9 s of zero steps of 0.1 s, no horizon.
+        model = dataclasses.replace(fit_simplified(1e-10), step_s=0.1)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="steps_ahead must be >= 1, got 0"):
+                predict(model, -70.0, 0.0)
+
+    def test_the_horizon_is_the_same_on_every_call(self):
+        model = dataclasses.replace(fit_simplified(0.3), step_s=0.1)
+        assert [predict(model, -70.0, 1.0).steps_ahead for _ in range(3)] == [3, 3, 3]
 
     def test_beats_zero_order_hold_on_ar2(self, ar2_trace):
         model = fit_normal_equations(fit_moments(ar2_trace))
@@ -523,8 +536,7 @@ class TestModelProperties:
 
     @pytest.mark.parametrize("build", [
         lambda: PredictorModel("normal_eq", 0.1, math.nan, 0.0, 0.1),
-        lambda: fit_simplified(0.1, dataclasses.replace(FLAT_SLOPE_MOMENTS, mean_r=math.inf)),
-    ], ids=["weight-nan", "moments-mean-infinite"])
+    ], ids=["weight-nan"])
     def test_a_model_the_reader_would_refuse_is_not_written(self, build):
         with pytest.raises(ValueError, match="Out of range float values"):
             model_to_json(build())
@@ -837,6 +849,19 @@ class TestSlidingWindow:
         for k in range(48):
             sw.observe(k, -70.0 + rng.normal())
         assert sw.refit_counts == (3, 3, ((1, 0, 0, None), (3, 0, 0, None)))
+
+    @mock.patch.object(predictor, "_REFIT_EVERY", 16)
+    def test_a_window_whose_moments_overflow_counts_a_failure_per_refit(self):
+        # Readings of about 1e200 dBm have finite slopes, but their squares
+        # overflow: each lag's moments are refused as not finite, and each
+        # refit counts a failure there.
+        sw = SlidingWindowPredictor("orthonormal", lags=(1, 2), step_s=0.1)
+        rng = np.random.default_rng(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(112):
+                sw.observe(k, 1e200 * rng.normal())
+            assert sw.model_for(1) is None
+        assert sw.refit_counts == (7, 0, ((1, 0, 7, "ValueError"), (2, 0, 7, "ValueError")))
 
     @pytest.mark.parametrize("method, lags", [("simplified", (1, 4)), ("orthonormal", ())])
     def test_a_window_that_never_refits_counts_none(self, method, lags):
@@ -1496,6 +1521,17 @@ class TestCheckedConstructor:
         bound = math.sqrt(values["rr0"] * values["rr0_ahead"])
         by_init, by_record = built_both_ways(MomentSet, {**values, "rr_tau": bound * (1 + excess)})
         assert by_init == by_record == "ValueError: moments violate the Cauchy-Schwarz bound"
+
+    @settings(max_examples=100, deadline=None)
+    @given(moment_values(),
+           st.sampled_from(["rr0", "rpr0", "rprp0", "rr_tau", "rrp_tau", "rr0_ahead",
+                            "mean_r", "mean_rp"]),
+           st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+    def test_a_non_finite_moment_is_refused_alike(self, values, name, value):
+        # A -inf rr0 or rprp0 is refused first by its sign check.
+        assume(not (value == -math.inf and name in ("rr0", "rprp0")))
+        by_init, by_record = built_both_ways(MomentSet, {**values, name: value})
+        assert by_init == by_record == f"ValueError: {name} must be finite, got {value}"
 
     @settings(max_examples=50, deadline=None)
     @given(moment_values(), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
