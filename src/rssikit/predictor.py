@@ -31,7 +31,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from math import isfinite
 from typing import NamedTuple
 
@@ -178,13 +177,6 @@ class PredictorModel:
             # the mean; the simplified weights carry no such guarantee.
             if self.analytic_mse > m.rr0_ahead * (1.0 + 1e-9):
                 raise ValueError("analytic_mse exceeds the fitting-set variance")
-
-    @cached_property
-    def _steps(self) -> int:
-        """The horizon in steps (``_lag_steps``), worked out on first use and
-        kept beside the fields. A tau off the grid raises ValueError, and a
-        raise keeps nothing, so it raises on every use."""
-        return _lag_steps(self.tau, self.step_s)
 
     def apply(self, anchor_r, anchor_rp):
         """Vectorized prediction formula for the horizon ``tau``; scalars in,
@@ -378,9 +370,8 @@ def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
 
 def predict(model: PredictorModel, anchor_r: float, anchor_rp: float) -> Prediction:
     """Predict received power (dBm) tau past an anchor value (dBm) and slope
-    (dB/s). ``steps_ahead`` is the model's horizon in steps (``_lag_steps``),
-    worked out once per model; a tau that is not a whole number >= 1 of its
-    steps raises ValueError on every call.
+    (dB/s). ``steps_ahead`` is the model's horizon in steps (``_lag_steps``);
+    a tau that is not a whole number >= 1 of its steps raises ValueError.
 
     Each anchor may be any real scalar, such as an int or a numpy scalar of
     any precision; it is taken as a Python float once, so the prediction
@@ -392,7 +383,7 @@ def predict(model: PredictorModel, anchor_r: float, anchor_rp: float) -> Predict
         anchor_r, anchor_rp = _as_real(anchor_r, "anchor_r"), _as_real(anchor_rp, "anchor_rp")
     return _record(Prediction, {"value": float(model.apply(anchor_r, anchor_rp)),
                                 "mse": model.analytic_mse,
-                                "steps_ahead": model._steps})
+                                "steps_ahead": _lag_steps(model.tau, model.step_s)})
 
 
 # Model-file records: one field -> JSON key map each drives both
