@@ -57,7 +57,6 @@ from .atpc import (
     AtpcConfig,
     AtpcController,
     AtpcState,
-    LoopRecord,
     LoopResult,
     run_closed_loop,
     run_fixed_power,
@@ -79,7 +78,6 @@ __all__ = [
     "IdentityCheck",
     "IngestError",
     "InsufficientSupportError",
-    "LoopRecord",
     "LoopResult",
     "LossModel",
     "MomentSet",

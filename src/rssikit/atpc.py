@@ -45,10 +45,12 @@ class AtpcConfig:
 
     Attributes:
         radio: Radio limits the emitted power is clamped to.
-        threshold_dbm: Target floor for the receiver-side power.
-        margin_db: Headroom above the threshold the loop aims for.
+        threshold_dbm: Target floor for the receiver-side power; a real
+            number (``_as_real``).
+        margin_db: Headroom above the threshold the loop aims for; a real
+            number >= 0.
         max_missed_acks: Consecutive losses tolerated before falling back
-            to maximum power.
+            to maximum power; a count >= 1 (``_as_int``).
         predictor_method: orthonormal (statistical: models for the
             max_missed_acks - 1 lags are refit over a sliding window of
             the latest ACKs, on the schedule ``SlidingWindowPredictor``
@@ -81,7 +83,9 @@ class AtpcState(NamedTuple):
     Each event publishes its whole state, a plain tuple of these six
     fields in this order, with a single assignment, so a concurrent reader
     never sees a half-updated state; ``AtpcController.state`` builds this
-    snapshot from it on the first read after the event.
+    snapshot from it on the first read after the event. As a
+    ``NamedTuple`` it unpacks and compares equal like a plain tuple of its
+    six fields, and ``_replace`` derives a changed copy.
     ``predicted_dbm`` is the received power predicted for the packet whose
     ACK was just missed, or None when the last event made no prediction.
     """
@@ -99,10 +103,10 @@ class AtpcController:
 
     The first packet goes out at maximum power. Each event returns the
     transmit power for the next packet and publishes its whole state as
-    one plain tuple in ``AtpcState`` field order, which the events read by
-    index. ``state`` returns it as an immutable ``AtpcState``, built on the
-    first read after each event and returned to every later read until
-    the next; it may be read concurrently.
+    one plain tuple in ``AtpcState`` field order, which the events and
+    ``run_closed_loop`` read by index. ``state`` returns it as an immutable
+    ``AtpcState``, built on the first read after each event and returned
+    to every later read until the next; it may be read concurrently.
     """
 
     def __init__(self, config: AtpcConfig):
@@ -156,7 +160,13 @@ class AtpcController:
         The reading may be any real scalar, such as an int or a numpy
         scalar of any precision. It is checked as given, so a str raises,
         and then taken as a Python float once: every decision and every
-        snapshot field is computed on Python floats, whatever its type.
+        snapshot field is computed on Python floats, whatever its type, so
+        ``json.dumps`` accepts the state.
+
+        The controller's packet count advances before the window sees the
+        observation. So if a refit step raises, the error reaches the
+        caller with no state published, the window keeps the observation,
+        and the next event is served as the next packet.
         """
         if not isfinite(ack_rssi_dbm):
             raise ValueError("ack_rssi must be finite")
@@ -170,7 +180,8 @@ class AtpcController:
         # The clamp: min(max(required, min_tx), max_tx) written as the two
         # comparisons those builtins make, in their order, so that ties,
         # signed zeros and NaN resolve as theirs do (a required power equal
-        # to a limit is kept as computed), without two builtin calls.
+        # to a limit is kept as computed, so -0.0 against a 0.0 floor stays
+        # -0.0), without two builtin calls.
         next_tx = self._min_tx if self._min_tx > required else required
         if self._max_tx < next_tx:
             next_tx = self._max_tx
@@ -307,7 +318,9 @@ def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,
     A packet is delivered when its received power clears the radio's
     sensitivity and the loss process keeps it; only delivered packets
     produce ACKs. ``loss`` may be any object whose ``keep_mask(n)`` gives
-    the n packets' survival, e.g. one that drops a chosen burst of seqs.
+    the n packets' survival, e.g. one that drops a chosen burst of seqs;
+    the mask is read as ``apply_loss`` reads it. ``n_packets`` is a count
+    >= 1 (``_as_int``).
     """
     radio = config.radio
     gains, keep = _link(channel, radio, n_packets, loss)
@@ -332,7 +345,12 @@ def run_closed_loop(channel: ChannelModel, config: AtpcConfig, n_packets: int,
 def run_fixed_power(channel: ChannelModel, radio: RadioProfile, tx_dbm: float,
                     n_packets: int, loss: LossModel | None = None,
                     threshold_dbm: float | None = None) -> LoopResult:
-    """Baseline: transmit every packet at a fixed power (e.g. always-max)."""
+    """Baseline: transmit every packet at a fixed power (e.g. always-max).
+
+    A power outside the radio's limits, NaN included, raises ValueError, as
+    in ``generate_trace``. ``threshold_dbm`` is a real number (``_as_real``)
+    and ``n_packets`` a count >= 1, as in ``run_closed_loop``.
+    """
     _check_tx_power(radio, tx_dbm)
     if threshold_dbm is not None:
         _as_real(threshold_dbm, "threshold_dbm")

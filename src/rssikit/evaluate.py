@@ -100,12 +100,14 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
 
     For every sample whose slope exists and whose lag-ahead target was
     received, predict the target and accumulate squared error. Each lag's
-    model is the one ``fit_at_lag`` returns, scored on the trace's memoised
-    triples of that lag (``_trace_moments``), the triples it was fitted on.
+    model is the one ``fit_at_lag`` returns, scored on the triples it was
+    fitted on: the lags are read one at a time, each with one call of the
+    trace's memo, which serves one lag per call (``_trace_moments``).
 
     Raises:
-        ValueError: No valid prediction points at some lag, bad lags, or
-            degenerate statistics for the statistical methods.
+        ValueError: No valid prediction points at some lag, bad lags (each
+            must be an integer >= 1, ``_whole_lags``), or degenerate
+            statistics for the statistical methods.
     """
     lag_list = _whole_lags(lags)
     if not lag_list:
@@ -119,7 +121,8 @@ def evaluate(trace: Trace, method: str, lags: list[int] | tuple[int, ...]) -> Ev
     range_db = r_max - r_min
 
     rows = []
-    for k, (i, j, _) in zip(lag_list, _trace_moments(trace, lag_list)):
+    for k in lag_list:
+        i, j, _ = _trace_moments(trace, k)
         model = fit_at_lag(trace, method, k)
         if i.size == 0:
             raise ValueError(f"lag {k}: no valid prediction points")

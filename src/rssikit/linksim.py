@@ -78,7 +78,9 @@ class RadioProfile:
 
     @property
     def lag_unit_s(self) -> float:
-        """Seconds per sampling step (one prediction lag unit)."""
+        """Seconds per sampling step (one prediction lag unit): 1 divided
+        by ``rate_pps`` taken as a Python float, so a numpy rate of any
+        precision gives a float64 step."""
         return 1.0 / float(self.rate_pps)
 
 
@@ -120,7 +122,9 @@ class ChannelModel:
 
     Stationarity is ensured by construction: AR recursions must be stable
     and sinusoid amplitudes are fixed. ``seed`` is a count >= 0
-    (``_as_int``), checked when the model is built.
+    (``_as_int``), checked when the model is built and kept as given. Each
+    of the six parameters after it is a real number (``_as_real``), each
+    entry of a tuple checked one at a time.
     """
 
     kind: str
@@ -161,7 +165,9 @@ class ChannelModel:
                 raise ValueError(f"unstable AR parameters {self.ar_coeffs}")
 
     def realize(self, n_samples: int, rate_pps: float) -> np.ndarray:
-        """Deterministic fluctuation series (dB around the mean path)."""
+        """Deterministic fluctuation series (dB around the mean path):
+        ``n_samples`` is a count >= 1 (``_as_int``) and ``rate_pps`` a rate
+        (``_as_positive``)."""
         n_samples = _as_int(n_samples, "n_samples", 1)
         rate_pps = _as_positive(rate_pps, "rate_pps")
         rng = np.random.default_rng(self.seed)
@@ -244,7 +250,8 @@ class LossModel:
             ``loss_good``/``loss_bad`` the loss probabilities inside each
             state. The chain starts in the good state.
 
-    ``seed`` is a count >= 0 (``_as_int``), checked when the model is built.
+    ``seed`` is a count >= 0 (``_as_int``), checked when the model is built
+    and kept as given.
     """
 
     kind: str
@@ -268,7 +275,8 @@ class LossModel:
                 raise ValueError(f"{self.kind} loss takes no {f.name}")
 
     def keep_mask(self, n: int) -> np.ndarray:
-        """Boolean survival mask for n consecutive packets (True = kept)."""
+        """Boolean survival mask for n consecutive packets (True = kept);
+        n is a count >= 0 (``_as_int``)."""
         n = _as_int(n, "n", 0)
         rng = np.random.default_rng(self.seed)
         if n == 0:
@@ -324,6 +332,8 @@ def generate_trace(channel: ChannelModel, radio: RadioProfile,
     precision. Packets whose received power falls below the radio's
     sensitivity are dropped deterministically (they were never received),
     which layers under any stochastic LossModel applied afterwards.
+    ``n_packets`` is a count >= 1 (``_as_int``); a power outside the
+    radio's limits, NaN included, raises ValueError.
     """
     n_packets = _as_int(n_packets, "n_packets", 1)
     _check_tx_power(radio, tx_power_dbm)
@@ -358,7 +368,9 @@ def apply_loss(trace: Trace, loss: LossModel) -> Trace:
 
     Survivors keep their seq, t and rssi untouched, so gaps appear exactly
     where packets were lost. May return an empty trace (total loss);
-    downstream operations raise their own precondition errors then.
+    downstream operations raise their own precondition errors then. The
+    mask is read as booleans (``_keep_mask``), so a 0/1 list drops its
+    zeros, and a mask of any other length raises ValueError.
     """
     if not len(trace):
         raise ValueError("trace is empty")

@@ -47,8 +47,8 @@ from .stats import (
 )
 # No code here calls Trace, derivative_series or moment_set: they are hook
 # names that the benchmark's traced run wraps in this module, kept until it
-# traces the trace memo (_trace_moments) and the window's refit steps
-# instead; tests/test_bench_api.py resolves each name.
+# traces the trace memo (_trace_moments, one lag per call) and the window's
+# refit steps instead; tests/test_bench_api.py resolves each name.
 from .trace import Trace, _as_positive, _as_real, _is_finite, derivative_series
 
 logger = logging.getLogger(__name__)
@@ -187,7 +187,10 @@ class PredictorModel:
 
 @dataclass(frozen=True)
 class Prediction:
-    """One prediction: value, the model's error estimate and the horizon."""
+    """One prediction: value, the model's error estimate and the horizon.
+
+    ``value`` must be finite; ``steps_ahead`` is a count >= 1 (``_as_int``).
+    """
 
     value: float
     mse: float | None
@@ -356,15 +359,16 @@ def fit_at_lag(trace: Trace, method: str, k: int) -> PredictorModel:
     This is the one route from a trace to a lag's model: ``rssikit fit``
     writes it, and ``evaluate`` scores it.
 
-    The statistical methods fit the trace's memoised moments at that lag
-    (``_trace_moments``) and raise the error that takes their place when
+    The statistical methods fit the trace's moments at that lag, read with
+    one call of the trace's memo, which serves one lag per call
+    (``_trace_moments``), and raise the error that takes their place when
     they are degenerate or under-supported. The simplified model needs
     none; it carries an error estimate only when the moments exist. Every
     model carries the trace's step size and serves exactly ``k`` steps.
     """
     [k] = _whole_lags((k,))
     step = trace.nominal_interval
-    [(_, _, m)] = _trace_moments(trace, (k,))
+    _, _, m = _trace_moments(trace, k)
     return _fit_moments(method, k * step, step, m)
 
 
@@ -549,12 +553,16 @@ class SlidingWindowPredictor:
     Python numbers, for the order check and ``anchor``. This is the one
     statement of the window's schedule and memory; other docs point here.
 
-    A lag whose statistics are degenerate or under-supported simply has no
-    model until a later refit succeeds. A window with no lags, or with the
-    simplified method, never refits and so never writes its arrays; the
-    simplified method's fixed-weight models, one per lag, exist from the
-    start. Each model serves exactly its own lag. ``refit_counts`` says
-    how the refits went; each failure is also logged at debug level.
+    ``lags`` are whole lags (``_whole_lags``: integers >= 1), and
+    ``step_s`` is a step (``_as_positive``), finite and > 0.
+
+    A lag whose statistics are degenerate, under-supported or not finite
+    (a ``MomentSet`` refuses a non-finite sum) simply has no model until a
+    later refit succeeds, and counts a failure. A window with no lags, or
+    with the simplified method, never refits and so never writes its
+    arrays; the simplified method's fixed-weight models, one per lag, exist
+    from the start. Each model serves exactly its own lag. ``refit_counts``
+    says how the refits went; each failure is also logged at debug level.
     """
 
     def __init__(self, method: str, lags: tuple[int, ...], step_s: float):

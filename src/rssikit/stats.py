@@ -29,8 +29,10 @@ _MIN_PAIRS = 8
 
 def _as_int(value, what: str, minimum: int | None = None) -> int:
     """``value`` as the int ``operator.index`` gives for it: the one rule
-    for a count. Anything that would have to be truncated to become one,
-    or an int below ``minimum`` where one is given, raises ``ValueError``."""
+    for a count, so ``True`` is 1 and a ``np.uint8`` count does not
+    overflow. Anything that would have to be truncated or parsed to become
+    one, such as 1.5 or "128", or an int below ``minimum`` where one is
+    given, raises ``ValueError``."""
     try:
         n = operator.index(value)
     except TypeError:
@@ -45,7 +47,10 @@ def _record(cls, values: dict):
     value per field, checked by the class's ``__post_init__`` as
     ``cls(**values)`` would be, without the per-field ``object.__setattr__``
     calls of the generated ``__init__``. Field defaults are not applied, so
-    ``values`` names every field. The hot paths build their records here.
+    ``values`` names every field. The hot paths build their records here:
+    the window and the statistical fits their ``MomentSet``,
+    ``OrthonormalBasis`` and ``PredictorModel``, and ``predict``, a missed
+    ACK's included, its ``Prediction``.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(values)
@@ -140,7 +145,8 @@ class MomentSet:
     exist contribute, so the normal equations and the orthogonality
     principle hold exactly on the fitting data. Each moment and mean must
     be finite: a NaN or +-inf one, which no fit could use, raises
-    ValueError naming it.
+    ValueError naming it, as "{name} must be finite, got {value}", once
+    the signs of rr0 and rprp0 are checked.
 
     Attributes:
         rr0: E{r.r} at lag 0, dB^2.
@@ -149,8 +155,9 @@ class MomentSet:
         rr_tau: E{r(t+tau).r(t)}, dB^2.
         rrp_tau: E{r(t+tau).r'(t)}, dB^2/s.
         rr0_ahead: E{r(t+tau)^2} over the same index set, dB^2.
-        tau: Lag in seconds.
-        step_s: Sample grid spacing the lag lives on, seconds.
+        tau: Lag in seconds; finite and >= 0.
+        step_s: Sample grid spacing the lag lives on, seconds; finite and
+            > 0 (``_as_positive``).
         n: Contributing triples; a count >= 1 (``_as_int``), stored as
             the Python int that gives, so a model file writes an integer.
         mean_r: Removed process mean, dBm.
@@ -219,7 +226,9 @@ def _slots(seq: np.ndarray, max_lag: int) -> np.ndarray:
     every gap wider than ``max_lag`` is narrowed to max_lag + 1 slots. No lag
     up to max_lag spans such a gap either way, so two samples sit k slots
     apart exactly when their seqs do, and the grid holds at most
-    (max_lag + 1) * len(seq) slots.
+    (max_lag + 1) * len(seq) slots. The last slot is at most the seq span,
+    seq[-1] - seq[0], so a grid that reaches max_lag past it holds no more
+    than that span plus max_lag + 1 slots either.
     """
     slot = np.zeros(len(seq), dtype=np.int64)
     gaps = np.subtract(seq[1:], seq[:-1])
@@ -239,7 +248,7 @@ def sample_acf(trace: Trace, max_lag: int) -> AcfEstimate:
 
     Args:
         trace: Source trace; must not be constant.
-        max_lag: Largest lag index, >= 1.
+        max_lag: Largest lag index, a count >= 1 (``_as_int``).
 
     Raises:
         DegenerateProcessError: Constant trace.
@@ -331,9 +340,12 @@ def lag_moments(
     and squares. Each lag's triples are one contiguous column range, and
     one row-wise reduce over it sums each row as the 1-D ``sum()`` of the
     same products would, so every moment is that sum divided by n, as
-    ``np.mean`` computes it, whichever other lags share the call. The
-    transient memory grows with the lags of a call, so a caller with many
-    lags of a long trace asks for one at a time (see ``_trace_moments``).
+    ``np.mean`` computes it, whichever other lags share the call;
+    ``tests/oracles.reference_lag_moments`` holds it to that. The transient
+    memory grows with the lags of a call (n - 1 target lookups per lag, six
+    floats per triple), so the trace memo, ``_trace_moments``, serves one
+    lag per call, and ``moment_set``, ``fit_at_lag`` and ``evaluate`` read
+    each lag of a trace from it.
 
     The work is ``lag_moment_stages``, run to completion here: a caller
     that cannot afford it in one go, such as the sliding window, runs the
@@ -451,15 +463,14 @@ def lag_moment_stages(
         yield i_all[a:b], j_all[a:b], moments
 
 
-def _trace_moments(
-    trace: Trace, lags: Sequence[int],
-) -> list[tuple[np.ndarray, np.ndarray, MomentSet | ValueError]]:
-    """``lag_moments`` of the trace's own columns and slope for each of
-    ``lags``, memoised on the trace: each lag not held yet is computed by
-    its own one-lag ``lag_moments`` call, so the transient memory of a
-    request is that of one lag, however many it names. A lag's triples and
-    moments do not depend on which other lags share a call, so every
-    result is that of a fresh call.
+def _trace_moments(trace: Trace, k: int) -> tuple[np.ndarray, np.ndarray, MomentSet | ValueError]:
+    """The ``(i, j, moments)`` of ``lag_moments`` at the whole lag k, on the
+    trace's own columns and slope, memoised on the trace: the first request
+    for k makes a one-lag ``lag_moments`` call, so a request holds the
+    transient memory of one lag, and every later one is served from the
+    memo: reading many lags of a long trace peaks as one lag does, plus the
+    pairs the memo keeps. A lag's triples and moments do not depend on
+    which other lags share a call, so each result is that of a fresh call.
 
     The memo holds read-only (i, j) arrays, and each failure without its
     traceback, so no memoised error keeps a frame alive; every request gets
@@ -467,31 +478,26 @@ def _trace_moments(
     traceback.
     """
     held = trace._derived.setdefault("lags", {})
-    missing = [k for k in dict.fromkeys(lags) if k not in held]
-    if missing:
-        slope = derivative_series(trace)
-        for k in missing:
-            [(i, j, m)] = lag_moments(trace.seq, trace.rssi, slope,
-                                      trace.nominal_interval, [k])
-            i.flags.writeable = j.flags.writeable = False
-            if isinstance(m, ValueError):
-                m = m.with_traceback(None)
-            held[k] = (i, j, m)
-    out = []
-    for k in lags:
-        i, j, m = held[k]
-        out.append((i, j, copy.copy(m) if isinstance(m, ValueError) else m))
-    return out
+    if k not in held:
+        [(i, j, m)] = lag_moments(trace.seq, trace.rssi, derivative_series(trace),
+                                  trace.nominal_interval, [k])
+        i.flags.writeable = j.flags.writeable = False
+        held[k] = i, j, m.with_traceback(None) if isinstance(m, ValueError) else m
+    i, j, m = held[k]
+    return i, j, copy.copy(m) if isinstance(m, ValueError) else m
 
 
 def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
     """Estimate the five fitting moments at one lag: the one-lag case of
-    ``lag_moments``, memoised on the trace (see ``_trace_moments``).
+    ``lag_moments``, read with one call of the trace's memo, which serves
+    one lag per call (``_trace_moments``).
 
     ``slope`` must be ``derivative_series(trace)``: that array or one equal
-    to it. tau must be a whole number k >= 1 of the trace's nominal
-    intervals (see ``_lag_steps``); there is no interpolation, and the
-    moments carry the grid lag k * step as their tau. Means are estimated
+    to it. The argument adds nothing the trace does not hold; it stays only
+    while the benchmark passes it. tau must be a whole number k >= 1 of
+    the trace's nominal intervals (see ``_lag_steps``); there is no
+    interpolation, and the moments carry the grid lag k * step as their
+    tau. Means are estimated
     once from all values and all slopes, then every moment is the average
     of centered products over the joint index set where r(t), r'(t) and
     r(t+tau) all exist.
@@ -513,7 +519,7 @@ def moment_set(trace: Trace, slope: np.ndarray, tau: float) -> MomentSet:
     own = derivative_series(trace)
     if slope is not own and not np.array_equal(slope, own):
         raise ValueError("slope must be derivative_series(trace)")
-    [(_, _, m)] = _trace_moments(trace, (k,))
+    _, _, m = _trace_moments(trace, k)
     if not isinstance(m, MomentSet):
         raise m
     return m

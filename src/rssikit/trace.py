@@ -49,7 +49,8 @@ class Trace:
 
     Attributes:
         seq: Packet sequence numbers (int64, non-negative, strictly
-            increasing).
+            increasing). A value that int64 would change (a fraction, NaN,
+            +-inf or one beyond int64) raises ValueError naming it.
         t: Observation times in seconds (float64, finite, >= 0, strictly
             increasing with seq).
         rssi: Received power in dBm (float64, finite).
@@ -121,8 +122,15 @@ class Trace:
 
 def _is_finite(value) -> bool:
     """Whether ``value``, any real scalar, is finite: the one scalar
-    finiteness test. An integer beyond float range is not; a str raises
-    TypeError."""
+    finiteness test, which the rules for a count, a step and a real number
+    share. An integer beyond float range is not; a str raises TypeError.
+
+    Three checks run once per controller event and call ``math.isfinite``
+    directly instead, because a helper call on every ACK is the cost the
+    controller's in-place clamp removed: ``AtpcController.on_ack``'s
+    reading, ``SlidingWindowPredictor.observe``'s value and ``Prediction``'s
+    value.
+    """
     try:
         return math.isfinite(value)
     except OverflowError:
@@ -143,7 +151,10 @@ def _as_positive(value, what: str) -> float:
     """``value``, any real scalar, checked finite (``_is_finite``) and > 0
     as given and returned as the Python float ``float`` makes of it: the
     one rule for a step, an interval or a rate, so a numpy scalar of any
-    precision is used at float64. A str raises TypeError."""
+    precision is used at float64. A float32 0.1 s interval thus serves lag
+    3 as 3 x 0.10000000149 s, and a float16 0.1 s interval is compared with
+    a file's own step at its value, 0.0999755859375 s, and refused as 24 us
+    off. A str raises TypeError."""
     if not (_is_finite(value) and value > 0):
         raise ValueError(f"{what} must be finite and > 0, got {value}")
     return float(value)
@@ -238,13 +249,15 @@ def ingest_csv(path: str | Path, nominal_interval: float | None = None) -> Trace
     its line number. A leading byte-order mark is skipped.
 
     The trace's nominal interval is the step its own ``t_s`` states (see
-    ``_rows_to_trace``). ``nominal_interval`` is needed only for a file
-    with fewer than two kept rows that give ``t_s``; otherwise, when given,
-    it must lie within 1 us of that step, and is then used as given.
+    ``_rows_to_trace``). ``nominal_interval``, a step (``_as_positive``), is
+    needed only for a file with fewer than two kept rows that give ``t_s``;
+    otherwise, when given, it must lie within 1 us of that step, and is
+    then used as given.
 
     The text is read once and cut into rows in bulk, or line by line where
     its structure needs it (see ``_parse_blocks``); the row rules are one
-    pass that both parsers share.
+    pass that both parsers share. Memory is bounded by the file's text plus
+    one block and the row columns.
     """
     path = Path(path)
     if nominal_interval is not None:
@@ -278,7 +291,8 @@ def _parse_blocks(text: str) -> tuple | None:
     be cut line by line: a quoted, unknown or repeated column name, no
     rows, a row of the wrong width, a blank line, CR, an empty seq or
     rssi_dbm field, a field that is not a plain number, or a seq beyond
-    int64.
+    int64. So a file with duplicate, out-of-order or rejected rows stays on
+    the bulk path, and so does one with unknown t_s or tx_power_dbm values.
 
     Each block of rows is read by one call of numpy's C text reader
     (``np.loadtxt``), whose int64 and float64 conversions accept and round
@@ -514,8 +528,10 @@ def export_csv(trace: Trace, path: str | Path) -> None:
     Rows are formatted a block at a time, as bytes, by integer arithmetic
     (``_byte_rows``). A block that holds a value outside that writer's exact
     range is formatted with ``%`` instead: a t_s that is not the double
-    nearest a whole number of microseconds below 2**53, or a dBm value of
-    magnitude 2**52 or more.
+    nearest a whole number of microseconds below 2**53 (a subnormal time,
+    say), or a dBm value of magnitude 2**52 or more. Times that
+    ``derive_times`` gives, and times read from a file this writer wrote,
+    are such doubles.
     """
     path = Path(path)
     with path.open("wb") as fh:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -15,6 +19,24 @@ from rssikit import cli, predictor
 from rssikit.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_code_spans() -> list[str]:
+    """README's inline code spans, outside its fenced blocks."""
+    prose = "".join(README.read_text(encoding="utf-8").split("```")[::2])
+    return re.findall(r"`([^`]+)`", prose)
+
+
+def resolves(obj, names: list[str]) -> bool:
+    """Whether the attribute path ``names`` exists on ``obj``; a dataclass
+    field counts as an attribute of its class."""
+    for at, name in enumerate(names):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        else:
+            return (at == len(names) - 1 and dataclasses.is_dataclass(obj)
+                    and name in {f.name for f in dataclasses.fields(obj)})
+    return True
 
 
 def run_cli(*argv) -> int:
@@ -664,3 +686,28 @@ class TestReadme:
             "simulate", "acf", "fit", "predict", "evaluate", "atpc"}
         for argv in commands:
             _build_parser().parse_args(argv)
+
+    def test_dotted_names_resolve(self):
+        """Every dotted name README cites from an rssikit module or a package
+        export names something that exists."""
+        modules = {m.name for m in pkgutil.iter_modules(rssikit.__path__)}
+        checked, missing = 0, []
+        for span in readme_code_spans():
+            dotted = re.fullmatch(r"([A-Za-z]\w*(?:\.\w+)+)(?:\(.*\))?", span, re.S)
+            if dotted is None:
+                continue
+            root, *names = dotted[1].split(".")
+            roots = [importlib.import_module(f"rssikit.{root}")] if root in modules else []
+            if root in rssikit.__all__:
+                roots.append(getattr(rssikit, root))
+            if roots:
+                checked += 1
+                if not any(resolves(obj, names) for obj in roots):
+                    missing.append(span)
+        assert checked and not missing, missing
+
+    def test_cites_no_private_name(self):
+        """README states the public contract: no code span names a private
+        identifier (a lone ``_`` is a character, not a name)."""
+        private = [span for span in readme_code_spans() if re.search(r"(?<!\w)_\w", span)]
+        assert not private, private

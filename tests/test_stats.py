@@ -137,6 +137,16 @@ class TestSampleAcf:
         acf = sample_acf(sine_trace, max_lag=np.int64(5))
         assert acf.values.tobytes() == sample_acf(sine_trace, max_lag=5).values.tobytes()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("normalized", [0.5, 0.25], "normalized autocovariance must be exactly 1 at lag 0"),
+        ("normalized", [1.0, -1.0 - 1e-6], "normalized autocovariance outside [-1, 1] tolerance"),
+        ("d1", [1e-3, 0.0], "d1 must be exactly 0 at lag 0"),
+    ], ids=["normalized-at-lag-0", "normalized-beyond-one", "d1-at-lag-0"])
+    def test_estimate_refuses_broken_conventions(self, sine_trace, field, value, message):
+        acf = sample_acf(sine_trace, max_lag=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(acf, **{field: np.array(value)})
+
 
 class TestMomentSet:
     def test_matches_direct_summation(self, ar2_trace):
