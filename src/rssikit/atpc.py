@@ -29,8 +29,7 @@ from .predictor import (
     SlidingWindowPredictor,
     predict,
 )
-from .stats import _as_int
-from .trace import _as_real
+from .trace import _as_int, _as_real
 
 MODE_TRACKING = "tracking"
 MODE_FALLBACK = "fallback"
@@ -82,8 +81,8 @@ class AtpcState(NamedTuple):
 
     Each event publishes its whole state, a plain tuple of these six
     fields in this order, with a single assignment, so a concurrent reader
-    never sees a half-updated state; ``AtpcController.state`` builds this
-    snapshot from it on the first read after the event. As a
+    never sees a half-updated state; each read of ``AtpcController.state``
+    builds this snapshot from it. As a
     ``NamedTuple`` it unpacks and compares equal like a plain tuple of its
     six fields, and ``_replace`` derives a changed copy.
     ``predicted_dbm`` is the received power predicted for the packet whose
@@ -105,8 +104,7 @@ class AtpcController:
     transmit power for the next packet and publishes its whole state as
     one plain tuple in ``AtpcState`` field order, which the events and
     ``run_closed_loop`` read by index. ``state`` returns it as an immutable
-    ``AtpcState``, built on the first read after each event and returned
-    to every later read until the next; it may be read concurrently.
+    ``AtpcState``; it may be read concurrently.
     """
 
     def __init__(self, config: AtpcConfig):
@@ -127,9 +125,6 @@ class AtpcController:
         # predicted_dbm), which a literal builds far cheaper than the
         # NamedTuple's constructor.
         self._state = (self._max_tx, 0, None, MODE_TRACKING, False, None)
-        # (published tuple, its AtpcState), replaced as one pair by the
-        # read that builds the snapshot.
-        self._snapshot = (None, None)
         # Prediction horizons 1..max_missed-1; at max_missed the controller
         # stops predicting and falls back. With max_missed 1 there are none.
         lags = tuple(range(1, config.max_missed_acks))
@@ -139,16 +134,7 @@ class AtpcController:
 
     @property
     def state(self) -> AtpcState:
-        # The published tuple is read once, and the snapshot kept for it is
-        # used only while that very tuple is the one published. A read
-        # never writes _state: a reader that did could put its older
-        # snapshot back over an event another thread had just published.
-        raw = self._state
-        held, snapshot = self._snapshot
-        if held is not raw:
-            snapshot = AtpcState._make(raw)
-            self._snapshot = (raw, snapshot)
-        return snapshot
+        return AtpcState._make(self._state)
 
     @property
     def current_tx_dbm(self) -> float:

@@ -271,7 +271,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"rssikit: i/o error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

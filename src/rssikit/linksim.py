@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .stats import _as_int
-from .trace import Trace, _as_positive, _as_real, derive_times
+from .trace import Trace, _as_int, _as_positive, _as_real, derive_times
 
 CHANNEL_KINDS = ("ar2", "swell", "ripple")
 # Loss kind -> the LossModel fields its keep_mask reads.

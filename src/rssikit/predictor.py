@@ -38,7 +38,6 @@ import numpy as np
 
 from .stats import (
     MomentSet,
-    _as_int,
     _lag_steps,
     _record,
     _trace_moments,
@@ -49,7 +48,7 @@ from .stats import (
 # names that the benchmark's traced run wraps in this module, kept until it
 # traces the trace memo (_trace_moments, one lag per call) and the window's
 # refit steps instead; tests/test_bench_api.py resolves each name.
-from .trace import Trace, _as_positive, _as_real, _is_finite, derivative_series
+from .trace import Trace, _as_int, _as_positive, _as_real, _is_finite, derivative_series
 
 logger = logging.getLogger(__name__)
 

@@ -14,32 +14,16 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import Trace, _as_positive, _is_finite, derivative_series
+from .trace import Trace, _as_int, _as_positive, _is_finite, derivative_series
 
 # Below this many contributing sample pairs a second-order moment is too
 # noisy to fit from.
 _MIN_PAIRS = 8
-
-
-def _as_int(value, what: str, minimum: int | None = None) -> int:
-    """``value`` as the int ``operator.index`` gives for it: the one rule
-    for a count, so ``True`` is 1 and a ``np.uint8`` count does not
-    overflow. Anything that would have to be truncated or parsed to become
-    one, such as 1.5 or "128", or an int below ``minimum`` where one is
-    given, raises ``ValueError``."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if minimum is not None and n < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {n}")
-    return n
 
 
 def _record(cls, values: dict):
@@ -88,6 +72,9 @@ class AcfEstimate:
     at +k. ``d1`` is the finite-difference derivative of the autocovariance
     over the lag grid (forced to exactly 0 at lag 0 by symmetry) and
     ``d2_at_0`` is its second derivative at lag 0 using that symmetry.
+    Every entry of ``values``, ``normalized``, ``d1``, ``d2_at_0`` and
+    ``mean_dbm`` must be finite: a NaN or +-inf one raises ValueError as
+    "{field} must be finite".
 
     Attributes:
         lags: Integer lag indices 0..L; lag k spans k * step_s seconds.
@@ -110,6 +97,9 @@ class AcfEstimate:
     mean_dbm: float
 
     def __post_init__(self) -> None:
+        for name in ("values", "normalized", "d1", "d2_at_0", "mean_dbm"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.normalized[0] != 1.0:
             raise ValueError("normalized autocovariance must be exactly 1 at lag 0")
         if np.max(np.abs(self.normalized)) > 1.0 + 1e-9:
@@ -131,8 +121,8 @@ class AcfEstimate:
         return k
 
 
-# The moments and means of a MomentSet, each checked finite (``_is_finite``),
-# in the order its __post_init__ reads them.
+# The moments and means of a MomentSet, each checked finite (``_is_finite``)
+# in this order, so a refusal names the first that is not.
 _MOMENT_VALUES = ("rr0", "rpr0", "rprp0", "rr_tau", "rrp_tau", "rr0_ahead", "mean_r", "mean_rp")
 
 
@@ -181,19 +171,10 @@ class MomentSet:
             raise ValueError(f"rr0 must be positive, got {self.rr0}")
         if self.rprp0 < 0:
             raise ValueError(f"rprp0 must be non-negative, got {self.rprp0}")
-        # A MomentSet is built on each lag step of a refit: one pass of
-        # math.isfinite over all eight costs about half of eight _is_finite
-        # calls, and the name is looked for only on a refusal.
-        values = (self.rr0, self.rpr0, self.rprp0, self.rr_tau, self.rrp_tau, self.rr0_ahead,
-                  self.mean_r, self.mean_rp)
-        try:
-            finite = all(map(math.isfinite, values))
-        except OverflowError:  # an int beyond float range is not finite
-            finite = False
-        if not finite:
-            for name, value in zip(_MOMENT_VALUES, values):
-                if not _is_finite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
+        for name in _MOMENT_VALUES:
+            value = getattr(self, name)
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (_is_finite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         _as_positive(self.step_s, "step_s")

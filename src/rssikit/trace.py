@@ -14,7 +14,7 @@ import functools
 import io
 import logging
 import math
-import re
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -135,6 +135,21 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _as_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as the int ``operator.index`` gives for it: the one rule
+    for a count, so ``True`` is 1 and a ``np.uint8`` count does not
+    overflow. Anything that would have to be truncated or parsed to become
+    one, such as 1.5 or "128", or an int below ``minimum`` where one is
+    given, raises ``ValueError``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and n < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {n}")
+    return n
 
 
 def _as_real(value, what: str) -> float:
@@ -275,13 +290,9 @@ _INGEST_BLOCK_CHARS = 1 << 16
 _EXPORT_BLOCK_ROWS = 4096
 
 # The characters of plain trace CSV text: number fields, commas and LF line
-# ends. No quote, no CR and no letter except an exponent's, so no field
-# spells nan or inf and only an empty field becomes NaN.
-_PLAIN_CHARS = b"-+.0123456789eE_ ,\n"
-
-# An underscore that int() and float() refuse: one without a digit on each
-# side.
-_LOOSE_UNDERSCORE = re.compile(r"(?<![0-9])_|_(?![0-9])")
+# ends. No quote, no CR, no underscore and no letter except an exponent's,
+# so no field spells nan or inf and only an empty field becomes NaN.
+_PLAIN_CHARS = b"-+.0123456789eE ,\n"
 
 
 def _parse_blocks(text: str) -> tuple | None:
@@ -290,9 +301,11 @@ def _parse_blocks(text: str) -> tuple | None:
     Returns the same rows as ``_parse_lines``, or None for text that must
     be cut line by line: a quoted, unknown or repeated column name, no
     rows, a row of the wrong width, a blank line, CR, an empty seq or
-    rssi_dbm field, a field that is not a plain number, or a seq beyond
-    int64. So a file with duplicate, out-of-order or rejected rows stays on
-    the bulk path, and so does one with unknown t_s or tx_power_dbm values.
+    rssi_dbm field, a field that is not a plain number, an underscore in
+    a row (which the line reader converts as ``int()`` and ``float()``
+    do), or a seq beyond int64. So a file with duplicate, out-of-order or
+    rejected rows stays on the bulk path, and so does one with unknown t_s
+    or tx_power_dbm values.
 
     Each block of rows is read by one call of numpy's C text reader
     (``np.loadtxt``), whose int64 and float64 conversions accept and round
@@ -344,11 +357,11 @@ def _plain_block(block: str) -> str | None:
     """Rows of plain CSV text as ``np.loadtxt`` must see them to read each
     field as ``int()`` or ``float()`` would, or None where it cannot.
 
-    Only plain characters pass. A blank line returns None, because loadtxt
-    skips it and the line numbers would shift. Underscores are dropped
-    where ``int()`` and ``float()`` allow them, between two digits. An
-    empty field is spelled nan: it is the only field that can become NaN,
-    so ``_parse_blocks`` marks a t_s or tx_power_dbm as not given, and
+    Only plain characters pass, so a block with an underscore returns None
+    and its text goes to the line reader. A blank line returns None,
+    because loadtxt skips it and the line numbers would shift. An empty
+    field is spelled nan: it is the only field that can become NaN, so
+    ``_parse_blocks`` marks a t_s or tx_power_dbm as not given, and
     rejects an rssi_dbm, by that NaN alone.
     """
     raw = block.encode("ascii")
@@ -368,10 +381,6 @@ def _plain_block(block: str) -> str | None:
             block = "nan" + block
         if block[-1] == ",":
             block += "nan"
-    if "_" in block:
-        if _LOOSE_UNDERSCORE.search(block):
-            return None
-        block = block.replace("_", "")
     return block
 
 

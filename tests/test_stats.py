@@ -137,15 +137,24 @@ class TestSampleAcf:
         acf = sample_acf(sine_trace, max_lag=np.int64(5))
         assert acf.values.tobytes() == sample_acf(sine_trace, max_lag=5).values.tobytes()
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("normalized", [0.5, 0.25], "normalized autocovariance must be exactly 1 at lag 0"),
-        ("normalized", [1.0, -1.0 - 1e-6], "normalized autocovariance outside [-1, 1] tolerance"),
-        ("d1", [1e-3, 0.0], "d1 must be exactly 0 at lag 0"),
-    ], ids=["normalized-at-lag-0", "normalized-beyond-one", "d1-at-lag-0"])
-    def test_estimate_refuses_broken_conventions(self, sine_trace, field, value, message):
+    @pytest.mark.parametrize("changes, message", [
+        ({"normalized": [0.5, 0.25]}, "normalized autocovariance must be exactly 1 at lag 0"),
+        ({"normalized": [1.0, -1.0 - 1e-6]}, "normalized autocovariance outside [-1, 1] tolerance"),
+        ({"d1": [1e-3, 0.0]}, "d1 must be exactly 0 at lag 0"),
+        ({"normalized": [1.0, math.nan], "d1": [0.0, math.nan]}, "normalized must be finite"),
+        ({"values": [math.nan, math.nan], "d2_at_0": math.inf}, "values must be finite"),
+        ({"normalized": [1.0, -math.inf]}, "normalized must be finite"),
+        ({"d1": [0.0, math.inf]}, "d1 must be finite"),
+        ({"d2_at_0": math.nan}, "d2_at_0 must be finite"),
+        ({"mean_dbm": -math.inf}, "mean_dbm must be finite"),
+    ], ids=["normalized-at-lag-0", "normalized-beyond-one", "d1-at-lag-0",
+            "normalized-and-d1-nan", "values-nan-and-d2-inf", "normalized-minus-inf",
+            "d1-inf", "d2-at-0-nan", "mean-minus-inf"])
+    def test_estimate_refuses_broken_conventions(self, sine_trace, changes, message):
         acf = sample_acf(sine_trace, max_lag=1)
+        changes = {k: np.array(v) if isinstance(v, list) else v for k, v in changes.items()}
         with pytest.raises(ValueError, match=re.escape(message)):
-            dataclasses.replace(acf, **{field: np.array(value)})
+            dataclasses.replace(acf, **changes)
 
 
 class TestMomentSet:

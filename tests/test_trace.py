@@ -202,8 +202,8 @@ TARGETED = [
     ("seq,rssi_dbm\n0,-70\n  \n1,-71\n", False, 3),
     ("seq,rssi_dbm\n0,-70\n1,-71\n\n", False, None),
     # number spellings int() and float() accept or refuse
-    ("seq,rssi_dbm\n1_000,-70\n", True, None),
-    ("seq,rssi_dbm\n+5,-7_0.5\n", True, None),
+    ("seq,rssi_dbm\n1_000,-70\n", False, None),
+    ("seq,rssi_dbm\n+5,-7_0.5\n", False, None),
     ("seq,rssi_dbm\n 7 , -70.5 \n008,-71e0\n", True, None),
     ("seq,rssi_dbm\n0x1,-70\n", False, 2),
     ("seq,rssi_dbm\n1.0,-70\n", False, 2),
@@ -397,17 +397,32 @@ class TestBulkIngest:
     def test_number_spellings_convert_as_int_and_float_do(self, tmp_path_factory, text,
                                                           block):
         # Plain text with no blank line and rows of the header's width: the
-        # bulk parser declines it only where the line parser stops.
+        # bulk parser declines it only where the line parser stops, or where
+        # a row holds an underscore (the header's rssi_dbm does not count).
         p = tmp_path_factory.mktemp("spell") / "trace.csv"
         p.write_bytes(text.encode("utf-8"))
         with mock.patch.object(trace_module, "_INGEST_BLOCK_CHARS", block):
             bulk = trace_module._parse_blocks(text)
             got = outcome(ingest_csv, p)
         lines = trace_module._parse_lines(text, p)
-        assert (bulk is None) == (lines[7] is not None)
+        assert (bulk is None) == (lines[7] is not None or "_" in text.partition("\n")[2])
         if bulk is not None:
             assert [c.tobytes() for c in bulk[:7]] == [c.tobytes() for c in lines[:7]]
         assert got == outcome(dict_ingest, p)
+        assert got == outcome(ingest_line_by_line, p)
+
+    def test_an_underscore_in_the_last_block_sends_the_file_to_the_line_reader(
+            self, tmp_path):
+        # 200 rows cut into blocks of about 64 characters; only the last row
+        # spells its rssi with an underscore.
+        head = "seq,rssi_dbm\n" + "".join(f"{k},{-80 - k % 7}\n" for k in range(199))
+        p = write_csv(tmp_path, head + "199,-8_0.5\n")
+        plain = write_csv(tmp_path, head + "199,-80.5\n", "plain.csv")
+        with mock.patch.object(trace_module, "_INGEST_BLOCK_CHARS", 64):
+            assert trace_module._parse_blocks(p.read_text()) is None
+            assert trace_module._parse_blocks(plain.read_text()) is not None
+            got = outcome(ingest_csv, p)
+            assert got[0] == outcome(ingest_csv, plain)[0]
         assert got == outcome(ingest_line_by_line, p)
 
     @given(head=st.sampled_from(["", "seq,rssi_dbm\n", ",".join(CSV_FIELDS) + "\n"]),
