@@ -72,9 +72,9 @@ class AcfEstimate:
     at +k. ``d1`` is the finite-difference derivative of the autocovariance
     over the lag grid (forced to exactly 0 at lag 0 by symmetry) and
     ``d2_at_0`` is its second derivative at lag 0 using that symmetry.
-    Every entry of ``values``, ``normalized``, ``d1``, ``d2_at_0`` and
-    ``mean_dbm`` must be finite: a NaN or +-inf one raises ValueError as
-    "{field} must be finite".
+    Every entry of ``values``, ``normalized`` and ``d1``, and ``d2_at_0``
+    and ``mean_dbm`` (``_is_finite``), must be finite: a NaN or +-inf one
+    raises ValueError as "{field} must be finite".
 
     Attributes:
         lags: Integer lag indices 0..L; lag k spans k * step_s seconds.
@@ -97,8 +97,11 @@ class AcfEstimate:
     mean_dbm: float
 
     def __post_init__(self) -> None:
-        for name in ("values", "normalized", "d1", "d2_at_0", "mean_dbm"):
+        for name in ("values", "normalized", "d1"):
             if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        for name in ("d2_at_0", "mean_dbm"):
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.normalized[0] != 1.0:
             raise ValueError("normalized autocovariance must be exactly 1 at lag 0")

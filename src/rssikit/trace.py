@@ -122,8 +122,8 @@ class Trace:
 
 def _is_finite(value) -> bool:
     """Whether ``value``, any real scalar, is finite: the one scalar
-    finiteness test, which the rules for a count, a step and a real number
-    share. An integer beyond float range is not; a str raises TypeError.
+    finiteness test, which the rules for a step and a real number share.
+    An integer beyond float range is not; a str raises TypeError.
 
     Three checks run once per controller event and call ``math.isfinite``
     directly instead, because a helper call on every ACK is the cost the

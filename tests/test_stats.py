@@ -147,9 +147,10 @@ class TestSampleAcf:
         ({"d1": [0.0, math.inf]}, "d1 must be finite"),
         ({"d2_at_0": math.nan}, "d2_at_0 must be finite"),
         ({"mean_dbm": -math.inf}, "mean_dbm must be finite"),
+        ({"mean_dbm": 10**400}, "mean_dbm must be finite"),
     ], ids=["normalized-at-lag-0", "normalized-beyond-one", "d1-at-lag-0",
             "normalized-and-d1-nan", "values-nan-and-d2-inf", "normalized-minus-inf",
-            "d1-inf", "d2-at-0-nan", "mean-minus-inf"])
+            "d1-inf", "d2-at-0-nan", "mean-minus-inf", "mean-beyond-float"])
     def test_estimate_refuses_broken_conventions(self, sine_trace, changes, message):
         acf = sample_acf(sine_trace, max_lag=1)
         changes = {k: np.array(v) if isinstance(v, list) else v for k, v in changes.items()}
