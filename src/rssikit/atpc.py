@@ -154,8 +154,11 @@ class AtpcController:
         caller with no state published, the window keeps the observation,
         and the next event is served as the next packet.
         """
-        if not isfinite(ack_rssi_dbm):
-            raise ValueError("ack_rssi must be finite")
+        try:
+            if not isfinite(ack_rssi_dbm):
+                raise ValueError("ack_rssi must be finite")
+        except OverflowError:
+            raise ValueError("ack_rssi must be finite") from None
         gain = float(ack_rssi_dbm) - self._state[0]
         # The tick moves on first: the window keeps the observation even if
         # the refit step it runs raises, so the next event needs the next seq.

@@ -196,8 +196,11 @@ class Prediction:
     steps_ahead: int
 
     def __post_init__(self) -> None:
-        if not isfinite(self.value):
-            raise ValueError("predicted value must be finite")
+        try:
+            if not isfinite(self.value):
+                raise ValueError("predicted value must be finite")
+        except OverflowError:
+            raise ValueError("predicted value must be finite") from None
         _as_int(self.steps_ahead, "steps_ahead", 1)
 
 
@@ -604,8 +607,11 @@ class SlidingWindowPredictor:
         """
         if type(seq) is not int:
             seq = _as_int(seq, "observation seq")
-        if not isfinite(value):
-            raise ValueError(f"observation value must be finite, got {value}")
+        try:
+            if not isfinite(value):
+                raise ValueError(f"observation value must be finite, got {value}")
+        except OverflowError:
+            raise ValueError(f"observation value must be finite, got {value}") from None
         value = float(value)
         # The order check bounds every seq after the first from below; the
         # int64 column, or a comparison where there is none, from above.

@@ -64,7 +64,9 @@ class InsufficientSupportError(ValueError):
     """Too few sample pairs survive gap exclusion at a requested lag."""
 
 
-@dataclass(frozen=True)
+# eq=False: a generated __eq__ would compare array fields, which have no
+# single truth value.
+@dataclass(frozen=True, eq=False)
 class AcfEstimate:
     """Sample autocovariance of a trace over a lag grid.
 
@@ -72,9 +74,12 @@ class AcfEstimate:
     at +k. ``d1`` is the finite-difference derivative of the autocovariance
     over the lag grid (forced to exactly 0 at lag 0 by symmetry) and
     ``d2_at_0`` is its second derivative at lag 0 using that symmetry.
-    Every entry of ``values``, ``normalized`` and ``d1``, and ``d2_at_0``
-    and ``mean_dbm`` (``_is_finite``), must be finite: a NaN or +-inf one
-    raises ValueError as "{field} must be finite".
+    The arrays share one lag grid: ``lags`` must be 0..len(values) - 1,
+    and ``normalized``, ``n_pairs`` and ``d1`` must hold one entry per
+    lag, or ValueError names the field. Every entry of ``values``,
+    ``normalized`` and ``d1``, and ``d2_at_0`` and ``mean_dbm``
+    (``_is_finite``), must be finite: a NaN or +-inf one raises ValueError
+    as "{field} must be finite".
 
     Attributes:
         lags: Integer lag indices 0..L; lag k spans k * step_s seconds.
@@ -97,6 +102,12 @@ class AcfEstimate:
     mean_dbm: float
 
     def __post_init__(self) -> None:
+        n = len(self.values)
+        if not np.array_equal(self.lags, np.arange(n)):
+            raise ValueError("lags must be 0..len(values) - 1")
+        for name in ("normalized", "n_pairs", "d1"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} must hold one entry per lag")
         for name in ("values", "normalized", "d1"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")

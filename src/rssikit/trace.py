@@ -55,7 +55,9 @@ class Trace:
             increasing with seq).
         rssi: Received power in dBm (float64, finite).
         tx_power: Transmit power in dBm that produced each packet (float64);
-            NaN where unknown.
+            NaN where unknown. In t, rssi and tx_power a value beyond
+            float range, such as ``10**400``, raises ValueError naming
+            its column.
         nominal_interval: Seconds between consecutive sequence numbers;
             finite and > 0, stored as a Python float (``_as_positive``).
         meta: Free-form labels (deployment, radio, ingestion counters).
@@ -79,7 +81,7 @@ class Trace:
                            _as_positive(self.nominal_interval, "nominal_interval"))
         for name in ("seq", "t", "rssi", "tx_power"):
             values = getattr(self, name)
-            a = _int64_column(values, name) if name == "seq" else np.array(values, np.float64)
+            a = _int64_column(values, name) if name == "seq" else _float64_column(values, name)
             if a.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D column")
             a.flags.writeable = False
@@ -129,7 +131,9 @@ def _is_finite(value) -> bool:
     directly instead, because a helper call on every ACK is the cost the
     controller's in-place clamp removed: ``AtpcController.on_ack``'s
     reading, ``SlidingWindowPredictor.observe``'s value and ``Prediction``'s
-    value.
+    value. Each catches ``math.isfinite``'s OverflowError around its check,
+    so it refuses an integer beyond float range with its own ValueError, as
+    this test does, at no cost to a finite value.
     """
     try:
         return math.isfinite(value)
@@ -186,6 +190,15 @@ def _int64_column(values, name: str) -> np.ndarray:
             if not _is_int64(value):
                 raise ValueError(f"{name} must hold integers within int64, got {value!r}")
     return np.array(a, dtype=np.int64)
+
+
+def _float64_column(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array; a value beyond float range raises
+    ValueError naming the column, where numpy raises OverflowError."""
+    try:
+        return np.array(values, np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a value beyond float range") from None
 
 
 def _is_int64(value) -> bool:
@@ -271,8 +284,9 @@ def ingest_csv(path: str | Path, nominal_interval: float | None = None) -> Trace
 
     The text is read once and cut into rows in bulk, or line by line where
     its structure needs it (see ``_parse_blocks``); the row rules are one
-    pass that both parsers share. Memory is bounded by the file's text plus
-    one block and the row columns.
+    pass that both parsers share. Memory is bounded by the file's text, plus
+    one block in transit, plus the row columns twice while the blocks'
+    pieces are joined.
     """
     path = Path(path)
     if nominal_interval is not None:
@@ -313,6 +327,11 @@ def _parse_blocks(text: str) -> tuple | None:
     the two differ on is settled before the call (see ``_plain_block``),
     and an int64 field that older numpy reads through float, warning that
     this is deprecated, refuses the block.
+
+    The reader gets the block as a list of lines, which ``str.splitlines``
+    cuts in one C pass; given a file-like object it would ask for one line
+    per Python call. A plain block has no line break but LF and no blank
+    line, so the lines are the rows a file object would yield.
     """
     body = text.find("\n") + 1
     header = text[:body]
@@ -335,7 +354,7 @@ def _parse_blocks(text: str) -> tuple | None:
                 block = _plain_block(text[pos:end])
                 if block is None:
                     return None
-                rows = np.loadtxt(io.StringIO(block), dtype=dtype, delimiter=",",
+                rows = np.loadtxt(block.splitlines(), dtype=dtype, delimiter=",",
                                   comments=None, quotechar=None, ndmin=1)
                 for name in names:
                     blocks[name].append(rows[name])

@@ -632,7 +632,8 @@ class TestFixedTxPower:
         assert sent.tolist() == [tx] * 50
 
 
-@pytest.mark.parametrize("ack_rssi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("ack_rssi", [math.nan, math.inf, -math.inf,
+                                      pytest.param(10**400, id="10**400")])
 def test_a_non_finite_ack_is_refused(ack_rssi):
     ctrl = AtpcController(make_config())
     before = ctrl._state

@@ -678,7 +678,8 @@ class TestSlidingWindow:
         with pytest.raises(ValueError, match="increasing"):
             sw.observe(5, -70.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="10**400")])
     def test_rejects_a_non_finite_value_when_observed(self, value):
         sw = SlidingWindowPredictor("orthonormal", lags=(1,), step_s=0.1)
         sw.observe(0, -70.0)
@@ -1539,7 +1540,7 @@ class TestCheckedConstructor:
             "ValueError: stored weights inconsistent with basis record"
 
     @settings(max_examples=50, deadline=None)
-    @given(prediction_values(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    @given(prediction_values(), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
     def test_a_non_finite_prediction_is_refused_alike(self, values, value):
         by_init, by_record = built_both_ways(predictor.Prediction, {**values, "value": value})
         assert by_init == by_record == "ValueError: predicted value must be finite"

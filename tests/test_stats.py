@@ -157,6 +157,24 @@ class TestSampleAcf:
         with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(acf, **changes)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"lags": np.arange(3)}, "lags must be 0..len(values) - 1"),
+        ({"lags": np.arange(1, 7)}, "lags must be 0..len(values) - 1"),
+        ({"d1": np.zeros(3)}, "d1 must hold one entry per lag"),
+        ({"n_pairs": np.arange(2)}, "n_pairs must hold one entry per lag"),
+        ({"normalized": np.ones(2)}, "normalized must hold one entry per lag"),
+    ], ids=["lags-short", "lags-shifted", "d1-short", "n-pairs-short", "normalized-short"])
+    def test_estimate_keeps_one_lag_grid(self, sine_trace, changes, message):
+        acf = sample_acf(sine_trace, max_lag=5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(acf, **changes)
+
+    def test_estimates_compare_and_hash_by_identity(self, sine_trace):
+        acf = sample_acf(sine_trace, max_lag=5)
+        twin = dataclasses.replace(acf)
+        assert acf == acf and acf != twin
+        assert {acf, twin, acf} == {acf, twin}
+
 
 class TestMomentSet:
     def test_matches_direct_summation(self, ar2_trace):

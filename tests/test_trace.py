@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import math
 import os
 import re
@@ -480,16 +479,14 @@ class TestBulkIngest:
         # through float and casts it, with only a DeprecationWarning.
         real_loadtxt = np.loadtxt
 
-        def loadtxt_via_float(fname, dtype, **kwargs):
-            text = fname.getvalue()
+        def loadtxt_via_float(lines, dtype, **kwargs):
             try:
-                return real_loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
+                return real_loadtxt(lines, dtype=dtype, **kwargs)
             except ValueError:
                 warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                               DeprecationWarning, stacklevel=2)
                 as_float = np.dtype([(name, np.float64) for name in dtype.names])
-                return real_loadtxt(io.StringIO(text), dtype=as_float,
-                                    **kwargs).astype(dtype)
+                return real_loadtxt(lines, dtype=as_float, **kwargs).astype(dtype)
 
         text = f"seq,rssi_dbm\n0,-70\n{seq},-71\n"
         p = write_csv(tmp_path, text)
@@ -498,6 +495,26 @@ class TestBulkIngest:
             got = outcome(ingest_csv, p)
         assert got == outcome(dict_ingest, p)
         assert got[0] == "IngestError" and got[1].startswith(f"{p}:3:")
+
+    def test_peak_memory_is_the_columns_and_one_block(self, tmp_path):
+        # 41,423 rows, as many as the benchmark's offline pass ingests. Beyond
+        # the text, the peak holds the row columns twice (the blocks' pieces
+        # and their join) and one block in transit: its text, its bytes and
+        # their masks, and its lines, together within 8 times its characters.
+        rng = np.random.default_rng(8)
+        seq = np.sort(rng.choice(50_000, 41_423, replace=False))
+        tr = columns(seq, derive_times(seq, 0.1), rng.integers(-9000, -6000, seq.size) / 100,
+                     np.zeros(seq.size))
+        export_csv(tr, tmp_path / "trace.csv")
+        text = (tmp_path / "trace.csv").read_text()
+        tracemalloc.start()
+        try:
+            rows = trace_module._parse_blocks(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_columns = sum(column.nbytes for column in rows[:-1])
+        assert peak <= 2 * row_columns + 8 * trace_module._INGEST_BLOCK_CHARS
 
     def test_shuffled_resends_keep_the_file_order_last_row(self, tmp_path):
         # Thousands of equal seqs in no order: only a stable sort keeps the
@@ -955,6 +972,15 @@ def test_a_two_dimensional_column_is_refused(column):
               "tx_power": [math.nan, math.nan]}
     values[column] = [values[column]]
     with pytest.raises(ValueError, match=f"{column} must be a 1-D column"):
+        Trace(**values, nominal_interval=0.1)
+
+
+@pytest.mark.parametrize("column", ["t", "rssi", "tx_power"])
+def test_a_float_column_beyond_float_range_is_refused_by_name(column):
+    values = {"seq": [0, 1], "t": [0.0, 0.1], "rssi": [-70.0, -69.0], "tx_power": [0.0, 0.0]}
+    values[column] = [values[column][0], 10**400]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{column} must be finite, got a value beyond float range")):
         Trace(**values, nominal_interval=0.1)
 
 
