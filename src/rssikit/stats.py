@@ -75,8 +75,8 @@ class AcfEstimate:
     over the lag grid (forced to exactly 0 at lag 0 by symmetry) and
     ``d2_at_0`` is its second derivative at lag 0 using that symmetry.
     The arrays share one lag grid: ``lags`` must be 0..len(values) - 1,
-    and ``normalized``, ``n_pairs`` and ``d1`` must hold one entry per
-    lag, or ValueError names the field. Every entry of ``values``,
+    lag 0 included, and ``normalized``, ``n_pairs`` and ``d1`` must hold
+    one entry per lag, or ValueError names the field. Every entry of ``values``,
     ``normalized`` and ``d1``, and ``d2_at_0`` and ``mean_dbm``
     (``_is_finite``), must be finite: a NaN or +-inf one raises ValueError
     as "{field} must be finite".
@@ -103,8 +103,8 @@ class AcfEstimate:
 
     def __post_init__(self) -> None:
         n = len(self.values)
-        if not np.array_equal(self.lags, np.arange(n)):
-            raise ValueError("lags must be 0..len(values) - 1")
+        if not n or not np.array_equal(self.lags, np.arange(n)):
+            raise ValueError("lags must be 0..len(values) - 1, from lag 0")
         for name in ("normalized", "n_pairs", "d1"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} must hold one entry per lag")

@@ -160,10 +160,13 @@ class TestSampleAcf:
     @pytest.mark.parametrize("changes, message", [
         ({"lags": np.arange(3)}, "lags must be 0..len(values) - 1"),
         ({"lags": np.arange(1, 7)}, "lags must be 0..len(values) - 1"),
+        (dict.fromkeys(["lags", "values", "normalized", "n_pairs", "d1"], np.zeros(0)),
+         "lags must be 0..len(values) - 1, from lag 0"),
         ({"d1": np.zeros(3)}, "d1 must hold one entry per lag"),
         ({"n_pairs": np.arange(2)}, "n_pairs must hold one entry per lag"),
         ({"normalized": np.ones(2)}, "normalized must hold one entry per lag"),
-    ], ids=["lags-short", "lags-shifted", "d1-short", "n-pairs-short", "normalized-short"])
+    ], ids=["lags-short", "lags-shifted", "empty", "d1-short", "n-pairs-short",
+            "normalized-short"])
     def test_estimate_keeps_one_lag_grid(self, sine_trace, changes, message):
         acf = sample_acf(sine_trace, max_lag=5)
         with pytest.raises(ValueError, match=re.escape(message)):
