@@ -76,10 +76,10 @@ class AcfEstimate:
     ``d2_at_0`` is its second derivative at lag 0 using that symmetry.
     The arrays share one lag grid: ``lags`` must be 0..len(values) - 1,
     lag 0 included, and ``normalized``, ``n_pairs`` and ``d1`` must hold
-    one entry per lag, or ValueError names the field. Every entry of ``values``,
-    ``normalized`` and ``d1``, and ``d2_at_0`` and ``mean_dbm``
-    (``_is_finite``), must be finite: a NaN or +-inf one raises ValueError
-    as "{field} must be finite".
+    one entry per lag, or ValueError names the field. Every entry of
+    ``values``, ``normalized`` and ``d1``, and ``d2_at_0`` and
+    ``mean_dbm`` (``_is_finite``), must be finite: a NaN or +-inf one
+    raises ValueError as "{field} must be finite".
 
     Attributes:
         lags: Integer lag indices 0..L; lag k spans k * step_s seconds.

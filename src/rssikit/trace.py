@@ -131,9 +131,10 @@ def _is_finite(value) -> bool:
     directly instead, because a helper call on every ACK is the cost the
     controller's in-place clamp removed: ``AtpcController.on_ack``'s
     reading, ``SlidingWindowPredictor.observe``'s value and ``Prediction``'s
-    value. Each catches ``math.isfinite``'s OverflowError around its check,
-    so it refuses an integer beyond float range with its own ValueError, as
-    this test does, at no cost to a finite value.
+    value. Each wraps its check in a handler for the OverflowError that
+    ``math.isfinite`` raises for an integer beyond float range, so it
+    refuses such an integer with its own ValueError, at no cost to a
+    finite value.
     """
     try:
         return math.isfinite(value)
